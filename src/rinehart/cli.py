@@ -1,7 +1,8 @@
 """Command-line surface: algebra ingestion, cohomology tables, identity suites.
 
 Reports are deterministic: sorted keys, fixed column order, no timestamps.
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 all checks passed, 1 a check failed or a slice is not a complex,
+2 usage or parse error.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .lie_rinehart import (
     check_axioms,
     ruth_check,
 )
+from .linalg import NotAComplexError
 from .pbwext import (
     EtaContext,
     verify_eta_properties,
@@ -102,6 +104,8 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
 
     weights = data.get("weights")
     if weights is not None:
+        if not isinstance(weights, dict):
+            raise SpecFileError(f"{origin}: weights must be an object of name: weight")
         weights = {str(k): int(v) for k, v in weights.items()}
     try:
         alg = LieRinehartAlgebra(vars, basis, tuple(anchor), structure, weights,
@@ -380,6 +384,9 @@ def main(argv=None) -> int:
     except (SpecFileError, PresentationError, PolyParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotAComplexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(report.render(args.out))
     return 0 if report.passed() else 1
 

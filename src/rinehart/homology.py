@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LieRinehartAlgebra
-from .linalg import ComplexSlice, SparseMatrixQ, cohomology_dims, kernel_and_rank
+from .linalg import ComplexSlice, SparseMatrixQ, cohomology_dims, kernel_and_rank, rank
 from .poisson import Legs, Multivector, SymAlgebra, poisson_differential
 from .poly import Polynomial
 
@@ -363,8 +363,7 @@ def duality_cap_rank_check(alg: LieRinehartAlgebra, weight: int, degree: int) ->
     for j, col in enumerate(cols):
         for i, v in col:
             m.set(i, j, m.get(i, j) + v)
-    _, rk = kernel_and_rank(m)
-    return rk, len(basis)
+    return rank(m), len(basis)
 
 
 # -- Euler contraction ----------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Exact sparse linear algebra over Q and finite graded complex slices."""
+"""Exact sparse linear algebra over Q and finite graded complex slices.
+
+Ranks and the d o d check run on integer rows with row steps invertible over
+Q, so they are exact; kernel bases and `solve` use the Fraction RREF `_rref`.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
-class NotAComplexError(ValueError):
+class NotAComplexError(Exception):
     """A slice whose consecutive differentials fail to compose to zero."""
 
     def __init__(self, position: int):
@@ -18,13 +23,10 @@ class SparseMatrixQ:
 
     __slots__ = ("nrows", "ncols", "entries")
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
+    def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
         self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (i, j), c in entries.items():
-                self.set(i, j, c)
 
     def set(self, i: int, j: int, c):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -38,32 +40,10 @@ class SparseMatrixQ:
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def rows(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
         for (i, j), c in self.entries.items():
             out[i][j] = c
-        return out
-
-    def matmul(self, other: "SparseMatrixQ") -> "SparseMatrixQ":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols_of_other: dict[int, list[tuple[int, Fraction]]] = {}
-        for (i, j), c in other.entries.items():
-            cols_of_other.setdefault(i, []).append((j, c))
-        out = SparseMatrixQ(self.nrows, other.ncols)
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, k), c in self.entries.items():
-            for j, d in cols_of_other.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, Fraction(0)) + c * d
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out.entries = acc
         return out
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
@@ -137,8 +117,35 @@ def kernel_and_rank(m: SparseMatrixQ) -> tuple[list[list[Fraction]], int]:
     return basis, rank
 
 
+def _integer_rows(m: SparseMatrixQ) -> list[dict[int, int]]:
+    """Rows of L*m, L the lcm of all denominators: one scalar for the whole
+    matrix keeps its rank and whether a product with it vanishes."""
+    scale = lcm(*{c.denominator for c in m.entries.values()})
+    out: list[dict[int, int]] = [{} for _ in range(m.nrows)]
+    for (i, j), c in m.entries.items():
+        out[i][j] = c.numerator * scale // c.denominator
+    return out
+
+
 def rank(m: SparseMatrixQ) -> int:
-    return kernel_and_rank(m)[1]
+    """Exact rank: rows enter an integer echelon {leading column: pivot}.
+    A row meeting pivot p at column c becomes b*row - a*p (a/b = row[c]/p[c] in
+    lowest terms), a step invertible over Q; pivots are divided by their content."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in _integer_rows(m):
+        while row and (c := min(row)) in echelon:
+            pivot = echelon[c]
+            g = gcd(row[c], pivot[c])
+            a, b = row[c] // g, pivot[c] // g
+            row = {j: b * v for j, v in row.items()} if b != 1 else row
+            for j, v in pivot.items():
+                row[j] = row.get(j, 0) - a * v
+                if not row[j]:
+                    del row[j]
+        if row:  # c = min(row); a positive lead keeps b == 1 on unit pivots
+            g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+            echelon[c] = {j: v // g for j, v in row.items()}
+    return len(echelon)
 
 
 def solve(m: SparseMatrixQ, rhs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -158,11 +165,8 @@ def solve(m: SparseMatrixQ, rhs: Sequence[Fraction]) -> list[Fraction] | None:
 
 
 class ComplexSlice:
-    """A finite weight-homogeneous piece of a cochain complex.
-
-    Position k carries an ordered basis-label list; differentials map
-    position k to k+1 (columns indexed by the source basis).
-    """
+    """A finite weight-homogeneous piece of a cochain complex: an ordered
+    basis-label list per position, d_k from position k (columns) to k+1."""
 
     def __init__(self, labels: list[list[str]], diffs: list[SparseMatrixQ], name: str = ""):
         if len(diffs) != max(len(labels) - 1, 0):
@@ -175,9 +179,16 @@ class ComplexSlice:
         self.name = name
 
     def check_complex(self):
-        for k in range(len(self.diffs) - 1):
-            if not self.diffs[k + 1].matmul(self.diffs[k]).is_zero():
-                raise NotAComplexError(k)
+        """Raise NotAComplexError(k) at the first k with d_{k+1} d_k != 0."""
+        rows = [_integer_rows(d) for d in self.diffs]
+        for k in range(len(rows) - 1):
+            for upper in rows[k + 1]:
+                acc: dict[int, int] = {}
+                for i, c in upper.items():
+                    for j, d in rows[k][i].items():
+                        acc[j] = acc.get(j, 0) + c * d
+                if any(acc.values()):
+                    raise NotAComplexError(k)
 
     def dimensions(self) -> list[int]:
         return [len(lbl) for lbl in self.labels]
@@ -186,17 +197,5 @@ class ComplexSlice:
 def cohomology_dims(slice: ComplexSlice) -> list[int]:
     """dim H^k = dim ker(d_k) - rank(d_{k-1}) for every position of the slice."""
     slice.check_complex()
-    n = len(slice.labels)
-    out = []
-    prev_rank = 0
-    for k in range(n):
-        dim_k = len(slice.labels[k])
-        if k < len(slice.diffs):
-            _, rk = kernel_and_rank(slice.diffs[k])
-            ker_dim = dim_k - rk
-        else:
-            ker_dim = dim_k
-            rk = 0
-        out.append(ker_dim - prev_rank)
-        prev_rank = rk
-    return out
+    ranks = [0] + [rank(d) for d in slice.diffs] + [0]
+    return [len(lbl) - ranks[k + 1] - ranks[k] for k, lbl in enumerate(slice.labels)]

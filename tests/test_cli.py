@@ -179,3 +179,43 @@ def test_ce_command_sl2():
     rows = json.loads(out)["rows"]
     dims = {(r["weight"], r["degree"]): r["dimension"] for r in rows}
     assert [dims.get((0, m), 0) for m in range(4)] == [1, 0, 0, 1]
+
+
+FLIPPED_SL2 = {
+    "vars": [],
+    "rank": 3,
+    "basis": ["e", "f", "h"],
+    "anchor": [[], [], []],
+    "weights": {"e": 1, "f": 1, "h": 1},
+    "bracket": {"0,1": ["0", "0", "1"], "0,2": ["2", "0", "0"], "1,2": ["0", "2", "0"]},
+}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("poisson-cohomology", "error: d_2 o d_1 != 0"),
+    ("ce", "error: d_2 o d_1 != 0"),
+    ("poisson-homology", "error: d_1 o d_0 != 0"),
+    ("cyclic", "error: d_1 o d_0 != 0"),
+])
+def test_broken_complex_exits_one(tmp_path, capsys, command, message):
+    # sl2 with a flipped sign fails Jacobi, so its differentials do not square
+    # to zero: a mathematical failure (exit 1), not a usage error (exit 2)
+    path = tmp_path / "flipped_sl2.json"
+    path.write_text(json.dumps(FLIPPED_SL2))
+    code, out = run_cli(["--spec-file", str(path), command])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_weights_given_as_list_exits_two(tmp_path, capsys):
+    path = tmp_path / "list_weights.json"
+    path.write_text(json.dumps({"vars": ["x"], "rank": 1, "basis": ["e"],
+                                "anchor": [["1"]], "weights": [1, 1]}))
+    with pytest.raises(SpecFileError, match="weights"):
+        parse_spec(str(path))
+    code, out = run_cli(["--spec-file", str(path), "check"])
+    assert code == 2
+    assert out == ""
+    assert "weights" in capsys.readouterr().err

@@ -3,12 +3,14 @@ import random
 import pytest
 from fractions import Fraction
 
+from rinehart import homology, linalg, poisson, presets, quasimod
 from rinehart.linalg import (
     ComplexSlice,
     NotAComplexError,
     SparseMatrixQ,
     cohomology_dims,
     kernel_and_rank,
+    rank,
     solve,
 )
 
@@ -51,6 +53,7 @@ def test_kernel_vectors_are_exact():
                     m.set(i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         basis, rk = kernel_and_rank(m)
         assert rk + len(basis) == nc
+        assert rank(m) == rk
         for v in basis:
             assert all(c == 0 for c in m.apply(v))
 
@@ -97,3 +100,59 @@ def test_cohomology_zero_differentials_gives_dimensions():
         [SparseMatrixQ(1, 2), SparseMatrixQ(3, 1)],
     )
     assert cohomology_dims(s) == [2, 1, 3]
+
+
+def test_rank_matches_fraction_path_on_every_builtin_slice(monkeypatch):
+    slices = []
+
+    def record(slice_):
+        slices.append(slice_)
+        return linalg.cohomology_dims(slice_)
+
+    for mod in (homology, poisson, quasimod):
+        monkeypatch.setattr(mod, "cohomology_dims", record)
+    for spec in ("weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+                 "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"):
+        alg = presets.builtin(spec)
+        if min(alg.weights.values()) > 0:  # the graded tables need positive weights
+            homology.poisson_homology(alg, 2)
+            # cyclic slices of weight 2 take seconds on two-variable algebras
+            homology.cyclic_homology(alg, 1 if len(alg.vars) > 1 else 2, 2)
+            poisson.poisson_cohomology(alg, 2, 2)
+        quasimod.ce_cohomology(alg, "trivial", 2, 2)
+        if not alg.vars:
+            quasimod.ce_cohomology(alg, "sym_adjoint_lie", 2, 2)
+    diffs = [d for s in slices for d in s.diffs if d.entries]
+    assert len(diffs) > 100
+    for d in diffs:
+        assert rank(d) == kernel_and_rank(d)[1], d
+
+
+def product_is_zero_by_apply(upper, lower):
+    """Reference d o d test: apply `upper` to every column of `lower`."""
+    for j in range(lower.ncols):
+        col = [lower.get(i, j) for i in range(lower.nrows)]
+        if any(upper.apply(col)):
+            return False
+    return True
+
+
+def test_complex_check_cancels_denominators_across_rows():
+    # d0 has a different denominator in each row, so clearing them row by row
+    # would scale d0's rows unequally and leave d1 d0 != 0.
+    d0 = mat([[Fraction(1, 2), 1], [Fraction(1, 3), 0], [0, Fraction(1, 5)]])
+    d1 = mat([[2, -3, -10], [Fraction(1, 7), Fraction(-3, 14), Fraction(-5, 7)]])
+    assert product_is_zero_by_apply(d1, d0)
+    s = ComplexSlice([["a", "b"], ["c", "d", "e"], ["f", "g"]], [d0, d1])
+    s.check_complex()
+    assert cohomology_dims(s) == [0, 0, 1]
+
+
+def test_complex_check_rejects_near_cancellation():
+    d0 = mat([[Fraction(1, 2), 1], [Fraction(1, 3), 0], [0, Fraction(1, 5)]])
+    d1 = mat([[2, -3, -10], [Fraction(1, 7), Fraction(-3, 14), Fraction(-5, 8)]])
+    assert not product_is_zero_by_apply(d1, d0)
+    s = ComplexSlice([["a", "b"], ["c", "d", "e"], ["f", "g"]], [d0, d1])
+    with pytest.raises(NotAComplexError) as exc:
+        s.check_complex()
+    assert exc.value.position == 0
