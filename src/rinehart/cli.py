@@ -49,11 +49,13 @@ class SpecFileError(ValueError):
 
 def parse_spec(path: str) -> LieRinehartAlgebra:
     """Read the JSON presentation format; structural problems carry the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SpecFileError(f"{path}: cannot read: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
     return presentation_from_dict(data, origin=path)
 
 
@@ -197,6 +199,16 @@ def _load_algebra(args) -> LieRinehartAlgebra:
     raise SpecFileError("no algebra given: use --algebra or --spec-file")
 
 
+def _axioms_hold(alg: LieRinehartAlgebra, report: ReportTable) -> bool:
+    """Table commands refuse a presentation that fails its axioms: its
+    slices need not be complexes, nor stay in their weight.  On failure the
+    report gets one failed `axioms` check and no rows."""
+    ax = check_axioms(alg)
+    if not ax.ok:
+        report.add_check("axioms", False, "; ".join(ax.failures))
+    return ax.ok
+
+
 def cmd_check(args) -> ReportTable:
     alg = _load_algebra(args)
     report = ReportTable("check", alg.name, {"ruth_cap": args.ruth_cap})
@@ -213,6 +225,8 @@ def cmd_poisson_cohomology(args) -> ReportTable:
         "poisson-cohomology", alg.name,
         {"max_weight": args.max_weight, "max_degree": args.max_degree},
     )
+    if not _axioms_hold(alg, report):
+        return report
     table = poisson_cohomology(alg, args.max_weight, args.max_degree)
     for (w, k), dim in sorted(table.items()):
         report.add_row("poisson-cochain", w, k, dim)
@@ -226,6 +240,8 @@ def cmd_poisson_cohomology(args) -> ReportTable:
 def cmd_poisson_homology(args) -> ReportTable:
     alg = _load_algebra(args)
     report = ReportTable("poisson-homology", alg.name, {"max_weight": args.max_weight})
+    if not _axioms_hold(alg, report):
+        return report
     table = poisson_homology(alg, args.max_weight)
     totals: dict[int, int] = {}
     for (w, k), dim in sorted(table.items()):
@@ -241,6 +257,8 @@ def cmd_cyclic(args) -> ReportTable:
     report = ReportTable(
         "cyclic", alg.name, {"max_weight": args.max_weight, "u_cap": args.u_cap}
     )
+    if not _axioms_hold(alg, report):
+        return report
     table, stable = cyclic_homology(alg, args.max_weight, args.u_cap)
     totals: dict[int, int] = {}
     for (w, t), dim in sorted(table.items()):
@@ -260,6 +278,8 @@ def cmd_center(args) -> ReportTable:
         "center", alg.name,
         {"filtration_cap": args.filtration_cap, "max_weight": args.max_weight},
     )
+    if not _axioms_hold(alg, report):
+        return report
     U = EnvelopingAlgebra(alg)
     basis = center_search(U, args.filtration_cap, args.max_weight)
     report.add_row("center", args.max_weight, args.filtration_cap, len(basis))
@@ -274,6 +294,8 @@ def cmd_ce(args) -> ReportTable:
         "ce", alg.name,
         {"module": module, "max_weight": args.max_weight, "max_degree": args.max_degree},
     )
+    if not _axioms_hold(alg, report):
+        return report
     table = ce_cohomology(alg, module, args.max_weight, args.max_degree)
     for (w, m), dim in sorted(table.items()):
         report.add_row(f"ce-{args.module}", w, m, dim)
@@ -323,6 +345,20 @@ def cmd_verify(args) -> ReportTable:
     return report
 
 
+def _at_least(minimum: int):
+    """argparse type for a count: an int no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rinehart",
@@ -333,15 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec-file", help="JSON presentation file")
     parser.add_argument("--out", choices=["json", "csv"], default="json")
     parser.add_argument("--seed", type=int, default=0)
+    count = _at_least(0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="axioms and the adjoint-complex square")
-    p.add_argument("--ruth-cap", type=int, default=3)
+    p.add_argument("--ruth-cap", type=count, default=3)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("poisson-cohomology")
     p.add_argument("--max-weight", type=int, default=6)
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=count, default=2)
     p.set_defaults(func=cmd_poisson_cohomology)
 
     p = sub.add_parser("poisson-homology")
@@ -354,23 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cyclic)
 
     p = sub.add_parser("center")
-    p.add_argument("--filtration-cap", type=int, default=2)
+    p.add_argument("--filtration-cap", type=count, default=2)
     p.add_argument("--max-weight", type=int, default=4)
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("ce")
     p.add_argument("--module", choices=["trivial", "sym-adjoint"], default="trivial")
     p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=count, default=3)
     p.set_defaults(func=cmd_ce)
 
     p = sub.add_parser("verify")
     p.add_argument("suite", choices=["quasi", "pbw", "tower", "eta", "euler"])
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_at_least(1), default=50)
     p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=count, default=3)
     p.add_argument("--euler", default="E")
-    p.add_argument("--euler-cap", type=int, default=2)
+    p.add_argument("--euler-cap", type=count, default=2)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .lie_rinehart import LElement
-from .poly import Polynomial, PolyDerivation
+from .poly import Polynomial, PolyDerivation, exponents
 from .uea import EnvelopingAlgebra, UEAElement
 
 Mono = tuple[int, ...]
@@ -69,16 +69,7 @@ class TableCochain:
 
 def monomial_tuples(nvars: int, arity: int, total_degree: int):
     """All arity-tuples of monomial exponents with total degree <= bound."""
-    monos = []
-
-    def rec(i, left, acc):
-        if i == nvars:
-            monos.append(tuple(acc))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, acc + [e])
-
-    rec(0, total_degree, [])
+    monos = exponents((1,) * nvars, total_degree)
     out = []
     for combo in itertools.product(monos, repeat=arity):
         if sum(sum(e) for e in combo) <= total_degree:
@@ -203,14 +194,6 @@ def cup_derivation(D: PolyDerivation, phi: TableCochain) -> TableCochain:
         return U.scalar(head) * phi.eval_monos(exps[1:])
 
     return TableCochain(U, phi.arity + 1, kernel, cap=phi.cap, label=f"cup({phi.label})")
-
-
-def left_multiply(u: UEAElement, phi: TableCochain) -> TableCochain:
-    U = phi.U
-    return TableCochain(
-        U, phi.arity, lambda exps: u * phi.eval_monos(exps),
-        cap=phi.cap, label=f"mul.{phi.label}",
-    )
 
 
 def add(*cochains: TableCochain) -> TableCochain:

@@ -5,84 +5,24 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LieRinehartAlgebra
-from .linalg import ComplexSlice, SparseMatrixQ, cohomology_dims, kernel_and_rank, rank
-from .poisson import Legs, Multivector, SymAlgebra, poisson_differential
-from .poly import Polynomial
+from .linalg import ComplexSlice, assemble, cohomology_dims, kernel_and_rank, rank
+from .poisson import (
+    Legs,
+    LegTensor,
+    Multivector,
+    SymAlgebra,
+    _label,
+    _slice_basis,
+    poisson_differential,
+)
+from .poly import Polynomial, exponents, insert_leg
 
 
-class KahlerForm:
+class KahlerForm(LegTensor):
     """Differential form: finite map (sorted d-gamma leg set) -> symbol."""
 
-    __slots__ = ("parent", "degree", "terms")
-
-    def __init__(self, parent: SymAlgebra, degree: int, terms: dict[Legs, Polynomial] | None = None):
-        self.parent = parent
-        self.degree = degree
-        self.terms: dict[Legs, Polynomial] = {}
-        if terms:
-            for legs, c in terms.items():
-                if c.is_zero():
-                    continue
-                if len(legs) != degree or list(legs) != sorted(set(legs)):
-                    raise ValueError(f"bad leg set {legs} for degree {degree}")
-                self.terms[tuple(legs)] = c
-
-    @classmethod
-    def function(cls, parent: SymAlgebra, f: Polynomial) -> "KahlerForm":
-        return cls(parent, 0, {(): f})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        assert self.degree == other.degree
-        out = dict(self.terms)
-        for legs, c in other.terms.items():
-            s = out.get(legs)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(legs, None)
-            else:
-                out[legs] = s
-        w = KahlerForm(self.parent, self.degree)
-        w.terms = out
-        return w
-
-    def __neg__(self):
-        w = KahlerForm(self.parent, self.degree)
-        w.terms = {l: -c for l, c in self.terms.items()}
-        return w
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        w = KahlerForm(self.parent, self.degree)
-        for l, v in self.terms.items():
-            s = c * v if isinstance(c, Polynomial) else v.scale(c)
-            if not s.is_zero():
-                w.terms[l] = s
-        return w
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KahlerForm)
-            and self.parent is other.parent
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        P = self.parent
-        parts = []
-        for legs, c in sorted(self.terms.items()):
-            legstr = "^".join(f"d{P.vars[a]}" for a in legs) or "1"
-            parts.append(f"({c})*{legstr}")
-        return " + ".join(parts) if parts else "0"
+    __slots__ = ()
+    leg_prefix = "d"
 
 
 def kahler_d(w: KahlerForm) -> KahlerForm:
@@ -92,14 +32,12 @@ def kahler_d(w: KahlerForm) -> KahlerForm:
     acc: dict[Legs, Polynomial] = {}
     for legs, c in w.terms.items():
         for a in range(P.N):
-            if a in legs:
+            new, sign = insert_leg(legs, a)
+            if not sign:
                 continue
             dc = c.partial(a)
             if dc.is_zero():
                 continue
-            pos = sum(1 for l in legs if l < a)
-            new = tuple(sorted(legs + (a,)))
-            sign = 1 if pos % 2 == 0 else -1
             cur = acc.get(new, Polynomial.zero(P.vars))
             s = cur + (dc if sign == 1 else -dc)
             if s.is_zero():
@@ -113,9 +51,9 @@ def kahler_d(w: KahlerForm) -> KahlerForm:
 def interior(a: int, w: KahlerForm) -> KahlerForm:
     """Interior product with the coordinate vector field of index a."""
     P = w.parent
-    out = KahlerForm(P, w.degree - 1) if w.degree else KahlerForm(P, 0)
     if w.degree == 0:
         return KahlerForm(P, 0)
+    out = KahlerForm(P, w.degree - 1)
     acc: dict[Legs, Polynomial] = {}
     for legs, c in w.terms.items():
         if a not in legs:
@@ -179,32 +117,16 @@ def _form_basis(P: SymAlgebra, lam: int, k: int, jweight: int = 0) -> list[tuple
     return out
 
 
-def _form_label(P: SymAlgebra, legs: Legs, exp) -> str:
-    mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(P.vars, exp) if e) or "1"
-    legstr = "^".join(f"d{P.vars[a]}" for a in legs) or "1"
-    return f"{mono}|{legstr}"
-
-
 def homology_slice(P: SymAlgebra, lam: int) -> ComplexSlice:
     """The boundary complex of slice lam as a cochain slice (positions are
     N - homological degree)."""
     bases = [_form_basis(P, lam, P.N - p) for p in range(P.N + 1)]
-    labels = [[_form_label(P, legs, exp) for legs, exp in b] for b in bases]
-    diffs = []
-    for p in range(P.N):
-        src, tgt = bases[p], bases[p + 1]
-        index = {key: i for i, key in enumerate(tgt)}
-        m = SparseMatrixQ(len(tgt), len(src))
-        for col, (legs, exp) in enumerate(src):
-            w = KahlerForm(P, len(legs), {legs: Polynomial.monomial(P.vars, exp, 1)})
-            bw = poisson_boundary(w)
-            for tlegs, c in bw.terms.items():
-                for texp, coeff in c.terms.items():
-                    row = index.get((tlegs, texp))
-                    if row is None:
-                        raise AssertionError("boundary left the weight slice")
-                    m.set(row, col, m.get(row, col) + coeff)
-        diffs.append(m)
+    labels = [[_label(P, legs, exp, "d") for legs, exp in b] for b in bases]
+    diffs = [
+        assemble(bases[p], lambda key: poisson_boundary(
+            KahlerForm.basis_element(P, *key)).entries(), bases[p + 1])[0]
+        for p in range(P.N)
+    ]
     return ComplexSlice(labels, diffs, name=f"poisson-chain L={lam}")
 
 
@@ -256,25 +178,19 @@ def cyclic_slice(P: SymAlgebra, lam: int, u_cap: int, t_max: int) -> ComplexSlic
 
     bases = [basis_at(t_max - p) for p in range(t_max + 1)]
     labels = [
-        [f"u^{j}*{_form_label(P, legs, exp)}" for j, legs, exp in b] for b in bases
+        [f"u^{j}*{_label(P, legs, exp, 'd')}" for j, legs, exp in b] for b in bases
     ]
-    diffs = []
-    for p in range(t_max):
-        src, tgt = bases[p], bases[p + 1]
-        index = {key: i for i, key in enumerate(tgt)}
-        m = SparseMatrixQ(len(tgt), len(src))
-        for col, (j, legs, exp) in enumerate(src):
-            w = KahlerForm(P, len(legs), {legs: Polynomial.monomial(P.vars, exp, 1)})
-            for jj, piece in ((j, poisson_boundary(w)), (j - 1, kahler_d(w))):
-                if jj < 0:
-                    continue
-                for tlegs, c in piece.terms.items():
-                    for texp, coeff in c.terms.items():
-                        row = index.get((jj, tlegs, texp))
-                        if row is None:
-                            raise AssertionError("mixed differential left the slice")
-                        m.set(row, col, m.get(row, col) + coeff)
-        diffs.append(m)
+
+    def image(key):
+        j, legs, exp = key
+        w = KahlerForm.basis_element(P, legs, exp)
+        for (tlegs, texp), c in poisson_boundary(w).entries():
+            yield (j, tlegs, texp), c
+        if j:
+            for (tlegs, texp), c in kahler_d(w).entries():
+                yield (j - 1, tlegs, texp), c
+
+    diffs = [assemble(bases[p], image, bases[p + 1])[0] for p in range(t_max)]
     return ComplexSlice(labels, diffs, name=f"cyclic L={lam} cap={u_cap}")
 
 
@@ -344,25 +260,9 @@ def duality_cap(D: Multivector) -> KahlerForm:
 
 def duality_cap_rank_check(alg: LieRinehartAlgebra, weight: int, degree: int) -> tuple[int, int]:
     """(rank, dimension) of the cap on one cochain weight slice."""
-    from .poisson import _slice_basis
-
     P = SymAlgebra(alg)
     basis = _slice_basis(P, weight, degree)
-    targets: dict[tuple[Legs, tuple[int, ...]], int] = {}
-    cols = []
-    for legs, exp in basis:
-        D = Multivector(P, degree, {legs: Polynomial.monomial(P.vars, exp, 1)})
-        w = duality_cap(D)
-        col = []
-        for tlegs, c in w.terms.items():
-            for texp, coeff in c.terms.items():
-                idx = targets.setdefault((tlegs, texp), len(targets))
-                col.append((idx, coeff))
-        cols.append(col)
-    m = SparseMatrixQ(len(targets), len(basis))
-    for j, col in enumerate(cols):
-        for i, v in col:
-            m.set(i, j, m.get(i, j) + v)
+    m, _ = assemble(basis, lambda key: duality_cap(Multivector.basis_element(P, *key)).entries())
     return rank(m), len(basis)
 
 
@@ -435,39 +335,22 @@ def euler_contraction_check(
     failures = []
     checked = 0
 
-    def monomials(budget: int):
-        """Exponents with positive-weight part <= budget, weight-zero part
-        capped by exponent."""
-        out = [()]
-        for i in range(P.N):
-            new = []
-            for acc in out:
-                used = sum(e * w for e, w in zip(acc, vw))
-                if vw[i] == 0:
-                    cap = euler_degree_cap
-                else:
-                    cap = (budget - used) // vw[i]
-                for e in range(cap + 1):
-                    new.append(acc + (e,))
-            out = new
-        return out
-
     for k in range(0, min(max_degree, P.N) + 1):
         for legs in itertools.combinations(range(P.N), k):
             legw = sum(vw[a] for a in legs)
-            for exp in monomials(max_weight + legw):
+            for exp in exponents(vw, max_weight + legw, cap=euler_degree_cap):
                 wt = sum(e * w for e, w in zip(exp, vw)) - legw
                 if wt > max_weight or wt < -max_weight:
                     continue
                 eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
-                D = Multivector(P, k, {legs: Polynomial.monomial(P.vars, exp, 1)})
+                D = Multivector.basis_element(P, legs, exp)
                 lhs = poisson_differential(euler_insertion(D, euler)) + euler_insertion(
                     poisson_differential(D), euler
                 )
                 rhs = D.scale(eig)
                 if not (lhs - rhs).is_zero():
                     failures.append(
-                        f"anticommutator is not weight*id on {_form_label(P, legs, exp)} "
+                        f"anticommutator is not weight*id on {_label(P, legs, exp, 'd')} "
                         f"(weight {eig})"
                     )
                     if len(failures) >= 3:
@@ -488,38 +371,10 @@ def capped_casimir_search(
     """
     P = SymAlgebra(alg)
     vw = P.weight_vector()
-    monos: list[tuple[int, ...]] = []
-
-    def rec(i, wleft, acc):
-        if i == P.N:
-            monos.append(tuple(acc))
-            return
-        if vw[i] == 0:
-            for e in range(euler_degree_cap + 1):
-                rec(i + 1, wleft, acc + [e])
-        elif vw[i] > 0:
-            for e in range(wleft // vw[i] + 1):
-                rec(i + 1, wleft - e * vw[i], acc + [e])
-        else:
-            raise ValueError("negative weights are not supported")
-
-    rec(0, max_weight, [])
-    monos.sort()
-    targets: dict[tuple[Legs, tuple[int, ...]], int] = {}
-    cols = []
-    for exp in monos:
-        D = Multivector.function(P, Polynomial.monomial(P.vars, exp, 1))
-        dD = poisson_differential(D)
-        col = []
-        for legs, c in dD.terms.items():
-            for texp, coeff in c.terms.items():
-                idx = targets.setdefault((legs, texp), len(targets))
-                col.append((idx, coeff))
-        cols.append(col)
-    m = SparseMatrixQ(len(targets), len(monos))
-    for j, col in enumerate(cols):
-        for i, v in col:
-            m.set(i, j, m.get(i, j) + v)
+    monos = exponents(vw, max_weight, cap=euler_degree_cap)
+    m, _ = assemble(
+        monos, lambda exp: poisson_differential(Multivector.basis_element(P, (), exp)).entries()
+    )
     kernel, _ = kernel_and_rank(m)
     out = []
     for vec in kernel:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, PolyDerivation, parse_poly
+from .poly import Polynomial, PolyDerivation, parse_poly, perm_sign, sort_with_sign
 
 
 class PresentationError(ValueError):
@@ -427,11 +427,8 @@ class _AdCochain:
 
     def value_on_basis(self, idx: tuple[int, ...]):
         """Value on an arbitrary basis tuple, resolving the sign by sorting."""
-        if len(set(idx)) != len(idx):
-            return self.zero_value()
-        order = sorted(range(len(idx)), key=lambda t: idx[t])
-        sign = _perm_sign(order)
-        v = self.values.get(tuple(sorted(idx)))
+        key, sign = sort_with_sign(idx)
+        v = self.values.get(key) if sign else None
         if v is None:
             return self.zero_value()
         return v if sign == 1 else -v
@@ -454,17 +451,6 @@ class _AdCochain:
             else:
                 out = out + base.scale_by(coeff)
         return out
-
-
-def _perm_sign(order) -> int:
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            sign = -sign
-    return sign
 
 
 def _koszul_differential(conn: Connection, c: _AdCochain) -> _AdCochain:
@@ -713,8 +699,7 @@ def _poly_det(m: list[list[Polynomial]]) -> Polynomial:
     vars = m[0][0].vars
     out = Polynomial.zero(vars)
     for perm in itertools.permutations(range(d)):
-        sign = _perm_sign(list(perm))
-        term = Polynomial.const(vars, sign)
+        term = Polynomial.const(vars, perm_sign(perm))
         for i in range(d):
             term = term * m[i][perm[i]]
             if term.is_zero():

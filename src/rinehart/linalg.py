@@ -1,5 +1,8 @@
 """Exact sparse linear algebra over Q and finite graded complex slices.
 
+`assemble` turns a linear map on a basis into a matrix; every slice
+differential and kernel search is built with it.
+
 Ranks and the d o d check run on integer rows with row steps invertible over
 Q, so they are exact; kernel bases and `solve` use the Fraction RREF `_rref`.
 """
@@ -7,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class NotAComplexError(Exception):
@@ -57,6 +60,34 @@ class SparseMatrixQ:
 
     def __repr__(self):
         return f"SparseMatrixQ({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
+
+
+def assemble(src: Sequence, image: Callable[[object], Iterable[tuple[object, Fraction]]],
+             tgt: Sequence | None = None) -> tuple[SparseMatrixQ, list]:
+    """Matrix of a linear map: column j holds image(src[j]), an iterable of
+    (target key, coefficient) pairs, with repeated keys summed and zero sums
+    dropped.  Row i is tgt[i] when a target basis is given, and a key outside
+    it raises KeyError; otherwise rows are numbered in first-seen order.
+    Returns the matrix and the row keys."""
+    targets = list(tgt) if tgt is not None else []
+    index = {key: i for i, key in enumerate(targets)}
+    cols = []
+    for s in src:
+        col: dict[int, Fraction] = {}
+        for key, c in image(s):
+            row = index.get(key)
+            if row is None:
+                if tgt is not None:
+                    raise KeyError(f"the image of {s!r} leaves the target basis at {key!r}")
+                row = index[key] = len(targets)
+                targets.append(key)
+            col[row] = col[row] + c if row in col else c
+        cols.append(col)
+    m = SparseMatrixQ(len(targets), len(cols))
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            m.set(i, j, c)
+    return m, targets
 
 
 def _rref(m: SparseMatrixQ) -> tuple[list[dict[int, Fraction]], list[int]]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cochain import TableCochain, hochschild_b, homotopy, lie_action, monomial_tuples
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial, PolyDerivation
+from .poly import Polynomial, PolyDerivation, insert_leg, perm_sign
 from .quasimod import NLCochainElement, adj_delta, adj_lie, adj_nabla_b, _larg_element
 from .uea import EnvelopingAlgebra, UEAElement
 
@@ -74,12 +74,12 @@ def replace_legs_and_factors(ctx: EtaContext, v: Multivector, leg_map, factor_ma
                 continue
             rest = legs[:t] + legs[t + 1:]
             for w, im in enumerate(image.images):
-                if im.is_zero() or w in rest:
+                new, sign = insert_leg(rest, w)
+                if im.is_zero() or not sign:
                     continue
-                pos = sum(1 for l in rest if l < w)
-                sign = 1 if (pos + t) % 2 == 0 else -1
-                new = tuple(sorted(rest + (w,)))
-                out = out + Multivector(P, v.degree, {new: (P.lift(im) * c).scale(sign)})
+                out = out + Multivector(
+                    P, v.degree, {new: (P.lift(im) * c).scale(sign * (-1) ** t)}
+                )
         for a in range(P.d):
             image = factor_map(a)
             if image is None or image.is_zero():
@@ -462,13 +462,11 @@ def _f_delta_right_side(ctx: EtaContext, Y: LElement, v: Multivector) -> Multive
                 if eta.is_zero():
                     continue
                 for w, im in enumerate(eta.images):
-                    if im.is_zero() or w in rest:
+                    new, sign = insert_leg(rest, w)
+                    if im.is_zero() or not sign:
                         continue
-                    pos = sum(1 for l in rest if l < w)
-                    sign = 1 if (pos + t) % 2 == 0 else -1
-                    new = tuple(sorted(rest + (w,)))
                     out = out + Multivector(
-                        P, v.degree, {new: (P.lift(im) * da).scale(sign)}
+                        P, v.degree, {new: (P.lift(im) * da).scale(sign * (-1) ** t)}
                     )
     return out
 
@@ -549,18 +547,7 @@ def _shuffles(k: int, i: int):
     for first in itertools.combinations(idx, k):
         rest = [t for t in idx if t not in first]
         perm = list(first) + rest
-        yield first, rest, _sign_of(perm)
-
-
-def _sign_of(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
+        yield first, rest, perm_sign(perm)
 
 
 def antisymmetrized_tower(ctx: EtaContext, k: int, el: NLCochainElement, col: int,

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LieRinehartAlgebra
-from .linalg import ComplexSlice, SparseMatrixQ, cohomology_dims
-from .poly import Polynomial
+from .linalg import ComplexSlice, assemble, cohomology_dims
+from .poly import Polynomial, exponents, perm_sign
 
 Legs = tuple[int, ...]
 
@@ -103,26 +103,15 @@ class SymAlgebra:
         vw = self.weight_vector()
         if any(x <= 0 for x in vw):
             raise ValueError("positive weights required to enumerate monomials")
-        out = []
-
-        def rec(i, left, acc):
-            if i == self.N:
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            step = vw[i]
-            for a in range(0, left // step + 1):
-                rec(i + 1, left - a * step, acc + [a])
-
-        if w >= 0:
-            rec(0, w, [])
-        return out
+        return exponents(vw, w, exact=True)
 
 
-class Multivector:
-    """Alternating multiderivation in coordinates: map (sorted legs) -> symbol."""
+class LegTensor:
+    """Finite map (sorted leg set) -> symbol coefficient, all of one degree:
+    the leg-indexed data shared by multivectors and Kahler forms."""
 
     __slots__ = ("parent", "degree", "terms")
+    leg_prefix = ""
 
     def __init__(self, parent: SymAlgebra, degree: int, terms: dict[Legs, Polynomial] | None = None):
         self.parent = parent
@@ -137,13 +126,18 @@ class Multivector:
                 self.terms[tuple(legs)] = c
 
     @classmethod
-    def function(cls, parent: SymAlgebra, f: Polynomial) -> "Multivector":
+    def function(cls, parent: SymAlgebra, f: Polynomial):
         return cls(parent, 0, {(): f})
+
+    @classmethod
+    def basis_element(cls, parent: SymAlgebra, legs: Legs, exp: tuple[int, ...]):
+        """The monomial exp on the leg set legs, as keyed by `entries`."""
+        return cls(parent, len(legs), {legs: Polynomial.monomial(parent.vars, exp, 1)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Multivector") -> "Multivector":
+    def __add__(self, other):
         if other.is_zero():
             return self
         if self.is_zero():
@@ -157,33 +151,58 @@ class Multivector:
                 out.pop(legs, None)
             else:
                 out[legs] = s
-        m = Multivector(self.parent, self.degree)
-        m.terms = out
-        return m
+        t = type(self)(self.parent, self.degree)
+        t.terms = out
+        return t
 
     def __neg__(self):
-        m = Multivector(self.parent, self.degree)
-        m.terms = {l: -c for l, c in self.terms.items()}
-        return m
+        t = type(self)(self.parent, self.degree)
+        t.terms = {l: -c for l, c in self.terms.items()}
+        return t
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "Multivector":
-        m = Multivector(self.parent, self.degree)
-        if isinstance(c, Polynomial):
-            m.terms = {l: c * v for l, v in self.terms.items() if not (c * v).is_zero()}
-        else:
-            m.terms = {l: v.scale(c) for l, v in self.terms.items() if v.scale(c)}
-        return m
+    def scale(self, c):
+        """Multiply every coefficient by a polynomial or a scalar."""
+        t = type(self)(self.parent, self.degree)
+        for l, v in self.terms.items():
+            s = c * v if isinstance(c, Polynomial) else v.scale(c)
+            if not s.is_zero():
+                t.terms[l] = s
+        return t
 
     def __eq__(self, other):
         return (
-            isinstance(other, Multivector)
+            type(other) is type(self)
             and self.parent is other.parent
             and self.degree == other.degree
             and self.terms == other.terms
         )
+
+    def coefficient(self, legs: Legs) -> Polynomial:
+        return self.terms.get(tuple(legs), Polynomial.zero(self.parent.vars))
+
+    def entries(self):
+        """((legs, exponent), coefficient) for every monomial term."""
+        for legs, c in self.terms.items():
+            for exp, coeff in c.terms.items():
+                yield (legs, exp), coeff
+
+    def __repr__(self):
+        P = self.parent
+        parts = []
+        for legs, c in sorted(self.terms.items()):
+            legstr = "^".join(f"{self.leg_prefix}{P.vars[a]}" for a in legs) or "1"
+            parts.append(f"({c})*{legstr}")
+        return " + ".join(parts) if parts else "0"
+
+
+class Multivector(LegTensor):
+    """Alternating multiderivation in coordinates: map (sorted legs) -> symbol."""
+
+    __slots__ = ()
+    leg_prefix = "d/d"
 
     def evaluate(self, args: list[Polynomial]) -> Polynomial:
         """Value on symbol arguments (determinant of partials per leg set)."""
@@ -195,8 +214,7 @@ class Multivector:
         for legs, c in self.terms.items():
             det = Polynomial.zero(P.vars)
             for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(list(perm))
-                term = Polynomial.const(P.vars, sign)
+                term = Polynomial.const(P.vars, perm_sign(perm))
                 for row, leg in enumerate(legs):
                     term = term * partials[perm[row]][leg]
                     if term.is_zero():
@@ -205,32 +223,6 @@ class Multivector:
             if not det.is_zero():
                 out = out + c * det
         return out
-
-    def coefficient(self, legs: Legs) -> Polynomial:
-        return self.terms.get(tuple(legs), Polynomial.zero(self.parent.vars))
-
-    def weight_of_term(self, legs: Legs, exp: tuple[int, ...]) -> int:
-        vw = self.parent.weight_vector()
-        return sum(e * w for e, w in zip(exp, vw)) - sum(vw[a] for a in legs)
-
-    def __repr__(self):
-        P = self.parent
-        parts = []
-        for legs, c in sorted(self.terms.items()):
-            legstr = "^".join(f"d/d{P.vars[a]}" for a in legs) or "1"
-            parts.append(f"({c})*{legstr}")
-        return " + ".join(parts) if parts else "0"
-
-
-def _perm_sign(order) -> int:
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            sign = -sign
-    return sign
 
 
 def poisson_differential(D: Multivector) -> Multivector:
@@ -281,11 +273,11 @@ def _slice_basis(P: SymAlgebra, W: int, k: int) -> list[tuple[Legs, tuple[int, .
     return out
 
 
-def _label(P: SymAlgebra, legs: Legs, exp: tuple[int, ...]) -> str:
+def _label(P: SymAlgebra, legs: Legs, exp: tuple[int, ...], leg_prefix: str = "d/d") -> str:
     mono = "*".join(
         f"{v}^{e}" if e > 1 else v for v, e in zip(P.vars, exp) if e
     ) or "1"
-    legstr = "^".join(f"d/d{P.vars[a]}" for a in legs) or "1"
+    legstr = "^".join(f"{leg_prefix}{P.vars[a]}" for a in legs) or "1"
     return f"{mono}|{legstr}"
 
 
@@ -293,22 +285,11 @@ def cochain_slice(P: SymAlgebra, W: int, max_position: int, name: str = "") -> C
     """The weight-W multivector complex through cochain degree max_position."""
     bases = [_slice_basis(P, W, k) for k in range(max_position + 1)]
     labels = [[_label(P, legs, exp) for legs, exp in b] for b in bases]
-    diffs = []
-    for k in range(max_position):
-        index = {key: i for i, key in enumerate(bases[k + 1])}
-        m = SparseMatrixQ(len(bases[k + 1]), len(bases[k]))
-        for col, (legs, exp) in enumerate(bases[k]):
-            D = Multivector(P, k, {legs: Polynomial.monomial(P.vars, exp, 1)})
-            dD = poisson_differential(D)
-            for tlegs, c in dD.terms.items():
-                for texp, coeff in c.terms.items():
-                    row = index.get((tlegs, texp))
-                    if row is None:
-                        raise AssertionError(
-                            "differential left the weight slice; grading is broken"
-                        )
-                    m.set(row, col, m.get(row, col) + coeff)
-        diffs.append(m)
+    diffs = [
+        assemble(bases[k], lambda key: poisson_differential(
+            Multivector.basis_element(P, *key)).entries(), bases[k + 1])[0]
+        for k in range(max_position)
+    ]
     return ComplexSlice(labels, diffs, name=name or f"poisson-cochain W={W}")
 
 
@@ -380,25 +361,16 @@ def _larg_symbol(P: SymAlgebra, arg: LArg) -> Polynomial:
     return Polynomial.monomial(P.vars, tuple(exp) + (0,) * P.d, 1) * P.generator_symbol(a)
 
 
-def _largs_universe(P: SymAlgebra, cap: int) -> list[LArg]:
-    monos = []
-
-    def rec(i, left, acc):
-        if i == P.n:
-            monos.append(tuple(acc))
-            return
-        for e in range(0, left + 1):
-            rec(i + 1, left - e, acc + [e])
-
-    rec(0, cap, [])
-    return [(m, a) for a in range(P.d) for m in sorted(monos)]
+def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
+    monos = exponents((1,) * len(alg.vars), cap)
+    return [(m, a) for a in range(alg.rank) for m in monos]
 
 
 def mv_to_nonlinear(D: Multivector, cap: int = 2) -> NonlinearTuple:
     """Tabulate the multivector on mixed generator tuples up to the cap."""
     P = D.parent
     p = D.degree
-    universe = _largs_universe(P, cap)
+    universe = _largs_universe(P.alg, cap)
     tables = []
     for i in range(p + 1):
         table = {}

@@ -3,9 +3,12 @@
 Everything downstream computes in these: coefficients are `fractions.Fraction`,
 monomials are exponent tuples over a fixed, ordered variable list, and all
 operations return fresh canonical values (no stored zero coefficients).
+The permutation-sign, leg-insertion and exponent-enumeration helpers that
+every other module shares live here too.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -304,6 +307,64 @@ class PolyDerivation:
     def __repr__(self) -> str:
         parts = [f"({im})*d/d{v}" for v, im in zip(self.vars, self.images) if not im.is_zero()]
         return " + ".join(parts) if parts else "0"
+
+
+# -- signs and exponent enumeration ---------------------------------------------
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm))."""
+    sign = 1
+    perm = list(perm)
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def sort_with_sign(items, key=None) -> tuple[tuple, int]:
+    """The items sorted (by key) and the sign of the sorting permutation; the
+    sign is 0 when two keys are equal, where an alternating map vanishes."""
+    keys = [x if key is None else key(x) for x in items]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    sign = perm_sign(order) if len(set(keys)) == len(keys) else 0
+    return tuple(items[t] for t in order), sign
+
+
+def insert_leg(legs: tuple[int, ...], w: int) -> tuple[tuple[int, ...], int]:
+    """Wedge the leg w in front of the sorted legs and sort: the new legs and
+    (-1)^#{l < w}, or (legs, 0) when w is already a leg."""
+    pos = bisect_left(legs, w)
+    if pos < len(legs) and legs[pos] == w:
+        return legs, 0
+    return legs[:pos] + (w,) + legs[pos:], -1 if pos % 2 else 1
+
+
+def exponents(weights, budget: int, exact: bool = False,
+              cap: int | None = None) -> list[Exponent]:
+    """Exponent tuples e with sum(e_i * weights_i) <= budget (== budget when
+    exact), in lexicographic order, first variable slowest.  A weight-zero
+    variable takes the exponents 0..cap."""
+    if any(w < 0 for w in weights):
+        raise ValueError("negative weights are not supported")
+    if 0 in weights and cap is None:
+        raise ValueError("a weight-zero variable needs an exponent cap")
+    layer = [((), budget)] if budget >= 0 else []
+    for i, w in enumerate(weights):
+        forced = exact and i == len(weights) - 1
+        grown = []
+        for acc, left in layer:
+            if w == 0:
+                choices = range(cap + 1)
+            elif forced:  # an exact budget fixes the last exponent
+                choices = (left // w,) if left % w == 0 else ()
+            else:
+                choices = range(left // w + 1)
+            grown.extend((acc + (e,), left - e * w) for e in choices)
+        layer = grown
+    return [acc for acc, left in layer if not exact or left == 0]
 
 
 # -- parsing -------------------------------------------------------------

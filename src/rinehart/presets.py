@@ -131,6 +131,10 @@ def _proportional(p: Polynomial, q: Polynomial) -> bool:
     return True
 
 
+# (fewest, most) arguments of the builtins whose argument count is bounded
+_ARITY = {"weyl": (1, 1), "lie": (1, 1), "semidirect": (1, 2)}
+
+
 def builtin(spec: str) -> LieRinehartAlgebra:
     """Resolve a builtin name like weyl(2), lie(sl2), semidirect(sl2,std),
     arrangement(x,y,y-x,y+x)."""
@@ -139,6 +143,12 @@ def builtin(spec: str) -> LieRinehartAlgebra:
         raise PresentationError(f"malformed builtin spec {spec!r}")
     head, _, rest = spec.partition("(")
     args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
+    fewest, most = _ARITY.get(head, (0, len(args)))
+    if not fewest <= len(args) <= most:
+        takes = f"{fewest}" if fewest == most else f"{fewest} to {most}"
+        raise PresentationError(
+            f"builtin {head}(...) takes {takes} argument(s), got {len(args)} in {spec!r}"
+        )
     if head == "weyl":
         return weyl(int(args[0]))
     if head == "lie":

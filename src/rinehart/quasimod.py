@@ -28,9 +28,9 @@ from .cochain import (
     zero_cochain,
 )
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra, bracket_extend
-from .linalg import ComplexSlice, SparseMatrixQ, cohomology_dims
-from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial
+from .linalg import ComplexSlice, assemble, cohomology_dims
+from .poisson import Multivector, SymAlgebra, _largs_universe
+from .poly import Polynomial, exponents, insert_leg, sort_with_sign
 from .uea import EnvelopingAlgebra
 
 LArg = tuple[tuple[int, ...], int]  # (ring monomial exponent, generator index)
@@ -49,11 +49,9 @@ def adj_delta(P: SymAlgebra, v: Multivector) -> Multivector:
                 continue
             rho = P.alg.anchor[a]
             for u, im in enumerate(rho.images):
-                if im.is_zero() or u in legs:
+                new, sign = insert_leg(legs, u)
+                if im.is_zero() or not sign:
                     continue
-                pos = sum(1 for l in legs if l < u)
-                new = tuple(sorted(legs + (u,)))
-                sign = 1 if pos % 2 == 0 else -1
                 out = out + Multivector(P, v.degree + 1, {new: (P.lift(im) * dc).scale(sign)})
     return out
 
@@ -71,13 +69,12 @@ def adj_lie(P: SymAlgebra, X: LElement, v: Multivector) -> Multivector:
             # [rho(X), d/dx_u] = -sum_v d(rho X x_v)/dx_u * d/dx_v
             for w in range(P.n):
                 coeff = -rho.images[w].partial(u)
-                if coeff.is_zero() or w in legs[:t] + legs[t + 1:]:
+                new, sign = insert_leg(legs[:t] + legs[t + 1:], w)
+                if coeff.is_zero() or not sign:
                     continue
-                rest = legs[:t] + legs[t + 1:]
-                pos = sum(1 for l in rest if l < w)
-                new = tuple(sorted(rest + (w,)))
-                sign = 1 if (pos + t) % 2 == 0 else -1
-                out = out + Multivector(P, v.degree, {new: (P.lift(coeff) * c).scale(sign)})
+                out = out + Multivector(
+                    P, v.degree, {new: (P.lift(coeff) * c).scale(sign * (-1) ** t)}
+                )
     return out
 
 
@@ -125,12 +122,12 @@ def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) ->
             img = conn.basic_der(X, alg.coordinate_field(alg.vars[u]))
             rest = legs[:t] + legs[t + 1:]
             for w, im in enumerate(img.images):
-                if im.is_zero() or w in rest:
+                new, sign = insert_leg(rest, w)
+                if im.is_zero() or not sign:
                     continue
-                pos = sum(1 for l in rest if l < w)
-                new = tuple(sorted(rest + (w,)))
-                sign = 1 if (pos + t) % 2 == 0 else -1
-                out = out + Multivector(P, v.degree, {new: (P.lift(im) * c).scale(sign)})
+                out = out + Multivector(
+                    P, v.degree, {new: (P.lift(im) * c).scale(sign * (-1) ** t)}
+                )
     return out
 
 
@@ -311,20 +308,6 @@ def _larg_element(alg: LieRinehartAlgebra, arg: LArg) -> LElement:
     return LElement(alg, tuple(coeffs))
 
 
-def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
-    monos = []
-
-    def rec(i, left, acc):
-        if i == len(alg.vars):
-            monos.append(tuple(acc))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, acc + [e])
-
-    rec(0, cap, [])
-    return [(m, a) for a in range(alg.rank) for m in sorted(monos)]
-
-
 class NLCochainElement:
     """Tuple (phi_0.., phi_k): phi_i takes (k-i) module-generator arguments of
     the shape monomial*basis and returns a module element of degree i.
@@ -356,11 +339,9 @@ class NLCochainElement:
             coeff = Fraction(1)
             for _, _, c in combo:
                 coeff *= c
-            order = sorted(range(len(largs)), key=lambda t: (largs[t][1], largs[t][0]))
-            sorted_largs = tuple(largs[t] for t in order)
-            if len(set(sorted_largs)) != len(sorted_largs):
+            sorted_largs, sign = sort_with_sign(largs, key=lambda a: (a[1], a[0]))
+            if not sign:
                 continue
-            sign = _perm_sign(order)
             v = self.phi(i, sorted_largs)
             if v is None:
                 continue
@@ -369,17 +350,6 @@ class NLCochainElement:
         if out is None:
             return _zero_element(self.inst, i)
         return out
-
-
-def _perm_sign(order):
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            sign = -sign
-    return sign
 
 
 def _scale_element(inst, v, c):
@@ -407,7 +377,7 @@ def nl_ce_apply(el: NLCochainElement, out_cap: int | None = None) -> NLCochainEl
     inst, alg = el.inst, el.alg
     k = el.degree
     cap = el.cap if out_cap is None else out_cap
-    universe = [a for a in _largs_universe(alg, cap)]
+    universe = _largs_universe(alg, cap)
     tables: list[dict] = []
     for i in range(k + 2):
         table = {}
@@ -439,17 +409,6 @@ def nl_ce_apply(el: NLCochainElement, out_cap: int | None = None) -> NLCochainEl
             table[largs] = total
         tables.append(table)
     return NLCochainElement(inst, alg, k + 1, cap, tables)
-
-
-def nl_square_is_zero(el: NLCochainElement, out_cap: int) -> bool:
-    once = nl_ce_apply(el, out_cap)
-    twice = nl_ce_apply(once, out_cap)
-    zero = True
-    for i, table in enumerate(twice.tables):
-        for largs, v in table.items():
-            if not el.inst.equal(v, _zero_element(el.inst, i)):
-                zero = False
-    return zero
 
 
 def nl_membership(el: NLCochainElement, report: list | None = None) -> bool:
@@ -547,22 +506,6 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int,
     """
     d = alg.rank
 
-    def monos_of_weight(w):
-        out = []
-
-        def rec(i, left, acc):
-            if i == len(value_vars):
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            step = value_weights[i]
-            for e in range(left // step + 1):
-                rec(i + 1, left - e * step, acc + [e])
-
-        if w >= 0:
-            rec(0, w, [])
-        return out
-
     if alg.weights is None:
         raise ValueError("ce_cohomology needs declared weights")
     gen_w = [alg.generator_weight(k) for k in range(d)]
@@ -572,7 +515,7 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int,
         out = []
         for T in itertools.combinations(range(d), m):
             need = W + m * wbr + sum(gen_w[a] for a in T)
-            for exp in monos_of_weight(need):
+            for exp in exponents(value_weights, need, exact=True):
                 out.append((T, exp))
         return sorted(out)
 
@@ -581,48 +524,39 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int,
 
     def eval_cochain(table, args_idx):
         """R/K-multilinear alternating evaluation on basis-index tuples."""
-        if len(set(args_idx)) != len(args_idx):
+        key, sign = sort_with_sign(args_idx)
+        val = table.get(key) if sign else None
+        if val is None:
             return Polynomial.zero(value_vars)
-        order = sorted(range(len(args_idx)), key=lambda t: args_idx[t])
-        sign = _perm_sign(order)
-        key = tuple(sorted(args_idx))
-        val = table.get(key, Polynomial.zero(value_vars))
         return val if sign == 1 else -val
 
-    diffs = []
-    for m in range(max_position):
-        src, tgt = bases[m], bases[m + 1]
-        index = {key: i for i, key in enumerate(tgt)}
-        mat = SparseMatrixQ(len(tgt), len(src))
-        for col, (T, exp) in enumerate(src):
-            table = {T: Polynomial.monomial(value_vars, exp, 1)}
-            for S in itertools.combinations(range(d), m + 1):
-                total = Polynomial.zero(value_vars)
-                for j in range(m + 1):
-                    rest = S[:j] + S[j + 1:]
-                    v = eval_cochain(table, rest)
-                    if not v.is_zero():
-                        term = lie_images[S[j]](v)
-                        total = total + (term if j % 2 == 0 else -term)
-                for j, l in itertools.combinations(range(m + 1), 2):
-                    rest = [S[t] for t in range(m + 1) if t not in (j, l)]
-                    for kk, c in enumerate(alg.structure_vector(S[j], S[l])):
-                        if c.is_zero():
-                            continue
-                        v = eval_cochain(table, [kk] + rest)
-                        if v.is_zero():
-                            continue
-                        lifted = _lift_to(value_vars, c)
-                        term = lifted * v
-                        total = total + (term if (j + l) % 2 == 0 else -term)
-                if total.is_zero():
-                    continue
-                for texp, coeff in total.terms.items():
-                    row = index.get((S, texp))
-                    if row is None:
-                        raise AssertionError("CE differential left the weight slice")
-                    mat.set(row, col, mat.get(row, col) + coeff)
-        diffs.append(mat)
+    def image(key):
+        T, exp = key
+        m = len(T)
+        table = {T: Polynomial.monomial(value_vars, exp, 1)}
+        for S in itertools.combinations(range(d), m + 1):
+            total = Polynomial.zero(value_vars)
+            for j in range(m + 1):
+                rest = S[:j] + S[j + 1:]
+                v = eval_cochain(table, rest)
+                if not v.is_zero():
+                    term = lie_images[S[j]](v)
+                    total = total + (term if j % 2 == 0 else -term)
+            for j, l in itertools.combinations(range(m + 1), 2):
+                rest = [S[t] for t in range(m + 1) if t not in (j, l)]
+                for kk, c in enumerate(alg.structure_vector(S[j], S[l])):
+                    if c.is_zero():
+                        continue
+                    v = eval_cochain(table, [kk] + rest)
+                    if v.is_zero():
+                        continue
+                    lifted = _lift_to(value_vars, c)
+                    term = lifted * v
+                    total = total + (term if (j + l) % 2 == 0 else -term)
+            for texp, coeff in total.terms.items():
+                yield (S, texp), coeff
+
+    diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(max_position)]
     return ComplexSlice(labels, diffs, name=f"ce W={W}")
 
 
@@ -701,8 +635,11 @@ class LinearCECochain:
     def evaluate(self, i: int, args: list[LElement]) -> Multivector:
         P = self.inst.sym
         out = Multivector(P, i)
-        m = len(args)
-        for idx in itertools.product(range(self.alg.rank), repeat=m):
+        for idx in itertools.product(range(self.alg.rank), repeat=len(args)):
+            key, sign = sort_with_sign(idx)
+            v = self.tables[i].get(key) if sign else None
+            if v is None:
+                continue
             coeff = Polynomial.const(self.alg.vars, 1)
             for arg, a in zip(args, idx):
                 coeff = coeff * arg.coeffs[a]
@@ -710,41 +647,8 @@ class LinearCECochain:
                     break
             if coeff.is_zero():
                 continue
-            if len(set(idx)) != len(idx):
-                continue
-            order = sorted(range(m), key=lambda t: idx[t])
-            sign = _perm_sign(order)
-            v = self.tables[i].get(tuple(sorted(idx)))
-            if v is None:
-                continue
             out = out + v.scale(P.lift(coeff)).scale(sign)
         return out
-
-
-def _sigma_apply(P: SymAlgebra, conn: Connection, A: Multivector,
-                 coords: list[int], arg: LArg) -> Polynomial:
-    """Evaluate the connection splitting of the derivation A(-, x_coords) on a
-    monomial*generator argument.
-
-    The splitting acts as the identity on ring arguments and sends a symbol
-    generator to the symbol-linear extension of the connection applied to the
-    derivation's coordinate values.
-    """
-    alg = P.alg
-    exp, a = arg
-    mono = Polynomial.monomial(alg.vars, exp, 1)
-    coord_polys = [P.coordinate(u) for u in coords]
-    d_mono = A.evaluate([P.lift(mono)] + coord_polys)
-    out = d_mono * P.generator_symbol(a)
-    for u in range(P.n):
-        nabla = conn.table[u][a]
-        if nabla.is_zero():
-            continue
-        du = A.evaluate([P.coordinate(u)] + coord_polys)
-        if du.is_zero():
-            continue
-        out = out + P.lift(mono) * du * P.element_symbol(nabla)
-    return out
 
 
 def linear_to_nonlinear(c: LinearCECochain, conn: Connection | None = None,
@@ -930,48 +834,38 @@ def ce_cohomology_matrix_module(alg: LieRinehartAlgebra,
     def basis_at(m):
         return [(T, t) for T in itertools.combinations(range(d), m) for t in range(dim)]
 
-    def eval_cochain(table, args_idx, comp):
-        if len(set(args_idx)) != len(args_idx):
-            return Fraction(0)
-        order = sorted(range(len(args_idx)), key=lambda s: args_idx[s])
-        sign = _perm_sign(order)
-        vec = table.get(tuple(sorted(args_idx)))
-        return sign * vec[comp] if vec is not None else Fraction(0)
+    def eval_cochain(table, args_idx):
+        key, sign = sort_with_sign(args_idx)
+        vec = table.get(key) if sign else None
+        return [sign * c for c in vec] if vec is not None else [Fraction(0)] * dim
 
-    labels = []
-    diffs = []
-    top = d
-    bases = [basis_at(m) for m in range(top + 1)]
-    for m in range(top):
-        src, tgt = bases[m], bases[m + 1]
-        index = {key: i for i, key in enumerate(tgt)}
-        mat = SparseMatrixQ(len(tgt), len(src))
-        for col, (T, t) in enumerate(src):
-            vec = [Fraction(0)] * dim
-            vec[t] = Fraction(1)
-            table = {T: vec}
-            for S in itertools.combinations(range(d), m + 1):
-                out = [Fraction(0)] * dim
-                for j in range(m + 1):
-                    rest = S[:j] + S[j + 1:]
-                    v = [eval_cochain(table, rest, comp) for comp in range(dim)]
-                    if any(v):
-                        av = act(S[j], v)
-                        sgn = 1 if j % 2 == 0 else -1
-                        out = [o + sgn * a for o, a in zip(out, av)]
-                for j, l in itertools.combinations(range(m + 1), 2):
-                    rest = [S[s] for s in range(m + 1) if s not in (j, l)]
-                    for kk, c in enumerate(alg.structure_vector(S[j], S[l])):
-                        cv = c.constant_value()
-                        if not cv:
-                            continue
-                        v = [eval_cochain(table, [kk] + rest, comp) for comp in range(dim)]
-                        sgn = 1 if (j + l) % 2 == 0 else -1
-                        out = [o + sgn * cv * a for o, a in zip(out, v)]
-                for comp, val in enumerate(out):
-                    if val:
-                        row = index[(S, comp)]
-                        mat.set(row, col, mat.get(row, col) + val)
-        diffs.append(mat)
+    def image(key):
+        T, t = key
+        m = len(T)
+        vec = [Fraction(0)] * dim
+        vec[t] = Fraction(1)
+        table = {T: vec}
+        for S in itertools.combinations(range(d), m + 1):
+            out = [Fraction(0)] * dim
+            for j in range(m + 1):
+                v = eval_cochain(table, S[:j] + S[j + 1:])
+                if any(v):
+                    av = act(S[j], v)
+                    sgn = 1 if j % 2 == 0 else -1
+                    out = [o + sgn * a for o, a in zip(out, av)]
+            for j, l in itertools.combinations(range(m + 1), 2):
+                rest = [S[s] for s in range(m + 1) if s not in (j, l)]
+                for kk, c in enumerate(alg.structure_vector(S[j], S[l])):
+                    cv = c.constant_value()
+                    if not cv:
+                        continue
+                    v = eval_cochain(table, [kk] + rest)
+                    sgn = 1 if (j + l) % 2 == 0 else -1
+                    out = [o + sgn * cv * a for o, a in zip(out, v)]
+            for comp, val in enumerate(out):
+                yield (S, comp), val
+
+    bases = [basis_at(m) for m in range(d + 1)]
+    diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(d)]
     labels = [[f"{T}.{t}" for T, t in b] for b in bases]
     return cohomology_dims(ComplexSlice(labels, diffs, name="ce matrix module"))

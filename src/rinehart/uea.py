@@ -11,8 +11,8 @@ import itertools
 from fractions import Fraction
 
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra
-from .linalg import SparseMatrixQ, kernel_and_rank
-from .poly import Polynomial
+from .linalg import assemble, kernel_and_rank
+from .poly import Polynomial, exponents
 
 Expo = tuple[int, ...]
 
@@ -347,62 +347,27 @@ def center_search(
             "kernel search on the commutative side instead"
         )
     vw = alg.var_weights()
-    basis_monos: list[tuple[Expo, Expo]] = []
-
-    def x_monos(limit):
-        def rec(i, left):
-            if i == len(alg.vars):
-                yield ()
-                return
-            w = vw[i]
-            for a in range(0, left // w + 1):
-                for rest in rec(i + 1, left - a * w):
-                    yield (a,) + rest
-        yield from rec(0, limit)
-
-    def g_monos():
-        def rec(k, fdeg, wleft):
-            if k == alg.rank:
-                yield ()
-                return
-            w = alg.generator_weight(k)
-            for a in range(0, min(fdeg, wleft // w) + 1):
-                for rest in rec(k + 1, fdeg - a, wleft - a * w):
-                    yield (a,) + rest
-        yield from rec(0, filtration_cap, weight_cap)
-
-    for gexp in g_monos():
-        gw = sum(a * alg.generator_weight(k) for k, a in enumerate(gexp))
-        for xexp in x_monos(weight_cap - gw):
-            basis_monos.append((xexp, gexp))
+    gen_w = [alg.generator_weight(k) for k in range(alg.rank)]
+    basis_monos = [
+        (xexp, gexp)
+        for gexp in exponents(gen_w, weight_cap)
+        if sum(gexp) <= filtration_cap
+        for xexp in exponents(vw, weight_cap - sum(a * w for a, w in zip(gexp, gen_w)))
+    ]
     basis_monos.sort(key=lambda t: (sum(t[1]), t[1], sum(t[0]), t[0]))
 
     generators = [U.scalar(Polynomial.variable(alg.vars, v)) for v in alg.vars]
     generators += [U.generator(k) for k in range(alg.rank)]
 
-    columns: list[list[tuple[int, Fraction]]] = []
-    target_index: dict[tuple[int, Expo, Expo], int] = {}
-
-    def flatten(gi: int, u: UEAElement):
-        out = []
-        for gexp, c in u.terms.items():
-            for xexp, v in c.terms.items():
-                key = (gi, xexp, gexp)
-                idx = target_index.setdefault(key, len(target_index))
-                out.append((idx, v))
-        return out
-
-    for (xexp, gexp) in basis_monos:
+    def image(key):
+        xexp, gexp = key
         b = U.monomial(Polynomial.monomial(alg.vars, xexp, 1), gexp)
-        col = []
         for gi, g in enumerate(generators):
-            col.extend(flatten(gi, b.commutator(g)))
-        columns.append(col)
+            for gexp2, c in b.commutator(g).terms.items():
+                for xexp2, v in c.terms.items():
+                    yield (gi, xexp2, gexp2), v
 
-    m = SparseMatrixQ(len(target_index), len(basis_monos))
-    for j, col in enumerate(columns):
-        for i, v in col:
-            m.set(i, j, m.get(i, j) + v)
+    m, _ = assemble(basis_monos, image)
     kernel, _ = kernel_and_rank(m)
     out = []
     for vec in kernel:

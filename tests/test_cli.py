@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rinehart import presets
+from rinehart import cli, presets
 from rinehart.cli import (
     ReportTable,
     SpecFileError,
@@ -13,7 +13,7 @@ from rinehart.cli import (
     presentation_from_dict,
     serialize,
 )
-from rinehart.lie_rinehart import check_axioms
+from rinehart.lie_rinehart import AxiomReport, check_axioms
 
 
 def run_cli(argv):
@@ -142,7 +142,9 @@ def test_center_command():
         "--algebra", "lie(sl2)", "center", "--filtration-cap", "2", "--max-weight", "2",
     ])
     assert code == 0
-    assert json.loads(out)["summary"]["dimension"] == 2
+    summary = json.loads(out)["summary"]
+    assert summary["dimension"] == 2
+    assert summary["basis"] == ["(-1/2)*h + (1/4)*h^2 + (1)*e*f", "(1)"]
 
 
 def test_verify_pbw_command_deterministic():
@@ -197,9 +199,12 @@ FLIPPED_SL2 = {
     ("poisson-homology", "error: d_1 o d_0 != 0"),
     ("cyclic", "error: d_1 o d_0 != 0"),
 ])
-def test_broken_complex_exits_one(tmp_path, capsys, command, message):
+def test_broken_complex_exits_one(tmp_path, capsys, monkeypatch, command, message):
     # sl2 with a flipped sign fails Jacobi, so its differentials do not square
-    # to zero: a mathematical failure (exit 1), not a usage error (exit 2)
+    # to zero: a mathematical failure (exit 1), not a usage error (exit 2).
+    # The table commands refuse it at the axiom check first; passing that
+    # check here reaches the d o d check behind it.
+    monkeypatch.setattr(cli, "check_axioms", lambda alg: AxiomReport(True, ()))
     path = tmp_path / "flipped_sl2.json"
     path.write_text(json.dumps(FLIPPED_SL2))
     code, out = run_cli(["--spec-file", str(path), command])
@@ -219,3 +224,58 @@ def test_weights_given_as_list_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "weights" in capsys.readouterr().err
+
+
+FAILS_ANCHOR_MORPHISM = {
+    "vars": ["x"], "rank": 2, "basis": ["e", "f"], "anchor": [["1"], ["x^2"]],
+    "weights": {"x": 1, "e": 1, "f": 1}, "bracket": {},
+}
+
+
+@pytest.mark.parametrize("command", [
+    "poisson-cohomology", "poisson-homology", "cyclic", "ce", "center",
+])
+def test_table_commands_refuse_failed_axioms(tmp_path, capsys, command):
+    path = tmp_path / "bad_anchor.json"
+    path.write_text(json.dumps(FAILS_ANCHOR_MORPHISM))
+    code, out = run_cli(["--spec-file", str(path), command])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out)
+    failures = check_axioms(parse_spec(str(path))).failures
+    assert payload["checks"] == [
+        {"name": "axioms", "ok": False, "detail": "; ".join(failures)}
+    ]
+    assert payload["rows"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--algebra", "weyl()", "check"], "takes 1 argument"),
+    (["--algebra", "lie()", "check"], "takes 1 argument"),
+    (["--algebra", "semidirect(a,b,c)", "check"], "takes 1 to 2 argument"),
+    (["--spec-file", "{missing}", "check"], "cannot read"),
+])
+def test_malformed_builtins_and_missing_files_exit_two(tmp_path, capsys, argv, message):
+    argv = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in argv]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "quasi", "--samples", "-2"],
+    ["verify", "quasi", "--samples", "0"],
+    ["verify", "euler", "--max-degree", "-1"],
+    ["verify", "euler", "--euler-cap", "-1"],
+    ["poisson-cohomology", "--max-degree", "-1"],
+    ["ce", "--max-degree", "-3"],
+    ["center", "--filtration-cap", "-1"],
+    ["check", "--ruth-cap", "-1"],
+])
+def test_negative_caps_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--algebra", "weyl(1)"] + argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from rinehart.linalg import (
     ComplexSlice,
     NotAComplexError,
     SparseMatrixQ,
+    assemble,
     cohomology_dims,
     kernel_and_rank,
     rank,
@@ -156,3 +157,18 @@ def test_complex_check_rejects_near_cancellation():
     with pytest.raises(NotAComplexError) as exc:
         s.check_complex()
     assert exc.value.position == 0
+
+
+def test_assemble_sums_repeats_drops_zeros_and_keeps_source_order():
+    images = {"a": [("u", 1), ("v", 2), ("u", Fraction(1, 2))],
+              "b": [("w", 3), ("v", -2), ("v", 2)],
+              "c": [("v", 1), ("v", -1)]}
+    m, targets = assemble(["a", "b", "c"], images.__getitem__)
+    assert targets == ["u", "v", "w"]
+    assert (m.nrows, m.ncols) == (3, 3)
+    assert m.entries == {(0, 0): Fraction(3, 2), (1, 0): 2, (2, 1): 3}
+    fixed, rows = assemble(["b", "a"], images.__getitem__, ["w", "v", "u"])
+    assert rows == ["w", "v", "u"]
+    assert fixed.entries == {(0, 0): 3, (1, 1): 2, (2, 1): Fraction(3, 2)}
+    with pytest.raises(KeyError, match="leaves the target basis"):
+        assemble(["a"], images.__getitem__, ["u"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,11 @@ from rinehart.poly import (
     PolyDerivation,
     PolyParseError,
     VariableMismatch,
+    exponents,
+    insert_leg,
     parse_poly,
+    perm_sign,
+    sort_with_sign,
 )
 
 XY = ("x", "y")
@@ -129,3 +134,69 @@ def test_zero_variable_ring():
     one = Polynomial.const((), 1)
     assert (one + one).constant_value() == 2
     assert parse_poly((), "7 - 5") == Polynomial.const((), 2)
+
+
+def _box_filter(weights, budget, exact, cap):
+    """Every exponent tuple of a box large enough to hold the answer, in
+    lexicographic order, filtered by the weight condition."""
+    ranges = [range((cap if w == 0 else max(budget, 0) // w) + 1) for w in weights]
+    out = []
+    for e in itertools.product(*ranges):
+        total = sum(a * w for a, w in zip(e, weights))
+        if (total == budget) if exact else (total <= budget):
+            out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_exponents_match_a_filtered_box_in_the_same_order(exact):
+    cases = [((1, 1), 3), ((2, 3), 7), ((1,), 0), ((), 0), ((), 2), ((1, 2), -1),
+             ((0, 1), 2), ((1, 0, 2), 4), ((0, 0), 1)]
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        cases.append((tuple(rng.randint(0, 3) for _ in range(n)), rng.randint(-1, 8)))
+    for weights, budget in cases:
+        for cap in (0, 2):
+            assert exponents(weights, budget, exact, cap) == _box_filter(
+                weights, budget, exact, cap
+            ), (weights, budget, cap)
+
+
+def test_exponents_reject_negative_and_uncapped_zero_weights():
+    with pytest.raises(ValueError, match="negative"):
+        exponents((1, -1), 3)
+    with pytest.raises(ValueError, match="cap"):
+        exponents((0, 1), 3)
+
+
+def _inversion_parity(perm):
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_perm_sign_is_the_inversion_parity():
+    for n in range(7):
+        for perm in itertools.permutations(range(n)):
+            assert perm_sign(perm) == _inversion_parity(perm)
+
+
+def test_sort_with_sign_sorts_and_vanishes_on_repeats():
+    for perm in itertools.permutations("abcd"):
+        ordered, sign = sort_with_sign(perm)
+        assert ordered == tuple("abcd")
+        assert sign == _inversion_parity(["abcd".index(c) for c in perm])
+    assert sort_with_sign((2, 0, 2)) == ((0, 2, 2), 0)
+    assert sort_with_sign([(1, 5), (0, 9)], key=lambda a: a[0]) == (((0, 9), (1, 5)), -1)
+
+
+def test_insert_leg_matches_the_sign_of_sorting_the_wedge():
+    for k in range(5):
+        for legs in itertools.combinations(range(6), k):
+            for w in range(6):
+                new, sign = insert_leg(legs, w)
+                ordered, expected = sort_with_sign((w,) + legs)
+                assert sign == expected
+                if sign:
+                    assert new == ordered
