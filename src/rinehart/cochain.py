@@ -4,11 +4,15 @@ C^q(R, U) is infinite dimensional, but every identity we verify is pointwise,
 so a cochain is just a kernel evaluable on q-tuples of ring monomials plus a
 degree cap; polynomial arguments expand multilinearly.  Table-backed cochains
 raise CapExceededError instead of silently truncating.
+
+Operators compose cochains lazily, so one inner value is asked for many times
+(once per term of b, L_X, h and the cup products that reach it).  Kernels are
+pure and no code mutates a returned value, which is what lets each cochain
+memoize its values.
 """
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .lie_rinehart import LElement
 from .poly import Polynomial, PolyDerivation, exponents
@@ -22,7 +26,10 @@ class CapExceededError(RuntimeError):
 
 
 class TableCochain:
-    """Arity-q cochain with values in the enveloping algebra."""
+    """Arity-q cochain with values in the enveloping algebra.
+
+    Kernel values are memoized per argument tuple for the life of the cochain;
+    an error, such as CapExceededError, is raised again on every call."""
 
     def __init__(self, U: EnvelopingAlgebra, arity: int, kernel, cap: int | None = None,
                  label: str = ""):
@@ -31,6 +38,7 @@ class TableCochain:
         self.kernel = kernel
         self.cap = cap
         self.label = label
+        self._values: dict[tuple[Mono, ...], UEAElement] = {}
 
     @classmethod
     def constant(cls, U: EnvelopingAlgebra, value: UEAElement) -> "TableCochain":
@@ -49,9 +57,12 @@ class TableCochain:
         return cls(U, arity, kernel, cap=cap, label="table")
 
     def eval_monos(self, exps: tuple[Mono, ...]) -> UEAElement:
-        if len(exps) != self.arity:
-            raise ValueError(f"arity {self.arity} cochain got {len(exps)} arguments")
-        return self.kernel(exps)
+        value = self._values.get(exps)
+        if value is None:
+            if len(exps) != self.arity:
+                raise ValueError(f"arity {self.arity} cochain got {len(exps)} arguments")
+            value = self._values[exps] = self.kernel(exps)
+        return value
 
     def __call__(self, *args: Polynomial) -> UEAElement:
         """Multilinear evaluation on polynomial arguments."""
@@ -60,7 +71,7 @@ class TableCochain:
         out = self.U.zero()
         for combo in itertools.product(*(list(a.terms.items()) for a in args)):
             exps = tuple(t[0] for t in combo)
-            coeff = Fraction(1)
+            coeff = 1
             for t in combo:
                 coeff *= t[1]
             out = out + self.eval_monos(exps).scale(coeff)

@@ -326,12 +326,17 @@ def euler_contraction_check(
 
     The weight of a term is taken in the grading generated by the Euler
     element itself; for the arrangement presets that is the declared one.
+    An element that does not act diagonally on the coordinates fails the
+    check, with the coordinate it moves as the witness.
     """
     P = SymAlgebra(alg)
     vw = P.weight_vector()
     if isinstance(euler, str):
         euler = P.poly(euler)
-    eigws = _euler_eigenweights(P, euler)
+    try:
+        eigws = _euler_eigenweights(P, euler)
+    except ValueError as exc:
+        return EulerReport(False, [str(exc)], 0)
     failures = []
     checked = 0
 

@@ -625,7 +625,7 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial | None:
         if any(a < b for a, b in zip(lr, lg)):
             return None
         exp = tuple(a - b for a, b in zip(lr, lg))
-        c = rem.terms[lr] / cg
+        c = Fraction(rem.terms[lr], cg)
         t = Polynomial.monomial(vars, exp, c)
         quot = quot + t
         rem = rem - t * g

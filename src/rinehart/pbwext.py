@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cochain import TableCochain, hochschild_b, homotopy, lie_action, monomial_tuples
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra, bracket_extend
@@ -191,15 +190,14 @@ def _nabla_b_decomposed(ctx: EtaContext, X: LElement, Ds: tuple, Xs: tuple):
     """The induced connection along X of a decomposable, again decomposed."""
     conn = ctx.conn
     out = []
-    one = Fraction(1)
     for i, D in enumerate(Ds):
         image = conn.basic_der(X, D)
         if not image.is_zero():
-            out.append((Ds[:i] + (image,) + Ds[i + 1:], Xs, one))
+            out.append((Ds[:i] + (image,) + Ds[i + 1:], Xs, 1))
     for j, Z in enumerate(Xs):
         image = conn.basic_l(X, Z)
         if not image.is_zero():
-            out.append((Ds, Xs[:j] + (image,) + Xs[j + 1:], one))
+            out.append((Ds, Xs[:j] + (image,) + Xs[j + 1:], 1))
     return out
 
 
@@ -271,10 +269,9 @@ def _tower_term(ctx: EtaContext, Ys: tuple, Ds: tuple, Xs: tuple, args: tuple) -
 def _f_decomposed(ctx: EtaContext, Y: LElement, Ds: tuple, Xs: tuple):
     """The leg-lowering map of a decomposable, as decomposables."""
     out = []
-    one = Fraction(1)
     for i, D in enumerate(Ds):
         rest_D = Ds[:i] + Ds[i + 1:]
-        sign = one if i % 2 == 0 else -one
+        sign = 1 if i % 2 == 0 else -1
         for j, X in enumerate(Xs):
             eta = ctx.eta_mixed(Y, D, X)
             if eta.is_zero():
@@ -651,7 +648,7 @@ def _morphism_multilinear(ctx: EtaContext, el: NLCochainElement, m: int,
                 pieces.append((exp, a, cc))
         expansions.append(pieces)
     for combo in itertools.product(*expansions):
-        coeff = Fraction(1)
+        coeff = 1
         elems = []
         for exp, a, cc in combo:
             coeff *= cc

@@ -1,8 +1,11 @@
 """Exact multivariate polynomials over Q, with derivations and weight gradings.
 
-Everything downstream computes in these: coefficients are `fractions.Fraction`,
-monomials are exponent tuples over a fixed, ordered variable list, and all
-operations return fresh canonical values (no stored zero coefficients).
+Everything downstream computes in these: a coefficient is an `int` when it is
+integral and a `fractions.Fraction` only otherwise, monomials are exponent
+tuples over a fixed, ordered variable list, and all operations return fresh
+canonical values (no stored zero coefficients).  An `int` hashes, compares
+and prints like the equal Fraction, so the choice never shows; coefficients
+are divided only through `Fraction(a, b)`, since `a / b` on two ints is a float.
 The permutation-sign, leg-insertion and exponent-enumeration helpers that
 every other module shares live here too.
 """
@@ -19,26 +22,41 @@ class VariableMismatch(ValueError):
     """Raised when two polynomials over different variable lists are combined."""
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coefficient(c) -> int | Fraction:
+    """c as a coefficient: an int when it is integral (a bool too), else a Fraction."""
+    if c.__class__ is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact coefficient: {c!r}")
 
 
+def _integral_to_int(terms: dict) -> dict:
+    """terms with each value made a coefficient, in place: only a product or
+    sum of Fractions can be an integral Fraction."""
+    for e, c in terms.items():
+        if c.__class__ is not int:
+            terms[e] = _coefficient(c)
+    return terms
+
+
 class Polynomial:
-    """Immutable polynomial: a finite map exponent-tuple -> nonzero Fraction."""
+    """Immutable polynomial: a finite map exponent-tuple -> nonzero coefficient,
+    an int when integral and a Fraction otherwise.  Divide coefficients with
+    Fraction(a, b), never a / b."""
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, vars: tuple[str, ...],
+                 terms: Mapping[Exponent, int | Fraction] | None = None):
         self.vars = tuple(vars)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         if terms:
             nv = len(self.vars)
             for exp, c in terms.items():
-                c = _as_fraction(c)
+                c = _coefficient(c)
                 if c == 0:
                     continue
                 if len(exp) != nv or any(e < 0 for e in exp):
@@ -55,7 +73,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "Polynomial":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return cls(vars)
         return cls(vars, {(0,) * len(vars): c})
@@ -65,11 +83,11 @@ class Polynomial:
         i = list(vars).index(name)
         exp = [0] * len(vars)
         exp[i] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return cls(vars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, vars: tuple[str, ...], exp: Exponent, c=1) -> "Polynomial":
-        return cls(vars, {tuple(exp): _as_fraction(c)})
+        return cls(vars, {tuple(exp): _coefficient(c)})
 
     # -- basics --------------------------------------------------------
 
@@ -99,9 +117,9 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
-                out[exp] = s
+                out[exp] = s if s.__class__ is int else _coefficient(s)
             else:
                 out.pop(exp, None)
         p = Polynomial(self.vars)
@@ -120,27 +138,27 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
         p = Polynomial(self.vars)
-        p.terms = out
+        p.terms = _integral_to_int(out)
         return p
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return Polynomial(self.vars)
         p = Polynomial(self.vars)
-        p.terms = {e: c * v for e, v in self.terms.items()}
+        p.terms = _integral_to_int({e: c * v for e, v in self.terms.items()})
         return p
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -153,7 +171,7 @@ class Polynomial:
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th variable."""
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for exp, c in self.terms.items():
             k = exp[i]
             if k == 0:
@@ -162,15 +180,15 @@ class Polynomial:
             e[i] = k - 1
             out[tuple(e)] = c * k
         p = Polynomial(self.vars)
-        p.terms = out
+        p.terms = _integral_to_int(out)
         return p
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -181,7 +199,7 @@ class Polynomial:
         """Split into weight-homogeneous pieces; pieces sum back to self."""
         if len(weights) != len(self.vars):
             raise VariableMismatch("weights length must match variable count")
-        out: dict[int, dict[Exponent, Fraction]] = {}
+        out: dict[int, dict[Exponent, int | Fraction]] = {}
         for exp, c in self.terms.items():
             w = sum(e * wt for e, wt in zip(exp, weights))
             out.setdefault(w, {})[exp] = c
@@ -206,7 +224,7 @@ class Polynomial:
 
     # -- display --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
         # graded lexicographic on the declared variable list
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
 

@@ -119,11 +119,11 @@ def _proportional(p: Polynomial, q: Polynomial) -> bool:
     ratio = None
     keys = set(p.terms) | set(q.terms)
     for k in keys:
-        a, b = p.terms.get(k, Fraction(0)), q.terms.get(k, Fraction(0))
+        a, b = p.terms.get(k, 0), q.terms.get(k, 0)
         if (a == 0) != (b == 0):
             return False
         if a:
-            r = a / b
+            r = Fraction(a, b)
             if ratio is None:
                 ratio = r
             elif ratio != r:

@@ -336,7 +336,7 @@ class NLCochainElement:
               for arg in args]
         ):
             largs = tuple((exp, a) for exp, a, _ in combo)
-            coeff = Fraction(1)
+            coeff = 1
             for _, _, c in combo:
                 coeff *= c
             sorted_largs, sign = sort_with_sign(largs, key=lambda a: (a[1], a[0]))

@@ -279,3 +279,19 @@ def test_negative_caps_exit_two(capsys, argv):
         run_cli(["--algebra", "weyl(1)"] + argv)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_euler_element_acting_off_diagonal_fails_the_check(capsys):
+    code, out = run_cli(["--algebra", "lie(sl2)", "verify", "euler", "--euler", "e"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "euler-contraction-splits-weights" and not check["ok"]
+    assert check["detail"] == "checked 0; {euler, f} = h is not a multiple of f"
+
+
+def test_euler_element_in_an_unknown_variable_exits_two(capsys):
+    code, out = run_cli(["--algebra", "lie(sl2)", "verify", "euler", "--euler", "Q"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown variable 'Q'" in err

@@ -1,0 +1,94 @@
+import random
+
+import pytest
+
+from rinehart import presets
+from rinehart.cochain import (
+    CapExceededError,
+    TableCochain,
+    add,
+    cup_derivation,
+    hochschild_b,
+    homotopy,
+    lie_action,
+    monomial_tuples,
+)
+from rinehart.poly import Polynomial
+from rinehart.uea import EnvelopingAlgebra
+
+BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+            "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
+PROBE_DEGREE = 3
+
+
+def random_table(rng, U, arity, degree):
+    alg = U.alg
+    table = {}
+    for exps in monomial_tuples(len(alg.vars), arity, degree):
+        g = [0] * alg.rank
+        g[rng.randrange(alg.rank)] += rng.randint(0, 2)
+        c = Polynomial.monomial(alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
+                                rng.choice([-2, -1, 1, 2]))
+        table[exps] = U.monomial(c, tuple(g))
+    return table
+
+
+def operator_cochains(U, rng):
+    """Every cochain operator over a table-backed cochain of arity 1."""
+    alg = U.alg
+    phi = TableCochain.from_table(U, 1, random_table(rng, U, 1, 4), cap=40)
+    psi = TableCochain.from_table(U, 1, random_table(rng, U, 1, 4), cap=40)
+    X = alg.basis_element(0).scale(alg.poly(alg.vars[0]) if alg.vars else alg.one())
+    r = alg.poly(alg.vars[-1]) if alg.vars else alg.one()
+    return {
+        "table": phi,
+        "hochschild_b": hochschild_b(phi),
+        "lie_action": lie_action(X, phi),
+        "homotopy": homotopy(r, X, hochschild_b(phi)),
+        "cup_derivation": cup_derivation(alg.basis_element(alg.rank - 1).anchor_derivation(),
+                                         phi),
+        "add": add(phi, psi),
+    }
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_memoized_values_equal_direct_kernel_calls(spec):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    for name, cochain in operator_cochains(U, random.Random(3)).items():
+        tuples = monomial_tuples(len(U.alg.vars), cochain.arity, PROBE_DEGREE)
+        memoized = [cochain.eval_monos(exps) for exps in tuples]
+        # without variables there is one argument tuple, where some vanish
+        assert any(not value.is_zero() for value in memoized) or not U.alg.vars, (spec, name)
+        for exps, value in zip(tuples, memoized):
+            assert value == cochain.kernel(exps), (spec, name, exps)
+            assert cochain.eval_monos(exps) is value
+
+
+def test_kernel_runs_once_per_distinct_tuple():
+    U = EnvelopingAlgebra(presets.weyl(2))
+    calls = {}
+
+    def kernel(exps):
+        calls[exps] = calls.get(exps, 0) + 1
+        return U.scalar(Polynomial.monomial(U.alg.vars, exps[0], 1))
+
+    phi = TableCochain(U, 1, kernel)
+    # b(phi) asks for phi at a merged argument once per split of it
+    b = hochschild_b(phi)
+    for _ in range(2):
+        for exps in monomial_tuples(len(U.alg.vars), 2, PROBE_DEGREE):
+            b.eval_monos(exps)
+    assert calls and set(calls.values()) == {1}
+
+
+def test_cap_exceeded_is_raised_on_every_call():
+    U = EnvelopingAlgebra(presets.weyl(1))
+    phi = TableCochain.from_table(U, 1, {}, cap=1)
+    b = hochschild_b(phi)
+    for _ in range(3):
+        with pytest.raises(CapExceededError):
+            phi.eval_monos(((2,),))
+        with pytest.raises(CapExceededError):
+            b.eval_monos(((1,), (1,)))
+    with pytest.raises(ValueError, match="arity"):
+        phi.eval_monos(((0,), (0,)))

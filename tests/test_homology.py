@@ -155,8 +155,10 @@ def test_euler_contraction_weyl_symplectic():
 
 
 def test_euler_contraction_rejects_non_diagonal():
-    with pytest.raises(ValueError, match="not a multiple"):
-        euler_contraction_check(presets.weyl(1), "x^2*e", 2, 1)
+    # a mathematical failure: a failed check with the witness, not an error
+    rep = euler_contraction_check(presets.weyl(1), "x^2*e", 2, 1)
+    assert not rep.ok and rep.checked == 0
+    assert len(rep.failures) == 1 and "not a multiple" in rep.failures[0]
 
 
 def test_euler_insertion_is_interior_product():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -316,3 +317,23 @@ def test_arrangement_presets():
         presets.arrangement(["y", "y-x"])  # x missing
     with pytest.raises(PresentationError):
         presets.arrangement(["x", "y", "2*y"])  # proportional lines
+
+
+def test_exact_division_never_makes_a_float():
+    XY = ("x", "y")
+    q = poly_divide_exact(parse_poly(XY, "x"), parse_poly(XY, "2*x"))
+    assert q == Polynomial.const(XY, Fraction(1, 2))
+    assert type(q.constant_value()) is Fraction
+    q = poly_divide_exact(parse_poly(XY, "3*x^2 + x*y"), parse_poly(XY, "6*x + 2*y"))
+    assert q.terms == {(1, 0): Fraction(1, 2)}
+    assert poly_divide_exact(parse_poly(XY, "x + 1"), parse_poly(XY, "2*x")) is None
+
+
+def test_proportional_compares_exact_ratios():
+    XY = ("x", "y")
+    assert presets._proportional(parse_poly(XY, "x + y"), parse_poly(XY, "3*x + 3*y"))
+    assert not presets._proportional(parse_poly(XY, "2*x + y"), parse_poly(XY, "4*x + 3*y"))
+    # ratios that differ by less than a float can tell apart
+    big = 10**17
+    assert not presets._proportional(parse_poly(XY, f"{big + 1}*x + {big}*y"),
+                                      parse_poly(XY, f"{big}*x + {big}*y"))

@@ -200,3 +200,108 @@ def test_insert_leg_matches_the_sign_of_sorting_the_wedge():
                 assert sign == expected
                 if sign:
                     assert new == ordered
+
+
+# -- coefficients: int when integral, Fraction otherwise ---------------------
+
+
+def _random_terms(rng, nvars, rational):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exp = tuple(rng.randint(0, 3) for _ in range(nvars))
+        num = rng.randint(-9, 9)
+        terms[exp] = Fraction(num, rng.randint(1, 4)) if rational else num
+    return terms
+
+
+def _ref(terms):
+    """The reference: a dict of nonzero Fractions."""
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_partial(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            d = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[d] = c * e[i]
+    return out
+
+
+def _assert_canonical(p, ref):
+    """p equals the reference, and a coefficient is an int exactly when it is
+    integral (so integral inputs give ints only)."""
+    assert p.terms == ref
+    for c in p.terms.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (p, c)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_arithmetic_matches_a_fraction_reference(rational):
+    rng = random.Random(23)
+    for _ in range(200):
+        a, b = _random_terms(rng, 2, rational), _random_terms(rng, 2, rational)
+        p, q = Polynomial(XY, a), Polynomial(XY, b)
+        ra, rb = _ref(a), _ref(b)
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3) if rational else 1)
+        _assert_canonical(p + q, _ref_add(ra, rb))
+        _assert_canonical(p - q, _ref_add(ra, rb, -1))
+        _assert_canonical(p * q, _ref_mul(ra, rb))
+        _assert_canonical(p.scale(c), {e: c * v for e, v in ra.items() if c})
+        _assert_canonical(c * p, {e: c * v for e, v in ra.items() if c})
+        for i in range(2):
+            _assert_canonical(p.partial(i), _ref_partial(ra, i))
+
+
+def test_integral_results_of_rational_arithmetic_are_ints():
+    half = Polynomial.const(XY, Fraction(1, 2))
+    for p in (half + half, half.scale(2), half * Polynomial.const(XY, 4),
+              parse_poly(XY, "x^2").scale(Fraction(1, 2)).partial(0)):
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert type((half + half).constant_value()) is int
+    assert type(Polynomial.zero(XY).constant_value()) is int
+
+
+def test_coefficients_are_exact():
+    assert repr(Polynomial.const(XY, True)) == "1"
+    assert type(Polynomial.const(XY, True).constant_value()) is int
+    assert type(Polynomial.const(XY, Fraction(6, 3)).constant_value()) is int
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Polynomial.const(XY, bad)
+        with pytest.raises(TypeError):
+            Polynomial.monomial(XY, (1, 0), bad)
+        with pytest.raises(TypeError):
+            P("x").scale(bad)
+
+
+def test_parse_round_trips_the_printed_form():
+    rng = random.Random(29)
+    vars = ("x", "y", "z")
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            exp = tuple(rng.choice([0, 0, 1, 2, 5]) for _ in vars)
+            terms[exp] = rng.choice([-1, 1, rng.randint(-10**6, 10**6)])
+        p = Polynomial(vars, terms)
+        assert parse_poly(vars, repr(p)) == p, repr(p)
+        # an int coefficient prints exactly as the equal Fraction does
+        as_fractions = Polynomial(vars)
+        as_fractions.terms = {e: Fraction(c) for e, c in p.terms.items()}
+        assert repr(as_fractions) == repr(p)
