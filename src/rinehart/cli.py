@@ -199,14 +199,20 @@ def _load_algebra(args) -> LieRinehartAlgebra:
     raise SpecFileError("no algebra given: use --algebra or --spec-file")
 
 
-def _axioms_hold(alg: LieRinehartAlgebra, report: ReportTable) -> bool:
-    """Table commands refuse a presentation that fails its axioms: its
-    slices need not be complexes, nor stay in their weight.  On failure the
-    report gets one failed `axioms` check and no rows."""
+def _computed(report: ReportTable, alg: LieRinehartAlgebra, compute, *params):
+    """compute(*params) for a table command, or None with one failed check in
+    the report and no rows: `axioms` when the presentation fails its axioms
+    (its slices need not be complexes, nor stay in their weight), `complex`
+    when the differentials of a slice do not compose to zero."""
     ax = check_axioms(alg)
     if not ax.ok:
         report.add_check("axioms", False, "; ".join(ax.failures))
-    return ax.ok
+        return None
+    try:
+        return compute(*params)
+    except NotAComplexError as exc:
+        report.add_check("complex", False, str(exc))
+        return None
 
 
 def cmd_check(args) -> ReportTable:
@@ -225,9 +231,9 @@ def cmd_poisson_cohomology(args) -> ReportTable:
         "poisson-cohomology", alg.name,
         {"max_weight": args.max_weight, "max_degree": args.max_degree},
     )
-    if not _axioms_hold(alg, report):
+    table = _computed(report, alg, poisson_cohomology, alg, args.max_weight, args.max_degree)
+    if table is None:
         return report
-    table = poisson_cohomology(alg, args.max_weight, args.max_degree)
     for (w, k), dim in sorted(table.items()):
         report.add_row("poisson-cochain", w, k, dim)
     totals: dict[int, int] = {}
@@ -240,9 +246,9 @@ def cmd_poisson_cohomology(args) -> ReportTable:
 def cmd_poisson_homology(args) -> ReportTable:
     alg = _load_algebra(args)
     report = ReportTable("poisson-homology", alg.name, {"max_weight": args.max_weight})
-    if not _axioms_hold(alg, report):
+    table = _computed(report, alg, poisson_homology, alg, args.max_weight)
+    if table is None:
         return report
-    table = poisson_homology(alg, args.max_weight)
     totals: dict[int, int] = {}
     for (w, k), dim in sorted(table.items()):
         if dim:
@@ -257,9 +263,10 @@ def cmd_cyclic(args) -> ReportTable:
     report = ReportTable(
         "cyclic", alg.name, {"max_weight": args.max_weight, "u_cap": args.u_cap}
     )
-    if not _axioms_hold(alg, report):
+    result = _computed(report, alg, cyclic_homology, alg, args.max_weight, args.u_cap)
+    if result is None:
         return report
-    table, stable = cyclic_homology(alg, args.max_weight, args.u_cap)
+    table, stable = result
     totals: dict[int, int] = {}
     for (w, t), dim in sorted(table.items()):
         report.add_row("cyclic-total", w, t, dim)
@@ -278,10 +285,10 @@ def cmd_center(args) -> ReportTable:
         "center", alg.name,
         {"filtration_cap": args.filtration_cap, "max_weight": args.max_weight},
     )
-    if not _axioms_hold(alg, report):
+    basis = _computed(report, alg, center_search, EnvelopingAlgebra(alg),
+                      args.filtration_cap, args.max_weight)
+    if basis is None:
         return report
-    U = EnvelopingAlgebra(alg)
-    basis = center_search(U, args.filtration_cap, args.max_weight)
     report.add_row("center", args.max_weight, args.filtration_cap, len(basis))
     report.summary = {"dimension": len(basis), "basis": sorted(repr(u) for u in basis)}
     return report
@@ -294,9 +301,9 @@ def cmd_ce(args) -> ReportTable:
         "ce", alg.name,
         {"module": module, "max_weight": args.max_weight, "max_degree": args.max_degree},
     )
-    if not _axioms_hold(alg, report):
+    table = _computed(report, alg, ce_cohomology, alg, module, args.max_weight, args.max_degree)
+    if table is None:
         return report
-    table = ce_cohomology(alg, module, args.max_weight, args.max_degree)
     for (w, m), dim in sorted(table.items()):
         report.add_row(f"ce-{args.module}", w, m, dim)
     return report
@@ -421,9 +428,6 @@ def main(argv=None) -> int:
     except (SpecFileError, PresentationError, PolyParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotAComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     sys.stdout.write(report.render(args.out))
     return 0 if report.passed() else 1
 

@@ -28,46 +28,25 @@ class KahlerForm(LegTensor):
 def kahler_d(w: KahlerForm) -> KahlerForm:
     """Exterior derivative."""
     P = w.parent
-    out = KahlerForm(P, w.degree + 1)
-    acc: dict[Legs, Polynomial] = {}
-    for legs, c in w.terms.items():
-        for a in range(P.N):
-            new, sign = insert_leg(legs, a)
-            if not sign:
-                continue
-            dc = c.partial(a)
-            if dc.is_zero():
-                continue
-            cur = acc.get(new, Polynomial.zero(P.vars))
-            s = cur + (dc if sign == 1 else -dc)
-            if s.is_zero():
-                acc.pop(new, None)
-            else:
-                acc[new] = s
-    out.terms = acc
-    return out
+
+    def pieces():
+        for legs, c in w.terms.items():
+            for a in range(P.N):
+                new, sign = insert_leg(legs, a)
+                if sign and (dc := c.partial(a)):
+                    yield new, dc if sign == 1 else -dc
+
+    return KahlerForm.summed(P, w.degree + 1, pieces())
 
 
 def interior(a: int, w: KahlerForm) -> KahlerForm:
-    """Interior product with the coordinate vector field of index a."""
-    P = w.parent
-    if w.degree == 0:
-        return KahlerForm(P, 0)
-    out = KahlerForm(P, w.degree - 1)
-    acc: dict[Legs, Polynomial] = {}
+    """Interior product with the coordinate vector field of index a.  Distinct
+    leg sets stay distinct without a, so no two terms meet."""
+    out = KahlerForm(w.parent, max(w.degree - 1, 0))
     for legs, c in w.terms.items():
-        if a not in legs:
-            continue
-        t = legs.index(a)
-        new = legs[:t] + legs[t + 1:]
-        sign = 1 if t % 2 == 0 else -1
-        cur = acc.get(new, Polynomial.zero(P.vars))
-        s = cur + (c if sign == 1 else -c)
-        if s.is_zero():
-            acc.pop(new, None)
-        else:
-            acc[new] = s
-    out.terms = acc
+        if a in legs:
+            t = legs.index(a)
+            out.terms[legs[:t] + legs[t + 1:]] = c if t % 2 == 0 else -c
     return out
 
 
@@ -281,18 +260,7 @@ class EulerReport:
 
 def euler_insertion(D: Multivector, euler: Polynomial) -> Multivector:
     """Insert the Euler element into the first slot of a multivector."""
-    P = D.parent
-    if D.degree == 0:
-        return Multivector(P, 0)
-    out = Multivector(P, D.degree - 1)
-    acc: dict[Legs, Polynomial] = {}
-    for legs in itertools.combinations(range(P.N), D.degree - 1):
-        args = [euler] + [P.coordinate(a) for a in legs]
-        v = D.evaluate(args)
-        if not v.is_zero():
-            acc[legs] = v
-    out.terms = acc
-    return out
+    return D.interior(euler)
 
 
 def _euler_eigenweights(P: SymAlgebra, euler: Polynomial):
@@ -300,7 +268,7 @@ def _euler_eigenweights(P: SymAlgebra, euler: Polynomial):
     diagonally for the contraction identity to make sense."""
     out = []
     for a in range(P.N):
-        b = P.bracket(euler, P.coordinate(a))
+        b = -P.coordinate_action(a, euler)
         if b.is_zero():
             out.append(0)
             continue

@@ -11,7 +11,7 @@ import itertools
 
 from .lie_rinehart import LieRinehartAlgebra
 from .linalg import ComplexSlice, assemble, cohomology_dims
-from .poly import Polynomial, exponents, perm_sign
+from .poly import Polynomial, exponents, insert_leg
 
 Legs = tuple[int, ...]
 
@@ -88,6 +88,17 @@ class SymAlgebra:
                 out = out + coef * term
         return out
 
+    def coordinate_action(self, a: int, g: Polynomial) -> Polynomial:
+        """{x_a, g} = sum_b {x_a, x_b} d_b g: the bracket with one coordinate."""
+        out = Polynomial.zero(self.vars)
+        for b in range(self.N):
+            coef = self.coordinate_bracket(a, b)
+            if not coef.is_zero():
+                dg = g.partial(b)
+                if not dg.is_zero():
+                    out = out + coef * dg
+        return out
+
     # -- weights -------------------------------------------------------
 
     def weight_vector(self) -> tuple[int, ...]:
@@ -136,6 +147,17 @@ class LegTensor:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @classmethod
+    def summed(cls, parent: SymAlgebra, degree: int, pieces):
+        """The sum of (legs, coefficient) pieces with sorted legs."""
+        acc: dict[Legs, Polynomial] = {}
+        for legs, c in pieces:
+            s = acc.get(legs)
+            acc[legs] = c if s is None else s + c
+        t = cls(parent, degree)
+        t.terms = {legs: c for legs, c in acc.items() if c}
+        return t
 
     def __add__(self, other):
         if other.is_zero():
@@ -204,25 +226,30 @@ class Multivector(LegTensor):
     __slots__ = ()
     leg_prefix = "d/d"
 
+    def interior(self, f: Polynomial) -> "Multivector":
+        """Insert f into the first slot (the interior product with df): each
+        term c on legs L gives (-1)^p (d f/d x_{L[p]}) c on L without L[p],
+        the Laplace expansion of the determinant along its first row.  A
+        function has no slot, and gives zero."""
+        partials = [f.partial(a) for a in range(self.parent.N)]
+
+        def pieces():
+            for legs, c in self.terms.items():
+                for p, a in enumerate(legs):
+                    if partials[a]:
+                        term = c * partials[a]
+                        yield legs[:p] + legs[p + 1:], term if p % 2 == 0 else -term
+
+        return Multivector.summed(self.parent, max(self.degree - 1, 0), pieces())
+
     def evaluate(self, args: list[Polynomial]) -> Polynomial:
-        """Value on symbol arguments (determinant of partials per leg set)."""
-        P = self.parent
+        """Value on symbol arguments, inserted slot by slot."""
         if len(args) != self.degree:
             raise ValueError("wrong number of arguments")
-        partials = [[arg.partial(a) for a in range(P.N)] for arg in args]
-        out = Polynomial.zero(P.vars)
-        for legs, c in self.terms.items():
-            det = Polynomial.zero(P.vars)
-            for perm in itertools.permutations(range(self.degree)):
-                term = Polynomial.const(P.vars, perm_sign(perm))
-                for row, leg in enumerate(legs):
-                    term = term * partials[perm[row]][leg]
-                    if term.is_zero():
-                        break
-                det = det + term
-            if not det.is_zero():
-                out = out + c * det
-        return out
+        D = self
+        for arg in args:
+            D = D.interior(arg)
+        return D.coefficient(())
 
 
 def poisson_differential(D: Multivector) -> Multivector:
@@ -231,31 +258,31 @@ def poisson_differential(D: Multivector) -> Multivector:
     Value on coordinates (gamma_1..gamma_{k+1}):
       sum_i (-1)^{i+1} {gamma_i, D(..hat i..)}
       + sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..hat i, hat j..).
+    Only the leg sets that a term of D reaches are visited: a term on L
+    feeds the first sum at L plus one leg, and the second at (L minus one
+    leg) plus a pair (a, b) with a nonzero bracket.
     """
     P = D.parent
-    k = D.degree
-    out = Multivector(P, k + 1)
-    terms: dict[Legs, Polynomial] = {}
-    for legs in itertools.combinations(range(P.N), k + 1):
-        total = Polynomial.zero(P.vars)
-        for i in range(k + 1):
-            rest = legs[:i] + legs[i + 1:]
-            v = D.coefficient(rest)
-            if not v.is_zero():
-                term = P.bracket(P.coordinate(legs[i]), v)
-                total = total + (term if i % 2 == 0 else -term)
-        for i, j in itertools.combinations(range(k + 1), 2):
-            br = P.coordinate_bracket(legs[i], legs[j])
-            if br.is_zero():
-                continue
-            rest = [P.coordinate(legs[t]) for t in range(k + 1) if t not in (i, j)]
-            term = D.evaluate([br] + rest)
-            # one-based sign (-1)^{i+j}
-            total = total + (term if (i + j) % 2 == 0 else -term)
-        if not total.is_zero():
-            terms[legs] = total
-    out.terms = terms
-    return out
+    pairs = [(a, b, br) for (a, b), br in P._table.items() if br]
+
+    def pieces():
+        rests = set()
+        for legs, c in D.terms.items():
+            for a in range(P.N):
+                new, sign = insert_leg(legs, a)
+                if sign and (v := P.coordinate_action(a, c)):
+                    yield new, v if sign == 1 else -v
+            rests.update(legs[:p] + legs[p + 1:] for p in range(len(legs)))
+        for rest in sorted(rests):
+            coords = [P.coordinate(r) for r in rest]
+            for a, b, br in pairs:
+                with_b, s1 = insert_leg(rest, b)
+                new, s2 = insert_leg(with_b, a)
+                # a and b sit at positions i < j of new: (-1)^{i+j} = -s1*s2
+                if s1 * s2 and (v := D.evaluate([br] + coords)):
+                    yield new, v if s1 * s2 == -1 else -v
+
+    return Multivector.summed(P, D.degree + 1, pieces())
 
 
 # -- weight-sliced cohomology -------------------------------------------------

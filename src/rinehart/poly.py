@@ -65,6 +65,14 @@ class Polynomial:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _of(cls, vars: tuple[str, ...], terms: dict) -> "Polynomial":
+        """A polynomial on terms that are already canonical (a vars tuple, no
+        zero coefficient, integral ones as int), taken as is, unchecked."""
+        p = object.__new__(cls)
+        p.vars, p.terms, p._hash = vars, terms, None
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -122,14 +130,10 @@ class Polynomial:
                 out[exp] = s if s.__class__ is int else _coefficient(s)
             else:
                 out.pop(exp, None)
-        p = Polynomial(self.vars)
-        p.terms = out
-        return p
+        return Polynomial._of(self.vars, out)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial(self.vars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -147,19 +151,15 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        p = Polynomial(self.vars)
-        p.terms = _integral_to_int(out)
-        return p
+        return Polynomial._of(self.vars, _integral_to_int(out))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = _coefficient(c)
         if c == 0:
-            return Polynomial(self.vars)
-        p = Polynomial(self.vars)
-        p.terms = _integral_to_int({e: c * v for e, v in self.terms.items()})
-        return p
+            return Polynomial._of(self.vars, {})
+        return Polynomial._of(self.vars, _integral_to_int({e: c * v for e, v in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -179,9 +179,7 @@ class Polynomial:
             e = list(exp)
             e[i] = k - 1
             out[tuple(e)] = c * k
-        p = Polynomial(self.vars)
-        p.terms = _integral_to_int(out)
-        return p
+        return Polynomial._of(self.vars, _integral_to_int(out))
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -203,12 +201,7 @@ class Polynomial:
         for exp, c in self.terms.items():
             w = sum(e * wt for e, wt in zip(exp, weights))
             out.setdefault(w, {})[exp] = c
-        res = {}
-        for w, terms in out.items():
-            p = Polynomial(self.vars)
-            p.terms = terms
-            res[w] = p
-        return res
+        return {w: Polynomial._of(self.vars, terms) for w, terms in out.items()}
 
     def is_weight_homogeneous(self, weights: tuple[int, ...]) -> bool:
         return len(self.weight_split(weights)) <= 1

@@ -588,7 +588,7 @@ def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
         value_vars = P.vars
         value_weights = [alg.weights[b] for b in alg.basis]
         lie_calls = [
-            (lambda v, k=k: P.bracket(P.generator_symbol(k), v)) for k in range(d)
+            (lambda v, k=k: P.coordinate_action(P.n + k, v)) for k in range(d)
         ]
     else:
         raise ValueError(f"unknown module {module!r}")

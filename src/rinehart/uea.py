@@ -102,7 +102,7 @@ class EnvelopingAlgebra:
             for exp, c in self._gen_times_monomial(i, beta).terms.items():
                 add(exp, g * c)
             add(beta, rho_i(g))
-        return UEAElement(self, terms)
+        return UEAElement._of(self, terms)
 
 
 class UEAElement:
@@ -111,6 +111,13 @@ class UEAElement:
     def __init__(self, parent: EnvelopingAlgebra, terms: dict[Expo, Polynomial]):
         self.parent = parent
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, parent: EnvelopingAlgebra, terms: dict[Expo, Polynomial]) -> "UEAElement":
+        """An element on terms with no zero coefficient, taken as is."""
+        u = object.__new__(cls)
+        u.parent, u.terms = parent, terms
+        return u
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -134,10 +141,10 @@ class UEAElement:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return UEAElement(self.parent, out)
+        return UEAElement._of(self.parent, out)
 
     def __neg__(self) -> "UEAElement":
-        return UEAElement(self.parent, {e: -c for e, c in self.terms.items()})
+        return UEAElement._of(self.parent, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
         return self + (-other)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rinehart import presets
+from rinehart.homology import euler_insertion
 from rinehart.poisson import (
     Multivector,
     NonlinearRejection,
@@ -13,7 +14,7 @@ from rinehart.poisson import (
     poisson_cohomology,
     poisson_differential,
 )
-from rinehart.poly import Polynomial
+from rinehart.poly import Polynomial, perm_sign
 
 
 def rand_mv(rng, P, k, max_deg=2):
@@ -179,3 +180,85 @@ def test_nonlinear_rejects_perturbed_entry():
                     nonlinear_to_mv(t)
                 return
     pytest.fail("no coefficient-bearing entry found to perturb")
+
+
+# -- reference paths: the permutation determinant and every leg set ----------
+
+
+def reference_evaluate(D, args):
+    """D on args as a sum over leg sets of det(d_{leg} arg) by permutations."""
+    P = D.parent
+    out = Polynomial.zero(P.vars)
+    for legs, c in D.terms.items():
+        for perm in itertools.permutations(range(D.degree)):
+            term = Polynomial.const(P.vars, perm_sign(perm))
+            for row, leg in enumerate(legs):
+                term = term * args[perm[row]].partial(leg)
+            out = out + c * term
+    return out
+
+
+def reference_interior(D, f):
+    """f in the first slot, read off on every coordinate leg set."""
+    P = D.parent
+    terms = {}
+    if D.degree:
+        for legs in itertools.combinations(range(P.N), D.degree - 1):
+            terms[legs] = reference_evaluate(D, [f] + [P.coordinate(a) for a in legs])
+    return Multivector(P, max(D.degree - 1, 0), terms)
+
+
+def reference_differential(D):
+    """The docstring formula of poisson_differential on every (k+1)-leg set."""
+    P = D.parent
+    k = D.degree
+    terms = {}
+    for legs in itertools.combinations(range(P.N), k + 1):
+        total = Polynomial.zero(P.vars)
+        for i in range(k + 1):
+            term = P.bracket(P.coordinate(legs[i]), D.coefficient(legs[:i] + legs[i + 1:]))
+            total = total + (term if i % 2 == 0 else -term)
+        for i, j in itertools.combinations(range(k + 1), 2):
+            rest = [P.coordinate(legs[t]) for t in range(k + 1) if t not in (i, j)]
+            br = P.coordinate_bracket(legs[i], legs[j])
+            term = reference_evaluate(D, [br] + rest)
+            total = total + (term if (i + j) % 2 == 0 else -term)
+        terms[legs] = total
+    return Multivector(P, k + 1, terms)
+
+
+def rand_multiterm_mv(rng, P, k):
+    """Every leg set with probability 0.7, each with a multi-term coefficient."""
+    terms = {legs: rand_sym(rng, P)
+             for legs in itertools.combinations(range(P.N), k) if rng.random() < 0.7}
+    return Multivector(P, k, terms)
+
+
+BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+            "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_laplace_expansion_matches_the_reference_paths(name):
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(19)
+    for k in range(min(3, P.N) + 1):
+        for _ in range(3):
+            D = rand_multiterm_mv(rng, P, k)
+            args = [rand_sym(rng, P) for _ in range(k)]
+            f = rand_sym(rng, P)
+            assert D.evaluate(args) == reference_evaluate(D, args)
+            assert D.interior(f) == reference_interior(D, f)
+            assert euler_insertion(D, f) == reference_interior(D, f)
+            assert poisson_differential(D) == reference_differential(D)
+    for a in range(P.N):
+        for _ in range(3):
+            g = rand_sym(rng, P)
+            assert P.coordinate_action(a, g) == P.bracket(P.coordinate(a), g)
+
+
+def test_evaluate_rejects_a_wrong_arity():
+    P = SymAlgebra(presets.weyl(1))
+    D = Multivector(P, 1, {(1,): Polynomial.const(P.vars, 1)})
+    with pytest.raises(ValueError, match="wrong number of arguments"):
+        D.evaluate([])
