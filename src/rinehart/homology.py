@@ -3,6 +3,7 @@ the duality cap, and the Euler contraction used for weight-zero directions."""
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from .lie_rinehart import LieRinehartAlgebra
 from .linalg import ComplexSlice, assemble, cohomology_dims, kernel_and_rank, rank
@@ -15,7 +16,7 @@ from .poisson import (
     _slice_basis,
     poisson_differential,
 )
-from .poly import Polynomial, exponents, insert_leg
+from .poly import Polynomial, _integral_to_int, exponents, insert_leg
 
 
 class KahlerForm(LegTensor):
@@ -24,58 +25,70 @@ class KahlerForm(LegTensor):
     __slots__ = ()
     leg_prefix = "d"
 
+    @classmethod
+    def from_flat(cls, parent: SymAlgebra, degree: int, flat: dict) -> "KahlerForm":
+        """The form of a flat form {(legs, exp): coefficient} (the shape of
+        `entries`; zeros are dropped).  The operators below are integer kernels
+        on flat forms; a KahlerForm is built only for their callers."""
+        by_legs: dict[Legs, dict] = {}
+        for (legs, exp), c in flat.items():
+            if c:
+                by_legs.setdefault(legs, {})[exp] = c
+        w = cls(parent, degree)
+        w.terms = {legs: Polynomial._of(parent.vars, _integral_to_int(t))
+                   for legs, t in by_legs.items()}
+        return w
+
+
+def _d(flat: dict) -> dict:
+    """d on a flat form: x^exp dL goes to sum_a exp_a x^(exp - e_a) dx_a ^ dL."""
+    out: dict = {}
+    for (legs, exp), c in flat.items():
+        for a, k in enumerate(exp):
+            if k:
+                new, sign = insert_leg(legs, a)
+                if sign:
+                    key = (new, exp[:a] + (k - 1,) + exp[a + 1:])
+                    out[key] = out.get(key, 0) + sign * k * c
+    return out
+
+
+def _contract(P: SymAlgebra, flat: dict) -> dict:
+    """i_pi on a flat form: only the pairs a < b at leg positions i < j of a
+    term are visited; i_a i_b removes them with the sign (-1)^(i + j)."""
+    out: dict = {}
+    for (legs, exp), c in flat.items():
+        for i, j in itertools.combinations(range(len(legs)), 2):
+            coef = P._table[legs[i], legs[j]]
+            if coef:
+                rest = legs[:i] + legs[i + 1:j] + legs[j + 1:]
+                c_ij = -c if (i + j) % 2 else c
+                for e, v in coef.terms.items():
+                    key = (rest, tuple(map(add, exp, e)))
+                    out[key] = out.get(key, 0) + v * c_ij
+    return out
+
 
 def kahler_d(w: KahlerForm) -> KahlerForm:
     """Exterior derivative."""
-    P = w.parent
-
-    def pieces():
-        for legs, c in w.terms.items():
-            for a in range(P.N):
-                new, sign = insert_leg(legs, a)
-                if sign and (dc := c.partial(a)):
-                    yield new, dc if sign == 1 else -dc
-
-    return KahlerForm.summed(P, w.degree + 1, pieces())
-
-
-def interior(a: int, w: KahlerForm) -> KahlerForm:
-    """Interior product with the coordinate vector field of index a.  Distinct
-    leg sets stay distinct without a, so no two terms meet."""
-    out = KahlerForm(w.parent, max(w.degree - 1, 0))
-    for legs, c in w.terms.items():
-        if a in legs:
-            t = legs.index(a)
-            out.terms[legs[:t] + legs[t + 1:]] = c if t % 2 == 0 else -c
-    return out
+    return KahlerForm.from_flat(w.parent, w.degree + 1, _d(dict(w.entries())))
 
 
 def contract_bivector(w: KahlerForm) -> KahlerForm:
-    """Contraction with the structure bivector: sum_{a<b} {g_a, g_b} i_a i_b.
-
-    The two interior products are applied innermost-leg-first (i_a after i_b).
-    """
-    P = w.parent
-    if w.degree < 2:
-        return KahlerForm(P, max(w.degree - 2, 0))
-    out = KahlerForm(P, w.degree - 2)
-    for (a, b), coef in P._table.items():
-        if coef.is_zero():
-            continue
-        piece = interior(a, interior(b, w)).scale(coef)
-        if not piece.is_zero():
-            out = out + piece
-    return out
+    """Contraction with the structure bivector: sum_{a<b} {g_a, g_b} i_a i_b,
+    the two interior products applied innermost-leg-first (i_a after i_b)."""
+    return KahlerForm.from_flat(w.parent, max(w.degree - 2, 0),
+                                _contract(w.parent, dict(w.entries())))
 
 
 def poisson_boundary(w: KahlerForm) -> KahlerForm:
-    """The degree -1 boundary: commutator of contraction and d."""
-    P = w.parent
-    if w.degree == 0:
-        return KahlerForm(P, 0)
-    if w.degree == 1:
-        return contract_bivector(kahler_d(w))
-    return contract_bivector(kahler_d(w)) - kahler_d(contract_bivector(w))
+    """The degree -1 boundary: commutator of contraction and d, i_pi d - d i_pi,
+    which is zero on functions and i_pi d on 1-forms."""
+    P, flat = w.parent, dict(w.entries())
+    out = _contract(P, _d(flat))
+    for key, c in _d(_contract(P, flat)).items():
+        out[key] = out.get(key, 0) - c
+    return KahlerForm.from_flat(P, max(w.degree - 1, 0), out)
 
 
 # -- weight slices -----------------------------------------------------------
@@ -96,17 +109,25 @@ def _form_basis(P: SymAlgebra, lam: int, k: int, jweight: int = 0) -> list[tuple
     return out
 
 
+def _slice_weights(P: SymAlgebra, max_weight: int, cap: int = 0) -> list[int]:
+    """The weights lam, in increasing order, of the slices that hold a form of
+    weight <= max_weight in a u-column j <= cap."""
+    vw, wbr = P.weight_vector(), P.bracket_weight()
+    return sorted({wt + (k + j) * wbr for j in range(cap + 1) for k in range(P.N + 1)
+                   for legs in itertools.combinations(range(P.N), k)
+                   for wt in range(sum(vw[a] for a in legs), max_weight + 1)})
+
+
 def homology_slice(P: SymAlgebra, lam: int) -> ComplexSlice:
     """The boundary complex of slice lam as a cochain slice (positions are
-    N - homological degree)."""
+    N - homological degree); each position is labelled by its basis keys."""
     bases = [_form_basis(P, lam, P.N - p) for p in range(P.N + 1)]
-    labels = [[_label(P, legs, exp, "d") for legs, exp in b] for b in bases]
     diffs = [
         assemble(bases[p], lambda key: poisson_boundary(
             KahlerForm.basis_element(P, *key)).entries(), bases[p + 1])[0]
         for p in range(P.N)
     ]
-    return ComplexSlice(labels, diffs, name=f"poisson-chain L={lam}")
+    return ComplexSlice(bases, diffs, name=f"poisson-chain L={lam}")
 
 
 def poisson_homology(alg: LieRinehartAlgebra, max_weight: int) -> dict[tuple[int, int], int]:
@@ -115,15 +136,8 @@ def poisson_homology(alg: LieRinehartAlgebra, max_weight: int) -> dict[tuple[int
     vw = P.weight_vector()
     if any(w <= 0 for w in vw):
         raise ValueError("poisson_homology needs positive weights")
-    wbr = P.bracket_weight()
-    lams = set()
-    for k in range(P.N + 1):
-        for legs in itertools.combinations(range(P.N), k):
-            base = sum(vw[a] for a in legs)
-            for wt in range(base, max_weight + 1):
-                lams.add(wt + k * wbr)
     table: dict[tuple[int, int], int] = {}
-    for lam in sorted(lams):
+    for lam in _slice_weights(P, max_weight):
         dims = cohomology_dims(homology_slice(P, lam))
         for p, dim in enumerate(dims):
             k = P.N - p
@@ -141,11 +155,14 @@ def homology_totals(table: dict[tuple[int, int], int]) -> dict[int, int]:
 # -- cyclic -------------------------------------------------------------------
 
 
-def cyclic_slice(P: SymAlgebra, lam: int, u_cap: int, t_max: int) -> ComplexSlice:
+def cyclic_slice(P: SymAlgebra, lam: int, u_cap: int, t_max: int,
+                 images: dict) -> ComplexSlice:
     """Total complex of the u-truncated mixed complex in slice lam.
 
     Objects at total degree t are pairs (form of degree t - 2j, column j),
-    differential (w, j) -> (boundary w, j) + (d w, j - 1).
+    differential (w, j) -> (boundary w, j) + (d w, j - 1).  `images` maps a
+    basis form (legs, exp) to its boundary entries and is filled on first
+    use: the boundary depends on neither j nor the slice.
     """
     def basis_at(t):
         out = []
@@ -156,21 +173,19 @@ def cyclic_slice(P: SymAlgebra, lam: int, u_cap: int, t_max: int) -> ComplexSlic
         return sorted(out)
 
     bases = [basis_at(t_max - p) for p in range(t_max + 1)]
-    labels = [
-        [f"u^{j}*{_label(P, legs, exp, 'd')}" for j, legs, exp in b] for b in bases
-    ]
 
     def image(key):
         j, legs, exp = key
-        w = KahlerForm.basis_element(P, legs, exp)
-        for (tlegs, texp), c in poisson_boundary(w).entries():
+        if (legs, exp) not in images:
+            w = KahlerForm.basis_element(P, legs, exp)
+            images[legs, exp] = list(poisson_boundary(w).entries())
+        for (tlegs, texp), c in images[legs, exp]:
             yield (j, tlegs, texp), c
-        if j:
-            for (tlegs, texp), c in kahler_d(w).entries():
-                yield (j - 1, tlegs, texp), c
+        for (tlegs, texp), c in _d({(legs, exp): 1}).items() if j else ():
+            yield (j - 1, tlegs, texp), c
 
     diffs = [assemble(bases[p], image, bases[p + 1])[0] for p in range(t_max)]
-    return ComplexSlice(labels, diffs, name=f"cyclic L={lam} cap={u_cap}")
+    return ComplexSlice(bases, diffs, name=f"cyclic L={lam} cap={u_cap}")
 
 
 def cyclic_homology(
@@ -184,23 +199,16 @@ def cyclic_homology(
         raise ValueError("cyclic_homology needs positive weights")
     if u_cap < 2:
         raise ValueError("u_cap must be at least 2 to detect stabilization")
-    wbr = P.bracket_weight()
+    images: dict = {}  # basis-form boundaries, shared by the two runs
 
     def run(cap):
         # slices carry all columns j <= cap; degrees above the complete range
         # t <= N + 2cap - 2 are truncation edge and not reported
         t_top = P.N + 2 * cap
         report = P.N + 2 * cap - 2
-        lams = set()
-        for j in range(cap + 1):
-            for k in range(P.N + 1):
-                for legs in itertools.combinations(range(P.N), k):
-                    base = sum(vw[a] for a in legs)
-                    for wt in range(base, max_weight + 1):
-                        lams.add(wt + (k + j) * wbr)
         table: dict[tuple[int, int], int] = {}
-        for lam in sorted(lams):
-            dims = cohomology_dims(cyclic_slice(P, lam, cap, t_top))
+        for lam in _slice_weights(P, max_weight, cap):
+            dims = cohomology_dims(cyclic_slice(P, lam, cap, t_top, images))
             for p, dim in enumerate(dims):
                 t = t_top - p
                 if dim and t <= report:
@@ -223,17 +231,18 @@ def cyclic_homology(
 def duality_cap(D: Multivector) -> KahlerForm:
     """Contract a multivector into the coordinate top form.
 
-    Interior products are applied right to left along each leg set; the image
-    of the leg set S is +/- the complementary form.
+    Interior products are applied right to left along each leg set, each
+    with the sign (-1)^t of its leg's position t; the image of the leg set S
+    is +/- the complementary form, so no two terms meet.
     """
     P = D.parent
     out = KahlerForm(P, P.N - D.degree)
-    top_legs = tuple(range(P.N))
     for legs, c in D.terms.items():
-        w = KahlerForm(P, P.N, {top_legs: c})
+        rest, sign = tuple(range(P.N)), 1
         for a in reversed(legs):
-            w = interior(a, w)
-        out = out + KahlerForm(P, P.N - D.degree, w.terms)
+            t = rest.index(a)
+            rest, sign = rest[:t] + rest[t + 1:], -sign if t % 2 else sign
+        out.terms[rest] = c if sign == 1 else -c
     return out
 
 

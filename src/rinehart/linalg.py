@@ -3,8 +3,10 @@
 `assemble` turns a linear map on a basis into a matrix; every slice
 differential and kernel search is built with it.
 
-Ranks and the d o d check run on integer rows with row steps invertible over
-Q, so they are exact; kernel bases and `solve` use the Fraction RREF `_rref`.
+Matrix entries are ints when integral and Fractions otherwise.  Ranks and
+the d o d check run on integer rows, built once per differential, with row
+steps invertible over Q, so they are exact; kernel bases and `solve` use the
+Fraction RREF `_rref` and return Fractions.
 """
 from __future__ import annotations
 
@@ -22,29 +24,32 @@ class NotAComplexError(Exception):
 
 
 class SparseMatrixQ:
-    """Sparse exact matrix: finite map (row, col) -> nonzero Fraction."""
+    """Sparse exact matrix: finite map (row, col) -> nonzero rational, an int
+    when integral and a Fraction otherwise."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
 
     def set(self, i: int, j: int, c):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError((i, j))
-        c = Fraction(c)
+        if c.__class__ is not int:
+            c = Fraction(c)
+            c = c.numerator if c.denominator == 1 else c
         if c:
             self.entries[(i, j)] = c
         else:
             self.entries.pop((i, j), None)
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+    def get(self, i: int, j: int) -> int | Fraction:
+        return self.entries.get((i, j), 0)
 
-    def rows(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
+    def rows(self) -> list[dict[int, int | Fraction]]:
+        out: list[dict[int, int | Fraction]] = [dict() for _ in range(self.nrows)]
         for (i, j), c in self.entries.items():
             out[i][j] = c
         return out
@@ -106,7 +111,7 @@ def _rref(m: SparseMatrixQ) -> tuple[list[dict[int, Fraction]], list[int]]:
             continue
         _, _, best = min(candidates)
         pivot_row = rows.pop(best)
-        inv = 1 / pivot_row[col]
+        inv = Fraction(1, pivot_row[col])
         pivot_row = {j: c * inv for j, c in pivot_row.items()}
         for target in (rows, reduced):
             for idx, r in enumerate(target):
@@ -154,16 +159,17 @@ def _integer_rows(m: SparseMatrixQ) -> list[dict[int, int]]:
     scale = lcm(*{c.denominator for c in m.entries.values()})
     out: list[dict[int, int]] = [{} for _ in range(m.nrows)]
     for (i, j), c in m.entries.items():
-        out[i][j] = c.numerator * scale // c.denominator
+        out[i][j] = c.numerator * (scale // c.denominator)
     return out
 
 
-def rank(m: SparseMatrixQ) -> int:
+def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
     """Exact rank: rows enter an integer echelon {leading column: pivot}.
     A row meeting pivot p at column c becomes b*row - a*p (a/b = row[c]/p[c] in
-    lowest terms), a step invertible over Q; pivots are divided by their content."""
+    lowest terms), a step invertible over Q; pivots are divided by their content.
+    `rows`, when given, are `_integer_rows(m)`, and are used up."""
     echelon: dict[int, dict[int, int]] = {}
-    for row in _integer_rows(m):
+    for row in _integer_rows(m) if rows is None else rows:
         while row and (c := min(row)) in echelon:
             pivot = echelon[c]
             g = gcd(row[c], pivot[c])
@@ -184,8 +190,7 @@ def solve(m: SparseMatrixQ, rhs: Sequence[Fraction]) -> list[Fraction] | None:
     aug = SparseMatrixQ(m.nrows, m.ncols + 1)
     aug.entries = dict(m.entries)
     for i, c in enumerate(rhs):
-        if c:
-            aug.entries[(i, m.ncols)] = Fraction(c)
+        aug.set(i, m.ncols, c)
     reduced, pivots = _rref(aug)
     sol = [Fraction(0)] * m.ncols
     for row, col in zip(reduced, pivots):
@@ -209,8 +214,9 @@ class ComplexSlice:
         self.diffs = diffs
         self.name = name
 
-    def check_complex(self):
-        """Raise NotAComplexError(k) at the first k with d_{k+1} d_k != 0."""
+    def check_complex(self) -> list[list[dict[int, int]]]:
+        """Raise NotAComplexError(k) at the first k with d_{k+1} d_k != 0;
+        return the `_integer_rows` of every differential it multiplied."""
         rows = [_integer_rows(d) for d in self.diffs]
         for k in range(len(rows) - 1):
             for upper in rows[k + 1]:
@@ -220,6 +226,7 @@ class ComplexSlice:
                         acc[j] = acc.get(j, 0) + c * d
                 if any(acc.values()):
                     raise NotAComplexError(k)
+        return rows
 
     def dimensions(self) -> list[int]:
         return [len(lbl) for lbl in self.labels]
@@ -227,6 +234,6 @@ class ComplexSlice:
 
 def cohomology_dims(slice: ComplexSlice) -> list[int]:
     """dim H^k = dim ker(d_k) - rank(d_{k-1}) for every position of the slice."""
-    slice.check_complex()
-    ranks = [0] + [rank(d) for d in slice.diffs] + [0]
+    rows = slice.check_complex()
+    ranks = [0] + [rank(d, r) for d, r in zip(slice.diffs, rows)] + [0]
     return [len(lbl) - ranks[k + 1] - ranks[k] for k, lbl in enumerate(slice.labels)]

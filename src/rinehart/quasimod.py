@@ -575,6 +575,8 @@ def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
     module: "trivial" (the base ring through the anchor) or
     "sym_adjoint_lie" (symbols with the bracket action; constants base only).
     """
+    if alg.weights is None:
+        raise ValueError("presentation has no declared weights")
     d = alg.rank
     if module == "trivial":
         value_vars = alg.vars

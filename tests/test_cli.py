@@ -315,3 +315,30 @@ def test_euler_check_output_is_pinned():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "45e81492b5492a85d9a5594bec6ed606a2f2f7ad92c068f6b59af5760a4a61b5")
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    # the u-truncated mixed complex: boundary and d images, both u_cap runs
+    (["--algebra", "weyl(1)", "cyclic", "--max-weight", "8", "--u-cap", "3"], 0,
+     "c3a1fb5e20c8932d11b78bcdef373daf0cfac46e10ec4f4b36fe3bde3540b845"),
+    # a bracket with non-constant coefficients, which no Weyl algebra has
+    (["--algebra", "lie(sl2)", "poisson-homology", "--max-weight", "4"], 0,
+     "a62ce37bbd76827edc77c049ff1b00a4a1de9acce6a98d9e36d1280341ed35d8"),
+    # on weyl(1) the d column changes no dimension; here it does (and the
+    # truncation has not stabilized, hence the exit code 1)
+    (["--algebra", "lie(sl2)", "cyclic", "--max-weight", "4", "--u-cap", "2"], 1,
+     "a6a080bc0bd91f19a1de9363382fe37c382bc4d4076795559fc677afcf71d718"),
+])
+def test_homology_tables_are_pinned(argv, exit_code, digest):
+    code, out = run_cli(argv)
+    assert code == exit_code and json.loads(out)["rows"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ce_without_weights_exits_two(tmp_path, capsys):
+    path = tmp_path / "no_weights.json"
+    path.write_text(json.dumps({"vars": ["x"], "rank": 1, "basis": ["e"],
+                                "anchor": [["x^2"]], "bracket": {}}))
+    code, out = run_cli(["--spec-file", str(path), "ce", "--max-weight", "2"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: presentation has no declared weights\n"

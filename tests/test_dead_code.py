@@ -1,14 +1,18 @@
 """Every top-level function and non-dunder method of the library is used.
 
-A name counts as used when it occurs in `src/` or `tests/` anywhere other
-than on its own `def` line.
+A name counts as used when it occurs in `src/`, `tests/` or `bench/` as a
+name, an attribute, an imported name or an identifier string (the bench wraps
+functions by their names as strings).  A `def` line is none of these.
 """
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "rinehart").glob("*.py"))
+READERS = SOURCES + sorted(
+    p for d in ("tests", "bench") for p in (ROOT / d).glob("*.py")
+    if p.name != Path(__file__).name
+)
 
 
 def _defined_names():
@@ -25,17 +29,24 @@ def _defined_names():
                         yield path.name, f"{node.name}.{item.name}"
 
 
+def _used_names():
+    used = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
 def test_no_function_is_referenced_only_at_its_def():
-    text = "\n".join(
-        p.read_text(encoding="utf-8")
-        for p in SOURCES + sorted((ROOT / "tests").glob("*.py"))
-        if p.name != Path(__file__).name
-    )
-    unused = []
-    for module, qualname in _defined_names():
-        name = qualname.rsplit(".", 1)[-1]
-        uses = len(re.findall(rf"\b{re.escape(name)}\b", text))
-        defs = len(re.findall(rf"\bdef {re.escape(name)}\b", text))
-        if uses == defs:
-            unused.append(f"{module}:{qualname}")
+    used = _used_names()
+    unused = [f"{module}:{qualname}" for module, qualname in _defined_names()
+              if qualname.rsplit(".", 1)[-1] not in used]
     assert unused == []

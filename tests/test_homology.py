@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from rinehart import presets
+from rinehart import homology, presets
 from rinehart.homology import (
     KahlerForm,
     capped_casimir_search,
@@ -20,7 +20,7 @@ from rinehart.homology import (
     poisson_homology,
 )
 from rinehart.poisson import Multivector, SymAlgebra, poisson_differential
-from rinehart.poly import Polynomial
+from rinehart.poly import Polynomial, exponents, insert_leg
 
 
 def rand_form(rng, P, k, max_deg=2):
@@ -103,6 +103,21 @@ def test_weyl_cyclic_with_stabilization():
     assert totals.get(4, 0) == 1
 
 
+def test_cyclic_homology_takes_each_boundary_once(monkeypatch):
+    # every column and both u_cap runs share one image per basis form
+    seen = []
+
+    def record(w):
+        (key, _), = w.entries()
+        seen.append(key)
+        return poisson_boundary(w)
+
+    monkeypatch.setattr(homology, "poisson_boundary", record)
+    table, stable = cyclic_homology(presets.weyl(1), 8, 3)
+    assert stable and len(seen) > 100
+    assert len(seen) == len(set(seen))
+
+
 def test_duality_cap_examples():
     P = SymAlgebra(presets.weyl(1))
     full = duality_cap(Multivector(P, 2, {(0, 1): Polynomial.const(P.vars, 1)}))
@@ -181,3 +196,132 @@ def test_capped_casimir_search_arrangements(forms):
 def test_capped_casimir_search_weyl():
     basis = capped_casimir_search(presets.weyl(1), 6, 4)
     assert len(basis) == 1 and basis[0].is_constant()
+
+
+# -- reference paths: the operators on Polynomial coefficients ----------------
+
+
+def reference_d(w):
+    P = w.parent
+
+    def pieces():
+        for legs, c in w.terms.items():
+            for a in range(P.N):
+                new, sign = insert_leg(legs, a)
+                if sign and (dc := c.partial(a)):
+                    yield new, dc if sign == 1 else -dc
+
+    return KahlerForm.summed(P, w.degree + 1, pieces())
+
+
+def reference_interior(a, w):
+    """Interior product with the coordinate vector field of index a."""
+    out = KahlerForm(w.parent, max(w.degree - 1, 0))
+    for legs, c in w.terms.items():
+        if a in legs:
+            t = legs.index(a)
+            out.terms[legs[:t] + legs[t + 1:]] = c if t % 2 == 0 else -c
+    return out
+
+
+def reference_contract(w):
+    """sum_{a<b} {g_a, g_b} i_a i_b over every structure pair."""
+    P = w.parent
+    out = KahlerForm(P, max(w.degree - 2, 0))
+    if w.degree < 2:
+        return out
+    for (a, b), coef in P._table.items():
+        if not coef.is_zero():
+            out = out + reference_interior(a, reference_interior(b, w)).scale(coef)
+    return out
+
+
+def reference_boundary(w):
+    P = w.parent
+    if w.degree == 0:
+        return KahlerForm(P, 0)
+    if w.degree == 1:
+        return reference_contract(reference_d(w))
+    return reference_contract(reference_d(w)) - reference_d(reference_contract(w))
+
+
+def reference_duality_cap(D):
+    """Interior products right to left along each leg set into the top form."""
+    P = D.parent
+    out = KahlerForm(P, P.N - D.degree)
+    for legs, c in D.terms.items():
+        w = KahlerForm(P, P.N, {tuple(range(P.N)): c})
+        for a in reversed(legs):
+            w = reference_interior(a, w)
+        out = out + KahlerForm(P, P.N - D.degree, w.terms)
+    return out
+
+
+def basis_forms(P, max_weight):
+    """Every basis form whose legs and monomial weigh at most max_weight."""
+    vw = P.weight_vector()
+    for k in range(P.N + 1):
+        for legs in itertools.combinations(range(P.N), k):
+            for exp in exponents(vw, max_weight - sum(vw[a] for a in legs)):
+                yield KahlerForm.basis_element(P, legs, exp)
+
+
+def rand_multiterm_form(rng, P, k):
+    """Every leg set with probability 0.7, each with a multi-term coefficient,
+    some of them non-integral."""
+    terms = {}
+    for legs in itertools.combinations(range(P.N), k):
+        if rng.random() < 0.7:
+            terms[legs] = sum(
+                (Polynomial.monomial(P.vars, tuple(rng.randint(0, 2) for _ in range(P.N)),
+                                     rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+                 for _ in range(rng.randint(1, 3))),
+                Polynomial.zero(P.vars))
+    return KahlerForm(P, k, terms)
+
+
+def assert_matches_reference(w):
+    pairs = [(kahler_d(w), reference_d(w)),
+             (contract_bivector(w), reference_contract(w)),
+             (poisson_boundary(w), reference_boundary(w))]
+    for flat, reference in pairs:
+        assert flat == reference
+        # coefficients stay canonical: an int whenever integral
+        assert all(type(c) is int or c.denominator != 1
+                   for p in flat.terms.values() for c in p.terms.values())
+
+
+POSITIVE_WEIGHT_BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "lie(abelian2)",
+                            "semidirect(sl2,std)"]
+
+
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS)
+def test_flat_kernels_match_the_reference_on_basis_forms(name):
+    P = SymAlgebra(presets.builtin(name))
+    forms = list(basis_forms(P, 4))
+    assert len(forms) > 10
+    for w in forms:
+        assert_matches_reference(w)
+
+
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + [
+    "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"])
+def test_flat_kernels_match_the_reference_on_random_forms(name):
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(23)
+    for k in range(P.N + 1):
+        for _ in range(4):
+            assert_matches_reference(rand_multiterm_form(rng, P, k))
+
+
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + ["arrangement(x,y,y-x,y+x)"])
+def test_duality_cap_matches_the_reference(name):
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(29)
+    for k in range(P.N + 1):
+        for _ in range(3):
+            terms = {legs: Polynomial.monomial(P.vars, tuple(rng.randint(0, 2) for _ in range(P.N)),
+                                               rng.choice([-2, 1, 3]))
+                     for legs in itertools.combinations(range(P.N), k) if rng.random() < 0.7}
+            D = Multivector(P, k, terms)
+            assert duality_cap(D) == reference_duality_cap(D)

@@ -59,6 +59,28 @@ def test_kernel_vectors_are_exact():
             assert all(c == 0 for c in m.apply(v))
 
 
+def test_integral_entries_are_ints_and_results_are_fractions():
+    m = SparseMatrixQ(1, 2)
+    m.set(0, 0, Fraction(4, 2))
+    m.set(0, 1, Fraction(1, 2))
+    assert type(m.entries[(0, 0)]) is int and type(m.entries[(0, 1)]) is Fraction
+    rng = random.Random(11)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = mat([[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(nc)] for _ in range(nr)])
+        assert all(type(c) is int for c in m.entries.values())
+        basis, rk = kernel_and_rank(m)
+        assert all(type(c) is Fraction for v in basis for c in v)
+        rhs = m.apply([Fraction(rng.randint(-2, 2)) for _ in range(nc)])
+        x = solve(m, rhs)
+        assert all(type(c) is Fraction for c in x) and m.apply(x) == rhs
+        # half the entries made Fractions, some of them integral again
+        for (i, j), c in list(m.entries.items()):
+            if rng.random() < 0.5:
+                m.set(i, j, Fraction(c * rng.choice([1, 2, 3]), rng.choice([1, 2, 3])))
+        assert rank(m) == kernel_and_rank(m)[1]
+
+
 def test_solve_consistent_and_inconsistent():
     m = mat([[1, 2], [3, 4]])
     x = solve(m, [Fraction(5), Fraction(11)])
