@@ -342,7 +342,7 @@ def cmd_verify(args) -> ReportTable:
                                       args.max_degree, euler_degree_cap=args.euler_cap)
         report.add_check(
             "euler-contraction-splits-weights", rep.ok,
-            f"checked {rep.checked}; " + "; ".join(rep.failures[:3]),
+            f"checked {rep.trials}; " + "; ".join(rep.failures[:3]),
         )
         basis = capped_casimir_search(alg, args.max_weight, args.euler_cap)
         report.add_row("casimirs", args.max_weight, 0, len(basis))

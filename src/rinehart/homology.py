@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-from .lie_rinehart import LieRinehartAlgebra
+from .lie_rinehart import CheckReport, LieRinehartAlgebra
 from .linalg import ComplexSlice, assemble, cohomology_dims, kernel_and_rank, rank
 from .poisson import (
     Legs,
@@ -257,16 +257,6 @@ def duality_cap_rank_check(alg: LieRinehartAlgebra, weight: int, degree: int) ->
 # -- Euler contraction ----------------------------------------------------------
 
 
-class EulerReport:
-    def __init__(self, ok: bool, failures: list[str], checked: int):
-        self.ok = ok
-        self.failures = failures
-        self.checked = checked
-
-    def __bool__(self):
-        return self.ok
-
-
 def euler_insertion(D: Multivector, euler: Polynomial) -> Multivector:
     """Insert the Euler element into the first slot of a multivector."""
     return D.interior(euler)
@@ -297,7 +287,7 @@ def euler_contraction_check(
     max_weight: int,
     max_degree: int,
     euler_degree_cap: int = 2,
-) -> EulerReport:
+) -> CheckReport:
     """Check that inserting the Euler element splits the differential:
     delta(s0 D) + s0(delta D) = weight(D) * D on every basis multivector.
 
@@ -313,7 +303,7 @@ def euler_contraction_check(
     try:
         eigws = _euler_eigenweights(P, euler)
     except ValueError as exc:
-        return EulerReport(False, [str(exc)], 0)
+        return CheckReport(False, (str(exc),), 0)
     failures = []
     checked = 0
 
@@ -336,9 +326,9 @@ def euler_contraction_check(
                         f"(weight {eig})"
                     )
                     if len(failures) >= 3:
-                        return EulerReport(False, failures, checked)
+                        return CheckReport(False, tuple(failures), checked)
                 checked += 1
-    return EulerReport(not failures, failures, checked)
+    return CheckReport(not failures, tuple(failures), checked)
 
 
 def capped_casimir_search(

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, PolyDerivation, parse_poly, perm_sign, sort_with_sign
+from .poly import Polynomial, PolyDerivation, ce_terms, parse_poly, perm_sign, sort_with_sign
 
 
 class PresentationError(ValueError):
@@ -21,9 +21,14 @@ class PresentationError(ValueError):
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class CheckReport:
+    """Outcome of an exact check: pass/fail, the witnesses of the failures,
+    and how many trials (sampled inputs or basis points) were checked; 0 for
+    the exhaustive axiom check, which does not count."""
+
     ok: bool
     failures: tuple[str, ...]
+    trials: int = 0
 
     def __bool__(self):
         return self.ok
@@ -265,7 +270,7 @@ def bracket_extend(a: LElement, b: LElement) -> LElement:
     return out
 
 
-def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> AxiomReport:
+def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> CheckReport:
     """Anchor morphism, Jacobi, weight homogeneity -- on basis tuples."""
     failures: list[str] = []
 
@@ -282,7 +287,7 @@ def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> AxiomReport:
                 f"rho([.,.]) = {lhs} but [rho, rho] = {rhs}"
             )
             if len(failures) >= max_failures:
-                return AxiomReport(False, tuple(failures))
+                return CheckReport(False, tuple(failures))
 
     # Jacobi on basis triples (tensorial once anchor morphism + Leibniz hold)
     for i, j, k in itertools.combinations(range(alg.rank), 3):
@@ -298,7 +303,7 @@ def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> AxiomReport:
                 f"defect {jac}"
             )
             if len(failures) >= max_failures:
-                return AxiomReport(False, tuple(failures))
+                return CheckReport(False, tuple(failures))
 
     if alg.weights is not None:
         vw = alg.var_weights()
@@ -329,7 +334,7 @@ def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> AxiomReport:
                         f" = {c} is not homogeneous of weight {want}"
                     )
 
-    return AxiomReport(not failures, tuple(failures))
+    return CheckReport(not failures, tuple(failures))
 
 
 # -- connections and the two-term adjoint complex -------------------------
@@ -457,23 +462,19 @@ def _koszul_differential(conn: Connection, c: _AdCochain) -> _AdCochain:
     """Exterior covariant derivative of c along the induced connections."""
     alg = conn.alg
     deg = c.degree + 1
-    values = {}
-    for idx in itertools.combinations(range(alg.rank), deg):
-        elems = [alg.basis_element(i) for i in idx]
-        total = c.zero_value()
-        for i in range(deg):
-            rest = idx[:i] + idx[i + 1:]
-            v = c.value_on_basis(rest)
-            term = conn.basic_apply(elems[i], v)
-            total = total + (term if i % 2 == 0 else -term)
-        for i, j in itertools.combinations(range(deg), 2):
-            rest = tuple(idx[t] for t in range(deg) if t not in (i, j))
-            br = bracket_extend(elems[i], elems[j])
-            args = [br] + [alg.basis_element(t) for t in rest]
-            term = c.evaluate(args)
-            # one-based sign (-1)^{i+j} on the bracket sum
-            total = total + (term if (i + j) % 2 == 0 else -term)
-        values[idx] = total
+    e = alg.basis_element
+
+    def act(i, rest):
+        return conn.basic_apply(e(i), c.value_on_basis(rest))
+
+    def bracketed(i, j, rest):
+        return c.evaluate([bracket_extend(e(i), e(j))] + [e(t) for t in rest])
+
+    values = {
+        idx: sum((t if s == 1 else -t for s, t in ce_terms(idx, act, bracketed)),
+                 c.zero_value())
+        for idx in itertools.combinations(range(alg.rank), deg)
+    }
     return _AdCochain(alg, deg, c.kind, values)
 
 
@@ -545,7 +546,7 @@ def _add_cochains(a: _AdCochain | None, b: _AdCochain | None):
 
 
 def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
-               samples: int = 4, max_total_degree: int = 2) -> AxiomReport:
+               samples: int = 4, max_total_degree: int = 2) -> CheckReport:
     """Exact check that the adjoint two-term structure operator squares to zero.
 
     Random cochain pairs with polynomial coefficients of degree <= degree_cap
@@ -557,6 +558,7 @@ def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
     alg = conn.alg
     rng = _random.Random(seed)
     failures = []
+    trials = 0
 
     def rand_poly():
         p = alg.zero_poly()
@@ -600,8 +602,9 @@ def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
                             f"trial {trial}, basis tuple {idx}: {v}"
                         )
                         if len(failures) >= 3:
-                            return AxiomReport(False, tuple(failures))
-    return AxiomReport(not failures, tuple(failures))
+                            return CheckReport(False, tuple(failures), trials)
+            trials += 1
+    return CheckReport(not failures, tuple(failures), trials)
 
 
 # -- constructors ----------------------------------------------------------

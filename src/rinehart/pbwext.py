@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .cochain import TableCochain, hochschild_b, homotopy, lie_action, monomial_tuples
-from .lie_rinehart import Connection, LElement, LieRinehartAlgebra, bracket_extend
+from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial, PolyDerivation, insert_leg, perm_sign
+from .poly import Polynomial, PolyDerivation, ce_terms, insert_leg, perm_sign
 from .quasimod import NLCochainElement, adj_delta, adj_lie, adj_nabla_b, _larg_element
 from .uea import EnvelopingAlgebra, UEAElement
 
@@ -295,16 +294,6 @@ def tower_map(ctx: EtaContext, Ys: tuple, v: Multivector) -> TableCochain:
 # -- verification reports ------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    ok: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
 def _random_adjoint_term(rng, P, p, q, coeff_deg=1):
     legs = tuple(sorted(rng.sample(range(P.n), p))) if p else ()
     exp = [0] * P.N
@@ -331,7 +320,7 @@ def _rand_lelement(rng, alg, deg=1):
     return LElement(alg, tuple(coeffs))
 
 
-def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> VerifyReport:
+def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> CheckReport:
     """Multilinearity of the mixed tensor and its argument-scaling expansion."""
     alg = ctx.alg
     rng = random.Random(seed)
@@ -378,12 +367,12 @@ def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> 
             failures.append("anchor of the mixed tensor mismatch")
         checked += 1
         if failures:
-            return VerifyReport(False, checked, failures)
-    return VerifyReport(True, checked, [])
+            return CheckReport(False, tuple(failures), checked)
+    return CheckReport(True, (), checked)
 
 
 def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
-                        p_max: int = 2, q_max: int = 2) -> VerifyReport:
+                        p_max: int = 2, q_max: int = 2) -> CheckReport:
     """The anticommutator with the Koszul differential and the bracket
     compatibility of the leg-lowering maps."""
     P, alg = ctx.P, ctx.alg
@@ -424,8 +413,8 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
             failures.append(f"bracket compatibility fails at (p,q)=({p},{q})")
         checked += 1
         if failures:
-            return VerifyReport(False, checked, failures)
-    return VerifyReport(True, checked, [])
+            return CheckReport(False, tuple(failures), checked)
+    return CheckReport(True, (), checked)
 
 
 def _f_delta_right_side(ctx: EtaContext, Y: LElement, v: Multivector) -> Multivector:
@@ -469,7 +458,7 @@ def _f_delta_right_side(ctx: EtaContext, Y: LElement, v: Multivector) -> Multive
 
 
 def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
-                     p_max: int = 2, q_max: int = 2, arg_deg: int = 2) -> VerifyReport:
+                     p_max: int = 2, q_max: int = 2, arg_deg: int = 2) -> CheckReport:
     """The lift exchanges the Koszul differential with minus the cochain one."""
     P = ctx.P
     rng = random.Random(seed)
@@ -484,14 +473,14 @@ def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
         rhs = hochschild_b(extended_lift(ctx, v)).eval_monos(args)
         if not (lhs + rhs).is_zero():
             failures.append(f"chain relation fails at (p,q)=({p},{q}), args {args}")
-            return VerifyReport(False, checked, failures)
+            return CheckReport(False, tuple(failures), checked)
         checked += 1
-    return VerifyReport(True, checked, [])
+    return CheckReport(True, (), checked)
 
 
 def verify_identity_tower(ctx: EtaContext, n_max: int = 1, p_max: int = 2,
                           q_max: int = 2, samples: int = 50, seed: int = 0,
-                          arg_deg: int = 1) -> VerifyReport:
+                          arg_deg: int = 1) -> CheckReport:
     """The commutator tower: module actions of the tower maps against the
     next level composed with the two differentials."""
     P, alg = ctx.P, ctx.alg
@@ -530,9 +519,9 @@ def verify_identity_tower(ctx: EtaContext, n_max: int = 1, p_max: int = 2,
                 failures.append(
                     f"tower identity fails at n={n}, (p,q)=({p},{q}), args {args}"
                 )
-                return VerifyReport(False, checked, failures)
+                return CheckReport(False, tuple(failures), checked)
             checked += 1
-    return VerifyReport(True, checked, [])
+    return CheckReport(True, (), checked)
 
 
 # -- the antisymmetrized morphism ------------------------------------------------
@@ -574,7 +563,7 @@ def morphism_component(ctx: EtaContext, el: NLCochainElement, m: int,
 
 def verify_morphism_chain(ctx: EtaContext, el: NLCochainElement,
                           arg_deg: int = 1, max_args: int = 1,
-                          out_cap: int | None = None) -> VerifyReport:
+                          out_cap: int | None = None) -> CheckReport:
     """Chain-map property of the assembled morphism, on generator tuples.
 
     Both sides are degree k+1 tuples of ring cochains; component m is compared
@@ -599,9 +588,9 @@ def verify_morphism_chain(ctx: EtaContext, el: NLCochainElement,
                 if not (lhs - rhs).is_zero():
                     failures.append(f"chain property fails at column {m}, {gens}, {args}")
                     if len(failures) >= 2:
-                        return VerifyReport(False, checked, failures)
+                        return CheckReport(False, tuple(failures), checked)
                 checked += 1
-    return VerifyReport(not failures, checked, failures)
+    return CheckReport(not failures, tuple(failures), checked)
 
 
 def _target_total(ctx: EtaContext, el: NLCochainElement, m: int, Ys: tuple,
@@ -609,27 +598,23 @@ def _target_total(ctx: EtaContext, el: NLCochainElement, m: int, Ys: tuple,
     """Total differential on the morphism image, evaluated at one point."""
     U = ctx.U
     total = U.zero()
-    ce = len(Ys)
-    # action and bracket sums
-    for j in range(ce):
-        rest = Ys[:j] + Ys[j + 1:]
-        sign = 1 if j % 2 == 0 else -1
-        inner = TableCochain(
-            U, m, lambda exps, rest=rest: morphism_component(ctx, el, m, rest, exps)
-        )
-        total = total + lie_action(Ys[j], inner).eval_monos(args).scale(sign)
-    for j, l in itertools.combinations(range(ce), 2):
-        rest = tuple(Ys[t] for t in range(ce) if t not in (j, l))
-        sign = 1 if (j + l) % 2 == 0 else -1
-        sub = (bracket_extend(Ys[j], Ys[l]),) + rest
-        total = total + _morphism_multilinear(ctx, el, m, sub, args).scale(sign)
+
+    def act(Y, rest):
+        inner = TableCochain(U, m, lambda exps: morphism_component(ctx, el, m, rest, exps))
+        return lie_action(Y, inner).eval_monos(args)
+
+    def bracketed(Y, Z, rest):
+        return _morphism_multilinear(ctx, el, m, (bracket_extend(Y, Z),) + rest, args)
+
+    for sign, term in ce_terms(Ys, act, bracketed):
+        total = total + term.scale(sign)
     # module differential of the previous column with the total-complex sign
     if m >= 1:
         inner = TableCochain(
             U, m - 1, lambda exps: morphism_component(ctx, el, m - 1, Ys, exps)
         )
         term = hochschild_b(inner).eval_monos(args)
-        total = total + term.scale(1 if ce % 2 == 0 else -1)
+        total = total + term.scale(1 if len(Ys) % 2 == 0 else -1)
     return total
 
 

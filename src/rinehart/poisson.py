@@ -354,92 +354,3 @@ def poisson_cohomology(
             table[(W, k)] = dims[k]
     return table
 
-
-# -- nonlinear tuples ---------------------------------------------------------
-
-LArg = tuple[tuple[int, ...], int]  # (ring monomial exponent, generator index)
-
-
-class NonlinearRejection(ValueError):
-    pass
-
-
-class NonlinearTuple:
-    """Tables phi_i on ((p-i) monomial*generator arguments, i ring variables).
-
-    Values are the multivector evaluated there; consecutive tables are tied
-    by the multiderivation expansion of a coefficient-bearing argument, which
-    nonlinear_to_mv verifies entry by entry.
-    """
-
-    def __init__(self, parent: SymAlgebra, degree: int, cap: int,
-                 tables: list[dict[tuple[tuple[LArg, ...], tuple[int, ...]], Polynomial]]):
-        self.parent = parent
-        self.degree = degree
-        self.cap = cap
-        self.tables = tables
-
-    def value(self, i: int, largs: tuple[LArg, ...], rargs: tuple[int, ...]) -> Polynomial:
-        return self.tables[i].get((largs, rargs), Polynomial.zero(self.parent.vars))
-
-
-def _larg_symbol(P: SymAlgebra, arg: LArg) -> Polynomial:
-    exp, a = arg
-    return Polynomial.monomial(P.vars, tuple(exp) + (0,) * P.d, 1) * P.generator_symbol(a)
-
-
-def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
-    monos = exponents((1,) * len(alg.vars), cap)
-    return [(m, a) for a in range(alg.rank) for m in monos]
-
-
-def mv_to_nonlinear(D: Multivector, cap: int = 2) -> NonlinearTuple:
-    """Tabulate the multivector on mixed generator tuples up to the cap."""
-    P = D.parent
-    p = D.degree
-    universe = _largs_universe(P.alg, cap)
-    tables = []
-    for i in range(p + 1):
-        table = {}
-        for largs in itertools.combinations(universe, p - i):
-            for rargs in itertools.combinations(range(P.n), i):
-                args = [_larg_symbol(P, a) for a in largs]
-                args += [P.coordinate(u) for u in rargs]
-                v = D.evaluate(args)
-                if not v.is_zero():
-                    table[(tuple(largs), tuple(rargs))] = v
-        tables.append(table)
-    return NonlinearTuple(P, p, cap, tables)
-
-
-def nonlinear_to_mv(t: NonlinearTuple) -> Multivector:
-    """Rebuild the multivector from the pure-generator entries, then check
-    every table entry against it; a single perturbed entry is rejected."""
-    P = t.parent
-    p = t.degree
-    zero_mono = (0,) * P.n
-    terms: dict[Legs, Polynomial] = {}
-    for i in range(p + 1):
-        for gens in itertools.combinations(range(P.d), p - i):
-            for rargs in itertools.combinations(range(P.n), i):
-                largs = tuple((zero_mono, a) for a in gens)
-                v = t.value(i, largs, rargs)
-                if v.is_zero():
-                    continue
-                # arguments are (generators.., variables..); sorted coordinate
-                # order puts the variables first
-                legs = tuple(sorted(rargs)) + tuple(P.n + a for a in gens)
-                sign = 1 if (i * (p - i)) % 2 == 0 else -1
-                key = tuple(sorted(legs))
-                cur = terms.get(key, Polynomial.zero(P.vars))
-                terms[key] = cur + v.scale(sign)
-    D = Multivector(P, p, terms)
-    for i in range(p + 1):
-        for (largs, rargs), v in t.tables[i].items():
-            args = [_larg_symbol(P, a) for a in largs] + [P.coordinate(u) for u in rargs]
-            if D.evaluate(args) != v:
-                raise NonlinearRejection(
-                    f"table entry phi_{i}{largs}{rargs} is incompatible with the "
-                    "multiderivation expansion of its neighbours"
-                )
-    return D

@@ -11,6 +11,7 @@ every other module shares live here too.
 """
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -351,6 +352,23 @@ def insert_leg(legs: tuple[int, ...], w: int) -> tuple[tuple[int, ...], int]:
     if pos < len(legs) and legs[pos] == w:
         return legs, 0
     return legs[:pos] + (w,) + legs[pos:], -1 if pos % 2 else 1
+
+
+def ce_terms(args, act, bracketed):
+    """The signed terms of the Chevalley-Eilenberg sum on args (docs/signs.md),
+    for the caller to add up in its own arithmetic: ((-1)^j, act(args[j],
+    rest)) with rest = args without j, then ((-1)^(j+l), bracketed(args[j],
+    args[l], rest)) for j < l with rest = args without j and l.  j and l are
+    0-based, so these are the one-based (-1)^(i+1) and (-1)^(i+j).  A term
+    that is None is skipped."""
+    for j in range(len(args)):
+        term = act(args[j], args[:j] + args[j + 1:])
+        if term is not None:
+            yield (-1 if j % 2 else 1), term
+    for j, l in itertools.combinations(range(len(args)), 2):
+        term = bracketed(args[j], args[l], args[:j] + args[j + 1:l] + args[l + 1:])
+        if term is not None:
+            yield (-1 if (j + l) % 2 else 1), term
 
 
 def exponents(weights, budget: int, exact: bool = False,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,13 +27,17 @@ from .cochain import (
     scale as cochain_scale,
     zero_cochain,
 )
-from .lie_rinehart import Connection, LElement, LieRinehartAlgebra, bracket_extend
+from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .linalg import ComplexSlice, assemble, cohomology_dims
-from .poisson import Multivector, SymAlgebra, _largs_universe
-from .poly import Polynomial, exponents, insert_leg, sort_with_sign
+from .poisson import Multivector, SymAlgebra
+from .poly import Polynomial, ce_terms, exponents, insert_leg, sort_with_sign
 from .uea import EnvelopingAlgebra
 
 LArg = tuple[tuple[int, ...], int]  # (ring monomial exponent, generator index)
+
+
+class NonlinearRejection(Exception):
+    pass
 
 
 # -- adjoint-side elementary operators ----------------------------------------
@@ -146,7 +150,7 @@ class QuasiModuleInstance:
     equal: Callable
     random_element: Callable
     degrees: tuple[int, ...]
-    zero: Callable = None
+    zero: Callable
 
 
 def adjoint_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
@@ -223,16 +227,6 @@ def hochschild_instance(alg: LieRinehartAlgebra, cap: int = 3,
 # -- the law harness --------------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
-    ok: bool
-    trials: int
-    failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
 def _rand_poly(rng, alg, max_deg=2):
     exp = tuple(rng.randint(0, 1) for _ in alg.vars)
     if sum(exp) > max_deg:
@@ -266,36 +260,24 @@ def quasi_axiom_check(inst: QuasiModuleInstance, alg: LieRinehartAlgebra,
         check("d o d = 0", dd, inst.zero(degree + 2))
         check("d o r = r o d", inst.d(inst.r_act(r, m)), inst.r_act(r, inst.d(m)))
         check("d o lie = lie o d", inst.d(inst.lie(X, m)), inst.lie(X, inst.d(m)))
-        leib_rhs = _sum3(inst, inst.r_act(r, inst.lie(X, m)),
-                         inst.r_act(X.anchor_derivation()(r), m), None)
+        leib_rhs = _add_elements(inst.r_act(r, inst.lie(X, m)),
+                                 inst.r_act(X.anchor_derivation()(r), m))
         check("Leibniz", inst.lie(X, inst.r_act(r, m)), leib_rhs)
-        def_rhs = _sum3(
-            inst,
+        def_rhs = _add_elements(
             inst.r_act(r, inst.lie(X, m)),
             inst.h(r, X, inst.d(m)),
             inst.d(inst.h(r, X, m)),
         )
         check("scaled action homotopy", inst.lie(X.scale(r), m), def_rhs)
-        prop_rhs = _sum3(
-            inst,
+        prop_rhs = _add_elements(
             inst.h(r, X, inst.lie(Y, m)),
             inst.h(Y.anchor_derivation()(r), X, m),
             inst.h(r, bracket_extend(Y, X), m),
         )
         check("homotopy equivariance", inst.lie(Y, inst.h(r, X, m)), prop_rhs)
         if len(failures) >= 5:
-            return CheckReport(False, trial + 1, failures)
-    return CheckReport(not failures, trials, failures)
-
-
-def _sum3(inst, a, b, c):
-    parts = [p for p in (a, b, c) if p is not None]
-    if isinstance(a, TableCochain):
-        return cochain_add(*parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
+            return CheckReport(False, tuple(failures), trial + 1)
+    return CheckReport(not failures, tuple(failures), trials)
 
 
 # -- nonlinear cochains ------------------------------------------------------------
@@ -345,29 +327,29 @@ class NLCochainElement:
             v = self.phi(i, sorted_largs)
             if v is None:
                 continue
-            piece = _scale_element(self.inst, v, coeff * sign)
-            out = piece if out is None else _add_elements(self.inst, out, piece)
+            piece = _scale_element(v, coeff * sign)
+            out = piece if out is None else _add_elements(out, piece)
         if out is None:
-            return _zero_element(self.inst, i)
+            return self.inst.zero(i)
         return out
 
 
-def _scale_element(inst, v, c):
+def _scale_element(v, c):
     if isinstance(v, TableCochain):
         return cochain_scale(c, v)
     return v.scale(c)
 
 
-def _add_elements(inst, a, b):
-    if isinstance(a, TableCochain):
-        return cochain_add(a, b)
-    return a + b
+def _add_elements(*parts):
+    """The sum of module elements; lazy cochains in one sum node."""
+    if isinstance(parts[0], TableCochain):
+        return cochain_add(*parts)
+    return sum(parts[1:], parts[0])
 
 
-def _zero_element(inst, i):
-    if hasattr(inst, "uea"):
-        return zero_cochain(inst.uea, i)
-    return Multivector(inst.sym, i)
+def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
+    monos = exponents((1,) * len(alg.vars), cap)
+    return [(m, a) for a in range(alg.rank) for m in monos]
 
 
 def nl_ce_apply(el: NLCochainElement, out_cap: int | None = None) -> NLCochainElement:
@@ -384,28 +366,17 @@ def nl_ce_apply(el: NLCochainElement, out_cap: int | None = None) -> NLCochainEl
         m = k + 1 - i
         for largs in itertools.combinations(universe, m):
             elems = [_larg_element(alg, a) for a in largs]
-            total = _zero_element(inst, i)
+            total = inst.zero(i)
             if i <= k:
-                for j in range(m):
-                    rest = elems[:j] + elems[j + 1:]
-                    v = el.evaluate(i, rest)
-                    term = inst.lie(elems[j], v)
-                    total = _add_elements(
-                        inst, total, _scale_element(inst, term, 1 if j % 2 == 0 else -1)
-                    )
-                for j, l in itertools.combinations(range(m), 2):
-                    br = bracket_extend(elems[j], elems[l])
-                    rest = [elems[t] for t in range(m) if t not in (j, l)]
-                    v = el.evaluate(i, [br] + rest)
-                    total = _add_elements(
-                        inst, total, _scale_element(inst, v, 1 if (j + l) % 2 == 0 else -1)
-                    )
+                for sign, term in ce_terms(
+                    elems,
+                    lambda x, rest: inst.lie(x, el.evaluate(i, rest)),
+                    lambda x, y, rest: el.evaluate(i, [bracket_extend(x, y)] + rest),
+                ):
+                    total = _add_elements(total, _scale_element(term, sign))
             if i >= 1:
-                prev = el.evaluate(i - 1, elems)
-                term = inst.d(prev)
-                total = _add_elements(
-                    inst, total, _scale_element(inst, term, 1 if m % 2 == 0 else -1)
-                )
+                term = inst.d(el.evaluate(i - 1, elems))
+                total = _add_elements(total, _scale_element(term, 1 if m % 2 == 0 else -1))
             table[largs] = total
         tables.append(table)
     return NLCochainElement(inst, alg, k + 1, cap, tables)
@@ -431,9 +402,8 @@ def nl_membership(el: NLCochainElement, report: list | None = None) -> bool:
                 if mono_deg > el.cap:
                     continue
                 lhs = _add_elements(
-                    inst,
                     el.evaluate(i, elems[:-1] + [last.scale(r)]),
-                    _scale_element(inst, inst.r_act(r, el.evaluate(i, elems)), -1),
+                    _scale_element(inst.r_act(r, el.evaluate(i, elems)), -1),
                 )
                 rhs = inst.h(r, last, el.evaluate(i + 1, elems[:-1]))
                 if not inst.equal(lhs, rhs):
@@ -448,50 +418,55 @@ def nl_membership(el: NLCochainElement, report: list | None = None) -> bool:
 # -- transport between multivectors and adjoint nonlinear cochains -----------------
 
 
+def _split_entry(D: Multivector, largs: tuple[LArg, ...], i: int) -> Multivector:
+    """D with the generator arguments largs in its first slots, on the i base
+    legs left: the table entry of multivector_to_nl at largs."""
+    P = D.parent
+    for arg in largs:
+        D = D.interior(P.element_symbol(_larg_element(P.alg, arg)))
+    return Multivector(P, i, {legs: c for legs, c in D.terms.items()
+                              if all(u < P.n for u in legs)})
+
+
 def multivector_to_nl(inst: QuasiModuleInstance, D: Multivector, cap: int = 1) -> NLCochainElement:
-    """Split a multivector by how many base-direction legs each value keeps."""
-    P = inst.sym
-    alg = P.alg
-    p = D.degree
-    universe = _largs_universe(alg, cap)
-    tables = []
-    for i in range(p + 1):
-        table = {}
-        for largs in itertools.combinations(universe, p - i):
-            syms = [P.element_symbol(_larg_element(alg, a)) for a in largs]
-            terms = {}
-            for legs in itertools.combinations(range(P.n), i):
-                v = D.evaluate(syms + [P.coordinate(u) for u in legs])
-                if not v.is_zero():
-                    terms[legs] = v
-            table[largs] = Multivector(P, i, terms)
-        tables.append(table)
-    return NLCochainElement(inst, alg, p, cap, tables)
+    """Split a multivector by how many base-direction legs each value keeps;
+    the values live on D's parent."""
+    universe = _largs_universe(D.parent.alg, cap)
+    tables = [
+        {largs: _split_entry(D, largs, i)
+         for largs in itertools.combinations(universe, D.degree - i)}
+        for i in range(D.degree + 1)
+    ]
+    return NLCochainElement(inst, D.parent.alg, D.degree, cap, tables)
 
 
 def nl_to_multivector(el: NLCochainElement) -> Multivector:
-    """Inverse of the splitting, from the pure-generator entries."""
-    P = el.inst.sym
-    alg = el.alg
+    """Inverse of the splitting: rebuild the multivector from the
+    pure-generator entries, then check every entry against it; an entry the
+    multiderivation expansion of its neighbours does not give is rejected."""
     p = el.degree
-    zero_mono = tuple(0 for _ in alg.vars)
+    P = el.tables[p][()].parent  # the parent its entries live on
+    zero_mono = tuple(0 for _ in el.alg.vars)
     terms = {}
     for i in range(p + 1):
         for gens in itertools.combinations(range(P.d), p - i):
-            largs = tuple((zero_mono, a) for a in gens)
-            v = el.tables[i].get(largs)
+            v = el.tables[i].get(tuple((zero_mono, a) for a in gens))
             if v is None:
                 continue
-            for xlegs, c in v.terms.items():
-                full = tuple(sorted(xlegs)) + tuple(P.n + a for a in gens)
-                sign = 1 if (i * (p - i)) % 2 == 0 else -1
-                cur = terms.get(full, Polynomial.zero(P.vars))
-                s = cur + c.scale(sign)
-                if s.is_zero():
-                    terms.pop(full, None)
-                else:
-                    terms[full] = s
-    return Multivector(P, p, terms)
+            # arguments are (generators.., base legs..); sorted coordinate
+            # order puts the base legs first
+            sign = 1 if (i * (p - i)) % 2 == 0 else -1
+            terms.update((xlegs + tuple(P.n + a for a in gens), c.scale(sign))
+                         for xlegs, c in v.terms.items())
+    D = Multivector(P, p, terms)
+    for i, table in enumerate(el.tables):
+        for largs, v in table.items():
+            if v.terms != _split_entry(D, largs, i).terms:
+                raise NonlinearRejection(
+                    f"table entry phi_{i}{largs} is incompatible with the "
+                    "multiderivation expansion of its neighbours"
+                )
+    return D
 
 
 # -- honest-module CE cohomology ------------------------------------------------
@@ -505,9 +480,6 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int,
     action of basis element k; values are polynomials over value_vars.
     """
     d = alg.rank
-
-    if alg.weights is None:
-        raise ValueError("ce_cohomology needs declared weights")
     gen_w = [alg.generator_weight(k) for k in range(d)]
     wbr = alg.bracket_weight()
 
@@ -532,27 +504,24 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int,
 
     def image(key):
         T, exp = key
-        m = len(T)
         table = {T: Polynomial.monomial(value_vars, exp, 1)}
-        for S in itertools.combinations(range(d), m + 1):
+
+        def act(k, rest):
+            v = eval_cochain(table, rest)
+            return lie_images[k](v) if v else None
+
+        def bracketed(a, b, rest):
+            total = None
+            for kk, c in enumerate(alg.structure_vector(a, b)):
+                if c and (v := eval_cochain(table, (kk,) + rest)):
+                    term = _lift_to(value_vars, c) * v
+                    total = term if total is None else total + term
+            return total
+
+        for S in itertools.combinations(range(d), len(T) + 1):
             total = Polynomial.zero(value_vars)
-            for j in range(m + 1):
-                rest = S[:j] + S[j + 1:]
-                v = eval_cochain(table, rest)
-                if not v.is_zero():
-                    term = lie_images[S[j]](v)
-                    total = total + (term if j % 2 == 0 else -term)
-            for j, l in itertools.combinations(range(m + 1), 2):
-                rest = [S[t] for t in range(m + 1) if t not in (j, l)]
-                for kk, c in enumerate(alg.structure_vector(S[j], S[l])):
-                    if c.is_zero():
-                        continue
-                    v = eval_cochain(table, [kk] + rest)
-                    if v.is_zero():
-                        continue
-                    lifted = _lift_to(value_vars, c)
-                    term = lifted * v
-                    total = total + (term if (j + l) % 2 == 0 else -term)
+            for sign, term in ce_terms(S, act, bracketed):
+                total = total + (term if sign == 1 else -term)
             for texp, coeff in total.terms.items():
                 yield (S, texp), coeff
 
@@ -768,16 +737,12 @@ def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCEC
             total = Multivector(P, i)
             if i <= k:
                 # exterior covariant derivative of c_i
-                for j in range(m):
-                    rest = elems[:j] + elems[j + 1:]
-                    v = c.evaluate(i, rest)
-                    term = adj_nabla_b(P, conn, elems[j], v)
-                    total = total + term.scale(1 if j % 2 == 0 else -1)
-                for j, l in itertools.combinations(range(m), 2):
-                    br = bracket_extend(elems[j], elems[l])
-                    rest = [elems[t] for t in range(m) if t not in (j, l)]
-                    v = c.evaluate(i, [br] + rest)
-                    total = total + v.scale(1 if (j + l) % 2 == 0 else -1)
+                for sign, term in ce_terms(
+                    elems,
+                    lambda x, rest: adj_nabla_b(P, conn, x, c.evaluate(i, rest)),
+                    lambda x, y, rest: c.evaluate(i, [bracket_extend(x, y)] + rest),
+                ):
+                    total = total + term.scale(sign)
             if i >= 1:
                 # value differential of the previous column, total-complex sign
                 prev = c.evaluate(i - 1, elems)
@@ -843,27 +808,26 @@ def ce_cohomology_matrix_module(alg: LieRinehartAlgebra,
 
     def image(key):
         T, t = key
-        m = len(T)
         vec = [Fraction(0)] * dim
         vec[t] = Fraction(1)
         table = {T: vec}
-        for S in itertools.combinations(range(d), m + 1):
+
+        def acted(k, rest):
+            v = eval_cochain(table, rest)
+            return act(k, v) if any(v) else None
+
+        def bracketed(a, b, rest):
             out = [Fraction(0)] * dim
-            for j in range(m + 1):
-                v = eval_cochain(table, S[:j] + S[j + 1:])
-                if any(v):
-                    av = act(S[j], v)
-                    sgn = 1 if j % 2 == 0 else -1
-                    out = [o + sgn * a for o, a in zip(out, av)]
-            for j, l in itertools.combinations(range(m + 1), 2):
-                rest = [S[s] for s in range(m + 1) if s not in (j, l)]
-                for kk, c in enumerate(alg.structure_vector(S[j], S[l])):
-                    cv = c.constant_value()
-                    if not cv:
-                        continue
-                    v = eval_cochain(table, [kk] + rest)
-                    sgn = 1 if (j + l) % 2 == 0 else -1
-                    out = [o + sgn * cv * a for o, a in zip(out, v)]
+            for kk, c in enumerate(alg.structure_vector(a, b)):
+                if cv := c.constant_value():
+                    v = eval_cochain(table, (kk,) + rest)
+                    out = [o + cv * x for o, x in zip(out, v)]
+            return out
+
+        for S in itertools.combinations(range(d), len(T) + 1):
+            out = [Fraction(0)] * dim
+            for sgn, term in ce_terms(S, acted, bracketed):
+                out = [o + sgn * x for o, x in zip(out, term)]
             for comp, val in enumerate(out):
                 yield (S, comp), val
 

@@ -390,7 +390,7 @@ def center_search(
 # -- degree-one extensions ------------------------------------------------------
 
 
-class CocycleError(ValueError):
+class CocycleError(Exception):
     pass
 
 
@@ -496,8 +496,3 @@ def _exp_of(gens: list[int], size: int) -> Expo:
     for g in gens:
         exp[g] += 1
     return tuple(exp)
-
-
-def extend_derivation(U: EnvelopingAlgebra, phi0: dict[str, UEAElement],
-                      phi1: dict[str, UEAElement]) -> DerivationExtension:
-    return DerivationExtension(U, phi0, phi1)

@@ -14,7 +14,10 @@ from rinehart.cli import (
     presentation_from_dict,
     serialize,
 )
-from rinehart.lie_rinehart import AxiomReport, check_axioms
+from rinehart.lie_rinehart import CheckReport, check_axioms
+from rinehart.linalg import NotAComplexError
+from rinehart.quasimod import NonlinearRejection
+from rinehart.uea import CocycleError
 
 
 def run_cli(argv):
@@ -210,7 +213,7 @@ def test_broken_complex_exits_one(tmp_path, capsys, monkeypatch, command, detail
     # reported as the command's report with one failed `complex` check.
     # The table commands refuse it at the axiom check first; passing that
     # check here reaches the d o d check behind it.
-    monkeypatch.setattr(cli, "check_axioms", lambda alg: AxiomReport(True, ()))
+    monkeypatch.setattr(cli, "check_axioms", lambda alg: CheckReport(True, ()))
     path = tmp_path / "flipped_sl2.json"
     path.write_text(json.dumps(FLIPPED_SL2))
     code, out = run_cli(["--spec-file", str(path), command])
@@ -298,6 +301,12 @@ def test_euler_element_acting_off_diagonal_fails_the_check(capsys):
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "euler-contraction-splits-weights" and not check["ok"]
     assert check["detail"] == "checked 0; {euler, f} = h is not a multiple of f"
+
+
+def test_mathematical_errors_are_not_usage_errors():
+    # `main` maps ValueError to exit 2, the usage-error code
+    for exc in (CocycleError, NonlinearRejection, NotAComplexError):
+        assert not issubclass(exc, ValueError)
 
 
 def test_euler_element_in_an_unknown_variable_exits_two(capsys):

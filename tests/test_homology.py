@@ -161,7 +161,7 @@ def test_euler_contraction_arrangements(forms, expected_weight):
     alg = presets.arrangement(forms)
     assert alg.weights["D"] == expected_weight
     rep = euler_contraction_check(alg, "E", 4, 4, euler_degree_cap=2)
-    assert rep.ok and rep.checked > 100
+    assert rep.ok and rep.trials > 100
 
 
 def test_euler_contraction_weyl_symplectic():
@@ -172,7 +172,7 @@ def test_euler_contraction_weyl_symplectic():
 def test_euler_contraction_rejects_non_diagonal():
     # a mathematical failure: a failed check with the witness, not an error
     rep = euler_contraction_check(presets.weyl(1), "x^2*e", 2, 1)
-    assert not rep.ok and rep.checked == 0
+    assert not rep.ok and rep.trials == 0
     assert len(rep.failures) == 1 and "not a multiple" in rep.failures[0]
 
 

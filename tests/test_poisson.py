@@ -5,16 +5,14 @@ import pytest
 
 from rinehart import presets
 from rinehart.homology import euler_insertion
-from rinehart.poisson import (
-    Multivector,
-    NonlinearRejection,
-    SymAlgebra,
-    mv_to_nonlinear,
-    nonlinear_to_mv,
-    poisson_cohomology,
-    poisson_differential,
-)
+from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
 from rinehart.poly import Polynomial, perm_sign
+from rinehart.quasimod import (
+    NonlinearRejection,
+    adjoint_instance,
+    multivector_to_nl,
+    nl_to_multivector,
+)
 
 
 def rand_mv(rng, P, k, max_deg=2):
@@ -152,32 +150,34 @@ def test_cohomology_requires_positive_weights():
 def test_nonlinear_tables_read_values():
     P = SymAlgebra(presets.weyl(1))
     D = Multivector(P, 1, {(1,): Polynomial.const(P.vars, 1)})  # d/d(e)
-    t = mv_to_nonlinear(D, cap=1)
+    el = multivector_to_nl(adjoint_instance(P.alg), D, cap=1)
     zero_mono = (0,)
-    assert t.value(0, ((zero_mono, 0),), ()) == Polynomial.const(P.vars, 1)
-    assert t.value(1, (), (0,)).is_zero()
+    assert el.tables[0][((zero_mono, 0),)].coefficient(()) == Polynomial.const(P.vars, 1)
+    assert el.tables[1][()].is_zero()
 
 
 @pytest.mark.parametrize("name,maker", ALGEBRAS[:4])
 def test_nonlinear_round_trip(name, maker):
     P = SymAlgebra(maker())
+    inst = adjoint_instance(P.alg)
     rng = random.Random(13)
     for k in range(0, min(3, P.N)):
         D = rand_mv(rng, P, k)
-        assert nonlinear_to_mv(mv_to_nonlinear(D, cap=1)) == D
+        assert nl_to_multivector(multivector_to_nl(inst, D, cap=1)) == D
 
 
 def test_nonlinear_rejects_perturbed_entry():
     P = SymAlgebra(presets.semidirect_sl2())
     rng = random.Random(17)
     D = rand_mv(rng, P, 2)
-    t = mv_to_nonlinear(D, cap=1)
-    for table in t.tables:
-        for (largs, rargs) in list(table):
+    el = multivector_to_nl(adjoint_instance(P.alg), D, cap=1)
+    for i, table in enumerate(el.tables):
+        for largs, v in table.items():
             if any(sum(m) > 0 for m, _ in largs):
-                table[(largs, rargs)] = table[(largs, rargs)] + Polynomial.const(P.vars, 1)
+                legs = tuple(range(i))  # the first i base legs
+                table[largs] = v + Multivector(P, i, {legs: Polynomial.const(P.vars, 1)})
                 with pytest.raises(NonlinearRejection):
-                    nonlinear_to_mv(t)
+                    nl_to_multivector(el)
                 return
     pytest.fail("no coefficient-bearing entry found to perturb")
 

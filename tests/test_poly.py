@@ -9,6 +9,7 @@ from rinehart.poly import (
     PolyDerivation,
     PolyParseError,
     VariableMismatch,
+    ce_terms,
     exponents,
     insert_leg,
     parse_poly,
@@ -200,6 +201,26 @@ def test_insert_leg_matches_the_sign_of_sorting_the_wedge():
                 assert sign == expected
                 if sign:
                     assert new == ordered
+
+
+
+def test_ce_terms_is_the_signed_chevalley_eilenberg_sum():
+    # docs/signs.md, one-based: (-1)^(i+1) on the actions, (-1)^(i+j) on the
+    # brackets; a flip of either sign changes this list
+    terms = list(ce_terms(
+        ("a", "b", "c", "d"),
+        lambda x, rest: ("act", x, "".join(rest)),
+        lambda x, y, rest: ("br", x + y, "".join(rest)),
+    ))
+    assert terms == [
+        (1, ("act", "a", "bcd")), (-1, ("act", "b", "acd")),
+        (1, ("act", "c", "abd")), (-1, ("act", "d", "abc")),
+        (-1, ("br", "ab", "cd")), (1, ("br", "ac", "bd")), (-1, ("br", "ad", "bc")),
+        (-1, ("br", "bc", "ad")), (1, ("br", "bd", "ac")), (-1, ("br", "cd", "ab")),
+    ]
+    # a None term is skipped, lists slice like tuples
+    assert list(ce_terms(["a", "b"], lambda x, rest: None, lambda x, y, rest: rest)) == [
+        (-1, [])]
 
 
 # -- coefficients: int when integral, Fraction otherwise ---------------------

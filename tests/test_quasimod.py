@@ -24,7 +24,6 @@ from rinehart.quasimod import (
     nl_to_multivector,
     nonlinear_to_linear,
     quasi_axiom_check,
-    _zero_element,
 )
 
 ALGEBRAS = [
@@ -65,8 +64,8 @@ def nl_equal_on_basis(a, b, alg):
     for i in range(a.degree + 1):
         for gens in itertools.combinations(range(alg.rank), a.degree - i):
             largs = tuple((zero_mono, g) for g in gens)
-            va = a.tables[i].get(largs) or _zero_element(a.inst, i)
-            vb = b.tables[i].get(largs) or _zero_element(b.inst, i)
+            va = a.tables[i].get(largs) or a.inst.zero(i)
+            vb = b.tables[i].get(largs) or b.inst.zero(i)
             if not a.inst.equal(va, vb):
                 return False
     return True
@@ -175,7 +174,7 @@ def test_nl_ce_apply_squares_to_zero():
         twice = nl_ce_apply(nl_ce_apply(el, out_cap=2), out_cap=1)
         for i, table in enumerate(twice.tables):
             for v in table.values():
-                assert inst.equal(v, _zero_element(inst, i))
+                assert inst.equal(v, inst.zero(i))
 
 
 def test_membership_rejects_tampered_table():
@@ -261,7 +260,7 @@ def test_linear_to_nonlinear_zero_is_zero():
     el = linear_to_nonlinear(LinearCECochain(inst, alg, 1, tables), Connection(alg), cap=2)
     for i, table in enumerate(el.tables):
         for v in table.values():
-            assert inst.equal(v, _zero_element(inst, i))
+            assert inst.equal(v, inst.zero(i))
 
 
 @pytest.mark.parametrize("name,maker", [("weyl1", lambda: presets.weyl(1)),

@@ -8,10 +8,10 @@ from rinehart.lie_rinehart import Connection
 from rinehart.poly import Polynomial, parse_poly
 from rinehart.uea import (
     CocycleError,
+    DerivationExtension,
     EnvelopingAlgebra,
     PBWMap,
     center_search,
-    extend_derivation,
 )
 
 
@@ -203,7 +203,7 @@ def test_extend_derivation_inner():
     U = EnvelopingAlgebra(presets.weyl(1))
     e, x = U.generator(0), U.scalar("x")
     u0 = x * e + e * e
-    D = extend_derivation(U, {"x": u0.commutator(x)}, {"e": u0.commutator(e)})
+    D = DerivationExtension(U, {"x": u0.commutator(x)}, {"e": u0.commutator(e)})
     rng = random.Random(19)
     for _ in range(8):
         a = rand_uea(rng, U)
@@ -213,7 +213,7 @@ def test_extend_derivation_inner():
 def test_extend_derivation_lowering():
     U = EnvelopingAlgebra(presets.weyl(1))
     e, x = U.generator(0), U.scalar("x")
-    D = extend_derivation(U, {}, {"e": U.one()})
+    D = DerivationExtension(U, {}, {"e": U.one()})
     assert D(x * e * e) == (x * e).scale(2)
     rng = random.Random(23)
     for _ in range(8):
@@ -224,7 +224,7 @@ def test_extend_derivation_lowering():
 def test_extend_derivation_rejects_bad_pair():
     U = EnvelopingAlgebra(presets.lie("sl2"))
     with pytest.raises(CocycleError, match="module cocycle"):
-        extend_derivation(U, {}, {"e": U.generator(1)})
+        DerivationExtension(U, {}, {"e": U.generator(1)})
 
 
 def test_commutator_symbol_is_the_poisson_bracket():
