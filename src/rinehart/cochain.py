@@ -1,9 +1,10 @@
 """Cochains on the base ring with enveloping-algebra values.
 
 C^q(R, U) is infinite dimensional, but every identity we verify is pointwise,
-so a cochain is just a kernel evaluable on q-tuples of ring monomials plus a
-degree cap; polynomial arguments expand multilinearly.  Table-backed cochains
-raise CapExceededError instead of silently truncating.
+so a cochain is just a kernel evaluable on q-tuples of ring monomials;
+polynomial arguments expand multilinearly.  Table-backed cochains have a
+degree cap and raise CapExceededError beyond it instead of silently
+truncating.
 
 Operators compose cochains lazily, so one inner value is asked for many times
 (once per term of b, L_X, h and the cup products that reach it).  Kernels are
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LElement
-from .poly import Polynomial, PolyDerivation, exponents
+from .poly import Polynomial, PolyDerivation, exponents, multilinear_terms
 from .uea import EnvelopingAlgebra, UEAElement
 
 Mono = tuple[int, ...]
@@ -31,18 +32,15 @@ class TableCochain:
     Kernel values are memoized per argument tuple for the life of the cochain;
     an error, such as CapExceededError, is raised again on every call."""
 
-    def __init__(self, U: EnvelopingAlgebra, arity: int, kernel, cap: int | None = None,
-                 label: str = ""):
+    def __init__(self, U: EnvelopingAlgebra, arity: int, kernel):
         self.U = U
         self.arity = arity
         self.kernel = kernel
-        self.cap = cap
-        self.label = label
         self._values: dict[tuple[Mono, ...], UEAElement] = {}
 
     @classmethod
     def constant(cls, U: EnvelopingAlgebra, value: UEAElement) -> "TableCochain":
-        return cls(U, 0, lambda exps: value, cap=None, label="const")
+        return cls(U, 0, lambda exps: value)
 
     @classmethod
     def from_table(cls, U: EnvelopingAlgebra, arity: int,
@@ -54,7 +52,7 @@ class TableCochain:
                 )
             return table.get(exps, U.zero())
 
-        return cls(U, arity, kernel, cap=cap, label="table")
+        return cls(U, arity, kernel)
 
     def eval_monos(self, exps: tuple[Mono, ...]) -> UEAElement:
         value = self._values.get(exps)
@@ -69,11 +67,7 @@ class TableCochain:
         if len(args) != self.arity:
             raise ValueError(f"arity {self.arity} cochain got {len(args)} arguments")
         out = self.U.zero()
-        for combo in itertools.product(*(list(a.terms.items()) for a in args)):
-            exps = tuple(t[0] for t in combo)
-            coeff = 1
-            for t in combo:
-                coeff *= t[1]
+        for exps, coeff in multilinear_terms([a.terms.items() for a in args]):
             out = out + self.eval_monos(exps).scale(coeff)
         return out
 
@@ -122,16 +116,12 @@ def hochschild_b(phi: TableCochain) -> TableCochain:
         out = out + (last if q % 2 == 1 else -last)
         return out
 
-    return TableCochain(U, q + 1, kernel, cap=phi.cap, label=f"b({phi.label})")
+    return TableCochain(U, q + 1, kernel)
 
 
 def r_action(f: Polynomial, phi: TableCochain) -> TableCochain:
     U = phi.U
-    return TableCochain(
-        U, phi.arity,
-        lambda exps: U.scalar(f) * phi.eval_monos(exps),
-        cap=phi.cap, label=f"r.{phi.label}",
-    )
+    return TableCochain(U, phi.arity, lambda exps: U.scalar(f) * phi.eval_monos(exps))
 
 
 def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
@@ -154,7 +144,7 @@ def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
             out = out - phi(*args)
         return out
 
-    return TableCochain(U, q, kernel, cap=phi.cap, label=f"L({phi.label})")
+    return TableCochain(U, q, kernel)
 
 
 def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
@@ -190,7 +180,7 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
                 out = out + (term if i % 2 == 1 else -term)
         return out
 
-    return TableCochain(U, q - 1, kernel, cap=phi.cap, label=f"h({phi.label})")
+    return TableCochain(U, q - 1, kernel)
 
 
 def cup_derivation(D: PolyDerivation, phi: TableCochain) -> TableCochain:
@@ -204,7 +194,7 @@ def cup_derivation(D: PolyDerivation, phi: TableCochain) -> TableCochain:
             return U.zero()
         return U.scalar(head) * phi.eval_monos(exps[1:])
 
-    return TableCochain(U, phi.arity + 1, kernel, cap=phi.cap, label=f"cup({phi.label})")
+    return TableCochain(U, phi.arity + 1, kernel)
 
 
 def add(*cochains: TableCochain) -> TableCochain:
@@ -218,15 +208,12 @@ def add(*cochains: TableCochain) -> TableCochain:
             out = out + c.eval_monos(exps)
         return out
 
-    return TableCochain(U, arity, kernel, label="sum")
+    return TableCochain(U, arity, kernel)
 
 
 def scale(c, phi: TableCochain) -> TableCochain:
-    return TableCochain(
-        phi.U, phi.arity, lambda exps: phi.eval_monos(exps).scale(c),
-        cap=phi.cap, label=f"scale.{phi.label}",
-    )
+    return TableCochain(phi.U, phi.arity, lambda exps: phi.eval_monos(exps).scale(c))
 
 
 def zero_cochain(U: EnvelopingAlgebra, arity: int) -> TableCochain:
-    return TableCochain(U, arity, lambda exps: U.zero(), label="0")
+    return TableCochain(U, arity, lambda exps: U.zero())

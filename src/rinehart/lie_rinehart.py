@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, PolyDerivation, ce_terms, parse_poly, perm_sign, sort_with_sign
+from .poly import (Polynomial, PolyDerivation, ce_terms, multilinear_terms, parse_poly,
+                   perm_sign, sort_with_sign)
 
 
 class PresentationError(ValueError):
@@ -440,16 +441,9 @@ class _AdCochain:
 
     def evaluate(self, args: list[LElement]):
         """Multilinear extension to arbitrary module elements."""
-        alg = self.alg
         out = self.zero_value()
-        for idx in itertools.product(range(alg.rank), repeat=self.degree):
-            coeff = Polynomial.const(alg.vars, 1)
-            for arg, a in zip(args, idx):
-                coeff = coeff * arg.coeffs[a]
-                if coeff.is_zero():
-                    break
-            if coeff.is_zero():
-                continue
+        factors = [[(a, f) for a, f in enumerate(arg.coeffs) if f] for arg in args]
+        for idx, coeff in multilinear_terms(factors, Polynomial.const(self.alg.vars, 1)):
             base = self.value_on_basis(idx)
             if self.kind == "l":
                 out = out + base.scale(coeff)

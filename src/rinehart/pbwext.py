@@ -1,6 +1,6 @@
 """The extended symbol-to-operator lift: eta tensors, the leg-lowering maps,
-the recursive lift into ring cochains, the homotopy tower above it, and the
-antisymmetrized morphism assembled from the tower.
+the homotopy tower of maps into ring cochains (level 0 is the recursive
+lift), and the antisymmetrized morphism assembled from the tower.
 
 Everything here is verified pointwise: the maps are evaluated on concrete
 adjoint elements and monomial argument tuples, never stored as matrices.
@@ -13,20 +13,20 @@ import random
 from .cochain import TableCochain, hochschild_b, homotopy, lie_action, monomial_tuples
 from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial, PolyDerivation, ce_terms, insert_leg, perm_sign
-from .quasimod import NLCochainElement, adj_delta, adj_lie, adj_nabla_b, _larg_element
+from .poly import Polynomial, PolyDerivation, ce_terms, insert_leg, multilinear_terms, perm_sign
+from .quasimod import (NLCochainElement, _larg_element, _larg_terms, adj_delta, adj_lie,
+                       adj_nabla_b, replace_legs_and_factors)
 from .uea import EnvelopingAlgebra, UEAElement
 
 
 class EtaContext:
-    """Presentation, connection and the memo caches of the recursive maps."""
+    """Presentation, connection and the memo cache of the tower maps."""
 
     def __init__(self, alg: LieRinehartAlgebra, conn: Connection | None = None):
         self.alg = alg
         self.conn = conn if conn is not None else Connection(alg)
         self.U = EnvelopingAlgebra(alg)
         self.P = SymAlgebra(alg)
-        self._lift_cache: dict = {}
         self._tower_cache: dict = {}
 
     # -- the three eta tensors ------------------------------------------
@@ -54,39 +54,6 @@ class EtaContext:
             - c.basic_l(bracket_extend(Y, X), Z)
             - c.basic_l(X, bracket_extend(Y, Z))
         )
-
-
-# -- coordinate-level leg/factor replacement ----------------------------------
-
-
-def replace_legs_and_factors(ctx: EtaContext, v: Multivector, leg_map, factor_map) -> Multivector:
-    """Derivation-style operator: replace one leg (by a derivation) or one
-    symbol factor (by a module element) at a time, coefficients untouched."""
-    P = ctx.P
-    alg = ctx.alg
-    out = Multivector(P, v.degree)
-    for legs, c in v.terms.items():
-        for t, u in enumerate(legs):
-            image = leg_map(u)
-            if image is None or image.is_zero():
-                continue
-            rest = legs[:t] + legs[t + 1:]
-            for w, im in enumerate(image.images):
-                new, sign = insert_leg(rest, w)
-                if im.is_zero() or not sign:
-                    continue
-                out = out + Multivector(
-                    P, v.degree, {new: (P.lift(im) * c).scale(sign * (-1) ** t)}
-                )
-        for a in range(P.d):
-            image = factor_map(a)
-            if image is None or image.is_zero():
-                continue
-            dc = c.partial(P.n + a)
-            if dc.is_zero():
-                continue
-            out = out + Multivector(P, v.degree, {legs: dc * P.element_symbol(image)})
-    return out
 
 
 def f_map(ctx: EtaContext, Y: LElement, v: Multivector) -> Multivector:
@@ -139,52 +106,6 @@ def _decompose(ctx: EtaContext, v: Multivector):
     return out
 
 
-def extended_lift_eval(ctx: EtaContext, v: Multivector, args: tuple) -> UEAElement:
-    """Evaluate the recursive lift of an adjoint element on monomial arguments."""
-    total = ctx.U.zero()
-    for coeff, Ds, Xs, scalar in _decompose(ctx, v):
-        if scalar is not None:
-            if len(args) != 0:
-                raise ValueError("scalar part takes no arguments")
-            total = total + ctx.U.scalar(scalar).scale(coeff)
-            continue
-        total = total + _lift_term(ctx, Ds, Xs, args).scale(coeff)
-    return total
-
-
-def _lift_term(ctx: EtaContext, Ds: tuple, Xs: tuple, args: tuple) -> UEAElement:
-    if len(args) != len(Ds):
-        raise ValueError(f"{len(Ds)} derivation slots but {len(args)} arguments")
-    key = (Ds, Xs, args)
-    cached = ctx._lift_cache.get(key)
-    if cached is not None:
-        return cached
-    U, alg = ctx.U, ctx.alg
-    if not Ds and not Xs:
-        result = U.one()
-    else:
-        result = U.zero()
-        mono = (
-            Polynomial.monomial(alg.vars, args[0], 1) if args else None
-        )
-        for i, D in enumerate(Ds):
-            rest = Ds[:i] + Ds[i + 1:]
-            head = D(mono)
-            if head.is_zero():
-                continue
-            sign = 1 if i % 2 == 0 else -1
-            result = result + (
-                U.scalar(head) * _lift_term(ctx, rest, Xs, args[1:])
-            ).scale(sign)
-        for j, X in enumerate(Xs):
-            rest = Xs[:j] + Xs[j + 1:]
-            result = result + U.include(X) * _lift_term(ctx, Ds, rest, args)
-            for piece_Ds, piece_Xs, piece_coeff in _nabla_b_decomposed(ctx, X, Ds, rest):
-                result = result - _lift_term(ctx, piece_Ds, piece_Xs, args).scale(piece_coeff)
-    ctx._lift_cache[key] = result
-    return result
-
-
 def _nabla_b_decomposed(ctx: EtaContext, X: LElement, Ds: tuple, Xs: tuple):
     """The induced connection along X of a decomposable, again decomposed."""
     conn = ctx.conn
@@ -200,20 +121,15 @@ def _nabla_b_decomposed(ctx: EtaContext, X: LElement, Ds: tuple, Xs: tuple):
     return out
 
 
-def extended_lift(ctx: EtaContext, v: Multivector) -> TableCochain:
-    p = v.degree
-    return TableCochain(
-        ctx.U, p, lambda exps: extended_lift_eval(ctx, v, exps), label="lift"
-    )
-
-
 def tower_eval(ctx: EtaContext, Ys: tuple, v: Multivector, args: tuple) -> UEAElement:
-    """Evaluate the tower map for the ordered module tuple Ys."""
+    """Evaluate the tower map for the ordered module tuple Ys; with Ys = ()
+    this is the extended lift."""
     total = ctx.U.zero()
-    n = len(Ys)
     for coeff, Ds, Xs, scalar in _decompose(ctx, v):
         if scalar is not None:
-            if n == 0:
+            if not Ys:
+                if args:
+                    raise ValueError("scalar part takes no arguments")
                 total = total + ctx.U.scalar(scalar).scale(coeff)
             continue
         total = total + _tower_term(ctx, Ys, Ds, Xs, args).scale(coeff)
@@ -223,13 +139,13 @@ def tower_eval(ctx: EtaContext, Ys: tuple, v: Multivector, args: tuple) -> UEAEl
 def _tower_term(ctx: EtaContext, Ys: tuple, Ds: tuple, Xs: tuple, args: tuple) -> UEAElement:
     n = len(Ys)
     U, alg = ctx.U, ctx.alg
-    if n == 0:
-        return _lift_term(ctx, Ds, Xs, args)
     p = len(Ds)
     if p - n < 0:
         return U.zero()
     if len(args) != p - n:
         raise ValueError(f"tower map into arity {p - n} got {len(args)} arguments")
+    if not (Ys or Ds or Xs):
+        return U.one()
     key = (Ys, Ds, Xs, args)
     cached = ctx._tower_cache.get(key)
     if cached is not None:
@@ -282,13 +198,7 @@ def _f_decomposed(ctx: EtaContext, Y: LElement, Ds: tuple, Xs: tuple):
 def tower_map(ctx: EtaContext, Ys: tuple, v: Multivector) -> TableCochain:
     # arity may be negative, in which case the map is the formal zero and the
     # arity-raising differential restores degree zero
-    p = v.degree
-    n = len(Ys)
-    return TableCochain(
-        ctx.U, p - n,
-        lambda exps: tower_eval(ctx, Ys, v, exps),
-        label=f"tower{n}",
-    )
+    return TableCochain(ctx.U, v.degree - len(Ys), lambda exps: tower_eval(ctx, Ys, v, exps))
 
 
 # -- verification reports ------------------------------------------------------
@@ -390,7 +300,7 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
             P, ctx.conn, Y2, adj_lie(P, Y1, v)
         )
         rhs = adj_nabla_b(P, ctx.conn, bracket_extend(Y1, Y2), v) + replace_legs_and_factors(
-            ctx, v,
+            P, v,
             lambda u: ctx.eta_der(Y1, Y2, alg.coordinate_field(alg.vars[u])),
             lambda a: ctx.eta_l(Y1, Y2, alg.basis_element(a)),
         )
@@ -469,8 +379,8 @@ def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
         q = rng.randint(0, q_max)
         v = _random_adjoint_term(rng, P, p, q)
         args = _random_args(rng, P.n, p + 1, arg_deg)
-        lhs = extended_lift_eval(ctx, adj_delta(P, v), args)
-        rhs = hochschild_b(extended_lift(ctx, v)).eval_monos(args)
+        lhs = tower_eval(ctx, (), adj_delta(P, v), args)
+        rhs = hochschild_b(tower_map(ctx, (), v)).eval_monos(args)
         if not (lhs + rhs).is_zero():
             failures.append(f"chain relation fails at (p,q)=({p},{q}), args {args}")
             return CheckReport(False, tuple(failures), checked)
@@ -622,23 +532,10 @@ def _morphism_multilinear(ctx: EtaContext, el: NLCochainElement, m: int,
                           Ys: tuple, args: tuple) -> UEAElement:
     """Expand module arguments with polynomial coefficients multilinearly over
     the constants (the morphism components are only constants-linear)."""
-    U = ctx.U
-    alg = ctx.alg
-    total = U.zero()
-    expansions = []
-    for Y in Ys:
-        pieces = []
-        for a, f in enumerate(Y.coeffs):
-            for exp, cc in f.terms.items():
-                pieces.append((exp, a, cc))
-        expansions.append(pieces)
-    for combo in itertools.product(*expansions):
-        coeff = 1
-        elems = []
-        for exp, a, cc in combo:
-            coeff *= cc
-            elems.append(_larg_element(alg, (exp, a)))
-        total = total + morphism_component(ctx, el, m, tuple(elems), args).scale(coeff)
+    total = ctx.U.zero()
+    for largs, coeff in multilinear_terms([_larg_terms(Y) for Y in Ys]):
+        elems = tuple(_larg_element(ctx.alg, arg) for arg in largs)
+        total = total + morphism_component(ctx, el, m, elems, args).scale(coeff)
     return total
 
 

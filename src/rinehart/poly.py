@@ -371,6 +371,18 @@ def ce_terms(args, act, bracketed):
             yield (-1 if (j + l) % 2 else 1), term
 
 
+def multilinear_terms(factors, one=1):
+    """The terms of a multilinear expansion: for each choice of one (key,
+    coefficient) pair per factor, the tuple of keys in factor order and the
+    product of the coefficients.  The product starts from one, so no factors
+    give the single term ((), one) in the caller's coefficient type."""
+    for combo in itertools.product(*factors):
+        coeff = one
+        for _, c in combo:
+            coeff = coeff * c
+        yield tuple(key for key, _ in combo), coeff
+
+
 def exponents(weights, budget: int, exact: bool = False,
               cap: int | None = None) -> list[Exponent]:
     """Exponent tuples e with sum(e_i * weights_i) <= budget (== budget when

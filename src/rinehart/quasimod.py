@@ -30,7 +30,7 @@ from .cochain import (
 from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .linalg import ComplexSlice, assemble, cohomology_dims
 from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial, ce_terms, exponents, insert_leg, sort_with_sign
+from .poly import Polynomial, ce_terms, exponents, insert_leg, multilinear_terms, sort_with_sign
 from .uea import EnvelopingAlgebra
 
 LArg = tuple[tuple[int, ...], int]  # (ring monomial exponent, generator index)
@@ -84,55 +84,51 @@ def adj_lie(P: SymAlgebra, X: LElement, v: Multivector) -> Multivector:
 
 def adj_h(P: SymAlgebra, r: Polynomial, X: LElement, v: Multivector) -> Multivector:
     """Leg-lowering homotopy: contract a leg with dr and multiply by X."""
-    xsym = P.element_symbol(X)
-    rl = P.lift(r)
-    out = Multivector(P, max(v.degree - 1, 0))
-    for legs, c in v.terms.items():
-        for t, u in enumerate(legs):
-            dr = rl.partial(u)
-            if dr.is_zero():
-                continue
-            rest = legs[:t] + legs[t + 1:]
-            sign = 1 if t % 2 == 0 else -1
-            out = out + Multivector(P, v.degree - 1, {rest: (dr * c * xsym).scale(sign)})
-    return out
+    return v.interior(P.lift(r)).scale(P.element_symbol(X))
 
 
 def adj_r_action(P: SymAlgebra, r: Polynomial, v: Multivector) -> Multivector:
     return v.scale(P.lift(r))
 
 
-def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) -> Multivector:
-    """The induced connection along X on legs and coefficients."""
-    alg = P.alg
+def replace_legs_and_factors(P: SymAlgebra, v: Multivector, leg_map, factor_map) -> Multivector:
+    """Derivation-style operator: replace one leg u by the derivation
+    leg_map(u), or one symbol factor a by the symbol of the module element
+    factor_map(a), one at a time, coefficients untouched."""
+    leg_images = {u: leg_map(u) for u in {u for legs in v.terms for u in legs}}
+    factor_symbols = [P.element_symbol(factor_map(a)) for a in range(P.d)]
     out = Multivector(P, v.degree)
-    # derivation on the coefficient: anchor on base variables, induced
-    # connection on symbol variables
-    rho = X.anchor_derivation()
-    gen_images = [
-        P.element_symbol(conn.basic_l(X, alg.basis_element(a))) for a in range(P.d)
-    ]
     for legs, c in v.terms.items():
-        deriv = Polynomial.zero(P.vars)
-        for u in range(P.n):
-            if not rho.images[u].is_zero():
-                deriv = deriv + c.partial(u) * P.lift(rho.images[u])
-        for a in range(P.d):
-            if not gen_images[a].is_zero():
-                deriv = deriv + c.partial(P.n + a) * gen_images[a]
-        if not deriv.is_zero():
-            out = out + Multivector(P, v.degree, {legs: deriv})
         for t, u in enumerate(legs):
-            img = conn.basic_der(X, alg.coordinate_field(alg.vars[u]))
+            image = leg_images[u]
             rest = legs[:t] + legs[t + 1:]
-            for w, im in enumerate(img.images):
+            for w, im in enumerate(image.images):
                 new, sign = insert_leg(rest, w)
                 if im.is_zero() or not sign:
                     continue
                 out = out + Multivector(
                     P, v.degree, {new: (P.lift(im) * c).scale(sign * (-1) ** t)}
                 )
+        for a, sym in enumerate(factor_symbols):
+            if sym and (dc := c.partial(P.n + a)):
+                out = out + Multivector(P, v.degree, {legs: dc * sym})
     return out
+
+
+def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) -> Multivector:
+    """The induced connection along X: the anchor on the base variables of
+    each coefficient, the connection on its legs and symbol factors."""
+    alg = P.alg
+    lifted = [P.lift(im) for im in X.anchor_derivation().images]
+    anchored = Multivector.summed(P, v.degree, (
+        (legs, c.partial(u) * im)
+        for legs, c in v.terms.items() for u, im in enumerate(lifted) if im
+    ))
+    return anchored + replace_legs_and_factors(
+        P, v,
+        lambda u: conn.basic_der(X, alg.coordinate_field(alg.vars[u])),
+        lambda a: conn.basic_l(X, alg.basis_element(a)),
+    )
 
 
 # -- instances ------------------------------------------------------------------
@@ -290,6 +286,11 @@ def _larg_element(alg: LieRinehartAlgebra, arg: LArg) -> LElement:
     return LElement(alg, tuple(coeffs))
 
 
+def _larg_terms(Y: LElement) -> list[tuple[LArg, int | Fraction]]:
+    """Y as (monomial argument, constant coefficient) pairs."""
+    return [((exp, a), c) for a, f in enumerate(Y.coeffs) for exp, c in f.terms.items()]
+
+
 class NLCochainElement:
     """Tuple (phi_0.., phi_k): phi_i takes (k-i) module-generator arguments of
     the shape monomial*basis and returns a module element of degree i.
@@ -313,14 +314,7 @@ class NLCochainElement:
     def evaluate(self, i: int, args: list[LElement]):
         """Multilinear (over the constants) evaluation of phi_i."""
         out = None
-        for combo in itertools.product(
-            *[[(exp, a, c) for a, f in enumerate(arg.coeffs) for exp, c in f.terms.items()]
-              for arg in args]
-        ):
-            largs = tuple((exp, a) for exp, a, _ in combo)
-            coeff = 1
-            for _, _, c in combo:
-                coeff *= c
+        for largs, coeff in multilinear_terms([_larg_terms(arg) for arg in args]):
             sorted_largs, sign = sort_with_sign(largs, key=lambda a: (a[1], a[0]))
             if not sign:
                 continue
@@ -606,19 +600,12 @@ class LinearCECochain:
     def evaluate(self, i: int, args: list[LElement]) -> Multivector:
         P = self.inst.sym
         out = Multivector(P, i)
-        for idx in itertools.product(range(self.alg.rank), repeat=len(args)):
+        factors = [[(a, f) for a, f in enumerate(arg.coeffs) if f] for arg in args]
+        for idx, coeff in multilinear_terms(factors, Polynomial.const(self.alg.vars, 1)):
             key, sign = sort_with_sign(idx)
             v = self.tables[i].get(key) if sign else None
-            if v is None:
-                continue
-            coeff = Polynomial.const(self.alg.vars, 1)
-            for arg, a in zip(args, idx):
-                coeff = coeff * arg.coeffs[a]
-                if coeff.is_zero():
-                    break
-            if coeff.is_zero():
-                continue
-            out = out + v.scale(P.lift(coeff)).scale(sign)
+            if v is not None:
+                out = out + v.scale(P.lift(coeff)).scale(sign)
         return out
 
 

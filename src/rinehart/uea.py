@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
+from .poisson import SymAlgebra
 from .poly import Polynomial, exponents
 
 Expo = tuple[int, ...]
@@ -190,16 +191,10 @@ class UEAElement:
 
     def gr_symbol(self) -> Polynomial:
         """Top filtration part, generators replaced by commuting symbols."""
-        U = self.parent
-        nvars = len(U.alg.vars)
         top = self.filtration_degree()
-        out = Polynomial.zero(U.sym_vars)
-        for e, c in self.terms.items():
-            if sum(e) != top:
-                continue
-            for exp, coeff in c.terms.items():
-                out = out + Polynomial.monomial(U.sym_vars, exp + e, coeff)
-        return out
+        return UEAElement._of(
+            self.parent, {e: c for e, c in self.terms.items() if sum(e) == top}
+        ).full_symbol()
 
     def full_symbol(self) -> Polynomial:
         """All of the element as a polynomial in commuting symbols."""
@@ -242,48 +237,21 @@ class PBWMap:
     def __init__(self, U: EnvelopingAlgebra, conn: Connection | None = None):
         self.U = U
         self.alg = U.alg
+        self.P = SymAlgebra(U.alg)
         self.conn = conn if conn is not None else Connection(U.alg)
         self._cache: dict[Expo, UEAElement] = {}
 
-    def element_to_sym(self, x: LElement) -> Polynomial:
-        sym_vars = self.U.sym_vars
-        n = len(self.alg.vars)
-        out = Polynomial.zero(sym_vars)
-        for k, f in enumerate(x.coeffs):
-            for exp, c in f.terms.items():
-                e = list(exp) + [0] * self.alg.rank
-                e[n + k] += 1
-                out = out + Polynomial.monomial(sym_vars, tuple(e), c)
-        return out
-
-    def connection_derivation(self, X: LElement):
-        """nabla^L_X acting on symbols as a derivation (anchor on the base)."""
-        alg = self.alg
-        images = [X.anchor_derivation().images[u] for u in range(len(alg.vars))]
-        gen_images = [
-            self.element_to_sym(self.conn.basic_l(X, alg.basis_element(a)))
-            for a in range(alg.rank)
-        ]
-        return images, gen_images
-
     def _apply_connection(self, X: LElement, sym: Polynomial) -> Polynomial:
-        images, gen_images = self.connection_derivation(X)
-        sym_vars = self.U.sym_vars
-        n = len(self.alg.vars)
-        out = Polynomial.zero(sym_vars)
-        for u, im in enumerate(images):
-            if im.is_zero():
-                continue
-            lifted = Polynomial.zero(sym_vars)
-            for exp, c in im.terms.items():
-                lifted = lifted + Polynomial.monomial(
-                    sym_vars, tuple(exp) + (0,) * self.alg.rank, c
-                )
-            out = out + sym.partial(u) * lifted
-        for a, im in enumerate(gen_images):
-            if im.is_zero():
-                continue
-            out = out + sym.partial(n + a) * im
+        """nabla^L_X on symbols as a derivation: the anchor on the base
+        variables, the induced connection on the generator symbols."""
+        P, alg = self.P, self.alg
+        images = [P.lift(im) for im in X.anchor_derivation().images] + [
+            P.element_symbol(self.conn.basic_l(X, alg.basis_element(a))) for a in range(P.d)
+        ]
+        out = Polynomial.zero(P.vars)
+        for k, im in enumerate(images):
+            if not im.is_zero():
+                out = out + sym.partial(k) * im
         return out
 
     def __call__(self, sym: Polynomial) -> UEAElement:
@@ -322,16 +290,12 @@ class PBWMap:
         out = self.U.zero()
         for i, X in enumerate(factors):
             rest = factors[:i] + factors[i + 1:]
-            rest_sym = Polynomial.const(self.U.sym_vars, 1)
+            rest_sym = Polynomial.const(self.P.vars, 1)
             for Y in rest:
-                rest_sym = rest_sym * self.element_to_sym(Y)
+                rest_sym = rest_sym * self.P.element_symbol(Y)
             out = out + self.U.include(X) * self(rest_sym)
             out = out - self(self._apply_connection(X, rest_sym))
         return out.scale(Fraction(1, k))
-
-
-def pbw(U: EnvelopingAlgebra, sym: Polynomial, conn: Connection | None = None) -> UEAElement:
-    return PBWMap(U, conn)(sym)
 
 
 # -- center search ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Every top-level function and non-dunder method of the library is used.
 
 A name counts as used when it occurs in `src/`, `tests/` or `bench/` as a
-name, an attribute, an imported name or an identifier string (the bench wraps
-functions by their names as strings).  A `def` line is none of these.
+name, an attribute or an imported name, or in `bench/` as an identifier
+string (the bench wraps functions by their names as strings; elsewhere a
+string such as a CLI argument is not a use).  A `def` line is none of these.
 """
 import ast
 from pathlib import Path
@@ -40,7 +41,7 @@ def _used_names():
             elif isinstance(node, ast.alias):
                 used.update(node.name.split("."))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and node.value.isidentifier():
+                    and node.value.isidentifier() and path.parent.name == "bench":
                 used.add(node.value)
     return used
 

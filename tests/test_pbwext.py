@@ -8,8 +8,6 @@ from rinehart.cochain import TableCochain, cup_derivation, hochschild_b, cochain
 from rinehart.lie_rinehart import Connection
 from rinehart.pbwext import (
     EtaContext,
-    extended_lift,
-    extended_lift_eval,
     f_map,
     morphism_membership_defect,
     tower_eval,
@@ -115,7 +113,7 @@ def test_f_identities(name, maker):
 def test_lift_base_case_single_derivation():
     ctx = EtaContext(presets.weyl(1))
     v = Multivector(ctx.P, 1, {(0,): Polynomial.const(ctx.P.vars, 1)})
-    assert extended_lift_eval(ctx, v, ((2,),)) == ctx.U.scalar("2*x")
+    assert tower_eval(ctx, (), v, ((2,),)) == ctx.U.scalar("2*x")
 
 
 def test_lift_pure_symbol_is_factorial_multiple_of_the_lift():
@@ -125,10 +123,10 @@ def test_lift_pure_symbol_is_factorial_multiple_of_the_lift():
     m = parse_poly(ctx.P.vars, "e^2")
     v = Multivector(ctx.P, 0, {(): m})
     pb = PBWMap(ctx.U)
-    assert extended_lift_eval(ctx, v, ()) == pb(m).scale(2)
+    assert tower_eval(ctx, (), v, ()) == pb(m).scale(2)
     m3 = parse_poly(ctx.P.vars, "x*e^2")
     v3 = Multivector(ctx.P, 0, {(): m3})
-    assert extended_lift_eval(ctx, v3, ()) == pb(m3).scale(2)
+    assert tower_eval(ctx, (), v3, ()) == pb(m3).scale(2)
 
 
 def test_lift_one_step_hand_expansion():
@@ -137,7 +135,7 @@ def test_lift_one_step_hand_expansion():
     ctx = EtaContext(presets.weyl(1))
     v = Multivector(ctx.P, 1, {(0,): parse_poly(ctx.P.vars, "e")})
     e = ctx.U.generator(0)
-    assert extended_lift_eval(ctx, v, ((1,),)) == e.scale(2)
+    assert tower_eval(ctx, (), v, ((1,),)) == e.scale(2)
 
 
 def test_lift_hkr_antisymmetrized_cups():
@@ -151,7 +149,7 @@ def test_lift_hkr_antisymmetrized_cups():
         want = U.scalar(d1(monos[0])) * U.scalar(d2(monos[1])) - U.scalar(
             d2(monos[0])
         ) * U.scalar(d1(monos[1]))
-        assert extended_lift_eval(ctx, v, args) == want
+        assert tower_eval(ctx, (), v, args) == want
 
 
 def test_cup_differential_identity():
@@ -188,14 +186,14 @@ def test_chain_relation_all_builtins():
 # -- the tower ---------------------------------------------------------------
 
 
-def test_tower_zero_level_is_the_lift():
-    ctx = EtaContext(presets.weyl(2))
-    rng = random.Random(9)
-    for _ in range(5):
-        p = rng.randint(0, 2)
-        v = rand_mv(rng, ctx.P, p)
-        args = tuple(tuple(rng.randint(0, 2) for _ in range(2)) for _ in range(p))
-        assert tower_eval(ctx, (), v, args) == extended_lift_eval(ctx, v, args)
+def test_level_zero_checks_its_arity():
+    ctx = EtaContext(presets.weyl(1))
+    scalar = Multivector(ctx.P, 0, {(): parse_poly(ctx.P.vars, "x")})
+    with pytest.raises(ValueError):
+        tower_eval(ctx, (), scalar, ((1,),))
+    one_leg = Multivector(ctx.P, 1, {(0,): parse_poly(ctx.P.vars, "e")})
+    with pytest.raises(ValueError):
+        tower_eval(ctx, (), one_leg, ())
 
 
 def test_tower_level_one_vanishes_for_lie_algebras():
@@ -252,7 +250,7 @@ def test_morphism_degree_zero_is_the_lift():
     m = parse_poly(ctx.P.vars, "x*e^2 - e")
     D = Multivector(ctx.P, 0, {(): m})
     el = multivector_to_nl(inst, D, cap=2)
-    assert morphism_component(ctx, el, 0, (), ()) == extended_lift_eval(ctx, D, ())
+    assert morphism_component(ctx, el, 0, (), ()) == tower_eval(ctx, (), D, ())
 
 
 @pytest.mark.parametrize("degree", [0, 1])
@@ -292,8 +290,8 @@ def test_homotopy_exchange_corrected_sign_holds():
         v = Multivector(P, 1, terms)
         r = Polynomial.monomial(alg.vars, (rng.randint(1, 2),), 1)
         Y = alg.element([Polynomial.monomial(alg.vars, (rng.randint(0, 2),), rng.choice([1, -1]))])
-        lhs = extended_lift_eval(ctx, adj_h(P, r, Y, v), ()) - homotopy(
-            r, Y, extended_lift(ctx, v)
+        lhs = tower_eval(ctx, (), adj_h(P, r, Y, v), ()) - homotopy(
+            r, Y, tower_map(ctx, (), v)
         ).eval_monos(())
         rhs = ctx.U.scalar(r) * tower_eval(ctx, (Y,), v, ()) - tower_eval(
             ctx, (Y.scale(r),), v, ()
@@ -332,8 +330,8 @@ def test_homotopy_exchange_fails_through_the_lift():
         v = Multivector(P, 1, terms)
         r = Polynomial.monomial(alg.vars, (rng.randint(1, 2),), 1)
         Y = alg.element([Polynomial.monomial(alg.vars, (rng.randint(0, 2),), rng.choice([1, -1]))])
-        lhs = extended_lift_eval(ctx, adj_h(P, r, Y, v), ()) - homotopy(
-            r, Y, extended_lift(ctx, v)
+        lhs = tower_eval(ctx, (), adj_h(P, r, Y, v), ()) - homotopy(
+            r, Y, tower_map(ctx, (), v)
         ).eval_monos(())
         rhs = ctx.U.scalar(r) * tower_eval(ctx, (Y,), v, ()) + tower_eval(
             ctx, (Y.scale(r),), v, ()

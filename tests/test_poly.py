@@ -12,6 +12,7 @@ from rinehart.poly import (
     ce_terms,
     exponents,
     insert_leg,
+    multilinear_terms,
     parse_poly,
     perm_sign,
     sort_with_sign,
@@ -221,6 +222,21 @@ def test_ce_terms_is_the_signed_chevalley_eilenberg_sum():
     # a None term is skipped, lists slice like tuples
     assert list(ce_terms(["a", "b"], lambda x, rest: None, lambda x, y, rest: rest)) == [
         (-1, [])]
+
+
+def test_multilinear_terms_expands_in_factor_order():
+    terms = list(multilinear_terms([[("a", 2), ("b", 3)], [("c", 5), ("d", Fraction(1, 7))]]))
+    assert terms == [
+        (("a", "c"), 10), (("a", "d"), Fraction(2, 7)),
+        (("b", "c"), 15), (("b", "d"), Fraction(3, 7)),
+    ]
+    # the empty product is the caller's one, in the caller's type
+    one = P("1")
+    assert list(multilinear_terms([])) == [((), 1)]
+    assert list(multilinear_terms([], one)) == [((), one)]
+    assert list(multilinear_terms([[(0, P("x"))], [(1, P("y"))]], one)) == [((0, 1), P("x*y"))]
+    # a factor with no terms gives no terms at all
+    assert list(multilinear_terms([[("a", 2)], []])) == []
 
 
 # -- coefficients: int when integral, Fraction otherwise ---------------------

@@ -134,7 +134,7 @@ def test_hochschild_operator_examples():
     r1 = alg.poly("x^2")
     assert b0(r1) == U.scalar(r1) * u0 - u0 * U.scalar(r1)
     # arity-one homotopy: insert and right-multiply
-    psi = TableCochain(U, 1, lambda exps: U.generator(0), cap=None)
+    psi = TableCochain(U, 1, lambda exps: U.generator(0))
     e = alg.basis_element(0)
     h = homotopy(alg.poly("x"), e, psi)
     assert h.arity == 0
