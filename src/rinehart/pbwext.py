@@ -13,7 +13,7 @@ import random
 from .cochain import TableCochain, hochschild_b, homotopy, lie_action, monomial_tuples
 from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial, PolyDerivation, ce_terms, insert_leg, multilinear_terms, perm_sign
+from .poly import Polynomial, PolyDerivation, ce_terms, multilinear_terms, perm_sign
 from .quasimod import (NLCochainElement, _larg_element, _larg_terms, adj_delta, adj_lie,
                        adj_nabla_b, replace_legs_and_factors)
 from .uea import EnvelopingAlgebra, UEAElement
@@ -28,16 +28,27 @@ class EtaContext:
         self.U = EnvelopingAlgebra(alg)
         self.P = SymAlgebra(alg)
         self._tower_cache: dict = {}
+        self._eta_mixed_cache: dict = {}
+        self._basic_cache: dict = {}
+
+    def basic(self, X: LElement, target):
+        """The induced connection along X on a derivation or a module element."""
+        image = self._basic_cache.get((X, target))
+        if image is None:
+            image = self._basic_cache[X, target] = self.conn.basic_apply(X, target)
+        return image
 
     # -- the three eta tensors ------------------------------------------
 
     def eta_mixed(self, Y: LElement, D: PolyDerivation, X: LElement) -> LElement:
-        c = self.conn
-        return (
-            bracket_extend(Y, c.nabla(D, X))
-            - c.nabla(Y.anchor_derivation().commutator(D), X)
-            - c.nabla(D, bracket_extend(Y, X))
-        )
+        eta = self._eta_mixed_cache.get((Y, D, X))
+        if eta is None:
+            eta = self._eta_mixed_cache[Y, D, X] = (
+                bracket_extend(Y, self.conn.nabla(D, X))
+                - self.conn.nabla(Y.anchor_derivation().commutator(D), X)
+                - self.conn.nabla(D, bracket_extend(Y, X))
+            )
+        return eta
 
     def eta_der(self, Y: LElement, X: LElement, D: PolyDerivation) -> PolyDerivation:
         c = self.conn
@@ -57,25 +68,13 @@ class EtaContext:
 
 
 def f_map(ctx: EtaContext, Y: LElement, v: Multivector) -> Multivector:
-    """Lower one leg, raise the symbol degree through the mixed eta tensor."""
-    P = ctx.P
-    alg = ctx.alg
+    """Lower one leg, raise the symbol degree through the mixed eta tensor:
+    the contraction of each symbol partial with the tensor on its factor."""
+    P, alg = ctx.P, ctx.alg
     out = Multivector(P, max(v.degree - 1, 0))
-    for legs, c in v.terms.items():
-        for t, u in enumerate(legs):
-            rest = legs[:t] + legs[t + 1:]
-            sign = 1 if t % 2 == 0 else -1
-            for a in range(P.d):
-                dc = c.partial(P.n + a)
-                if dc.is_zero():
-                    continue
-                eta = ctx.eta_mixed(Y, alg.coordinate_field(alg.vars[u]), alg.basis_element(a))
-                if eta.is_zero():
-                    continue
-                out = out + Multivector(
-                    P, v.degree - 1,
-                    {rest: (dc * P.element_symbol(eta)).scale(sign)},
-                )
+    for a in range(P.d):
+        out = out + v.partial(P.n + a).contract(lambda u: P.element_symbol(
+            ctx.eta_mixed(Y, alg.coordinate_field(alg.vars[u]), alg.basis_element(a))))
     return out
 
 
@@ -108,14 +107,13 @@ def _decompose(ctx: EtaContext, v: Multivector):
 
 def _nabla_b_decomposed(ctx: EtaContext, X: LElement, Ds: tuple, Xs: tuple):
     """The induced connection along X of a decomposable, again decomposed."""
-    conn = ctx.conn
     out = []
     for i, D in enumerate(Ds):
-        image = conn.basic_der(X, D)
+        image = ctx.basic(X, D)
         if not image.is_zero():
             out.append((Ds[:i] + (image,) + Ds[i + 1:], Xs, 1))
     for j, Z in enumerate(Xs):
-        image = conn.basic_l(X, Z)
+        image = ctx.basic(X, Z)
         if not image.is_zero():
             out.append((Ds, Xs[:j] + (image,) + Xs[j + 1:], 1))
     return out
@@ -235,8 +233,7 @@ def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> 
     alg = ctx.alg
     rng = random.Random(seed)
     failures = []
-    checked = 0
-    for _ in range(samples):
+    for trial in range(samples):
         Y = _rand_lelement(rng, alg)
         X = _rand_lelement(rng, alg)
         Z = _rand_lelement(rng, alg)
@@ -248,9 +245,9 @@ def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> 
                                  rng.choice([-1, 1])) for _ in alg.vars],
         )
         if not (ctx.eta_mixed(Y, D.scale_by(r), X) - ctx.eta_mixed(Y, D, X).scale(r)).is_zero():
-            failures.append("scaling in the derivation slot fails")
+            failures.append(f"trial {trial}: scaling in the derivation slot fails")
         if not (ctx.eta_mixed(Y, D, X.scale(r)) - ctx.eta_mixed(Y, D, X).scale(r)).is_zero():
-            failures.append("scaling in the module slot fails")
+            failures.append(f"trial {trial}: scaling in the module slot fails")
         # five correction terms; the last two assemble the induced connection
         lhs = ctx.eta_mixed(Y.scale(r), D, X)
         correction = (
@@ -260,25 +257,24 @@ def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> 
             + ctx.conn.basic_l(X, Y).scale(D(r))
         )
         if not (lhs - ctx.eta_mixed(Y, D, X).scale(r) - correction).is_zero():
-            failures.append("argument-scaling expansion fails")
+            failures.append(f"trial {trial}: argument-scaling expansion fails")
         # compatibility relations between the three tensors
         if not (
             ctx.eta_l(Y, X, Z).anchor_derivation()
             - ctx.eta_der(Y, X, Z.anchor_derivation())
         ).is_zero():
-            failures.append("anchor of the module tensor mismatch")
+            failures.append(f"trial {trial}: anchor of the module tensor mismatch")
         if not (
             ctx.eta_mixed(Y, Z.anchor_derivation(), X) - ctx.eta_l(Y, X, Z)
         ).is_zero():
-            failures.append("mixed tensor on an anchor image mismatch")
+            failures.append(f"trial {trial}: mixed tensor on an anchor image mismatch")
         if not (
             ctx.eta_mixed(Y, D, X).anchor_derivation() - ctx.eta_der(Y, X, D)
         ).is_zero():
-            failures.append("anchor of the mixed tensor mismatch")
-        checked += 1
+            failures.append(f"trial {trial}: anchor of the mixed tensor mismatch")
         if failures:
-            return CheckReport(False, tuple(failures), checked)
-    return CheckReport(True, (), checked)
+            return CheckReport(False, tuple(failures), trial + 1)
+    return CheckReport(True, (), samples)
 
 
 def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
@@ -288,8 +284,7 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
     P, alg = ctx.P, ctx.alg
     rng = random.Random(seed)
     failures = []
-    checked = 0
-    for _ in range(samples):
+    for trial in range(samples):
         p = rng.randint(0, min(p_max, P.n))
         q = rng.randint(0, q_max)
         v = _random_adjoint_term(rng, P, p, q)
@@ -305,12 +300,23 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
             lambda a: ctx.eta_l(Y1, Y2, alg.basis_element(a)),
         )
         if not (lhs - rhs).is_zero():
-            failures.append(f"connection commutator identity fails at (p,q)=({p},{q})")
+            failures.append(f"trial {trial}: connection commutator identity fails at "
+                            f"(p,q)=({p},{q})")
         # anticommutator of the leg-lowering map with the Koszul differential
         lhs2 = f_map(ctx, Y1, adj_delta(P, v)) + adj_delta(P, f_map(ctx, Y1, v))
-        rhs2 = _f_delta_right_side(ctx, Y1, v)
+        # the eta tensors on each symbol factor in place of a leg or a factor
+        rhs2 = Multivector(P, v.degree)
+        for a in range(P.d):
+            if (da := v.partial(P.n + a)).is_zero():
+                continue
+            rhs2 = rhs2 + replace_legs_and_factors(
+                P, da,
+                lambda u: ctx.eta_der(Y1, alg.basis_element(a), alg.coordinate_field(alg.vars[u])),
+                lambda b: ctx.eta_l(Y1, alg.basis_element(a), alg.basis_element(b)),
+            )
         if not (lhs2 - rhs2).is_zero():
-            failures.append(f"leg-lowering anticommutator fails at (p,q)=({p},{q})")
+            failures.append(f"trial {trial}: leg-lowering anticommutator fails at "
+                            f"(p,q)=({p},{q})")
         # bracket compatibility
         lhs3 = (
             adj_lie(P, Y1, f_map(ctx, Y2, v))
@@ -320,51 +326,10 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
         )
         rhs3 = f_map(ctx, bracket_extend(Y1, Y2), v)
         if not (lhs3 - rhs3).is_zero():
-            failures.append(f"bracket compatibility fails at (p,q)=({p},{q})")
-        checked += 1
+            failures.append(f"trial {trial}: bracket compatibility fails at (p,q)=({p},{q})")
         if failures:
-            return CheckReport(False, tuple(failures), checked)
-    return CheckReport(True, (), checked)
-
-
-def _f_delta_right_side(ctx: EtaContext, Y: LElement, v: Multivector) -> Multivector:
-    """Double sum on the right of the anticommutator identity."""
-    P, alg = ctx.P, ctx.alg
-    out = Multivector(P, v.degree)
-    for legs, c in v.terms.items():
-        # module-module part: remove two symbol factors, multiply the tensor in
-        for a in range(P.d):
-            da = c.partial(P.n + a)
-            if da.is_zero():
-                continue
-            for b in range(P.d):
-                dab = da.partial(P.n + b)
-                if dab.is_zero():
-                    continue
-                eta = ctx.eta_l(Y, alg.basis_element(a), alg.basis_element(b))
-                if eta.is_zero():
-                    continue
-                out = out + Multivector(
-                    P, v.degree, {legs: dab * P.element_symbol(eta)}
-                )
-        # leg-module part: replace a leg by the derivation tensor of a factor
-        for t, u in enumerate(legs):
-            rest = legs[:t] + legs[t + 1:]
-            for a in range(P.d):
-                da = c.partial(P.n + a)
-                if da.is_zero():
-                    continue
-                eta = ctx.eta_der(Y, alg.basis_element(a), alg.coordinate_field(alg.vars[u]))
-                if eta.is_zero():
-                    continue
-                for w, im in enumerate(eta.images):
-                    new, sign = insert_leg(rest, w)
-                    if im.is_zero() or not sign:
-                        continue
-                    out = out + Multivector(
-                        P, v.degree, {new: (P.lift(im) * da).scale(sign * (-1) ** t)}
-                    )
-    return out
+            return CheckReport(False, tuple(failures), trial + 1)
+    return CheckReport(True, (), samples)
 
 
 def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
@@ -374,7 +339,7 @@ def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
     rng = random.Random(seed)
     failures = []
     checked = 0
-    for _ in range(samples):
+    for trial in range(samples):
         p = rng.randint(0, min(p_max, P.n - 1) if P.n else 0)
         q = rng.randint(0, q_max)
         v = _random_adjoint_term(rng, P, p, q)
@@ -382,7 +347,8 @@ def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
         lhs = tower_eval(ctx, (), adj_delta(P, v), args)
         rhs = hochschild_b(tower_map(ctx, (), v)).eval_monos(args)
         if not (lhs + rhs).is_zero():
-            failures.append(f"chain relation fails at (p,q)=({p},{q}), args {args}")
+            failures.append(
+                f"trial {trial}: chain relation fails at (p,q)=({p},{q}), args {args}")
             return CheckReport(False, tuple(failures), checked)
         checked += 1
     return CheckReport(True, (), checked)
@@ -397,7 +363,7 @@ def verify_identity_tower(ctx: EtaContext, n_max: int = 1, p_max: int = 2,
     rng = random.Random(seed)
     failures = []
     checked = 0
-    for _ in range(samples):
+    for trial in range(samples):
         n = rng.randint(0, n_max)
         Ys = tuple(_rand_lelement(rng, alg) for _ in range(n + 1))
         p_hi = min(p_max, P.n)
@@ -426,9 +392,8 @@ def verify_identity_tower(ctx: EtaContext, n_max: int = 1, p_max: int = 2,
             delta_term = tower_eval(ctx, Ys, adj_delta(P, v), args)
             rhs = rhs + delta_term.scale(1 if (n + 1) % 2 == 0 else -1)
             if not (lhs - rhs).is_zero():
-                failures.append(
-                    f"tower identity fails at n={n}, (p,q)=({p},{q}), args {args}"
-                )
+                failures.append(f"trial {trial}: tower identity fails at n={n}, "
+                                f"(p,q)=({p},{q}), args {args}")
                 return CheckReport(False, tuple(failures), checked)
             checked += 1
     return CheckReport(True, (), checked)

@@ -142,8 +142,9 @@ class LegTensor:
 
     @classmethod
     def basis_element(cls, parent: SymAlgebra, legs: Legs, exp: tuple[int, ...]):
-        """The monomial exp on the leg set legs, as keyed by `entries`."""
-        return cls(parent, len(legs), {legs: Polynomial.monomial(parent.vars, exp, 1)})
+        """The monomial exp on the leg set legs, as keyed by `entries`; exp
+        is an exponent tuple of an enumerated basis, taken unchecked."""
+        return cls(parent, len(legs), {legs: Polynomial._of(parent.vars, {exp: 1})})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -158,6 +159,11 @@ class LegTensor:
         t = cls(parent, degree)
         t.terms = {legs: c for legs, c in acc.items() if c}
         return t
+
+    def partial(self, i: int):
+        """Every coefficient differentiated by the i-th symbol variable."""
+        return self.summed(self.parent, self.degree,
+                           ((legs, c.partial(i)) for legs, c in self.terms.items()))
 
     def __add__(self, other):
         if other.is_zero():
@@ -226,21 +232,26 @@ class Multivector(LegTensor):
     __slots__ = ()
     leg_prefix = "d/d"
 
-    def interior(self, f: Polynomial) -> "Multivector":
-        """Insert f into the first slot (the interior product with df): each
-        term c on legs L gives (-1)^p (d f/d x_{L[p]}) c on L without L[p],
-        the Laplace expansion of the determinant along its first row.  A
-        function has no slot, and gives zero."""
-        partials = [f.partial(a) for a in range(self.parent.N)]
+    def contract(self, form) -> "Multivector":
+        """The interior product with the one-form sum_a form(a) dx_a, form
+        asked once for each coordinate a that is a leg: each term c on legs
+        L gives (-1)^t c form(L[t]) on L without L[t], t the 0-based
+        position.  A function has no leg, and gives zero."""
+        values = {a: form(a) for a in {a for legs in self.terms for a in legs}}
 
         def pieces():
             for legs, c in self.terms.items():
-                for p, a in enumerate(legs):
-                    if partials[a]:
-                        term = c * partials[a]
-                        yield legs[:p] + legs[p + 1:], term if p % 2 == 0 else -term
+                for t, a in enumerate(legs):
+                    if f := values[a]:
+                        term = c * f
+                        yield legs[:t] + legs[t + 1:], term if t % 2 == 0 else -term
 
         return Multivector.summed(self.parent, max(self.degree - 1, 0), pieces())
+
+    def interior(self, f: Polynomial) -> "Multivector":
+        """Insert f into the first slot: the contraction with df, the Laplace
+        expansion of the determinant along its first row."""
+        return self.contract(f.partial)
 
     def evaluate(self, args: list[Polynomial]) -> Polynomial:
         """Value on symbol arguments, inserted slot by slot."""

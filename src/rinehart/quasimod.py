@@ -61,25 +61,13 @@ def adj_delta(P: SymAlgebra, v: Multivector) -> Multivector:
 
 
 def adj_lie(P: SymAlgebra, X: LElement, v: Multivector) -> Multivector:
-    """Commute the anchor field into each leg plus the bracket on coefficients."""
-    xsym = P.element_symbol(X)
-    rho = X.anchor_derivation()
-    out = Multivector(P, v.degree)
-    for legs, c in v.terms.items():
-        br = P.bracket(xsym, c)
-        if not br.is_zero():
-            out = out + Multivector(P, v.degree, {legs: br})
-        for t, u in enumerate(legs):
-            # [rho(X), d/dx_u] = -sum_v d(rho X x_v)/dx_u * d/dx_v
-            for w in range(P.n):
-                coeff = -rho.images[w].partial(u)
-                new, sign = insert_leg(legs[:t] + legs[t + 1:], w)
-                if coeff.is_zero() or not sign:
-                    continue
-                out = out + Multivector(
-                    P, v.degree, {new: (P.lift(coeff) * c).scale(sign * (-1) ** t)}
-                )
-    return out
+    """The bracket with the symbol of X on coefficients, plus the commutator
+    [rho(X), d/dx_u] in place of each leg u."""
+    xsym, rho = P.element_symbol(X), X.anchor_derivation()
+    bracketed = Multivector.summed(P, v.degree, ((legs, P.bracket(xsym, c))
+                                                 for legs, c in v.terms.items()))
+    return bracketed + replace_legs_and_factors(
+        P, v, lambda u: rho.commutator(P.alg.coordinate_field(P.alg.vars[u])), None)
 
 
 def adj_h(P: SymAlgebra, r: Polynomial, X: LElement, v: Multivector) -> Multivector:
@@ -94,25 +82,25 @@ def adj_r_action(P: SymAlgebra, r: Polynomial, v: Multivector) -> Multivector:
 def replace_legs_and_factors(P: SymAlgebra, v: Multivector, leg_map, factor_map) -> Multivector:
     """Derivation-style operator: replace one leg u by the derivation
     leg_map(u), or one symbol factor a by the symbol of the module element
-    factor_map(a), one at a time, coefficients untouched."""
+    factor_map(a), one at a time, coefficients untouched; a factor_map of
+    None has no factor part."""
     leg_images = {u: leg_map(u) for u in {u for legs in v.terms for u in legs}}
-    factor_symbols = [P.element_symbol(factor_map(a)) for a in range(P.d)]
-    out = Multivector(P, v.degree)
-    for legs, c in v.terms.items():
-        for t, u in enumerate(legs):
-            image = leg_images[u]
-            rest = legs[:t] + legs[t + 1:]
-            for w, im in enumerate(image.images):
-                new, sign = insert_leg(rest, w)
-                if im.is_zero() or not sign:
-                    continue
-                out = out + Multivector(
-                    P, v.degree, {new: (P.lift(im) * c).scale(sign * (-1) ** t)}
-                )
-        for a, sym in enumerate(factor_symbols):
-            if sym and (dc := c.partial(P.n + a)):
-                out = out + Multivector(P, v.degree, {legs: dc * sym})
-    return out
+    factor_symbols = [P.element_symbol(factor_map(a)) for a in range(P.d)] if factor_map else []
+
+    def pieces():
+        for legs, c in v.terms.items():
+            for t, u in enumerate(legs):
+                rest = legs[:t] + legs[t + 1:]
+                for w, im in enumerate(leg_images[u].images):
+                    new, sign = insert_leg(rest, w)
+                    if im and sign:
+                        term = P.lift(im) * c
+                        yield new, term if sign * (-1) ** t == 1 else -term
+            for a, sym in enumerate(factor_symbols):
+                if sym and (dc := c.partial(P.n + a)):
+                    yield legs, dc * sym
+
+    return Multivector.summed(P, v.degree, pieces())
 
 
 def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) -> Multivector:
@@ -689,25 +677,6 @@ def nonlinear_to_linear(el: NLCochainElement) -> LinearCECochain:
 # -- the symmetric-power structure operator --------------------------------------
 
 
-def _curvature_replace(P: SymAlgebra, conn: Connection, X: LElement, Y: LElement,
-                       v: Multivector) -> Multivector:
-    """Replace one base leg at a time by the five-term curvature value."""
-    alg = P.alg
-    out = Multivector(P, max(v.degree - 1, 0))
-    for legs, c in v.terms.items():
-        for t, u in enumerate(legs):
-            img = conn.basic_curvature(X, Y, alg.coordinate_field(alg.vars[u]))
-            if img.is_zero():
-                continue
-            rest = legs[:t] + legs[t + 1:]
-            sign = 1 if t % 2 == 0 else -1
-            out = out + Multivector(
-                P, v.degree - 1,
-                {rest: (c * P.element_symbol(img)).scale(sign)},
-            )
-    return out
-
-
 def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCECochain:
     """Total differential on the linear side: covariant CE derivative, the
     Koszul piece on values, and the curvature correction.  Signs follow the
@@ -740,7 +709,8 @@ def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCEC
                 for j, l in itertools.combinations(range(m), 2):
                     rest = [elems[t] for t in range(m) if t not in (j, l)]
                     v = c.evaluate(i + 1, rest)
-                    term = _curvature_replace(P, conn, elems[j], elems[l], v)
+                    term = v.contract(lambda u: P.element_symbol(conn.basic_curvature(
+                        elems[j], elems[l], alg.coordinate_field(alg.vars[u]))))
                     total = total + term.scale(1 if (j + l) % 2 == 0 else -1)
             table[T] = total
         tables.append(table)

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from rinehart import presets
+from rinehart import cli, presets
 from rinehart.cochain import TableCochain, cup_derivation, hochschild_b, cochain_equal
 from rinehart.lie_rinehart import Connection
 from rinehart.pbwext import (
@@ -19,8 +21,9 @@ from rinehart.pbwext import (
     verify_pbw_chain,
 )
 from rinehart.poisson import Multivector
-from rinehart.poly import Polynomial, PolyDerivation, parse_poly
-from rinehart.quasimod import adjoint_instance, adj_h, multivector_to_nl
+from rinehart.poly import Polynomial, PolyDerivation, insert_leg, parse_poly
+from rinehart.quasimod import (adj_delta, adj_h, adjoint_instance, multivector_to_nl,
+                               replace_legs_and_factors)
 from rinehart.uea import PBWMap
 
 ALGEBRAS = [
@@ -42,6 +45,37 @@ def rand_mv(rng, P, k, coeff=1):
     return Multivector(P, k, terms)
 
 
+def rand_poly(rng, vars, terms=2):
+    p = Polynomial.zero(vars)
+    for _ in range(terms):
+        exp = tuple(rng.randint(0, 1) for _ in vars)
+        p = p + Polynomial.monomial(vars, exp, rng.choice([-2, -1, 1, 2]))
+    return p
+
+
+def rand_adjoint_mv(rng, P, k):
+    """Base-direction legs, each leg set with a multi-term symbol coefficient
+    of symbol degree up to two in every generator."""
+    return Multivector(P, k, {legs: rand_poly(rng, P.vars) * rand_poly(rng, P.vars)
+                              for legs in itertools.combinations(range(P.n), k)})
+
+
+def random_connection(rng, alg):
+    def rl():
+        return alg.element([
+            Polynomial.monomial(alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
+                                rng.choice([-1, 1]))
+            for _ in range(alg.rank)
+        ])
+
+    return Connection(alg, [[rl() for _ in range(alg.rank)] for _ in range(len(alg.vars))])
+
+
+BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+            "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
+CONNECTION_CASES = [(name, False) for name in BUILTINS] + [("weyl(2)", True)]
+
+
 # -- eta tensors -----------------------------------------------------------
 
 
@@ -61,18 +95,42 @@ def test_eta_properties(name, maker):
 
 def test_eta_properties_random_connection():
     alg = presets.weyl(2)
-    rng = random.Random(3)
-
-    def rl():
-        return alg.element([
-            Polynomial.monomial(alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
-                                rng.choice([-1, 1]))
-            for _ in range(alg.rank)
-        ])
-
-    conn = Connection(alg, [[rl() for _ in range(alg.rank)]
-                            for _ in range(len(alg.vars))])
+    conn = random_connection(random.Random(3), alg)
     assert verify_eta_properties(EtaContext(alg, conn), samples=10, seed=7).ok
+
+
+def test_eta_context_computes_each_distinct_triple_once():
+    # the tower asks for eta_mixed triples and induced-connection images
+    # repeatedly; each distinct one reaches the connection once per context
+    ctx = EtaContext(presets.weyl(2))
+    conn, calls = ctx.conn, Counter()
+
+    class CountingConnection:
+        def __getattr__(self, name):
+            def counted(*args):
+                calls[(name,) + args] += 1
+                return getattr(conn, name)(*args)
+            return counted
+
+    ctx.conn = CountingConnection()
+    triples = []
+    eta_mixed = ctx.eta_mixed
+    ctx.eta_mixed = lambda *args: triples.append(args) or eta_mixed(*args)
+    assert verify_identity_tower(ctx, n_max=1, p_max=2, q_max=2, samples=20, seed=7).ok
+    assert len(triples) > len(set(triples)) > 0
+    # eta_mixed calls nabla three times, and nothing else in the tower does
+    assert sum(n for key, n in calls.items() if key[0] == "nabla") == 3 * len(set(triples))
+    images = [n for key, n in calls.items() if key[0] == "basic_apply"]
+    assert images and set(images) == {1}
+
+
+def test_a_wrong_eta_tensor_fails_with_a_replayable_witness(monkeypatch, capsys):
+    monkeypatch.setattr(EtaContext, "eta_mixed", lambda self, Y, D, X: Y)
+    code = cli.main(["--algebra", "weyl(1)", "--seed", "3", "verify", "eta", "--samples", "12"])
+    detail = next(c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]
+                  if c["name"] == "eta-tensor-properties")
+    assert code == 1
+    assert detail.startswith("trial 0: ")
 
 
 def test_eta_hand_value_weyl():
@@ -105,6 +163,99 @@ def test_f_map_vanishes_for_lie_algebras():
 @pytest.mark.parametrize("name,maker", [ALGEBRAS[0], ALGEBRAS[1], ALGEBRAS[3]])
 def test_f_identities(name, maker):
     assert verify_f_identities(EtaContext(maker()), samples=10, seed=5).ok
+
+
+def reference_f_map(ctx, Y, v):
+    """Lower one leg, raise the symbol degree through the mixed eta tensor,
+    one sum per (term, leg, factor)."""
+    P = ctx.P
+    alg = ctx.alg
+    out = Multivector(P, max(v.degree - 1, 0))
+    for legs, c in v.terms.items():
+        for t, u in enumerate(legs):
+            rest = legs[:t] + legs[t + 1:]
+            sign = 1 if t % 2 == 0 else -1
+            for a in range(P.d):
+                dc = c.partial(P.n + a)
+                if dc.is_zero():
+                    continue
+                eta = ctx.eta_mixed(Y, alg.coordinate_field(alg.vars[u]), alg.basis_element(a))
+                if eta.is_zero():
+                    continue
+                out = out + Multivector(
+                    P, v.degree - 1,
+                    {rest: (dc * P.element_symbol(eta)).scale(sign)},
+                )
+    return out
+
+
+def reference_f_delta_right_side(ctx, Y, v):
+    """Double sum on the right of the anticommutator identity."""
+    P, alg = ctx.P, ctx.alg
+    out = Multivector(P, v.degree)
+    for legs, c in v.terms.items():
+        # module-module part: remove two symbol factors, multiply the tensor in
+        for a in range(P.d):
+            da = c.partial(P.n + a)
+            if da.is_zero():
+                continue
+            for b in range(P.d):
+                dab = da.partial(P.n + b)
+                if dab.is_zero():
+                    continue
+                eta = ctx.eta_l(Y, alg.basis_element(a), alg.basis_element(b))
+                if eta.is_zero():
+                    continue
+                out = out + Multivector(
+                    P, v.degree, {legs: dab * P.element_symbol(eta)}
+                )
+        # leg-module part: replace a leg by the derivation tensor of a factor
+        for t, u in enumerate(legs):
+            rest = legs[:t] + legs[t + 1:]
+            for a in range(P.d):
+                da = c.partial(P.n + a)
+                if da.is_zero():
+                    continue
+                eta = ctx.eta_der(Y, alg.basis_element(a), alg.coordinate_field(alg.vars[u]))
+                if eta.is_zero():
+                    continue
+                for w, im in enumerate(eta.images):
+                    new, sign = insert_leg(rest, w)
+                    if im.is_zero() or not sign:
+                        continue
+                    out = out + Multivector(
+                        P, v.degree, {new: (P.lift(im) * da).scale(sign * (-1) ** t)}
+                    )
+    return out
+
+
+@pytest.mark.parametrize("name,random_conn", CONNECTION_CASES)
+def test_leg_lowering_operators_match_the_reference_loops(name, random_conn):
+    alg = presets.builtin(name)
+    rng = random.Random(53)
+    ctx = EtaContext(alg, random_connection(rng, alg) if random_conn else None)
+    P = ctx.P
+    nonzero = Counter()
+    for k in range(P.n + 1):
+        for _ in range(2):
+            v = rand_adjoint_mv(rng, P, k)
+            Y = alg.element([rand_poly(rng, alg.vars) for _ in range(alg.rank)])
+            lowered = reference_f_map(ctx, Y, v)
+            assert f_map(ctx, Y, v) == lowered
+            # verify_f_identities' right side: each symbol partial with the
+            # eta tensors of its factor in place of a leg or a second factor
+            right = Multivector(P, k)
+            for a in range(P.d):
+                right = right + replace_legs_and_factors(
+                    P, v.partial(P.n + a),
+                    lambda u: ctx.eta_der(Y, alg.basis_element(a),
+                                          alg.coordinate_field(alg.vars[u])),
+                    lambda b: ctx.eta_l(Y, alg.basis_element(a), alg.basis_element(b)))
+            assert right == reference_f_delta_right_side(ctx, Y, v)
+            assert f_map(ctx, Y, adj_delta(P, v)) + adj_delta(P, f_map(ctx, Y, v)) == right
+            nonzero.update(f_map=not lowered.is_zero(), right=not right.is_zero())
+    assert not random_conn or (nonzero["f_map"] and nonzero["right"])
+    assert verify_f_identities(ctx, samples=6, seed=5).ok
 
 
 # -- the extended lift ---------------------------------------------------------

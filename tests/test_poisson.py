@@ -257,6 +257,25 @@ def test_laplace_expansion_matches_the_reference_paths(name):
             assert P.coordinate_action(a, g) == P.bracket(P.coordinate(a), g)
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_contraction_matches_the_reference_interior_products(name):
+    # a one-form given per coordinate is sum_a form(a) dx_a, so its
+    # contraction is the form-weighted sum of the interior products with
+    # the coordinates; the form df gives the interior product with f
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(23)
+    for k in range(min(3, P.N) + 1):
+        for _ in range(2):
+            D = rand_multiterm_mv(rng, P, k)
+            form = [rand_sym(rng, P) for _ in range(P.N)]
+            want = Multivector(P, max(k - 1, 0))
+            for a in range(P.N):
+                want = want + reference_interior(D, P.coordinate(a)).scale(form[a])
+            assert D.contract(form.__getitem__) == want
+            f = rand_sym(rng, P)
+            assert D.contract(f.partial) == reference_interior(D, f)
+
+
 def test_evaluate_rejects_a_wrong_arity():
     P = SymAlgebra(presets.weyl(1))
     D = Multivector(P, 1, {(1,): Polynomial.const(P.vars, 1)})

@@ -8,10 +8,11 @@ from rinehart import presets
 from rinehart.cochain import CapExceededError, cochain_equal, zero_cochain
 from rinehart.lie_rinehart import Connection
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
-from rinehart.poly import Polynomial
+from rinehart.poly import Polynomial, insert_leg
 from rinehart.quasimod import (
     LinearCECochain,
     NLCochainElement,
+    adj_lie,
     adjoint_instance,
     ce_cohomology,
     ce_cohomology_matrix_module,
@@ -41,6 +42,36 @@ def rand_mv(rng, P, k, max_entry=1):
             exp = tuple(rng.randint(0, max_entry) for _ in range(P.N))
             terms[legs] = Polynomial.monomial(P.vars, exp, rng.choice([-2, -1, 1, 2]))
     return Multivector(P, k, terms)
+
+
+def rand_poly(rng, vars, terms=2):
+    p = Polynomial.zero(vars)
+    for _ in range(terms):
+        exp = tuple(rng.randint(0, 1) for _ in vars)
+        p = p + Polynomial.monomial(vars, exp, rng.choice([-2, -1, 1, 2]))
+    return p
+
+
+def rand_adjoint_mv(rng, P, k):
+    """Base-direction legs, each leg set with a multi-term symbol coefficient."""
+    return Multivector(P, k, {legs: rand_poly(rng, P.vars)
+                              for legs in itertools.combinations(range(P.n), k)
+                              if rng.random() < 0.8})
+
+
+def random_connection(rng, alg):
+    def rl():
+        return alg.element([
+            Polynomial.monomial(alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
+                                rng.choice([-1, 1]))
+            for _ in range(alg.rank)
+        ])
+
+    return Connection(alg, [[rl() for _ in range(alg.rank)] for _ in range(len(alg.vars))])
+
+
+BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+            "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
 
 
 def rand_linear(rng, inst, alg, k):
@@ -227,17 +258,7 @@ def test_linear_to_nonlinear_members_and_section(conn_kind):
     alg = presets.semidirect_sl2()
     inst = adjoint_instance(alg)
     rng = random.Random(31)
-    if conn_kind == "trivial":
-        conn = Connection(alg)
-    else:
-        def rl():
-            return alg.element([
-                Polynomial.monomial(alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
-                                    rng.choice([-1, 1]))
-                for _ in range(alg.rank)
-            ])
-        conn = Connection(alg, [[rl() for _ in range(alg.rank)]
-                                for _ in range(len(alg.vars))])
+    conn = Connection(alg) if conn_kind == "trivial" else random_connection(rng, alg)
     for k in range(0, 3):
         c = rand_linear(rng, inst, alg, k)
         el = linear_to_nonlinear(c, conn, cap=2)
@@ -289,6 +310,85 @@ def test_linear_structure_operator_squares_to_zero():
         for table in dd.tables:
             for v in table.values():
                 assert v.is_zero()
+
+
+# -- reference paths: the leg loops the two primitives replaced -------------------
+
+
+def reference_adj_lie(P, X, v):
+    """The bracket on coefficients, and [rho(X), d/dx_u] = -sum_w
+    d(rho(X) x_w)/dx_u d/dx_w on each leg, one sum per term."""
+    xsym = P.element_symbol(X)
+    rho = X.anchor_derivation()
+    out = Multivector(P, v.degree)
+    for legs, c in v.terms.items():
+        br = P.bracket(xsym, c)
+        if not br.is_zero():
+            out = out + Multivector(P, v.degree, {legs: br})
+        for t, u in enumerate(legs):
+            for w in range(P.n):
+                coeff = -rho.images[w].partial(u)
+                new, sign = insert_leg(legs[:t] + legs[t + 1:], w)
+                if coeff.is_zero() or not sign:
+                    continue
+                out = out + Multivector(
+                    P, v.degree, {new: (P.lift(coeff) * c).scale(sign * (-1) ** t)}
+                )
+    return out
+
+
+def reference_curvature_replace(P, conn, X, Y, v):
+    """Replace one base leg at a time by the five-term curvature value."""
+    alg = P.alg
+    out = Multivector(P, max(v.degree - 1, 0))
+    for legs, c in v.terms.items():
+        for t, u in enumerate(legs):
+            img = conn.basic_curvature(X, Y, alg.coordinate_field(alg.vars[u]))
+            if img.is_zero():
+                continue
+            rest = legs[:t] + legs[t + 1:]
+            sign = 1 if t % 2 == 0 else -1
+            out = out + Multivector(
+                P, v.degree - 1, {rest: (c * P.element_symbol(img)).scale(sign)}
+            )
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_adj_lie_matches_the_reference_leg_loop(name):
+    alg = presets.builtin(name)
+    P = SymAlgebra(alg)
+    rng = random.Random(43)
+    for k in range(P.n + 1):
+        for _ in range(3):
+            v = rand_adjoint_mv(rng, P, k)
+            X = alg.element([rand_poly(rng, alg.vars) for _ in range(alg.rank)])
+            assert adj_lie(P, X, v) == reference_adj_lie(P, X, v)
+
+
+@pytest.mark.parametrize("name,random_conn", [(name, False) for name in BUILTINS]
+                         + [("weyl(2)", True)])
+def test_curvature_correction_matches_the_reference_leg_loop(name, random_conn):
+    # a cochain that is zero below its top column k: column k - 1 of its
+    # structure operator is the curvature correction alone, with the sign
+    # (-1)^(0+1) of the argument pair
+    alg = presets.builtin(name)
+    rng = random.Random(47)
+    conn = random_connection(rng, alg) if random_conn else Connection(alg)
+    inst = adjoint_instance(alg)
+    P = inst.sym
+    nonzero = 0
+    for k in range(1, min(2, P.n) + 1):
+        v = rand_adjoint_mv(rng, P, k)
+        tables = [{T: Multivector(P, i) for T in itertools.combinations(range(alg.rank), k - i)}
+                  for i in range(k)] + [{(): v}]
+        out = linear_structure_operator(LinearCECochain(inst, alg, k, tables), conn)
+        for a, b in itertools.combinations(range(alg.rank), 2):
+            want = -reference_curvature_replace(
+                P, conn, alg.basis_element(a), alg.basis_element(b), v)
+            assert out.tables[k - 1][(a, b)] == want
+            nonzero += not want.is_zero()
+    assert nonzero or not random_conn
 
 
 # -- honest CE cohomology ---------------------------------------------------------
