@@ -34,10 +34,8 @@ class KahlerForm(LegTensor):
         for (legs, exp), c in flat.items():
             if c:
                 by_legs.setdefault(legs, {})[exp] = c
-        w = cls(parent, degree)
-        w.terms = {legs: Polynomial._of(parent.vars, _integral_to_int(t))
-                   for legs, t in by_legs.items()}
-        return w
+        return cls._of(parent, degree, {legs: Polynomial._of(parent.vars, _integral_to_int(t))
+                                        for legs, t in by_legs.items()})
 
 
 def _d(flat: dict) -> dict:

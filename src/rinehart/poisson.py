@@ -137,6 +137,13 @@ class LegTensor:
                 self.terms[tuple(legs)] = c
 
     @classmethod
+    def _of(cls, parent: SymAlgebra, degree: int, terms: dict[Legs, Polynomial]):
+        """A tensor on sorted leg sets with no zero coefficient, taken as is."""
+        t = object.__new__(cls)
+        t.parent, t.degree, t.terms = parent, degree, terms
+        return t
+
+    @classmethod
     def function(cls, parent: SymAlgebra, f: Polynomial):
         return cls(parent, 0, {(): f})
 
@@ -144,7 +151,7 @@ class LegTensor:
     def basis_element(cls, parent: SymAlgebra, legs: Legs, exp: tuple[int, ...]):
         """The monomial exp on the leg set legs, as keyed by `entries`; exp
         is an exponent tuple of an enumerated basis, taken unchecked."""
-        return cls(parent, len(legs), {legs: Polynomial._of(parent.vars, {exp: 1})})
+        return cls._of(parent, len(legs), {legs: Polynomial._of(parent.vars, {exp: 1})})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -156,9 +163,7 @@ class LegTensor:
         for legs, c in pieces:
             s = acc.get(legs)
             acc[legs] = c if s is None else s + c
-        t = cls(parent, degree)
-        t.terms = {legs: c for legs, c in acc.items() if c}
-        return t
+        return cls._of(parent, degree, {legs: c for legs, c in acc.items() if c})
 
     def partial(self, i: int):
         """Every coefficient differentiated by the i-th symbol variable."""
@@ -179,14 +184,10 @@ class LegTensor:
                 out.pop(legs, None)
             else:
                 out[legs] = s
-        t = type(self)(self.parent, self.degree)
-        t.terms = out
-        return t
+        return self._of(self.parent, self.degree, out)
 
     def __neg__(self):
-        t = type(self)(self.parent, self.degree)
-        t.terms = {l: -c for l, c in self.terms.items()}
-        return t
+        return self._of(self.parent, self.degree, {l: -c for l, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)

@@ -1,30 +1,54 @@
-"""The universal enveloping algebra as a normal-ordered rewriting system.
+"""The universal enveloping algebra as an algebra of solvable type.
 
 Elements are finite maps (generator exponent vector) -> coefficient in R,
-in the normal form coefficient * e_1^a1 ... e_d^ad.  Products rewrite
-e_i * r -> r * e_i + rho(e_i)(r) and e_i * e_j -> e_j * e_i + [e_i, e_j]
-for i > j; generator-pair products are memoized on the algebra wrapper.
+in the normal form coefficient * e_1^a1 ... e_d^ad.  Products are computed
+on flat terms {(x exponent, generator exponent): c}, c an int or a Fraction,
+by the rewrite rules e_i * r -> r * e_i + rho(e_i)(r) and
+e_i * e_j -> e_j * e_i + [e_i, e_j] for i > j.  The normal forms of
+rho_i(x^p), e^alpha * x^n and e^gamma * e^beta are memoized on the algebra
+wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel & Lassner, JSC 1988).
 """
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
+from operator import add
 
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
 from .poisson import SymAlgebra
-from .poly import Polynomial, exponents
+from .poly import Polynomial, PolyDerivation, _coefficient, exponents
 
 Expo = tuple[int, ...]
+Flat = dict[tuple[Expo, Expo], "int | Fraction"]
+
+
+def _plus(a: Expo, b: Expo) -> Expo:
+    return tuple(map(add, a, b))
+
+
+def _pop_first(e: Expo) -> tuple[int, Expo]:
+    """The first k with e[k] > 0 and e - eps_k; (len(e), e) for a zero e."""
+    k = next((k for k, a in enumerate(e) if a), len(e))
+    return k, (e[:k] + (e[k] - 1,) + e[k + 1:] if k < len(e) else e)
+
+
+def _cleaned(acc: dict) -> dict:
+    """acc without its zero values, each integral Fraction made an int."""
+    return {k: c if c.__class__ is int else _coefficient(c) for k, c in acc.items() if c}
 
 
 class EnvelopingAlgebra:
-    """Wrapper owning the rewriting caches for one presentation."""
+    """Wrapper owning the normal-form memos for one presentation."""
 
     def __init__(self, alg: LieRinehartAlgebra):
         self.alg = alg
-        self._gen_mono_cache: dict[tuple[int, Expo], "UEAElement"] = {}
         self.sym_vars = alg.vars + alg.basis
+        self._units = [tuple(int(k == i) for k in range(alg.rank)) for i in range(alg.rank)]
+        self._rho_cache: dict[tuple[int, Expo], dict[Expo, int | Fraction]] = {}
+        self._ex_cache: dict[tuple[Expo, Expo], Flat] = {}
+        self._ee_cache: dict[tuple[Expo, Expo], Flat] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -36,74 +60,78 @@ class EnvelopingAlgebra:
             f = self.alg.poly(f)
         elif isinstance(f, (int, Fraction)):
             f = Polynomial.const(self.alg.vars, f)
-        e0 = (0,) * self.alg.rank
-        return UEAElement(self, {e0: f})
+        return UEAElement(self, {(0,) * self.alg.rank: f})
 
     def one(self) -> "UEAElement":
         return self.scalar(1)
 
     def generator(self, k: int) -> "UEAElement":
-        exp = [0] * self.alg.rank
-        exp[k] = 1
-        return UEAElement(self, {tuple(exp): self.alg.one()})
+        return UEAElement(self, {self._units[k]: self.alg.one()})
 
     def include(self, x: LElement) -> "UEAElement":
-        out = self.zero()
-        for k, f in enumerate(x.coeffs):
-            if not f.is_zero():
-                exp = [0] * self.alg.rank
-                exp[k] = 1
-                out = out + UEAElement(self, {tuple(exp): f})
-        return out
+        return UEAElement(self, {self._units[k]: f for k, f in enumerate(x.coeffs)})
 
     def monomial(self, coeff: Polynomial, exp: Expo) -> "UEAElement":
         return UEAElement(self, {tuple(exp): coeff})
 
-    # -- normal ordering core --------------------------------------------
+    # -- normal ordering core on flat terms --------------------------------
 
-    def _gen_times_monomial(self, i: int, beta: Expo) -> "UEAElement":
-        """e_i * e^beta in normal form."""
-        key = (i, beta)
-        cached = self._gen_mono_cache.get(key)
+    def _rho(self, i: int, p: Expo) -> dict[Expo, int | Fraction]:
+        """rho_i(x^p) as {x exponent: c}."""
+        cached = self._rho_cache.get((i, p))
+        if cached is None:
+            x = Polynomial._of(self.alg.vars, {p: 1})
+            cached = self._rho_cache[i, p] = self.alg.anchor[i](x).terms
+        return cached
+
+    def _gen_times(self, i: int, flat: Flat) -> Flat:
+        """e_i * flat, by e_i x^p e^gamma = x^p (e_i e^gamma) + rho_i(x^p) e^gamma."""
+        acc = defaultdict(int)
+        unit = self._units[i]
+        for (p, gamma), c in flat.items():
+            for (q, delta), d in self._ee(unit, gamma).items():
+                acc[_plus(p, q), delta] += c * d
+            for r, d in self._rho(i, p).items():
+                acc[r, gamma] += c * d
+        return _cleaned(acc)
+
+    def _ex(self, alpha: Expo, n: Expo) -> Flat:
+        """e^alpha * x^n in normal form: e_k (e^(alpha - eps_k) x^n), k the
+        first generator of alpha."""
+        cached = self._ex_cache.get((alpha, n))
+        if cached is None:
+            k, rest = _pop_first(alpha)
+            cached = self._gen_times(k, self._ex(rest, n)) if any(alpha) else {(n, alpha): 1}
+            self._ex_cache[alpha, n] = cached
+        return cached
+
+    def _ee(self, gamma: Expo, beta: Expo) -> Flat:
+        """e^gamma * e^beta in normal form.  Already ordered when no
+        generator of gamma comes after the first of beta; otherwise
+        e_k (e^(gamma - eps_k) e^beta) for the first generator k of a gamma
+        of degree above one, and for gamma = eps_i
+        e_j (e_i e^(beta - eps_j)) + [e_i, e_j] e^(beta - eps_j), j the
+        first generator of beta."""
+        cached = self._ee_cache.get((gamma, beta))
         if cached is not None:
             return cached
-        first = next((j for j, b in enumerate(beta) if b), None)
-        if first is None or i <= first:
-            exp = list(beta)
-            exp[i] += 1
-            result = UEAElement(self, {tuple(exp): self.alg.one()})
+        j, beta_rest = _pop_first(beta)
+        k, gamma_rest = _pop_first(gamma)
+        last = max((t for t, a in enumerate(gamma) if a), default=0)
+        if last <= j:
+            cached = {((0,) * len(self.alg.vars), _plus(gamma, beta)): 1}
+        elif any(gamma_rest):
+            cached = self._gen_times(k, self._ee(gamma_rest, beta))
         else:
-            j = first
-            rest = list(beta)
-            rest[j] -= 1
-            rest = tuple(rest)
-            inner = self._gen_times_monomial(i, rest)
-            result = self._gen_times_element(j, inner)
-            bracket = self.include(self.alg.basis_bracket(i, j))
-            result = result + bracket * UEAElement(self, {rest: self.alg.one()})
-        self._gen_mono_cache[key] = result
-        return result
-
-    def _gen_times_element(self, i: int, u: "UEAElement") -> "UEAElement":
-        """e_i * u in normal form."""
-        terms: dict[Expo, Polynomial] = {}
-        rho_i = self.alg.anchor[i]
-
-        def add(exp, coeff):
-            if coeff.is_zero():
-                return
-            cur = terms.get(exp)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-
-        for beta, g in u.terms.items():
-            for exp, c in self._gen_times_monomial(i, beta).terms.items():
-                add(exp, g * c)
-            add(beta, rho_i(g))
-        return UEAElement._of(self, terms)
+            acc = defaultdict(int, self._gen_times(j, self._ee(gamma, beta_rest)))
+            for l, f in enumerate(self.alg.structure_vector(k, j)):
+                if f:
+                    for (q, delta), d in self._ee(self._units[l], beta_rest).items():
+                        for m, a in f.terms.items():
+                            acc[_plus(m, q), delta] += a * d
+            cached = _cleaned(acc)
+        self._ee_cache[gamma, beta] = cached
+        return cached
 
 
 class UEAElement:
@@ -151,22 +179,38 @@ class UEAElement:
         return self + (-other)
 
     def scale(self, f) -> "UEAElement":
+        """f * self for a polynomial or a scalar f; R is an integral domain,
+        so no coefficient of a nonzero f times self is zero."""
+        if not f:
+            return self.parent.zero()
         if isinstance(f, Polynomial):
-            return UEAElement(self.parent, {e: f * c for e, c in self.terms.items()})
-        return UEAElement(self.parent, {e: c.scale(f) for e, c in self.terms.items()})
+            return UEAElement._of(self.parent, {e: f * c for e, c in self.terms.items()})
+        return UEAElement._of(self.parent, {e: c.scale(f) for e, c in self.terms.items()})
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
+        """The sum of a*b*c*d x^(m+p+q) e^delta over x^m e^alpha (a) in self,
+        x^n e^beta (b) in other, x^p e^gamma (c) in e^alpha x^n and
+        x^q e^delta (d) in e^gamma e^beta; per alpha, the b*c*d are summed
+        by (delta, p+q) before the coefficient of e^alpha multiplies them."""
         if not isinstance(other, UEAElement):
             return NotImplemented
         U = self.parent
-        out = U.zero()
+        acc: dict[Expo, dict] = {}
         for alpha, f in self.terms.items():
-            gens = [k for k in range(len(alpha)) for _ in range(alpha[k])]
-            piece = other
-            for k in reversed(gens):
-                piece = U._gen_times_element(k, piece)
-            out = out + piece.scale(f)
-        return out
+            shifts: dict = {}
+            for beta, g in other.terms.items():
+                for n, b in g.terms.items():
+                    for (p, gamma), c in U._ex(alpha, n).items():
+                        for (q, delta), d in U._ee(gamma, beta).items():
+                            key = delta, _plus(p, q)
+                            shifts[key] = shifts.get(key, 0) + b * c * d
+            for (delta, pq), w in shifts.items():
+                row = acc.setdefault(delta, {})
+                for m, a in f.terms.items():
+                    x = _plus(m, pq)
+                    row[x] = row.get(x, 0) + a * w
+        terms = {delta: Polynomial._of(U.alg.vars, _cleaned(row)) for delta, row in acc.items()}
+        return UEAElement._of(U, {delta: c for delta, c in terms.items() if c})
 
     def commutator(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
@@ -198,12 +242,8 @@ class UEAElement:
 
     def full_symbol(self) -> Polynomial:
         """All of the element as a polynomial in commuting symbols."""
-        U = self.parent
-        out = Polynomial.zero(U.sym_vars)
-        for e, c in self.terms.items():
-            for exp, coeff in c.terms.items():
-                out = out + Polynomial.monomial(U.sym_vars, exp + e, coeff)
-        return out
+        return Polynomial._of(self.parent.sym_vars, {
+            exp + e: coeff for e, c in self.terms.items() for exp, coeff in c.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -216,10 +256,7 @@ class UEAElement:
                 for name, a in zip(U.alg.basis, e)
                 if a
             )
-            if gens:
-                parts.append(f"({c})*{gens}")
-            else:
-                parts.append(f"({c})")
+            parts.append(f"({c})*{gens}" if gens else f"({c})")
         return " + ".join(parts)
 
 
@@ -248,11 +285,7 @@ class PBWMap:
         images = [P.lift(im) for im in X.anchor_derivation().images] + [
             P.element_symbol(self.conn.basic_l(X, alg.basis_element(a))) for a in range(P.d)
         ]
-        out = Polynomial.zero(P.vars)
-        for k, im in enumerate(images):
-            if not im.is_zero():
-                out = out + sym.partial(k) * im
-        return out
+        return PolyDerivation(P.vars, images)(sym)
 
     def __call__(self, sym: Polynomial) -> UEAElement:
         if sym.vars != self.U.sym_vars:

@@ -425,6 +425,34 @@ def test_morphism_chain_property_semidirect_degree1():
     assert rep.ok, rep.failures
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_morphism_chain_property_reaches_nonzero_bracket_terms(degree, monkeypatch):
+    # lie(sl2) has no base variables, so every leg is a generator direction
+    # and the bracket terms of the target differential are nonzero
+    from rinehart import pbwext
+
+    ctx = EtaContext(presets.lie("sl2"))
+    P = ctx.P
+    rng = random.Random(17)
+    D = Multivector(P, degree, {
+        legs: Polynomial.monomial(P.vars, tuple(rng.randint(0, 1) for _ in range(P.N)),
+                                  rng.choice([-1, 1, 2]))
+        for legs in itertools.combinations(range(P.N), degree)})
+    el = multivector_to_nl(adjoint_instance(ctx.alg), D, cap=3)
+    bracket_terms = []
+    original = pbwext._morphism_multilinear
+
+    def recording(*args):
+        value = original(*args)
+        bracket_terms.append(value)
+        return value
+
+    monkeypatch.setattr(pbwext, "_morphism_multilinear", recording)
+    rep = verify_morphism_chain(ctx, el, arg_deg=1, max_args=1)
+    assert rep.ok, rep.failures
+    assert any(not v.is_zero() for v in bracket_terms)
+
+
 def test_homotopy_exchange_corrected_sign_holds():
     # the true exchange law carries a minus on the rescaled-subscript tower map
     alg = presets.weyl(1)

@@ -281,3 +281,16 @@ def test_evaluate_rejects_a_wrong_arity():
     D = Multivector(P, 1, {(1,): Polynomial.const(P.vars, 1)})
     with pytest.raises(ValueError, match="wrong number of arguments"):
         D.evaluate([])
+
+
+def test_basis_element_is_the_checked_monomial_and_the_constructor_still_checks():
+    P = SymAlgebra(presets.weyl(2))
+    for k in range(P.N + 1):
+        for legs in itertools.combinations(range(P.N), k):
+            exp = tuple(range(P.N))
+            got = Multivector.basis_element(P, legs, exp)
+            assert got == Multivector(P, k, {legs: Polynomial.monomial(P.vars, exp, 1)})
+    one = Polynomial.const(P.vars, 1)
+    for degree, legs in [(2, (1, 0)), (2, (1, 1)), (1, (0, 1)), (2, (0,))]:
+        with pytest.raises(ValueError, match="bad leg set"):
+            Multivector(P, degree, {legs: one})

@@ -4,15 +4,19 @@ from fractions import Fraction
 import pytest
 
 from rinehart import presets
-from rinehart.lie_rinehart import Connection
-from rinehart.poly import Polynomial, parse_poly
+from rinehart.lie_rinehart import Connection, from_vector_fields
+from rinehart.poly import Polynomial, PolyDerivation, parse_poly
 from rinehart.uea import (
     CocycleError,
     DerivationExtension,
     EnvelopingAlgebra,
     PBWMap,
+    UEAElement,
     center_search,
 )
+
+BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+            "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
 
 
 def rand_uea(rng, U, max_fil=2, max_deg=2):
@@ -253,3 +257,146 @@ def test_commutator_symbol_is_the_poisson_bracket():
                 {e: c for e, c in comm.full_symbol().terms.items() if qdeg(e) == top},
             )
             assert got == P.bracket(a, b)
+
+
+# -- the product against the generator-by-generator normal ordering -------------
+
+
+def reference_mul(a, b):
+    """a * b rewritten one generator letter at a time, right to left: each
+    e_i is moved through b by e_i r = r e_i + rho_i(r) and
+    e_i e_j = e_j e_i + [e_i, e_j] for i > j, on whole polynomials."""
+    U = a.parent
+    alg = U.alg
+    memo = {}
+
+    def add(terms, exp, coeff):
+        s = terms.get(exp, alg.zero_poly()) + coeff
+        if s.is_zero():
+            terms.pop(exp, None)
+        else:
+            terms[exp] = s
+
+    def gen_times_monomial(i, beta):
+        if (i, beta) not in memo:
+            first = next((j for j, x in enumerate(beta) if x), None)
+            if first is None or i <= first:
+                exp = list(beta)
+                exp[i] += 1
+                out = {tuple(exp): alg.one()}
+            else:
+                rest = tuple(x - (j == first) for j, x in enumerate(beta))
+                out = gen_times_element(first, gen_times_monomial(i, rest))
+                for l, f in enumerate(alg.structure_vector(i, first)):
+                    if not f.is_zero():
+                        for exp, c in gen_times_monomial(l, rest).items():
+                            add(out, exp, f * c)
+            memo[i, beta] = out
+        return memo[i, beta]
+
+    def gen_times_element(i, terms):
+        out = {}
+        for beta, g in terms.items():
+            for exp, c in gen_times_monomial(i, beta).items():
+                add(out, exp, g * c)
+            add(out, beta, alg.anchor[i](g))
+        return out
+
+    out = {}
+    for alpha, f in a.terms.items():
+        piece = dict(b.terms)
+        for k in reversed([k for k in range(len(alpha)) for _ in range(alpha[k])]):
+            piece = gen_times_element(k, piece)
+        for exp, c in piece.items():
+            add(out, exp, f * c)
+    return UEAElement(U, out)
+
+
+def rand_fraction_poly(rng, U, max_deg=2):
+    """A multi-term ring element whose coefficients include Fractions."""
+    c = Polynomial.zero(U.alg.vars)
+    for _ in range(rng.randint(1, 3)):
+        xexp = tuple(rng.randint(0, max_deg) for _ in U.alg.vars)
+        c = c + Polynomial.monomial(U.alg.vars, xexp,
+                                    rng.choice([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)]))
+    return c
+
+
+def rand_fraction_uea(rng, U, max_fil=3):
+    """Several generator words, each with a rand_fraction_poly coefficient."""
+    out = U.zero()
+    for _ in range(rng.randint(1, 4)):
+        gexp = [0] * U.alg.rank
+        for _ in range(rng.randint(0, max_fil)):
+            gexp[rng.randrange(U.alg.rank)] += 1
+        out = out + U.monomial(rand_fraction_poly(rng, U), tuple(gexp))
+    return out
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_product_matches_the_generator_by_generator_reference(spec):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    rng = random.Random(31)
+    saw_fraction = False
+    for _ in range(12):
+        a, b = rand_fraction_uea(rng, U), rand_fraction_uea(rng, U)
+        got = a * b
+        assert got == reference_mul(a, b)
+        for c in got.terms.values():
+            assert not c.is_zero()
+            assert all(v.__class__ is int or v.denominator != 1 for v in c.terms.values())
+            saw_fraction |= any(v.__class__ is Fraction for v in c.terms.values())
+    assert saw_fraction
+    # products of PBW lifts and scalar factors on either side
+    pb = PBWMap(U)
+    for _ in range(4):
+        a, b = pb(rand_sym(rng, U)), pb(rand_sym(rng, U))
+        r = U.scalar(rand_fraction_poly(rng, U))
+        for x, y in [(a, b), (r, a), (b, r)]:
+            assert x * y == reference_mul(x, y)
+
+
+def test_product_matches_the_reference_on_a_non_constant_bracket():
+    # [d/dx, x^2 d/dx + d/dy] = 2x d/dx: no builtin has a non-constant
+    # structure function
+    vars = ("x", "y")
+    fields = (PolyDerivation(vars, [parse_poly(vars, "1"), parse_poly(vars, "0")]),
+              PolyDerivation(vars, [parse_poly(vars, "x^2"), parse_poly(vars, "1")]))
+    alg = from_vector_fields(vars, fields, ("X", "Y"))
+    assert alg.structure == {(0, 1): (parse_poly(vars, "2*x"), alg.zero_poly())}
+    U = EnvelopingAlgebra(alg)
+    rng = random.Random(37)
+    for _ in range(10):
+        a, b = rand_fraction_uea(rng, U, max_fil=4), rand_fraction_uea(rng, U, max_fil=4)
+        assert a * b == reference_mul(a, b)
+    X, Y = U.generator(0), U.generator(1)
+    assert Y * X == X * Y - U.scalar("2*x") * X
+
+
+@pytest.mark.parametrize("spec,fil,weight", [
+    ("weyl(1)", 2, 4), ("lie(sl2)", 2, 2), ("lie(abelian2)", 2, 2),
+])
+def test_center_commutators_match_the_reference(spec, fil, weight):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    gens = [U.scalar(Polynomial.variable(U.alg.vars, v)) for v in U.alg.vars]
+    gens += [U.generator(k) for k in range(U.alg.rank)]
+    for u in center_search(U, fil, weight):
+        for g in gens:
+            assert reference_mul(u, g) == reference_mul(g, u)
+            assert u.commutator(g).is_zero()
+
+
+def test_scale_by_zero_and_nonzero_factors():
+    U = EnvelopingAlgebra(presets.weyl(2))
+    rng = random.Random(41)
+    a = rand_fraction_uea(rng, U)
+    for zero in (0, Fraction(0), Polynomial.zero(U.alg.vars)):
+        got = a.scale(zero)
+        assert got.is_zero() and got == U.zero()
+    for f in (3, Fraction(-1, 2), parse_poly(U.alg.vars, "x1*x2 - 2*x2")):
+        got = a.scale(f)
+        assert set(got.terms) == set(a.terms)
+        for e, c in a.terms.items():
+            assert got.terms[e] == (f * c if isinstance(f, Polynomial) else c.scale(f))
+            assert not got.terms[e].is_zero()
+        assert got == U.scalar(f) * a
