@@ -106,22 +106,20 @@ def hochschild_b(phi: TableCochain) -> TableCochain:
         return zero_cochain(U, q + 1)
 
     def kernel(exps):
-        mono = lambda e: Polynomial.monomial(U.alg.vars, e, 1)
-        out = U.scalar(mono(exps[0])) * phi.eval_monos(exps[1:])
+        out = U.x_power(exps[0]) * phi.eval_monos(exps[1:])
         for i in range(q):
             merged = exps[:i] + (tuple(x + y for x, y in zip(exps[i], exps[i + 1])),) + exps[i + 2:]
             term = phi.eval_monos(merged)
-            out = out + (term if i % 2 == 1 else -term)
-        last = phi.eval_monos(exps[:-1]) * U.scalar(mono(exps[-1]))
-        out = out + (last if q % 2 == 1 else -last)
-        return out
+            out = out + term if i % 2 == 1 else out - term
+        last = phi.eval_monos(exps[:-1]) * U.x_power(exps[-1])
+        return out + last if q % 2 == 1 else out - last
 
     return TableCochain(U, q + 1, kernel)
 
 
 def r_action(f: Polynomial, phi: TableCochain) -> TableCochain:
-    U = phi.U
-    return TableCochain(U, phi.arity, lambda exps: U.scalar(f) * phi.eval_monos(exps))
+    fU = phi.U.scalar(f)
+    return TableCochain(phi.U, phi.arity, lambda exps: fU * phi.eval_monos(exps))
 
 
 def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
@@ -170,14 +168,14 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
         for i in range(1, q + 1):
             inserted = args[: i - 1] + [r] + args[i - 1:]
             term = phi(*inserted) * iX
-            out = out + (term if i % 2 == 1 else -term)
+            out = out + term if i % 2 == 1 else out - term
         for i in range(1, q):
             for j in range(i, q):
                 # act on original argument j, which sits one slot right of r
                 acted = args[: i - 1] + [r] + args[i - 1:]
                 acted[j] = rho(args[j - 1])
                 term = phi(*acted)
-                out = out + (term if i % 2 == 1 else -term)
+                out = out + term if i % 2 == 1 else out - term
         return out
 
     return TableCochain(U, q - 1, kernel)

@@ -26,9 +26,11 @@ class SymAlgebra:
         self.vars = alg.vars + alg.basis
         self.N = self.n + self.d
         self._table: dict[tuple[int, int], Polynomial] = {}
+        self._brackets = {(a, a): Polynomial.zero(self.vars) for a in range(self.N)}
         for a in range(self.N):
             for b in range(a + 1, self.N):
-                self._table[(a, b)] = self._generator_bracket(a, b)
+                ab = self._table[(a, b)] = self._generator_bracket(a, b)
+                self._brackets[a, b], self._brackets[b, a] = ab, -ab
 
     def lift(self, f: Polynomial) -> Polynomial:
         """Include a ring element into the symbol algebra."""
@@ -69,11 +71,7 @@ class SymAlgebra:
         return out
 
     def coordinate_bracket(self, a: int, b: int) -> Polynomial:
-        if a == b:
-            return Polynomial.zero(self.vars)
-        if a < b:
-            return self._table[(a, b)]
-        return -self._table[(b, a)]
+        return self._brackets[a, b]
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Biderivation extension of the generator brackets."""
@@ -171,26 +169,34 @@ class LegTensor:
                            ((legs, c.partial(i)) for legs, c in self.terms.items()))
 
     def __add__(self, other):
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        assert self.degree == other.degree
-        out = dict(self.terms)
-        for legs, c in other.terms.items():
-            s = out.get(legs)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(legs, None)
-            else:
-                out[legs] = s
-        return self._of(self.parent, self.degree, out)
+        return self._combined(other, False)
 
     def __neg__(self):
         return self._of(self.parent, self.degree, {l: -c for l, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combined(other, True)
+
+    def _combined(self, other, minus: bool):
+        """self - other when minus, else self + other, in one pass over the
+        terms of other."""
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other if minus else other
+        assert self.degree == other.degree
+        out = dict(self.terms)
+        for legs, c in other.terms.items():
+            s = out.get(legs)
+            if s is None:
+                s = -c if minus else c
+            else:
+                s = s - c if minus else s + c
+            if s:
+                out[legs] = s
+            else:
+                del out[legs]
+        return self._of(self.parent, self.degree, out)
 
     def scale(self, c):
         """Multiply every coefficient by a polynomial or a scalar."""

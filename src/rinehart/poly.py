@@ -12,6 +12,7 @@ every other module shares live here too.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -41,6 +42,19 @@ def _integral_to_int(terms: dict) -> dict:
         if c.__class__ is not int:
             terms[e] = _coefficient(c)
     return terms
+
+
+def _merged(a: dict, b: dict, op) -> dict:
+    """The coefficient map a op b for op add or sub, in one pass over b:
+    no zero coefficient kept, integral ones made ints."""
+    out = dict(a)
+    for k, c in b.items():
+        s = op(out.get(k, 0), c)
+        if s:
+            out[k] = s if s.__class__ is int else _coefficient(s)
+        else:
+            del out[k]
+    return out
 
 
 class Polynomial:
@@ -124,20 +138,14 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s if s.__class__ is int else _coefficient(s)
-            else:
-                out.pop(exp, None)
-        return Polynomial._of(self.vars, out)
+        return Polynomial._of(self.vars, _merged(self.terms, other.terms, operator.add))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check(other)
+        return Polynomial._of(self.vars, _merged(self.terms, other.terms, operator.sub))
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

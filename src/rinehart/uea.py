@@ -1,9 +1,11 @@
 """The universal enveloping algebra as an algebra of solvable type.
 
-Elements are finite maps (generator exponent vector) -> coefficient in R,
-in the normal form coefficient * e_1^a1 ... e_d^ad.  Products are computed
-on flat terms {(x exponent, generator exponent): c}, c an int or a Fraction,
-by the rewrite rules e_i * r -> r * e_i + rho(e_i)(r) and
+An element is stored as flat terms {(x exponent, generator exponent): c},
+c a nonzero int or (when not integral) Fraction, for the normal form
+sum c x^m e_1^a1 ... e_d^ad; `terms` is a read-only view of it as
+{generator exponent: Polynomial}.  Sums, differences, scalar factors and
+products all work on the flat terms; products by the rewrite rules
+e_i * r -> r * e_i + rho(e_i)(r) and
 e_i * e_j -> e_j * e_i + [e_i, e_j] for i > j.  The normal forms of
 rho_i(x^p), e^alpha * x^n and e^gamma * e^beta are memoized on the algebra
 wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel & Lassner, JSC 1988).
@@ -13,12 +15,12 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 
 from .lie_rinehart import Connection, LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
 from .poisson import SymAlgebra
-from .poly import Polynomial, PolyDerivation, _coefficient, exponents
+from .poly import Polynomial, PolyDerivation, _coefficient, _merged, exponents
 
 Expo = tuple[int, ...]
 Flat = dict[tuple[Expo, Expo], "int | Fraction"]
@@ -46,6 +48,7 @@ class EnvelopingAlgebra:
         self.alg = alg
         self.sym_vars = alg.vars + alg.basis
         self._units = [tuple(int(k == i) for k in range(alg.rank)) for i in range(alg.rank)]
+        self._xzero, self._gzero = (0,) * len(alg.vars), (0,) * alg.rank
         self._rho_cache: dict[tuple[int, Expo], dict[Expo, int | Fraction]] = {}
         self._ex_cache: dict[tuple[Expo, Expo], Flat] = {}
         self._ee_cache: dict[tuple[Expo, Expo], Flat] = {}
@@ -53,26 +56,31 @@ class EnvelopingAlgebra:
     # -- constructors ---------------------------------------------------
 
     def zero(self) -> "UEAElement":
-        return UEAElement(self, {})
+        return UEAElement._of(self, {})
 
     def scalar(self, f) -> "UEAElement":
         if isinstance(f, str):
             f = self.alg.poly(f)
-        elif isinstance(f, (int, Fraction)):
-            f = Polynomial.const(self.alg.vars, f)
-        return UEAElement(self, {(0,) * self.alg.rank: f})
+        if not isinstance(f, Polynomial):
+            return UEAElement._of(self, {(self._xzero, self._gzero): _coefficient(f)} if f else {})
+        return UEAElement._of(self, {(m, self._gzero): c for m, c in f.terms.items()})
+
+    def x_power(self, e: Expo) -> "UEAElement":
+        """The ring monomial x^e."""
+        return UEAElement._of(self, {(e, self._gzero): 1})
 
     def one(self) -> "UEAElement":
-        return self.scalar(1)
+        return self.x_power(self._xzero)
 
     def generator(self, k: int) -> "UEAElement":
-        return UEAElement(self, {self._units[k]: self.alg.one()})
+        return UEAElement._of(self, {(self._xzero, self._units[k]): 1})
 
     def include(self, x: LElement) -> "UEAElement":
-        return UEAElement(self, {self._units[k]: f for k, f in enumerate(x.coeffs)})
+        return UEAElement._of(self, {(m, self._units[k]): c for k, f in enumerate(x.coeffs)
+                                     for m, c in f.terms.items()})
 
     def monomial(self, coeff: Polynomial, exp: Expo) -> "UEAElement":
-        return UEAElement(self, {tuple(exp): coeff})
+        return UEAElement(self, {exp: coeff})
 
     # -- normal ordering core on flat terms --------------------------------
 
@@ -119,7 +127,7 @@ class EnvelopingAlgebra:
         k, gamma_rest = _pop_first(gamma)
         last = max((t for t, a in enumerate(gamma) if a), default=0)
         if last <= j:
-            cached = {((0,) * len(self.alg.vars), _plus(gamma, beta)): 1}
+            cached = {(self._xzero, _plus(gamma, beta)): 1}
         elif any(gamma_rest):
             cached = self._gen_times(k, self._ee(gamma_rest, beta))
         else:
@@ -135,118 +143,122 @@ class EnvelopingAlgebra:
 
 
 class UEAElement:
-    __slots__ = ("parent", "terms")
+    """Finite map (x exponent, generator exponent) -> nonzero coefficient c,
+    an int when integral and a Fraction otherwise, for c x^m e^alpha."""
+
+    __slots__ = ("parent", "flat")
 
     def __init__(self, parent: EnvelopingAlgebra, terms: dict[Expo, Polynomial]):
+        """The element sum c_alpha e^alpha of {alpha: c_alpha}."""
         self.parent = parent
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.flat = {(m, tuple(e)): c for e, p in terms.items() for m, c in p.terms.items()}
 
     @classmethod
-    def _of(cls, parent: EnvelopingAlgebra, terms: dict[Expo, Polynomial]) -> "UEAElement":
-        """An element on terms with no zero coefficient, taken as is."""
+    def _of(cls, parent: EnvelopingAlgebra, flat: Flat) -> "UEAElement":
+        """An element on canonical flat terms (no zero, integral ones as
+        int), taken as is."""
         u = object.__new__(cls)
-        u.parent, u.terms = parent, terms
+        u.parent, u.flat = parent, flat
         return u
 
+    @property
+    def terms(self) -> dict[Expo, Polynomial]:
+        """A fresh {generator exponent: Polynomial coefficient} view."""
+        rows: dict[Expo, dict] = {}
+        for (m, e), c in self.flat.items():
+            rows.setdefault(e, {})[m] = c
+        vars = self.parent.alg.vars
+        return {e: Polynomial._of(vars, row) for e, row in rows.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.flat
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UEAElement)
             and self.parent is other.parent
-            and self.terms == other.terms
+            and self.flat == other.flat
         )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.flat.items()))
 
     def __add__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return UEAElement._of(self.parent, out)
+        return UEAElement._of(self.parent, _merged(self.flat, other.flat, add))
 
     def __neg__(self) -> "UEAElement":
-        return UEAElement._of(self.parent, {e: -c for e, c in self.terms.items()})
+        return UEAElement._of(self.parent, {k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
-        return self + (-other)
+        return UEAElement._of(self.parent, _merged(self.flat, other.flat, sub))
 
     def scale(self, f) -> "UEAElement":
         """f * self for a polynomial or a scalar f; R is an integral domain,
-        so no coefficient of a nonzero f times self is zero."""
+        so no coefficient of a nonzero scalar f times self is zero."""
         if not f:
             return self.parent.zero()
-        if isinstance(f, Polynomial):
-            return UEAElement._of(self.parent, {e: f * c for e, c in self.terms.items()})
-        return UEAElement._of(self.parent, {e: c.scale(f) for e, c in self.terms.items()})
+        if not isinstance(f, Polynomial):
+            return UEAElement._of(self.parent, {k: _coefficient(f * c) for k, c in self.flat.items()})
+        acc: dict = {}
+        for (m, e), c in self.flat.items():
+            for n, a in f.terms.items():
+                key = _plus(n, m), e
+                acc[key] = acc.get(key, 0) + a * c
+        return UEAElement._of(self.parent, _cleaned(acc))
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
         """The sum of a*b*c*d x^(m+p+q) e^delta over x^m e^alpha (a) in self,
         x^n e^beta (b) in other, x^p e^gamma (c) in e^alpha x^n and
         x^q e^delta (d) in e^gamma e^beta; per alpha, the b*c*d are summed
-        by (delta, p+q) before the coefficient of e^alpha multiplies them."""
+        by (p+q, delta) before the terms of self on e^alpha multiply them."""
         if not isinstance(other, UEAElement):
             return NotImplemented
         U = self.parent
-        acc: dict[Expo, dict] = {}
-        for alpha, f in self.terms.items():
-            shifts: dict = {}
-            for beta, g in other.terms.items():
-                for n, b in g.terms.items():
-                    for (p, gamma), c in U._ex(alpha, n).items():
-                        for (q, delta), d in U._ee(gamma, beta).items():
-                            key = delta, _plus(p, q)
-                            shifts[key] = shifts.get(key, 0) + b * c * d
-            for (delta, pq), w in shifts.items():
-                row = acc.setdefault(delta, {})
-                for m, a in f.terms.items():
-                    x = _plus(m, pq)
-                    row[x] = row.get(x, 0) + a * w
-        terms = {delta: Polynomial._of(U.alg.vars, _cleaned(row)) for delta, row in acc.items()}
-        return UEAElement._of(U, {delta: c for delta, c in terms.items() if c})
+        by_alpha: dict[Expo, list] = {}
+        for (m, alpha), a in self.flat.items():
+            by_alpha.setdefault(alpha, []).append((m, a))
+        acc: Flat = {}
+        for alpha, row in by_alpha.items():
+            shifts: Flat = {}
+            for (n, beta), b in other.flat.items():
+                for (p, gamma), c in U._ex(alpha, n).items():
+                    for (q, delta), d in U._ee(gamma, beta).items():
+                        key = _plus(p, q), delta
+                        shifts[key] = shifts.get(key, 0) + b * c * d
+            for (pq, delta), w in shifts.items():
+                for m, a in row:
+                    key = _plus(m, pq), delta
+                    acc[key] = acc.get(key, 0) + a * w
+        return UEAElement._of(U, _cleaned(acc))
 
     def commutator(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
 
     def filtration_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for _, e in self.flat), default=0)
 
     def weight(self) -> int | None:
         """Weight of a homogeneous element under the declared weights."""
         alg = self.parent.alg
-        vw = alg.var_weights()
-        seen = set()
-        for e, c in self.terms.items():
-            gw = sum(a * alg.generator_weight(k) for k, a in enumerate(e))
-            for w, piece in c.weight_split(vw).items():
-                seen.add(w + gw)
-        if not seen:
-            return None
+        weights = alg.var_weights() + tuple(alg.generator_weight(k) for k in range(alg.rank))
+        seen = {sum(map(mul, m + e, weights)) for m, e in self.flat}
         if len(seen) > 1:
             raise ValueError("element is not weight homogeneous")
-        return seen.pop()
+        return seen.pop() if seen else None
 
     def gr_symbol(self) -> Polynomial:
         """Top filtration part, generators replaced by commuting symbols."""
         top = self.filtration_degree()
         return UEAElement._of(
-            self.parent, {e: c for e, c in self.terms.items() if sum(e) == top}
+            self.parent, {k: c for k, c in self.flat.items() if sum(k[1]) == top}
         ).full_symbol()
 
     def full_symbol(self) -> Polynomial:
         """All of the element as a polynomial in commuting symbols."""
-        return Polynomial._of(self.parent.sym_vars, {
-            exp + e: coeff for e, c in self.terms.items() for exp, coeff in c.terms.items()})
+        return Polynomial._of(self.parent.sym_vars, {m + e: c for (m, e), c in self.flat.items()})
 
     def __repr__(self):
-        if not self.terms:
+        if not self.flat:
             return "0"
         U = self.parent
         parts = []
@@ -364,24 +376,15 @@ def center_search(
     generators += [U.generator(k) for k in range(alg.rank)]
 
     def image(key):
-        xexp, gexp = key
-        b = U.monomial(Polynomial.monomial(alg.vars, xexp, 1), gexp)
+        b = UEAElement._of(U, {key: 1})
         for gi, g in enumerate(generators):
-            for gexp2, c in b.commutator(g).terms.items():
-                for xexp2, v in c.terms.items():
-                    yield (gi, xexp2, gexp2), v
+            for (xexp, gexp), v in b.commutator(g).flat.items():
+                yield (gi, xexp, gexp), v
 
     m, _ = assemble(basis_monos, image)
     kernel, _ = kernel_and_rank(m)
-    out = []
-    for vec in kernel:
-        u = U.zero()
-        for j, c in enumerate(vec):
-            if c:
-                xexp, gexp = basis_monos[j]
-                u = u + U.monomial(Polynomial.monomial(alg.vars, xexp, c), gexp)
-        out.append(u)
-    return out
+    return [UEAElement._of(U, {basis_monos[j]: _coefficient(c) for j, c in enumerate(vec) if c})
+            for vec in kernel]
 
 
 # -- degree-one extensions ------------------------------------------------------

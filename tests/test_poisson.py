@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -294,3 +295,29 @@ def test_basis_element_is_the_checked_monomial_and_the_constructor_still_checks(
     for degree, legs in [(2, (1, 0)), (2, (1, 1)), (1, (0, 1)), (2, (0,))]:
         with pytest.raises(ValueError, match="bad leg set"):
             Multivector(P, degree, {legs: one})
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["lie(abelian2)"])
+def test_leg_tensor_difference_is_the_sum_with_the_negative(name):
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(47)
+    for k in range(min(3, P.N) + 1):
+        for _ in range(4):
+            A = rand_multiterm_mv(rng, P, k)
+            # B shares A's legs, so A - B cancels in part, and fractions enter
+            B = rand_multiterm_mv(rng, P, k) + A.scale(rng.choice([1, Fraction(1, 2)]))
+            for X, Y in [(A, B), (B, A), (A, A), (A, Multivector(P, k)), (Multivector(P, k), A)]:
+                got = X - Y
+                assert got == X + (-Y)
+                assert all(not c.is_zero() for c in got.terms.values())
+            assert (A - A).is_zero() and (A + B) - B == A
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["lie(abelian2)"])
+def test_coordinate_bracket_is_antisymmetric(name):
+    P = SymAlgebra(presets.builtin(name))
+    for a in range(P.N):
+        assert P.coordinate_bracket(a, a).is_zero()
+        for b in range(P.N):
+            assert P.coordinate_bracket(a, b) == -P.coordinate_bracket(b, a)
+            assert P.coordinate_bracket(a, b) == P.bracket(P.coordinate(a), P.coordinate(b))

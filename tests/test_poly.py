@@ -342,3 +342,18 @@ def test_parse_round_trips_the_printed_form():
         as_fractions = Polynomial(vars)
         as_fractions.terms = {e: Fraction(c) for e, c in p.terms.items()}
         assert repr(as_fractions) == repr(p)
+
+
+def test_difference_is_the_sum_with_the_negative():
+    rng = random.Random(29)
+    zero = Polynomial.zero(XY)
+    for _ in range(200):
+        rational = rng.random() < 0.5
+        p = Polynomial(XY, _random_terms(rng, 2, rational))
+        q = Polynomial(XY, _random_terms(rng, 2, rational)) + p.scale(rng.choice([-1, 1]))
+        _assert_canonical(p - q, (p + (-q)).terms)
+        assert p - q == p + (-q)
+        assert p - p == zero and (p + q) - q == p
+        _assert_canonical(p - p, {})
+    half = Polynomial.const(XY, Fraction(1, 2))
+    assert type((half - half.scale(-1)).constant_value()) is int

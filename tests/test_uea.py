@@ -400,3 +400,105 @@ def test_scale_by_zero_and_nonzero_factors():
             assert got.terms[e] == (f * c if isinstance(f, Polynomial) else c.scale(f))
             assert not got.terms[e].is_zero()
         assert got == U.scalar(f) * a
+
+
+# -- the flat storage against references on the terms view ----------------------
+
+
+def assert_canonical(u):
+    """No zero coefficient is stored and integral Fractions are ints."""
+    for (m, e), c in u.flat.items():
+        assert len(m) == len(u.parent.alg.vars) and len(e) == u.parent.alg.rank
+        assert c != 0 and (c.__class__ is int or c.denominator != 1), c
+
+
+def reference_combination(pairs):
+    """sum of sign * x over (sign, x), on {generator exponent: Polynomial}."""
+    out = {}
+    for sign, x in pairs:
+        for e, c in x.terms.items():
+            s = out.get(e, Polynomial.zero(c.vars)) + c.scale(sign)
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def reference_repr(u):
+    if not u.terms:
+        return "0"
+    parts = []
+    for e, c in sorted(u.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        gens = "*".join(f"{name}^{a}" if a > 1 else name
+                        for name, a in zip(u.parent.alg.basis, e) if a)
+        parts.append(f"({c})*{gens}" if gens else f"({c})")
+    return " + ".join(parts)
+
+
+def reference_weights(u):
+    alg = u.parent.alg
+    return {w + sum(a * alg.generator_weight(k) for k, a in enumerate(e))
+            for e, c in u.terms.items() for w in c.weight_split(alg.var_weights())}
+
+
+def reference_symbol(u, keep):
+    return Polynomial(u.parent.sym_vars, {m + e: v for e, c in u.terms.items() if keep(e)
+                                          for m, v in c.terms.items()})
+
+
+@pytest.mark.parametrize("spec", BUILTINS + ["lie(abelian2)"])
+def test_flat_storage_matches_the_terms_view(spec):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    rng = random.Random(43)
+    half = Fraction(1, 2)
+    cancelled = integral = 0
+    for _ in range(10):
+        a = rand_fraction_uea(rng, U)
+        # b shares terms with a, so a + b and a - b cancel in part
+        b = rand_fraction_uea(rng, U) + a.scale(rng.choice([-1, 1, half]))
+        assert UEAElement(U, a.terms) == a and hash(UEAElement(U, a.terms)) == hash(a)
+        cases = [
+            (a + b, [(1, a), (1, b)]),
+            (a - b, [(1, a), (-1, b)]),
+            (-a, [(-1, a)]),
+            (a - a, []),
+            (a + (-a), []),
+            (a.scale(half) + a.scale(half), [(1, a)]),
+        ]
+        for got, pairs in cases:
+            assert_canonical(got)
+            want = UEAElement(U, reference_combination(pairs))
+            assert got == want and hash(got) == hash(want)
+            assert got.terms == want.terms
+            cancelled += got.is_zero() or len(got.flat) < sum(len(x.flat) for _, x in pairs)
+        halved = a.scale(half)
+        integral += any(halved.flat[k].__class__ is Fraction and c.__class__ is int
+                        for k, c in (halved + halved).flat.items())
+        f = rand_fraction_poly(rng, U)
+        for factor in (3, -1, Fraction(2, 3), half, f):
+            got = a.scale(factor)
+            assert_canonical(got)
+            want = {e: (factor * c if isinstance(factor, Polynomial) else c.scale(factor))
+                    for e, c in a.terms.items()}
+            assert got == UEAElement(U, want)
+        assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
+        for u in (a, b, a + b, a - a):
+            assert repr(u) == reference_repr(u)
+            top = u.filtration_degree()
+            assert top == max((sum(e) for e in u.terms), default=0)
+            assert u.full_symbol() == reference_symbol(u, lambda e: True)
+            assert u.gr_symbol() == reference_symbol(u, lambda e: sum(e) == top)
+            weights = reference_weights(u)
+            if len(weights) > 1:
+                with pytest.raises(ValueError):
+                    u.weight()
+            else:
+                assert u.weight() == (weights.pop() if weights else None)
+            for w in reference_weights(u):
+                piece = UEAElement(U, {e: p for e, c in u.terms.items()
+                                       for v, p in c.weight_split(U.alg.var_weights()).items()
+                                       if v + sum(x * U.alg.generator_weight(k)
+                                                  for k, x in enumerate(e)) == w})
+                assert piece.weight() == w
+    assert cancelled and integral
