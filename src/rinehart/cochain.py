@@ -128,18 +128,19 @@ def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
     q = phi.arity
     rho = X.anchor_derivation()
     iX = U.include(X)
+    moved: dict[Mono, Polynomial] = {}  # rho(x^e) per exponent e
 
     def kernel(exps):
-        mono = lambda e: Polynomial.monomial(U.alg.vars, e, 1)
         val = phi.eval_monos(exps)
         out = iX * val - val * iX
-        for i in range(q):
-            moved = rho(mono(exps[i]))
-            if moved.is_zero():
+        # the exponents are keys of the value memo: tuples, taken unchecked
+        args = [Polynomial._of(U.alg.vars, {e: 1}) for e in exps]
+        for i, e in enumerate(exps):
+            if e not in moved:
+                moved[e] = rho(args[i])
+            if moved[e].is_zero():
                 continue
-            args = [mono(e) for e in exps]
-            args[i] = moved
-            out = out - phi(*args)
+            out = out - phi(*args[:i], moved[e], *args[i + 1:])
         return out
 
     return TableCochain(U, q, kernel)

@@ -6,7 +6,7 @@ import itertools
 from operator import add
 
 from .lie_rinehart import CheckReport, LieRinehartAlgebra
-from .linalg import ComplexSlice, assemble, cohomology_dims, kernel_and_rank, rank
+from .linalg import ComplexSlice, SparseMatrixQ, assemble, cohomology_dims, kernel_and_rank, rank
 from .poisson import (
     Legs,
     LegTensor,
@@ -92,15 +92,15 @@ def poisson_boundary(w: KahlerForm) -> KahlerForm:
 # -- weight slices -----------------------------------------------------------
 
 
-def _form_basis(P: SymAlgebra, lam: int, k: int, jweight: int = 0) -> list[tuple[Legs, tuple[int, ...]]]:
-    """Forms of homological degree k in the slice lam (offset by u-columns)."""
+def _form_basis(P: SymAlgebra, lam: int, k: int) -> list[tuple[Legs, tuple[int, ...]]]:
+    """Forms of homological degree k in the slice lam."""
     vw = P.weight_vector()
     wbr = P.bracket_weight()
     out = []
     if not 0 <= k <= P.N:
         return out
     for legs in itertools.combinations(range(P.N), k):
-        need = lam - (k + jweight) * wbr - sum(vw[a] for a in legs)
+        need = lam - k * wbr - sum(vw[a] for a in legs)
         for exp in P.monomials_of_weight(need):
             out.append((legs, exp))
     out.sort()
@@ -153,73 +153,122 @@ def homology_totals(table: dict[tuple[int, int], int]) -> dict[int, int]:
 # -- cyclic -------------------------------------------------------------------
 
 
-def cyclic_slice(P: SymAlgebra, lam: int, u_cap: int, t_max: int,
-                 images: dict) -> ComplexSlice:
+class _MixedBlocks:
+    """The blocks of the mixed complex (b, d) on the forms of one symbol
+    algebra, each built on first use.  With B(mu, k) = `_form_basis(P, mu, k)`,
+    the boundary block b(mu, k): B(mu, k) -> B(mu, k - 1) and the de Rham block
+    d(mu, k): B(mu, k) -> B(mu + wbr, k + 1) hold one column
+    [(row index, coefficient), ...] per basis form; neither depends on the
+    slice or the u-column that it is placed in."""
+
+    def __init__(self, P: SymAlgebra):
+        self.P = P
+        self.wbr = P.bracket_weight()
+        self._bases: dict = {}
+        self._blocks: dict = {}
+
+    def basis(self, mu: int, k: int) -> tuple[list, dict]:
+        """B(mu, k) and the row index of each of its forms."""
+        if (mu, k) not in self._bases:
+            basis = _form_basis(self.P, mu, k)
+            self._bases[mu, k] = basis, {form: i for i, form in enumerate(basis)}
+        return self._bases[mu, k]
+
+    def block(self, op: str, mu: int, k: int) -> list[list[tuple[int, object]]]:
+        """b(mu, k) when op is "b", d(mu, k) when it is "d"."""
+        if (op, mu, k) not in self._blocks:
+            if op == "b":
+                row_of = self.basis(mu, k - 1)[1]
+                image = lambda form: poisson_boundary(
+                    KahlerForm.basis_element(self.P, *form)).entries()
+            else:
+                row_of = self.basis(mu + self.wbr, k + 1)[1]
+                image = lambda form: _d({form: 1}).items()
+            self._blocks[op, mu, k] = [[(row_of[key], c) for key, c in image(form)]
+                                       for form in self.basis(mu, k)[0]]
+        return self._blocks[op, mu, k]
+
+
+def cyclic_slice(blocks: _MixedBlocks, lam: int, u_cap: int, t_max: int) -> ComplexSlice:
     """Total complex of the u-truncated mixed complex in slice lam.
 
     Objects at total degree t are pairs (form of degree t - 2j, column j),
-    differential (w, j) -> (boundary w, j) + (d w, j - 1).  `images` maps a
-    basis form (legs, exp) to its boundary entries and is filled on first
-    use: the boundary depends on neither j nor the slice.
+    ordered by column and then by form: column j of degree t is
+    B(lam - j*wbr, t - 2j).  The differential (w, j) -> (b w, j) + (d w, j - 1)
+    places b(mu, k) on the column's own rows and d(mu, k) on the rows of
+    column j - 1.  Neither raises j, so the columns j < u_cap lead every
+    position and span the u_cap - 1 truncation, the slice's `leading`
+    subcomplex.
     """
-    def basis_at(t):
-        out = []
-        for j in range(0, u_cap + 1):
-            k = t - 2 * j
-            for legs, exp in _form_basis(P, lam, k, jweight=j):
-                out.append((j, legs, exp))
-        return sorted(out)
+    N = blocks.P.N
 
-    bases = [basis_at(t_max - p) for p in range(t_max + 1)]
+    def columns(t):
+        """(j, mu, k, offset) per column present at degree t, and the size."""
+        out, size = [], 0
+        for j in range(u_cap + 1):
+            k, mu = t - 2 * j, lam - j * blocks.wbr
+            if 0 <= k <= N:
+                out.append((j, mu, k, size))
+                size += len(blocks.basis(mu, k)[0])
+        return out, size
 
-    def image(key):
-        j, legs, exp = key
-        if (legs, exp) not in images:
-            w = KahlerForm.basis_element(P, legs, exp)
-            images[legs, exp] = list(poisson_boundary(w).entries())
-        for (tlegs, texp), c in images[legs, exp]:
-            yield (j, tlegs, texp), c
-        for (tlegs, texp), c in _d({(legs, exp): 1}).items() if j else ():
-            yield (j - 1, tlegs, texp), c
-
-    diffs = [assemble(bases[p], image, bases[p + 1])[0] for p in range(t_max)]
-    return ComplexSlice(bases, diffs, name=f"cyclic L={lam} cap={u_cap}")
+    layout = [columns(t_max - p) for p in range(t_max + 1)]
+    labels = [[(j, *form) for j, mu, k, _ in cols for form in blocks.basis(mu, k)[0]]
+              for cols, _ in layout]
+    # the columns j < u_cap come first: their size is the offset of column u_cap
+    leading = [next((at for j, _, _, at in cols if j == u_cap), size) for cols, size in layout]
+    diffs = []
+    for (src, ncols), (tgt, nrows) in zip(layout, layout[1:]):
+        row_at = {j: at for j, _, _, at in tgt}
+        m = SparseMatrixQ(nrows, ncols)
+        for j, mu, k, col in src:
+            # b keeps the column and d lowers it.  b(mu, 0) is zero and has no
+            # rows to go to, but is built too: the boundary of every source
+            # form is taken once, which is what the bench's boundary count reads
+            placed = [(row_at.get(j), blocks.block("b", mu, k))]
+            if j - 1 in row_at:
+                placed.append((row_at[j - 1], blocks.block("d", mu, k)))
+            for row, block in placed:
+                if row is None:
+                    continue
+                for s, image in enumerate(block, col):
+                    for i, c in image:  # block entries are nonzero, ints when integral
+                        m.entries[row + i, s] = c
+        diffs.append(m)
+    return ComplexSlice(labels, diffs, name=f"cyclic L={lam} cap={u_cap}", leading=leading)
 
 
 def cyclic_homology(
     alg: LieRinehartAlgebra, max_weight: int, u_cap: int
 ) -> tuple[dict[tuple[int, int], int], bool]:
     """Cyclic dimensions per (slice weight, total degree) plus a flag that the
-    truncation column made no difference against u_cap - 1."""
+    truncation column made no difference against u_cap - 1.
+
+    The u_cap - 1 table is that of each slice's leading subcomplex, from the
+    same elimination, on the slices that the u_cap - 1 truncation has."""
     P = SymAlgebra(alg)
     vw = P.weight_vector()
     if any(w <= 0 for w in vw):
         raise ValueError("cyclic_homology needs positive weights")
     if u_cap < 2:
         raise ValueError("u_cap must be at least 2 to detect stabilization")
-    images: dict = {}  # basis-form boundaries, shared by the two runs
-
-    def run(cap):
-        # slices carry all columns j <= cap; degrees above the complete range
-        # t <= N + 2cap - 2 are truncation edge and not reported
-        t_top = P.N + 2 * cap
-        report = P.N + 2 * cap - 2
-        table: dict[tuple[int, int], int] = {}
-        for lam in _slice_weights(P, max_weight, cap):
-            dims = cohomology_dims(cyclic_slice(P, lam, cap, t_top, images))
-            for p, dim in enumerate(dims):
-                t = t_top - p
-                if dim and t <= report:
-                    table[(lam, t)] = table.get((lam, t), 0) + dim
-        return table, report
-
-    full, full_report = run(u_cap)
-    smaller, small_report = run(u_cap - 1)
-    stabilized = all(
-        full.get((lam, t), 0) == smaller.get((lam, t), 0)
-        for lam, t in set(full) | set(smaller)
-        if t <= small_report
-    )
+    blocks = _MixedBlocks(P)
+    # slices carry all columns j <= cap; degrees above the complete range
+    # t <= N + 2cap - 2 are truncation edge and not reported
+    t_top = P.N + 2 * u_cap
+    report, small_report = t_top - 2, t_top - 4
+    small_weights = set(_slice_weights(P, max_weight, u_cap - 1))
+    full: dict[tuple[int, int], int] = {}
+    smaller: dict[tuple[int, int], int] = {}
+    for lam in _slice_weights(P, max_weight, u_cap):
+        dims, leading = cohomology_dims(cyclic_slice(blocks, lam, u_cap, t_top))
+        for p, (dim, lead) in enumerate(zip(dims, leading)):
+            t = t_top - p
+            if dim and t <= report:
+                full[(lam, t)] = dim
+            if lead and t <= small_report and lam in small_weights:
+                smaller[(lam, t)] = lead
+    stabilized = smaller == {key: dim for key, dim in full.items() if key[1] <= small_report}
     return full, stabilized
 
 

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over Q and finite graded complex slices.
 
-`assemble` turns a linear map on a basis into a matrix; every slice
-differential and kernel search is built with it.
+`assemble` turns a linear map on a basis into a matrix; every kernel search
+and every slice differential but the cyclic ones, which are placed from
+shared blocks, is built with it.
 
 Matrix entries are ints when integral and Fractions otherwise.  Ranks and
 the d o d check run on integer rows, built once per differential, with row
@@ -163,11 +164,15 @@ def _integer_rows(m: SparseMatrixQ) -> list[dict[int, int]]:
     return out
 
 
-def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
-    """Exact rank: rows enter an integer echelon {leading column: pivot}.
-    A row meeting pivot p at column c becomes b*row - a*p (a/b = row[c]/p[c] in
-    lowest terms), a step invertible over Q; pivots are divided by their content.
-    `rows`, when given, are `_integer_rows(m)`, and are used up."""
+def _pivots(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> list[int]:
+    """Leading columns of an exact integer echelon of m's rows {leading column:
+    pivot}.  A row meeting pivot p at column c becomes b*row - a*p (a/b =
+    row[c]/p[c] in lowest terms), a step invertible over Q; pivots are divided
+    by their content.  `rows`, when given, are `_integer_rows(m)`, and are
+    used up.
+
+    Rows are reduced at their lowest column, so the pivots below any n are as
+    many as the rank of m's first n columns."""
     echelon: dict[int, dict[int, int]] = {}
     for row in _integer_rows(m) if rows is None else rows:
         while row and (c := min(row)) in echelon:
@@ -182,7 +187,12 @@ def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
         if row:  # c = min(row); a positive lead keeps b == 1 on unit pivots
             g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
             echelon[c] = {j: v // g for j, v in row.items()}
-    return len(echelon)
+    return list(echelon)
+
+
+def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
+    """Exact rank, by the integer echelon of `_pivots`."""
+    return len(_pivots(m, rows))
 
 
 def solve(m: SparseMatrixQ, rhs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -202,17 +212,32 @@ def solve(m: SparseMatrixQ, rhs: Sequence[Fraction]) -> list[Fraction] | None:
 
 class ComplexSlice:
     """A finite weight-homogeneous piece of a cochain complex: an ordered
-    basis-label list per position, d_k from position k (columns) to k+1."""
+    basis-label list per position, d_k from position k (columns) to k+1.
 
-    def __init__(self, labels: list[list[str]], diffs: list[SparseMatrixQ], name: str = ""):
+    `leading`, when given, is a basis prefix size per position whose prefixes
+    span a subcomplex: every d_k maps its first leading[k] columns into its
+    first leading[k + 1] rows, which is checked here in one pass over the
+    entries.  Its d o d = 0 follows from that of the whole slice."""
+
+    def __init__(self, labels: list[list], diffs: list[SparseMatrixQ], name: str = "",
+                 leading: list[int] | None = None):
         if len(diffs) != max(len(labels) - 1, 0):
             raise ValueError("need one differential per adjacent pair of positions")
         for k, d in enumerate(diffs):
             if d.ncols != len(labels[k]) or d.nrows != len(labels[k + 1]):
                 raise ValueError(f"differential {k} has wrong shape")
+        if leading is not None:
+            if len(leading) != len(labels) or not all(
+                    0 <= n <= len(lbl) for n, lbl in zip(leading, labels)):
+                raise ValueError("need one leading size per position, within its basis")
+            for k, d in enumerate(diffs):
+                cols, rows = leading[k], leading[k + 1]
+                if any(j < cols and i >= rows for i, j in d.entries):
+                    raise ValueError(f"the leading block of differential {k} is not a subcomplex")
         self.labels = labels
         self.diffs = diffs
         self.name = name
+        self.leading = leading
 
     def check_complex(self) -> list[list[dict[int, int]]]:
         """Raise NotAComplexError(k) at the first k with d_{k+1} d_k != 0;
@@ -232,8 +257,22 @@ class ComplexSlice:
         return [len(lbl) for lbl in self.labels]
 
 
-def cohomology_dims(slice: ComplexSlice) -> list[int]:
-    """dim H^k = dim ker(d_k) - rank(d_{k-1}) for every position of the slice."""
+def _dims(sizes: list[int], ranks: list[int]) -> list[int]:
+    """dim H^k = sizes[k] - rank(d_k) - rank(d_{k-1})."""
+    ranks = [0] + ranks + [0]
+    return [n - ranks[k + 1] - ranks[k] for k, n in enumerate(sizes)]
+
+
+def cohomology_dims(slice: ComplexSlice) -> list[int] | tuple[list[int], list[int]]:
+    """dim H^k = dim ker(d_k) - rank(d_{k-1}) for every position of the slice;
+    for a slice with a `leading` subcomplex, the pair (those dimensions, the
+    subcomplex's).  One elimination per differential gives both: the rank of
+    the leading block is the number of pivots in its leading columns, since
+    the rows below the block are zero there."""
     rows = slice.check_complex()
-    ranks = [0] + [rank(d, r) for d, r in zip(slice.diffs, rows)] + [0]
-    return [len(lbl) - ranks[k + 1] - ranks[k] for k, lbl in enumerate(slice.labels)]
+    pivots = [_pivots(d, r) for d, r in zip(slice.diffs, rows)]
+    dims = _dims([len(lbl) for lbl in slice.labels], [len(p) for p in pivots])
+    if slice.leading is None:
+        return dims
+    return dims, _dims(slice.leading, [sum(c < n for c in p)
+                                       for p, n in zip(pivots, slice.leading)])

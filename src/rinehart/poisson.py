@@ -25,6 +25,8 @@ class SymAlgebra:
         self.d = alg.rank
         self.vars = alg.vars + alg.basis
         self.N = self.n + self.d
+        self._weight_vector: tuple[int, ...] | None = None
+        self._bracket_weight: int | None = None
         self._table: dict[tuple[int, int], Polynomial] = {}
         self._brackets = {(a, a): Polynomial.zero(self.vars) for a in range(self.N)}
         for a in range(self.N):
@@ -100,13 +102,19 @@ class SymAlgebra:
     # -- weights -------------------------------------------------------
 
     def weight_vector(self) -> tuple[int, ...]:
-        alg = self.alg
-        if alg.weights is None:
-            raise ValueError("presentation has no declared weights")
-        return tuple(alg.weights[v] for v in self.vars)
+        """The declared weight of every variable, computed on first use."""
+        if self._weight_vector is None:
+            alg = self.alg
+            if alg.weights is None:
+                raise ValueError("presentation has no declared weights")
+            self._weight_vector = tuple(alg.weights[v] for v in self.vars)
+        return self._weight_vector
 
     def bracket_weight(self) -> int:
-        return self.alg.bracket_weight()
+        """The weight shift of the bracket, computed on first use."""
+        if self._bracket_weight is None:
+            self._bracket_weight = self.alg.bracket_weight()
+        return self._bracket_weight
 
     def monomials_of_weight(self, w: int) -> list[tuple[int, ...]]:
         vw = self.weight_vector()

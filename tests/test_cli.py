@@ -327,7 +327,8 @@ def test_euler_check_output_is_pinned():
 
 
 @pytest.mark.parametrize("argv, exit_code, digest", [
-    # the u-truncated mixed complex: boundary and d images, both u_cap runs
+    # the u-truncated mixed complex: b and d blocks, with the u_cap - 1 table
+    # read from the leading columns of the same elimination
     (["--algebra", "weyl(1)", "cyclic", "--max-weight", "8", "--u-cap", "3"], 0,
      "c3a1fb5e20c8932d11b78bcdef373daf0cfac46e10ec4f4b36fe3bde3540b845"),
     # a bracket with non-constant coefficients, which no Weyl algebra has
@@ -337,6 +338,9 @@ def test_euler_check_output_is_pinned():
     # truncation has not stabilized, hence the exit code 1)
     (["--algebra", "lie(sl2)", "cyclic", "--max-weight", "4", "--u-cap", "2"], 1,
      "a6a080bc0bd91f19a1de9363382fe37c382bc4d4076795559fc677afcf71d718"),
+    # four variables and three d columns; not stabilized, hence exit 1
+    (["--algebra", "weyl(2)", "cyclic", "--max-weight", "1", "--u-cap", "3"], 1,
+     "06c01a6203dc7cfc4a09743371d78375f4ab133d19103a1fc145efff93a29190"),
 ])
 def test_homology_tables_are_pinned(argv, exit_code, digest):
     code, out = run_cli(argv)

@@ -19,6 +19,7 @@ from rinehart.homology import (
     poisson_boundary,
     poisson_homology,
 )
+from rinehart.linalg import ComplexSlice, assemble, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, poisson_differential
 from rinehart.poly import Polynomial, exponents, insert_leg
 
@@ -104,7 +105,7 @@ def test_weyl_cyclic_with_stabilization():
 
 
 def test_cyclic_homology_takes_each_boundary_once(monkeypatch):
-    # every column and both u_cap runs share one image per basis form
+    # every slice and column that holds a basis form shares its one b block
     seen = []
 
     def record(w):
@@ -332,3 +333,66 @@ def test_duality_cap_matches_the_reference(name):
                      for legs in itertools.combinations(range(P.N), k) if rng.random() < 0.7}
             D = Multivector(P, k, terms)
             assert duality_cap(D) == reference_duality_cap(D)
+
+
+# -- reference path: cyclic tables from two runs, one per truncation -----------
+
+
+def reference_cyclic_slice(P, lam, u_cap, t_max, images):
+    """The total complex of slice lam assembled key by key: (w, j) goes to
+    (boundary w, j) + (d w, j - 1); `images` holds each form's boundary."""
+    wbr = P.bracket_weight()
+
+    def basis_at(t):
+        return sorted((j, legs, exp) for j in range(u_cap + 1)
+                      for legs, exp in homology._form_basis(P, lam - j * wbr, t - 2 * j))
+
+    def image(key):
+        j, legs, exp = key
+        if (legs, exp) not in images:
+            w = KahlerForm.basis_element(P, legs, exp)
+            images[legs, exp] = list(poisson_boundary(w).entries())
+        for (tlegs, texp), c in images[legs, exp]:
+            yield (j, tlegs, texp), c
+        for (tlegs, texp), c in homology._d({(legs, exp): 1}).items() if j else ():
+            yield (j - 1, tlegs, texp), c
+
+    bases = [basis_at(t_max - p) for p in range(t_max + 1)]
+    diffs = [assemble(bases[p], image, bases[p + 1])[0] for p in range(t_max)]
+    return ComplexSlice(bases, diffs)
+
+
+def reference_cyclic_homology(alg, max_weight, u_cap):
+    """The table at u_cap and the flag from a second, separate run at u_cap - 1."""
+    P = SymAlgebra(alg)
+    images = {}
+
+    def run(cap):
+        t_top, report = P.N + 2 * cap, P.N + 2 * cap - 2
+        table = {}
+        for lam in homology._slice_weights(P, max_weight, cap):
+            dims = cohomology_dims(reference_cyclic_slice(P, lam, cap, t_top, images))
+            for p, dim in enumerate(dims):
+                if dim and t_top - p <= report:
+                    table[(lam, t_top - p)] = dim
+        return table, report
+
+    full, _ = run(u_cap)
+    smaller, small_report = run(u_cap - 1)
+    stabilized = all(full.get(key, 0) == smaller.get(key, 0)
+                     for key in set(full) | set(smaller) if key[1] <= small_report)
+    return full, stabilized
+
+
+@pytest.mark.parametrize("name,max_weight,u_cap,stabilized", [
+    ("weyl(1)", 8, 2, True), ("weyl(1)", 8, 3, True), ("weyl(1)", 8, 4, True),
+    ("weyl(2)", 1, 2, False), ("weyl(2)", 1, 3, False),
+    ("lie(sl2)", 4, 2, False), ("lie(sl2)", 4, 3, False),
+    ("lie(abelian2)", 3, 2, True), ("lie(abelian2)", 3, 3, True),
+    ("semidirect(sl2,std)", 1, 2, False), ("semidirect(sl2,std)", 1, 3, False),
+])
+def test_cyclic_homology_matches_the_two_run_reference(name, max_weight, u_cap, stabilized):
+    alg = presets.builtin(name)
+    expected = reference_cyclic_homology(alg, max_weight, u_cap)
+    assert expected[1] is stabilized and expected[0]
+    assert cyclic_homology(alg, max_weight, u_cap) == expected

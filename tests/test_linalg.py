@@ -151,6 +151,63 @@ def test_rank_matches_fraction_path_on_every_builtin_slice(monkeypatch):
         assert rank(d) == kernel_and_rank(d)[1], d
 
 
+def columns(m, n, nrows=None):
+    """The first n columns of m, and only its first nrows rows when given."""
+    out = SparseMatrixQ(m.nrows if nrows is None else nrows, n)
+    out.entries = {(i, j): c for (i, j), c in m.entries.items()
+                   if j < n and (nrows is None or i < nrows)}
+    return out
+
+
+def test_leading_rank_is_the_rank_of_the_leading_columns():
+    # one differential whose leading block is all of its rows: the leading
+    # dimension at the source is n - rank(first n columns)
+    rng = random.Random(17)
+    for trial in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        entries = [0, 0, 1, -1, 2, -3] if trial % 2 else [0, 0, 1, Fraction(1, 2), Fraction(-2, 3)]
+        m = mat([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
+        for n in sorted({0, nc // 2, nc}):
+            s = ComplexSlice([list(range(nc)), list(range(nr))], [m], leading=[n, nr])
+            dims, leading = cohomology_dims(s)
+            assert dims == cohomology_dims(ComplexSlice(s.labels, s.diffs))
+            assert leading[0] == n - kernel_and_rank(columns(m, n))[1]
+
+
+def test_leading_rank_matches_the_fraction_path_on_every_cyclic_slice(monkeypatch):
+    slices = []
+
+    def record(slice_):
+        slices.append(slice_)
+        return linalg.cohomology_dims(slice_)
+
+    monkeypatch.setattr(homology, "cohomology_dims", record)
+    for spec in ("weyl(1)", "weyl(2)", "lie(sl2)", "lie(abelian2)", "semidirect(sl2,std)"):
+        alg = presets.builtin(spec)
+        homology.cyclic_homology(alg, 1 if len(alg.vars) > 1 else 2, 2)
+    checked = 0
+    for s in slices:
+        ranks = []
+        for k, d in enumerate(s.diffs):
+            block = columns(d, s.leading[k], s.leading[k + 1])
+            ranks.append(kernel_and_rank(block)[1])
+            checked += bool(block.entries)
+        ranks = [0] + ranks + [0]
+        expected = [n - ranks[k + 1] - ranks[k] for k, n in enumerate(s.leading)]
+        assert linalg.cohomology_dims(s)[1] == expected, s.name
+    assert checked > 30
+
+
+def test_a_leading_block_that_is_not_a_subcomplex_raises():
+    d0 = mat([[1, 0], [0, 1]])
+    ComplexSlice([["a", "b"], ["c", "d"]], [d0], leading=[1, 1])
+    # column 1 leads but maps to row 1, which does not
+    with pytest.raises(ValueError, match="not a subcomplex"):
+        ComplexSlice([["a", "b"], ["c", "d"]], [d0], leading=[2, 1])
+    with pytest.raises(ValueError, match="one leading size per position"):
+        ComplexSlice([["a", "b"], ["c", "d"]], [d0], leading=[3, 1])
+
+
 def product_is_zero_by_apply(upper, lower):
     """Reference d o d test: apply `upper` to every column of `lower`."""
     for j in range(lower.ncols):
