@@ -15,6 +15,7 @@ from .homology import (
     capped_casimir_search,
     cyclic_homology,
     euler_contraction_check,
+    homology_totals,
     poisson_homology,
 )
 from .lie_rinehart import (
@@ -236,10 +237,8 @@ def cmd_poisson_cohomology(args) -> ReportTable:
         return report
     for (w, k), dim in sorted(table.items()):
         report.add_row("poisson-cochain", w, k, dim)
-    totals: dict[int, int] = {}
-    for (w, k), dim in table.items():
-        totals[k] = totals.get(k, 0) + dim
-    report.summary = {"totals_by_degree": {str(k): v for k, v in sorted(totals.items())}}
+    totals = homology_totals(table)
+    report.summary = {"totals_by_degree": {str(k): totals[k] for k in sorted(totals)}}
     return report
 
 
@@ -249,12 +248,11 @@ def cmd_poisson_homology(args) -> ReportTable:
     table = _computed(report, alg, poisson_homology, alg, args.max_weight)
     if table is None:
         return report
-    totals: dict[int, int] = {}
     for (w, k), dim in sorted(table.items()):
         if dim:
             report.add_row("poisson-chain", w, k, dim)
-        totals[k] = totals.get(k, 0) + dim
-    report.summary = {"totals_by_degree": {str(k): v for k, v in sorted(totals.items())}}
+    totals = homology_totals(table)
+    report.summary = {"totals_by_degree": {str(k): totals[k] for k in sorted(totals)}}
     return report
 
 
@@ -267,14 +265,11 @@ def cmd_cyclic(args) -> ReportTable:
     if result is None:
         return report
     table, stable = result
-    totals: dict[int, int] = {}
     for (w, t), dim in sorted(table.items()):
         report.add_row("cyclic-total", w, t, dim)
-        totals[t] = totals.get(t, 0) + dim
-    report.summary = {
-        "stabilized": stable,
-        "totals_by_degree": {str(t): v for t, v in sorted(totals.items())},
-    }
+    totals = homology_totals(table)
+    report.summary = {"stabilized": stable,
+                      "totals_by_degree": {str(t): totals[t] for t in sorted(totals)}}
     report.add_check("u-truncation-stabilized", stable)
     return report
 

@@ -13,10 +13,9 @@ from .poisson import (
     Multivector,
     SymAlgebra,
     _label,
-    _slice_basis,
     poisson_differential,
 )
-from .poly import Polynomial, _integral_to_int, exponents, insert_leg
+from .poly import Polynomial, _integral_to_int, exponents, insert_leg, leg_basis
 
 
 class KahlerForm(LegTensor):
@@ -93,18 +92,10 @@ def poisson_boundary(w: KahlerForm) -> KahlerForm:
 
 
 def _form_basis(P: SymAlgebra, lam: int, k: int) -> list[tuple[Legs, tuple[int, ...]]]:
-    """Forms of homological degree k in the slice lam."""
+    """Forms of homological degree k in the slice lam: on the legs L, the
+    coefficient has weight lam - k*wbr - the weights of L."""
     vw = P.weight_vector()
-    wbr = P.bracket_weight()
-    out = []
-    if not 0 <= k <= P.N:
-        return out
-    for legs in itertools.combinations(range(P.N), k):
-        need = lam - k * wbr - sum(vw[a] for a in legs)
-        for exp in P.monomials_of_weight(need):
-            out.append((legs, exp))
-    out.sort()
-    return out
+    return leg_basis([-w for w in vw], vw, k, lam - k * P.bracket_weight())
 
 
 def _slice_weights(P: SymAlgebra, max_weight: int, cap: int = 0) -> list[int]:
@@ -222,16 +213,12 @@ def cyclic_slice(blocks: _MixedBlocks, lam: int, u_cap: int, t_max: int) -> Comp
         row_at = {j: at for j, _, _, at in tgt}
         m = SparseMatrixQ(nrows, ncols)
         for j, mu, k, col in src:
-            # b keeps the column and d lowers it.  b(mu, 0) is zero and has no
-            # rows to go to, but is built too: the boundary of every source
-            # form is taken once, which is what the bench's boundary count reads
-            placed = [(row_at.get(j), blocks.block("b", mu, k))]
-            if j - 1 in row_at:
-                placed.append((row_at[j - 1], blocks.block("d", mu, k)))
-            for row, block in placed:
+            # b keeps the column and d lowers it; a block is built only when
+            # its target column is present (b(mu, 0) has no rows to go to)
+            for op, row in (("b", row_at.get(j)), ("d", row_at.get(j - 1))):
                 if row is None:
                     continue
-                for s, image in enumerate(block, col):
+                for s, image in enumerate(blocks.block(op, mu, k), col):
                     for i, c in image:  # block entries are nonzero, ints when integral
                         m.entries[row + i, s] = c
         diffs.append(m)
@@ -296,7 +283,8 @@ def duality_cap(D: Multivector) -> KahlerForm:
 def duality_cap_rank_check(alg: LieRinehartAlgebra, weight: int, degree: int) -> tuple[int, int]:
     """(rank, dimension) of the cap on one cochain weight slice."""
     P = SymAlgebra(alg)
-    basis = _slice_basis(P, weight, degree)
+    vw = P.weight_vector()
+    basis = leg_basis(vw, vw, degree, weight + degree * P.bracket_weight())
     m, _ = assemble(basis, lambda key: duality_cap(Multivector.basis_element(P, *key)).entries())
     return rank(m), len(basis)
 

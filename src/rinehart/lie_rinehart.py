@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (Polynomial, PolyDerivation, ce_terms, multilinear_terms, parse_poly,
-                   perm_sign, sort_with_sign)
+from .poly import (Polynomial, PolyDerivation, alternating_value, ce_terms, multilinear_terms,
+                   parse_poly, perm_sign)
 
 
 class PresentationError(ValueError):
@@ -433,11 +433,8 @@ class _AdCochain:
 
     def value_on_basis(self, idx: tuple[int, ...]):
         """Value on an arbitrary basis tuple, resolving the sign by sorting."""
-        key, sign = sort_with_sign(idx)
-        v = self.values.get(key) if sign else None
-        if v is None:
-            return self.zero_value()
-        return v if sign == 1 else -v
+        v = alternating_value(self.values, idx)
+        return self.zero_value() if v is None else v
 
     def evaluate(self, args: list[LElement]):
         """Multilinear extension to arbitrary module elements."""

@@ -11,7 +11,7 @@ import itertools
 
 from .lie_rinehart import LieRinehartAlgebra
 from .linalg import ComplexSlice, assemble, cohomology_dims
-from .poly import Polynomial, exponents, insert_leg
+from .poly import Polynomial, insert_leg, leg_basis
 
 Legs = tuple[int, ...]
 
@@ -115,12 +115,6 @@ class SymAlgebra:
         if self._bracket_weight is None:
             self._bracket_weight = self.alg.bracket_weight()
         return self._bracket_weight
-
-    def monomials_of_weight(self, w: int) -> list[tuple[int, ...]]:
-        vw = self.weight_vector()
-        if any(x <= 0 for x in vw):
-            raise ValueError("positive weights required to enumerate monomials")
-        return exponents(vw, w, exact=True)
 
 
 class LegTensor:
@@ -314,18 +308,6 @@ def poisson_differential(D: Multivector) -> Multivector:
 # -- weight-sliced cohomology -------------------------------------------------
 
 
-def _slice_basis(P: SymAlgebra, W: int, k: int) -> list[tuple[Legs, tuple[int, ...]]]:
-    vw = P.weight_vector()
-    wbr = P.bracket_weight()
-    out = []
-    for legs in itertools.combinations(range(P.N), k):
-        need = W + k * wbr + sum(vw[a] for a in legs)
-        for exp in P.monomials_of_weight(need):
-            out.append((legs, exp))
-    out.sort()
-    return out
-
-
 def _label(P: SymAlgebra, legs: Legs, exp: tuple[int, ...], leg_prefix: str = "d/d") -> str:
     mono = "*".join(
         f"{v}^{e}" if e > 1 else v for v, e in zip(P.vars, exp) if e
@@ -336,7 +318,8 @@ def _label(P: SymAlgebra, legs: Legs, exp: tuple[int, ...], leg_prefix: str = "d
 
 def cochain_slice(P: SymAlgebra, W: int, max_position: int, name: str = "") -> ComplexSlice:
     """The weight-W multivector complex through cochain degree max_position."""
-    bases = [_slice_basis(P, W, k) for k in range(max_position + 1)]
+    vw, wbr = P.weight_vector(), P.bracket_weight()
+    bases = [leg_basis(vw, vw, k, W + k * wbr) for k in range(max_position + 1)]
     labels = [[_label(P, legs, exp) for legs, exp in b] for b in bases]
     diffs = [
         assemble(bases[k], lambda key: poisson_differential(
@@ -344,6 +327,27 @@ def cochain_slice(P: SymAlgebra, W: int, max_position: int, name: str = "") -> C
         for k in range(max_position)
     ]
     return ComplexSlice(labels, diffs, name=name or f"poisson-cochain W={W}")
+
+
+def cochain_table(leg_weights, wbr: int, max_weight: int, max_degree: int,
+                  build) -> dict[tuple[int, int], int]:
+    """Cohomology dimensions per (weight, cochain degree) of a weight-sliced
+    complex whose degree-k cochains sit on k-subsets of legs, each leg of
+    weight w lowering the slice weight by w + wbr.  build(W, top) is the slice
+    of weight W through degree top = max_degree + 1 (at most the leg count),
+    so each reported degree has its outgoing differential, for W from the
+    lowest weight a cochain of degree <= top has to max_weight.
+    """
+    n = len(leg_weights)
+    top = min(max_degree + 1, n)
+    lowest = min((-k * wbr - sum(leg_weights[a] for a in legs) for k in range(top + 1)
+                  for legs in itertools.combinations(range(n), k)), default=max_weight + 1)
+    table: dict[tuple[int, int], int] = {}
+    for W in range(lowest, max_weight + 1):
+        dims = cohomology_dims(build(W, top))
+        for k in range(min(max_degree, top) + 1):
+            table[(W, k)] = dims[k]
+    return table
 
 
 def poisson_cohomology(
@@ -355,28 +359,10 @@ def poisson_cohomology(
     line arrangements are handled by the Euler contraction instead).
     """
     P = SymAlgebra(alg)
-    vw = P.weight_vector()
-    if any(w <= 0 for w in vw):
+    if any(w <= 0 for w in P.weight_vector()):
         raise ValueError(
             "poisson_cohomology needs positive weights on every variable; "
             "use euler_contraction_check / capped_casimir_search instead"
         )
-    wbr = P.bracket_weight()
-    top = min(max_degree + 1, P.N)
-    weights = set()
-    for k in range(top + 1):
-        for legs in itertools.combinations(range(P.N), k):
-            base = -k * wbr - sum(vw[a] for a in legs)
-            # monomial weight w >= 0 gives slice weight base + w
-            for W in range(base, max_weight + 1):
-                weights.add(W)
-    table: dict[tuple[int, int], int] = {}
-    for W in sorted(weights):
-        slice_ = cochain_slice(P, W, top)
-        dims = cohomology_dims(slice_)
-        for k in range(min(max_degree, len(dims) - 1) + 1):
-            if k == top and top < P.N:
-                continue  # truncated position, kernel not meaningful
-            table[(W, k)] = dims[k]
-    return table
-
+    return cochain_table(P.weight_vector(), P.bracket_weight(), max_weight, max_degree,
+                         lambda W, top: cochain_slice(P, W, top))

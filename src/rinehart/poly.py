@@ -6,8 +6,8 @@ tuples over a fixed, ordered variable list, and all operations return fresh
 canonical values (no stored zero coefficients).  An `int` hashes, compares
 and prints like the equal Fraction, so the choice never shows; coefficients
 are divided only through `Fraction(a, b)`, since `a / b` on two ints is a float.
-The permutation-sign, leg-insertion and exponent-enumeration helpers that
-every other module shares live here too.
+The permutation-sign, alternating-lookup, leg-insertion, exponent and
+slice-basis enumeration helpers that every other module shares live here too.
 """
 from __future__ import annotations
 
@@ -353,6 +353,15 @@ def sort_with_sign(items, key=None) -> tuple[tuple, int]:
     return tuple(items[t] for t in order), sign
 
 
+def alternating_value(table, args):
+    """The value at args of an alternating map stored on sorted tuples: the
+    table's value at the sorted args, negated for an odd sort; None when two
+    args repeat or the table holds nothing there."""
+    key, sign = sort_with_sign(args)
+    v = table.get(key) if sign else None
+    return v if v is None or sign == 1 else -v
+
+
 def insert_leg(legs: tuple[int, ...], w: int) -> tuple[tuple[int, ...], int]:
     """Wedge the leg w in front of the sorted legs and sort: the new legs and
     (-1)^#{l < w}, or (legs, 0) when w is already a leg."""
@@ -414,6 +423,17 @@ def exponents(weights, budget: int, exact: bool = False,
             grown.extend((acc + (e,), left - e * w) for e in choices)
         layer = grown
     return [acc for acc, left in layer if not exact or left == 0]
+
+
+def leg_basis(leg_weights, weights, k: int, budget: int) -> list[tuple[tuple[int, ...], Exponent]]:
+    """The pairs (legs, exp) with legs a k-subset of range(len(leg_weights))
+    and exp of weight exactly budget plus the legs' weights, sorted: legs and
+    exponents are both enumerated in lexicographic order.  Empty when k is not
+    a subset size."""
+    if not 0 <= k <= len(leg_weights):
+        return []
+    return [(legs, exp) for legs in itertools.combinations(range(len(leg_weights)), k)
+            for exp in exponents(weights, budget + sum(leg_weights[a] for a in legs), exact=True)]
 
 
 # -- parsing -------------------------------------------------------------

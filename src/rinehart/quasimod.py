@@ -29,8 +29,9 @@ from .cochain import (
 )
 from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
 from .linalg import ComplexSlice, assemble, cohomology_dims
-from .poisson import Multivector, SymAlgebra
-from .poly import Polynomial, ce_terms, exponents, insert_leg, multilinear_terms, sort_with_sign
+from .poisson import Multivector, SymAlgebra, cochain_table
+from .poly import (Polynomial, PolyDerivation, alternating_value, ce_terms, exponents, insert_leg,
+                   leg_basis, multilinear_terms, sort_with_sign)
 from .uea import EnvelopingAlgebra
 
 LArg = tuple[tuple[int, ...], int]  # (ring monomial exponent, generator index)
@@ -454,48 +455,31 @@ def nl_to_multivector(el: NLCochainElement) -> Multivector:
 # -- honest-module CE cohomology ------------------------------------------------
 
 
-def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int,
-              max_position: int, value_weights) -> ComplexSlice:
+def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_position: int,
+              value_weights, gen_w, wbr: int) -> ComplexSlice:
     """CE complex slice for an honest module of polynomial type.
 
     lie_images[k] is a derivation-style callable value -> value for the
-    action of basis element k; values are polynomials over value_vars.
+    action of basis element k; values are polynomials over value_vars of
+    weights value_weights.  A cochain on the generators T has weight W when
+    its value has weight W + |T|*wbr + the weights gen_w of T.
     """
     d = alg.rank
-    gen_w = [alg.generator_weight(k) for k in range(d)]
-    wbr = alg.bracket_weight()
-
-    def basis_at(m):
-        out = []
-        for T in itertools.combinations(range(d), m):
-            need = W + m * wbr + sum(gen_w[a] for a in T)
-            for exp in exponents(value_weights, need, exact=True):
-                out.append((T, exp))
-        return sorted(out)
-
-    bases = [basis_at(m) for m in range(max_position + 1)]
+    bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
     labels = [[f"{exp}|{T}" for T, exp in b] for b in bases]
-
-    def eval_cochain(table, args_idx):
-        """R/K-multilinear alternating evaluation on basis-index tuples."""
-        key, sign = sort_with_sign(args_idx)
-        val = table.get(key) if sign else None
-        if val is None:
-            return Polynomial.zero(value_vars)
-        return val if sign == 1 else -val
 
     def image(key):
         T, exp = key
         table = {T: Polynomial.monomial(value_vars, exp, 1)}
 
         def act(k, rest):
-            v = eval_cochain(table, rest)
-            return lie_images[k](v) if v else None
+            v = alternating_value(table, rest)
+            return None if v is None else lie_images[k](v)
 
         def bracketed(a, b, rest):
             total = None
             for kk, c in enumerate(alg.structure_vector(a, b)):
-                if c and (v := eval_cochain(table, (kk,) + rest)):
+                if c and (v := alternating_value(table, (kk,) + rest)) is not None:
                     term = _lift_to(value_vars, c) * v
                     total = term if total is None else total + term
             return total
@@ -530,43 +514,25 @@ def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
         raise ValueError("presentation has no declared weights")
     d = alg.rank
     if module == "trivial":
-        value_vars = alg.vars
-        value_weights = [alg.weights[v] for v in alg.vars] if alg.vars else []
-        lie_images = [alg.anchor[k] for k in range(d)]
-        lie_calls = [(lambda v, k=k: lie_images[k](v)) for k in range(d)]
+        value_vars, lie_calls = alg.vars, alg.anchor
+        value_weights = [alg.weights[v] for v in alg.vars]
     elif module == "sym_adjoint_lie":
         if alg.vars:
             raise ValueError("sym_adjoint_lie module requires a constants base")
         P = SymAlgebra(alg)
         value_vars = P.vars
         value_weights = [alg.weights[b] for b in alg.basis]
-        lie_calls = [
-            (lambda v, k=k: P.coordinate_action(P.n + k, v)) for k in range(d)
-        ]
+        lie_calls = [(lambda v, k=k: P.coordinate_action(P.n + k, v)) for k in range(d)]
     else:
         raise ValueError(f"unknown module {module!r}")
 
-    if any(w <= 0 for w in value_weights) and value_weights:
+    if any(w <= 0 for w in value_weights):
         raise ValueError("module is not weight-finite")
-    top = min(max_degree + 1, d)
     gen_w = [alg.generator_weight(k) for k in range(d)]
     wbr = alg.bracket_weight()
-    weights = set()
-    for m in range(top + 1):
-        for T in itertools.combinations(range(d), m):
-            base = -m * wbr - sum(gen_w[a] for a in T)
-            for W in range(base, max_weight + 1):
-                weights.add(W)
-    table: dict[tuple[int, int], int] = {}
-    for W in sorted(weights):
-        dims = cohomology_dims(
-            _ce_slice(alg, value_vars, lie_calls, W, top, value_weights)
-        )
-        for m in range(min(max_degree, len(dims) - 1) + 1):
-            if m == top and top < d:
-                continue
-            table[(W, m)] = dims[m]
-    return table
+    return cochain_table(gen_w, wbr, max_weight, max_degree, lambda W, top: _ce_slice(
+        alg, value_vars, lie_calls, W, top, value_weights, gen_w, wbr))
+
 
 # -- linear cochains and the comparison map -------------------------------------
 
@@ -590,22 +556,18 @@ class LinearCECochain:
         out = Multivector(P, i)
         factors = [[(a, f) for a, f in enumerate(arg.coeffs) if f] for arg in args]
         for idx, coeff in multilinear_terms(factors, Polynomial.const(self.alg.vars, 1)):
-            key, sign = sort_with_sign(idx)
-            v = self.tables[i].get(key) if sign else None
-            if v is not None:
-                out = out + v.scale(P.lift(coeff)).scale(sign)
+            if (v := alternating_value(self.tables[i], idx)) is not None:
+                out = out + v.scale(P.lift(coeff))
         return out
 
 
-def linear_to_nonlinear(c: LinearCECochain, conn: Connection | None = None,
-                        cap: int = 2) -> NLCochainElement:
+def linear_to_nonlinear(c: LinearCECochain, cap: int = 2) -> NLCochainElement:
     """The section of the nonlinear cochains determined by the constraint.
 
     Values on pure generator tuples are the given R-multilinear ones; a
     coefficient variable is peeled off the last offending argument through the
     instance homotopy, which is exactly what membership demands.  The result
-    is independent of any connection; the connection argument is kept for
-    call-site symmetry with the structure operator and may be None.
+    is independent of any connection.
     """
     inst, alg = c.inst, c.alg
     P = inst.sym
@@ -721,74 +683,30 @@ def ce_cohomology_matrix_module(alg: LieRinehartAlgebra,
                                 actions: list[list[list[Fraction | int]]]) -> list[int]:
     """CE cohomology of a finite-dimensional module over a constants base.
 
-    actions[k] is the matrix of the k-th generator; the matrices must satisfy
-    the bracket relations exactly.
+    actions[k] is the n x n matrix of the k-th generator, one per generator;
+    the matrices must satisfy the bracket relations exactly.  The module is
+    the linear forms in one value variable per basis vector, each generator
+    acting by the derivation of its matrix: with generator and bracket
+    weights 0 and value weights 1, the CE slice of weight 1.
     """
     if alg.vars:
         raise ValueError("matrix modules require a constants base")
     d = alg.rank
     dim = len(actions[0]) if actions else 0
-    mats = [
-        {(i, j): Fraction(c) for i, row in enumerate(m) for j, c in enumerate(row) if c}
-        for m in actions
-    ]
-
-    def act(k, vec):
-        out = [Fraction(0)] * dim
-        for (i, j), c in mats[k].items():
-            if vec[j]:
-                out[i] += c * vec[j]
-        return out
-
+    if len(actions) != d or dim == 0 or any(
+            len(m) != dim or any(len(row) != dim for row in m) for m in actions):
+        raise ValueError(f"expected {d} matrices of shape n x n (n >= 1), one per generator")
+    value_vars = tuple(f"v{t}" for t in range(dim))
+    unit = [(0,) * t + (1,) + (0,) * (dim - t - 1) for t in range(dim)]
+    # generator k sends basis vector t to column t of its matrix
+    ders = [PolyDerivation(value_vars, [
+        Polynomial(value_vars, {unit[i]: Fraction(m[i][t]) for i in range(dim)})
+        for t in range(dim)]) for m in actions]
     for i, j in itertools.combinations(range(d), 2):
-        for col in range(dim):
-            vec = [Fraction(0)] * dim
-            vec[col] = Fraction(1)
-            lhs = [a - b for a, b in zip(act(i, act(j, vec)), act(j, act(i, vec)))]
-            rhs = [Fraction(0)] * dim
-            for k, c in enumerate(alg.structure_vector(i, j)):
-                cv = c.constant_value()
-                if cv:
-                    rhs = [r + cv * v for r, v in zip(rhs, act(k, vec))]
-            if lhs != rhs:
-                raise ValueError(
-                    f"matrices do not represent the bracket on generators ({i}, {j})"
-                )
-
-    def basis_at(m):
-        return [(T, t) for T in itertools.combinations(range(d), m) for t in range(dim)]
-
-    def eval_cochain(table, args_idx):
-        key, sign = sort_with_sign(args_idx)
-        vec = table.get(key) if sign else None
-        return [sign * c for c in vec] if vec is not None else [Fraction(0)] * dim
-
-    def image(key):
-        T, t = key
-        vec = [Fraction(0)] * dim
-        vec[t] = Fraction(1)
-        table = {T: vec}
-
-        def acted(k, rest):
-            v = eval_cochain(table, rest)
-            return act(k, v) if any(v) else None
-
-        def bracketed(a, b, rest):
-            out = [Fraction(0)] * dim
-            for kk, c in enumerate(alg.structure_vector(a, b)):
-                if cv := c.constant_value():
-                    v = eval_cochain(table, (kk,) + rest)
-                    out = [o + cv * x for o, x in zip(out, v)]
-            return out
-
-        for S in itertools.combinations(range(d), len(T) + 1):
-            out = [Fraction(0)] * dim
-            for sgn, term in ce_terms(S, acted, bracketed):
-                out = [o + sgn * x for o, x in zip(out, term)]
-            for comp, val in enumerate(out):
-                yield (S, comp), val
-
-    bases = [basis_at(m) for m in range(d + 1)]
-    diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(d)]
-    labels = [[f"{T}.{t}" for T, t in b] for b in bases]
-    return cohomology_dims(ComplexSlice(labels, diffs, name="ce matrix module"))
+        rhs = PolyDerivation.zero(value_vars)
+        for k, c in enumerate(alg.structure_vector(i, j)):
+            if cv := c.constant_value():
+                rhs = rhs + ders[k].scale_by(cv)
+        if ders[i].commutator(ders[j]) != rhs:
+            raise ValueError(f"matrices do not represent the bracket on generators ({i}, {j})")
+    return cohomology_dims(_ce_slice(alg, value_vars, ders, 1, d, [1] * dim, [0] * d, 0))

@@ -1,14 +1,16 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from rinehart import presets
 from rinehart.cochain import CapExceededError, cochain_equal, zero_cochain
 from rinehart.lie_rinehart import Connection
+from rinehart.linalg import ComplexSlice, assemble, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
-from rinehart.poly import Polynomial, insert_leg
+from rinehart.poly import Polynomial, ce_terms, insert_leg, sort_with_sign
 from rinehart.quasimod import (
     LinearCECochain,
     NLCochainElement,
@@ -245,7 +247,7 @@ def test_linear_to_nonlinear_lie_algebra_is_identity():
     inst = adjoint_instance(alg)
     rng = random.Random(29)
     c = rand_linear(rng, inst, alg, 2)
-    el = linear_to_nonlinear(c, Connection(alg), cap=0)
+    el = linear_to_nonlinear(c, cap=0)
     zero_mono = ()
     for i in range(3):
         for T, v in c.tables[i].items():
@@ -258,10 +260,12 @@ def test_linear_to_nonlinear_members_and_section(conn_kind):
     alg = presets.semidirect_sl2()
     inst = adjoint_instance(alg)
     rng = random.Random(31)
-    conn = Connection(alg) if conn_kind == "trivial" else random_connection(rng, alg)
+    # the section takes no connection; drawing one only shifts the later draws
+    if conn_kind == "random":
+        random_connection(rng, alg)
     for k in range(0, 3):
         c = rand_linear(rng, inst, alg, k)
-        el = linear_to_nonlinear(c, conn, cap=2)
+        el = linear_to_nonlinear(c, cap=2)
         assert nl_membership(el)
         back = nonlinear_to_linear(el)
         for i in range(k + 1):
@@ -278,7 +282,7 @@ def test_linear_to_nonlinear_zero_is_zero():
          for T in itertools.combinations(range(alg.rank), 1 - i)}
         for i in range(2)
     ]
-    el = linear_to_nonlinear(LinearCECochain(inst, alg, 1, tables), Connection(alg), cap=2)
+    el = linear_to_nonlinear(LinearCECochain(inst, alg, 1, tables), cap=2)
     for i, table in enumerate(el.tables):
         for v in table.values():
             assert inst.equal(v, inst.zero(i))
@@ -294,8 +298,8 @@ def test_linear_to_nonlinear_intertwines_default_connection(name, maker):
     rng = random.Random(37)
     for k in range(0, min(2, alg.rank) + 1):
         c = rand_linear(rng, inst, alg, k)
-        lhs = linear_to_nonlinear(linear_structure_operator(c, conn), conn, cap=1)
-        rhs = nl_ce_apply(linear_to_nonlinear(c, conn, cap=2), out_cap=1)
+        lhs = linear_to_nonlinear(linear_structure_operator(c, conn), cap=1)
+        rhs = nl_ce_apply(linear_to_nonlinear(c, cap=2), out_cap=1)
         assert nl_equal_on_basis(lhs, rhs, alg)
 
 
@@ -404,9 +408,10 @@ def test_ce_sl2_sym_adjoint_casimir_row():
     assert [table.get((q, 0), 0) for q in range(5)] == [1, 0, 1, 0, 1]
 
 
-def test_ce_matches_poisson_for_sl2():
-    sym = ce_cohomology(presets.lie("sl2"), "sym_adjoint_lie", 4, 3)
-    pois = poisson_cohomology(presets.lie("sl2"), 4, 3)
+@pytest.mark.parametrize("spec", ["lie(sl2)", "lie(abelian2)"])
+def test_ce_matches_poisson_for_sl2(spec):
+    sym = ce_cohomology(presets.builtin(spec), "sym_adjoint_lie", 4, 3)
+    pois = poisson_cohomology(presets.builtin(spec), 4, 3)
     for key in sorted(set(sym) | set(pois)):
         assert sym.get(key, 0) == pois.get(key, 0)
 
@@ -440,3 +445,111 @@ def test_ce_matrix_module_rejects_wrong_matrices():
     bad = [[0, 1], [0, 0]]
     with pytest.raises(ValueError, match="do not represent"):
         ce_cohomology_matrix_module(alg, [bad, bad, bad])
+
+
+def reference_matrix_module(alg, actions):
+    """The matrix-module CE cohomology on Fraction vectors, with its own
+    basis, alternating lookup and image: the path before the module became
+    one `_ce_slice` of linear forms."""
+    if alg.vars:
+        raise ValueError("matrix modules require a constants base")
+    d = alg.rank
+    dim = len(actions[0]) if actions else 0
+    mats = [
+        {(i, j): Fraction(c) for i, row in enumerate(m) for j, c in enumerate(row) if c}
+        for m in actions
+    ]
+
+    def act(k, vec):
+        out = [Fraction(0)] * dim
+        for (i, j), c in mats[k].items():
+            if vec[j]:
+                out[i] += c * vec[j]
+        return out
+
+    for i, j in itertools.combinations(range(d), 2):
+        for col in range(dim):
+            vec = [Fraction(0)] * dim
+            vec[col] = Fraction(1)
+            lhs = [a - b for a, b in zip(act(i, act(j, vec)), act(j, act(i, vec)))]
+            rhs = [Fraction(0)] * dim
+            for k, c in enumerate(alg.structure_vector(i, j)):
+                cv = c.constant_value()
+                if cv:
+                    rhs = [r + cv * v for r, v in zip(rhs, act(k, vec))]
+            if lhs != rhs:
+                raise ValueError(
+                    f"matrices do not represent the bracket on generators ({i}, {j})"
+                )
+
+    def basis_at(m):
+        return [(T, t) for T in itertools.combinations(range(d), m) for t in range(dim)]
+
+    def eval_cochain(table, args_idx):
+        key, sign = sort_with_sign(args_idx)
+        vec = table.get(key) if sign else None
+        return [sign * c for c in vec] if vec is not None else [Fraction(0)] * dim
+
+    def image(key):
+        T, t = key
+        vec = [Fraction(0)] * dim
+        vec[t] = Fraction(1)
+        table = {T: vec}
+
+        def acted(k, rest):
+            v = eval_cochain(table, rest)
+            return act(k, v) if any(v) else None
+
+        def bracketed(a, b, rest):
+            out = [Fraction(0)] * dim
+            for kk, c in enumerate(alg.structure_vector(a, b)):
+                if cv := c.constant_value():
+                    v = eval_cochain(table, (kk,) + rest)
+                    out = [o + cv * x for o, x in zip(out, v)]
+            return out
+
+        for S in itertools.combinations(range(d), len(T) + 1):
+            out = [Fraction(0)] * dim
+            for sgn, term in ce_terms(S, acted, bracketed):
+                out = [o + sgn * x for o, x in zip(out, term)]
+            for comp, val in enumerate(out):
+                yield (S, comp), val
+
+    bases = [basis_at(m) for m in range(d + 1)]
+    diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(d)]
+    labels = [[f"{T}.{t}" for T, t in b] for b in bases]
+    return cohomology_dims(ComplexSlice(labels, diffs, name="ce matrix module"))
+
+
+def _adjoint_matrices(alg):
+    # ad(e_i) sends e_j to [e_i, e_j] = sum_k c_ij^k e_k
+    return [[[alg.structure_vector(i, j)[k].constant_value() for j in range(alg.rank)]
+             for k in range(alg.rank)] for i in range(alg.rank)]
+
+
+@pytest.mark.parametrize("spec,actions,dims", [
+    ("lie(sl2)", [[[0]], [[0]], [[0]]], [1, 0, 0, 1]),
+    ("lie(sl2)", [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]], [0, 0, 0, 0]),
+    ("lie(sl2)", "adjoint", [0, 0, 0, 0]),
+    ("lie(abelian2)", [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [2, 4, 2]),
+    ("lie(abelian2)", [[[0, 1], [0, 0]], [[0, 0], [0, 0]]], [1, 2, 1]),
+    ("lie(abelian2)", [[[0, 1], [0, 0]], [[1, 0], [0, 1]]], [0, 0, 0]),
+], ids=["sl2-trivial", "sl2-standard", "sl2-adjoint", "abelian2-zero", "abelian2-jordan",
+        "abelian2-jordan-identity"])
+def test_ce_matrix_module_matches_the_reference(spec, actions, dims):
+    alg = presets.builtin(spec)
+    if actions == "adjoint":
+        actions = _adjoint_matrices(alg)
+    assert reference_matrix_module(alg, actions) == dims
+    assert ce_cohomology_matrix_module(alg, actions) == dims
+
+
+@pytest.mark.parametrize("actions", [
+    [[[0, 1], [0, 0]]],
+    [[[0]], [[0]], [[0]], [[0]]],
+    [[[0], [0]], [[0], [0]], [[0], [0]]],
+    [],
+], ids=["one-matrix", "four-matrices", "not-square", "none"])
+def test_ce_matrix_module_rejects_a_wrong_shape(actions):
+    with pytest.raises(ValueError, match=r"expected 3 matrices of shape n x n"):
+        ce_cohomology_matrix_module(presets.lie("sl2"), actions)
