@@ -33,6 +33,13 @@ class SymAlgebra:
             for b in range(a + 1, self.N):
                 ab = self._table[(a, b)] = self._generator_bracket(a, b)
                 self._brackets[a, b], self._brackets[b, a] = ab, -ab
+        # for the boundary: per coordinate a, the nonzero (b, terms of {x_b, x_a});
+        # per nonzero pair a < b, the partials (m, u - e_m, u_m v) of {x_a, x_b}
+        self._acting = [[(b, list(self._brackets[b, a].terms.items())) for b in range(self.N)
+                         if self._brackets[b, a]] for a in range(self.N)]
+        self._d_table = {ab: [(m, u[:m] + (k - 1,) + u[m + 1:], k * v)
+                              for u, v in br.terms.items() for m, k in enumerate(u) if k]
+                         for ab, br in self._table.items() if br}
 
     def lift(self, f: Polynomial) -> Polynomial:
         """Include a ring element into the symbol algebra."""

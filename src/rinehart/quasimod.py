@@ -467,6 +467,11 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
     d = alg.rank
     bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
     labels = [[f"{exp}|{T}" for T, exp in b] for b in bases]
+    # every nonzero structure coefficient c^k_ab, a < b, lifted to the values once
+    pad = (0,) * (len(value_vars) - len(alg.vars))
+    structure = {(a, b): [(k, Polynomial._of(value_vars, {e + pad: v for e, v in c.terms.items()}))
+                          for k, c in enumerate(alg.structure_vector(a, b)) if c]
+                 for a, b in itertools.combinations(range(d), 2)}
 
     def image(key):
         T, exp = key
@@ -478,9 +483,9 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
 
         def bracketed(a, b, rest):
             total = None
-            for kk, c in enumerate(alg.structure_vector(a, b)):
-                if c and (v := alternating_value(table, (kk,) + rest)) is not None:
-                    term = _lift_to(value_vars, c) * v
+            for kk, c in structure[a, b]:
+                if (v := alternating_value(table, (kk,) + rest)) is not None:
+                    term = c * v
                     total = term if total is None else total + term
             return total
 
@@ -493,14 +498,6 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
 
     diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(max_position)]
     return ComplexSlice(labels, diffs, name=f"ce W={W}")
-
-
-def _lift_to(value_vars, c: Polynomial) -> Polynomial:
-    out = Polynomial.zero(value_vars)
-    extra = len(value_vars) - len(c.vars)
-    for exp, v in c.terms.items():
-        out = out + Polynomial.monomial(value_vars, tuple(exp) + (0,) * extra, v)
-    return out
 
 
 def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,

@@ -66,7 +66,6 @@ TEST_ONLY = {
     "cochain.py:TableCochain.constant",
     "cochain.py:cup_derivation",
     "homology.py:kahler_d",
-    "homology.py:contract_bivector",
     "homology.py:duality_cap_rank_check",
     "lie_rinehart.py:Connection.plain_curvature_l",
     "lie_rinehart.py:Connection.plain_curvature_der",
