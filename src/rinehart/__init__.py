@@ -16,10 +16,10 @@ from .lie_rinehart import (
     check_axioms,
     from_action,
     from_vector_fields,
-    ruth_check,
 )
 from .poly import Polynomial, PolyDerivation, parse_poly
 from .presets import arrangement, builtin, lie, semidirect, weyl
+from .quasimod import ruth_check
 
 __all__ = [
     "Connection",

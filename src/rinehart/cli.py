@@ -23,7 +23,6 @@ from .lie_rinehart import (
     LieRinehartAlgebra,
     PresentationError,
     check_axioms,
-    ruth_check,
 )
 from .linalg import NotAComplexError
 from .pbwext import (
@@ -40,6 +39,7 @@ from .quasimod import (
     ce_cohomology,
     hochschild_instance,
     quasi_axiom_check,
+    ruth_check,
 )
 from .uea import EnvelopingAlgebra, center_search
 

@@ -13,8 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (Polynomial, PolyDerivation, alternating_value, ce_terms, multilinear_terms,
-                   parse_poly, perm_sign)
+from .poly import Polynomial, PolyDerivation, parse_poly, perm_sign
 
 
 class PresentationError(ValueError):
@@ -338,7 +337,7 @@ def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> CheckReport:
     return CheckReport(not failures, tuple(failures))
 
 
-# -- connections and the two-term adjoint complex -------------------------
+# -- connections -----------------------------------------------------------
 
 
 class Connection:
@@ -411,191 +410,6 @@ class Connection:
             - self.basic_der(Y, self.basic_der(X, D))
             - self.basic_der(bracket_extend(X, Y), D)
         )
-
-
-class _AdCochain:
-    """R-multilinear alternating cochain on L with values in L or Der(R).
-
-    Values are stored on increasing basis tuples and extended multilinearly.
-    kind is "l" or "der"; degree is the number of L-arguments.
-    """
-
-    def __init__(self, alg, degree, kind, values):
-        self.alg = alg
-        self.degree = degree
-        self.kind = kind
-        self.values = values  # dict[tuple[int,...] increasing] -> value
-
-    def zero_value(self):
-        if self.kind == "l":
-            return self.alg.zero_element()
-        return PolyDerivation.zero(self.alg.vars)
-
-    def value_on_basis(self, idx: tuple[int, ...]):
-        """Value on an arbitrary basis tuple, resolving the sign by sorting."""
-        v = alternating_value(self.values, idx)
-        return self.zero_value() if v is None else v
-
-    def evaluate(self, args: list[LElement]):
-        """Multilinear extension to arbitrary module elements."""
-        out = self.zero_value()
-        factors = [[(a, f) for a, f in enumerate(arg.coeffs) if f] for arg in args]
-        for idx, coeff in multilinear_terms(factors, Polynomial.const(self.alg.vars, 1)):
-            base = self.value_on_basis(idx)
-            if self.kind == "l":
-                out = out + base.scale(coeff)
-            else:
-                out = out + base.scale_by(coeff)
-        return out
-
-
-def _koszul_differential(conn: Connection, c: _AdCochain) -> _AdCochain:
-    """Exterior covariant derivative of c along the induced connections."""
-    alg = conn.alg
-    deg = c.degree + 1
-    e = alg.basis_element
-
-    def act(i, rest):
-        return conn.basic_apply(e(i), c.value_on_basis(rest))
-
-    def bracketed(i, j, rest):
-        return c.evaluate([bracket_extend(e(i), e(j))] + [e(t) for t in rest])
-
-    values = {
-        idx: sum((t if s == 1 else -t for s, t in ce_terms(idx, act, bracketed)),
-                 c.zero_value())
-        for idx in itertools.combinations(range(alg.rank), deg)
-    }
-    return _AdCochain(alg, deg, c.kind, values)
-
-
-def _curvature_wedge(conn: Connection, c: _AdCochain) -> _AdCochain:
-    """Wedge the basic-curvature two-form into a Der-valued cochain."""
-    alg = conn.alg
-    deg = c.degree + 2
-    values = {}
-    for idx in itertools.combinations(range(alg.rank), deg):
-        total = alg.zero_element()
-        for i, j in itertools.combinations(range(deg), 2):
-            rest = tuple(idx[t] for t in range(deg) if t not in (i, j))
-            v = c.value_on_basis(rest)
-            term = conn.basic_curvature(
-                alg.basis_element(idx[i]), alg.basis_element(idx[j]), v
-            )
-            # matches the curvature form produced by the square of the
-            # exterior covariant derivative (zero-based odd i+j positive)
-            total = total + (term if (i + j) % 2 == 1 else -term)
-        values[idx] = total
-    return _AdCochain(alg, deg, "l", values)
-
-
-def _anchor_post(c: _AdCochain) -> _AdCochain:
-    values = {idx: v.anchor_derivation() for idx, v in c.values.items()}
-    return _AdCochain(c.alg, c.degree, "der", values)
-
-
-def adjoint_operator(conn: Connection, part_l: _AdCochain | None, part_der: _AdCochain | None,
-                     total_degree: int):
-    """One application of the structure operator on the two-term complex.
-
-    Input: a pair (omega_L in Omega^m(L;L), omega_Der in Omega^{m-1}(L;Der))
-    of total degree m.  Output: the degree m+1 pair.  Signs are the unique
-    choice (up to global convention) making the square vanish; see
-    docs/signs.md.
-    """
-    alg = conn.alg
-    m = total_degree
-    sign_rho = 1 if m % 2 == 0 else -1
-    out_l = None
-    out_der = None
-    if part_l is not None:
-        out_l = _koszul_differential(conn, part_l)
-        rho_part = _anchor_post(part_l)
-        if sign_rho == -1:
-            rho_part = _AdCochain(alg, rho_part.degree, "der",
-                                  {k: -v for k, v in rho_part.values.items()})
-        out_der = rho_part
-    if part_der is not None:
-        k_part = _curvature_wedge(conn, part_der)
-        if sign_rho == 1:
-            k_part = _AdCochain(alg, k_part.degree, "l",
-                                {k: -v for k, v in k_part.values.items()})
-        out_l = _add_cochains(out_l, k_part)
-        out_der = _add_cochains(out_der, _koszul_differential(conn, part_der))
-    return out_l, out_der
-
-
-def _add_cochains(a: _AdCochain | None, b: _AdCochain | None):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    values = dict(a.values)
-    for idx, v in b.values.items():
-        values[idx] = values[idx] + v if idx in values else v
-    return _AdCochain(a.alg, a.degree, a.kind, values)
-
-
-def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
-               samples: int = 4, max_total_degree: int = 2) -> CheckReport:
-    """Exact check that the adjoint two-term structure operator squares to zero.
-
-    Random cochain pairs with polynomial coefficients of degree <= degree_cap
-    are pushed through the operator twice; every basis evaluation of the
-    result must vanish identically.
-    """
-    import random as _random
-
-    alg = conn.alg
-    rng = _random.Random(seed)
-    failures = []
-    trials = 0
-
-    def rand_poly():
-        p = alg.zero_poly()
-        for _ in range(rng.randint(1, 2)):
-            exp = tuple(rng.randint(0, degree_cap) for _ in alg.vars)
-            if sum(exp) > degree_cap:
-                exp = tuple(0 for _ in alg.vars)
-            p = p + Polynomial.monomial(alg.vars, exp, rng.choice([-2, -1, 1, 2]))
-        return p
-
-    def rand_l():
-        return LElement(alg, tuple(rand_poly() for _ in range(alg.rank)))
-
-    def rand_der():
-        return PolyDerivation(alg.vars, [rand_poly() for _ in alg.vars])
-
-    for m in range(0, max_total_degree + 1):
-        for trial in range(samples):
-            vals_l = {
-                idx: rand_l() for idx in itertools.combinations(range(alg.rank), m)
-            }
-            part_l = _AdCochain(alg, m, "l", vals_l)
-            part_der = None
-            if m >= 1 and len(alg.vars) > 0:
-                vals_d = {
-                    idx: rand_der()
-                    for idx in itertools.combinations(range(alg.rank), m - 1)
-                }
-                part_der = _AdCochain(alg, m - 1, "der", vals_d)
-            l1, d1 = adjoint_operator(conn, part_l, part_der, m)
-            l2, d2 = adjoint_operator(conn, l1, d1, m + 1)
-            for c in (l2, d2):
-                if c is None:
-                    continue
-                for idx, v in c.values.items():
-                    if (isinstance(v, LElement) and not v.is_zero()) or (
-                        isinstance(v, PolyDerivation) and not v.is_zero()
-                    ):
-                        failures.append(
-                            f"square of the structure operator is nonzero at total degree {m}, "
-                            f"trial {trial}, basis tuple {idx}: {v}"
-                        )
-                        if len(failures) >= 3:
-                            return CheckReport(False, tuple(failures), trials)
-            trials += 1
-    return CheckReport(not failures, tuple(failures), trials)
 
 
 # -- constructors ----------------------------------------------------------

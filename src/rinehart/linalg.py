@@ -6,8 +6,8 @@ shared blocks, is built with it.
 
 Matrix entries are ints when integral and Fractions otherwise.  Ranks and
 the d o d check run on integer rows, built once per differential, with row
-steps invertible over Q, so they are exact; kernel bases and `solve` use the
-Fraction RREF `_rref` and return Fractions.
+steps invertible over Q, so they are exact; kernel bases use the Fraction
+RREF `_rref` and return Fractions.
 """
 from __future__ import annotations
 
@@ -193,21 +193,6 @@ def _pivots(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> list[
 def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
     """Exact rank, by the integer echelon of `_pivots`."""
     return len(_pivots(m, rows))
-
-
-def solve(m: SparseMatrixQ, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of m x = rhs, or None if inconsistent."""
-    aug = SparseMatrixQ(m.nrows, m.ncols + 1)
-    aug.entries = dict(m.entries)
-    for i, c in enumerate(rhs):
-        aug.set(i, m.ncols, c)
-    reduced, pivots = _rref(aug)
-    sol = [Fraction(0)] * m.ncols
-    for row, col in zip(reduced, pivots):
-        if col == m.ncols:
-            return None
-        sol[col] = row.get(m.ncols, Fraction(0))
-    return sol
 
 
 class ComplexSlice:

@@ -670,10 +670,64 @@ def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCEC
                     v = c.evaluate(i + 1, rest)
                     term = v.contract(lambda u: P.element_symbol(conn.basic_curvature(
                         elems[j], elems[l], alg.coordinate_field(alg.vars[u]))))
-                    total = total + term.scale(1 if (j + l) % 2 == 0 else -1)
+                    total = total + term.scale(1 if (j + l + m) % 2 == 0 else -1)
             table[T] = total
         tables.append(table)
     return LinearCECochain(inst, alg, k + 1, tables)
+
+
+def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
+               samples: int = 4, max_total_degree: int = 2) -> CheckReport:
+    """Exact check that the structure operator squares to zero on its
+    generator-degree <= 1 part, the two-term adjoint complex L -> Der(R).
+
+    A random pair (omega_L, omega_D) of total degree m, with polynomial
+    coefficients of degree <= degree_cap, is the linear cochain whose column
+    0 is the symbol of omega_L and whose column 1 is the one-leg multivector
+    sum_u omega_D(x_u) d/dx_u; it is pushed through the operator twice, and
+    every basis evaluation of the result must vanish identically.
+    """
+    alg = conn.alg
+    inst = adjoint_instance(alg)
+    P = inst.sym
+    rng = random.Random(seed)
+    failures = []
+    trials = 0
+
+    def rand_poly():
+        p = alg.zero_poly()
+        for _ in range(rng.randint(1, 2)):
+            exp = tuple(rng.randint(0, degree_cap) for _ in alg.vars)
+            if sum(exp) > degree_cap:
+                exp = tuple(0 for _ in alg.vars)
+            p = p + Polynomial.monomial(alg.vars, exp, rng.choice([-2, -1, 1, 2]))
+        return p
+
+    for m in range(0, max_total_degree + 1):
+        for trial in range(samples):
+            tables: list[dict] = [{
+                idx: Multivector(P, 0, {(): P.element_symbol(
+                    LElement(alg, tuple(rand_poly() for _ in range(alg.rank))))})
+                for idx in itertools.combinations(range(alg.rank), m)
+            }] + [{} for _ in range(m)]
+            if m >= 1:
+                tables[1] = {
+                    idx: Multivector(P, 1, {(u,): P.lift(rand_poly()) for u in range(P.n)})
+                    for idx in itertools.combinations(range(alg.rank), m - 1)
+                }
+            c = LinearCECochain(inst, alg, m, tables)
+            square = linear_structure_operator(linear_structure_operator(c, conn), conn)
+            for table in square.tables:
+                for idx, v in table.items():
+                    if not v.is_zero():
+                        failures.append(
+                            f"square of the structure operator is nonzero at total degree {m}, "
+                            f"trial {trial}, basis tuple {idx}: {v}"
+                        )
+                        if len(failures) >= 3:
+                            return CheckReport(False, tuple(failures), trials)
+            trials += 1
+    return CheckReport(not failures, tuple(failures), trials)
 
 
 def ce_cohomology_matrix_module(alg: LieRinehartAlgebra,

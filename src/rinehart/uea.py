@@ -17,10 +17,9 @@ from collections import defaultdict
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .lie_rinehart import Connection, LElement, LieRinehartAlgebra
+from .lie_rinehart import LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
-from .poisson import SymAlgebra
-from .poly import Polynomial, PolyDerivation, _coefficient, _merged, exponents
+from .poly import Polynomial, _coefficient, _merged, exponents
 
 Expo = tuple[int, ...]
 Flat = dict[tuple[Expo, Expo], "int | Fraction"]
@@ -270,77 +269,6 @@ class UEAElement:
             )
             parts.append(f"({c})*{gens}" if gens else f"({c})")
         return " + ".join(parts)
-
-
-# -- PBW -------------------------------------------------------------------
-
-
-class PBWMap:
-    """Connection-dependent lift of symbols to normal-ordered elements.
-
-    Defined recursively on products of module factors, averaging over the
-    factor removed and correcting with the induced connection; values are
-    cached per symbol monomial.
-    """
-
-    def __init__(self, U: EnvelopingAlgebra, conn: Connection | None = None):
-        self.U = U
-        self.alg = U.alg
-        self.P = SymAlgebra(U.alg)
-        self.conn = conn if conn is not None else Connection(U.alg)
-        self._cache: dict[Expo, UEAElement] = {}
-
-    def _apply_connection(self, X: LElement, sym: Polynomial) -> Polynomial:
-        """nabla^L_X on symbols as a derivation: the anchor on the base
-        variables, the induced connection on the generator symbols."""
-        P, alg = self.P, self.alg
-        images = [P.lift(im) for im in X.anchor_derivation().images] + [
-            P.element_symbol(self.conn.basic_l(X, alg.basis_element(a))) for a in range(P.d)
-        ]
-        return PolyDerivation(P.vars, images)(sym)
-
-    def __call__(self, sym: Polynomial) -> UEAElement:
-        if sym.vars != self.U.sym_vars:
-            raise ValueError("symbol over the wrong variable list")
-        out = self.U.zero()
-        for exp, c in sym.terms.items():
-            out = out + self._mono(exp).scale(c)
-        return out
-
-    def _mono(self, exp: Expo) -> UEAElement:
-        cached = self._cache.get(exp)
-        if cached is not None:
-            return cached
-        alg = self.alg
-        n = len(alg.vars)
-        xpart = exp[:n]
-        gens = [a for a in range(alg.rank) for _ in range(exp[n + a])]
-        coeff = Polynomial.monomial(alg.vars, xpart, 1)
-        if not gens:
-            result = self.U.scalar(coeff)
-        else:
-            factors = [alg.basis_element(gens[0]).scale(coeff)] + [
-                alg.basis_element(a) for a in gens[1:]
-            ]
-            result = self._of_factors(factors)
-        self._cache[exp] = result
-        return result
-
-    def _of_factors(self, factors: list[LElement]) -> UEAElement:
-        k = len(factors)
-        if k == 0:
-            return self.U.one()
-        if k == 1:
-            return self.U.include(factors[0])
-        out = self.U.zero()
-        for i, X in enumerate(factors):
-            rest = factors[:i] + factors[i + 1:]
-            rest_sym = Polynomial.const(self.P.vars, 1)
-            for Y in rest:
-                rest_sym = rest_sym * self.P.element_symbol(Y)
-            out = out + self.U.include(X) * self(rest_sym)
-            out = out - self(self._apply_connection(X, rest_sym))
-        return out.scale(Fraction(1, k))
 
 
 # -- center search ------------------------------------------------------------

@@ -20,7 +20,7 @@ from rinehart.homology import (
     poisson_boundary,
     poisson_homology,
 )
-from rinehart.lie_rinehart import Connection, check_axioms, ruth_check
+from rinehart.lie_rinehart import Connection, check_axioms
 from rinehart.pbwext import (
     EtaContext,
     verify_eta_properties,
@@ -38,6 +38,7 @@ from rinehart.quasimod import (
     nl_ce_apply,
     nl_to_multivector,
     quasi_axiom_check,
+    ruth_check,
 )
 
 BUILTINS = [

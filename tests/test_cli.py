@@ -101,17 +101,19 @@ def test_exit_code_zero_on_passing_check():
     assert all(c["ok"] for c in payload["checks"])
 
 
+# sl2 with a flipped sign fails Jacobi
+BAD_SIGN_SL2 = {
+    "vars": [],
+    "rank": 3,
+    "basis": ["e", "f", "h"],
+    "anchor": [[], [], []],
+    "bracket": {"0,1": ["0", "0", "1"], "0,2": ["2", "0", "0"], "1,2": ["0", "2", "0"]},
+}
+
+
 def test_exit_code_one_on_failing_check(tmp_path):
-    # sl2 with a flipped sign fails Jacobi
-    spec = {
-        "vars": [],
-        "rank": 3,
-        "basis": ["e", "f", "h"],
-        "anchor": [[], [], []],
-        "bracket": {"0,1": ["0", "0", "1"], "0,2": ["2", "0", "0"], "1,2": ["0", "2", "0"]},
-    }
     path = tmp_path / "bad_sl2.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(BAD_SIGN_SL2))
     code, out = run_cli(["--spec-file", str(path), "check"])
     assert code == 1
     payload = json.loads(out)
@@ -262,6 +264,20 @@ def test_table_commands_refuse_failed_axioms(tmp_path, capsys, command):
     assert payload["rows"] == []
 
 
+@pytest.mark.parametrize("spec", [BAD_SIGN_SL2, FAILS_ANCHOR_MORPHISM])
+def test_check_reports_the_square_witness_on_broken_specs(tmp_path, spec):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(["--spec-file", str(path), "check"])
+    assert code == 1
+    (square,) = [c for c in json.loads(out)["checks"]
+                 if c["name"] == "adjoint-complex-square-zero"]
+    assert not square["ok"]
+    assert square["detail"].startswith(
+        "square of the structure operator is nonzero at total degree 0, trial 0, "
+        "basis tuple (0, 1): ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--algebra", "weyl()", "check"], "takes 1 argument"),
     (["--algebra", "lie()", "check"], "takes 1 argument"),
@@ -345,6 +361,25 @@ def test_euler_check_output_is_pinned():
 def test_homology_tables_are_pinned(argv, exit_code, digest):
     code, out = run_cli(argv)
     assert code == exit_code and json.loads(out)["rows"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("weyl(1)", "694dd7119e0e613534068aa84412a4bd84c4545b19d393b284ff06c4b32b7820"),
+    ("weyl(2)", "d0d5465c909a14f6cdc053b802b88a830a0fe5ee898b7ad163eb40a1c2684a0f"),
+    ("lie(sl2)", "1af637dff5b7cc26a3c05608fe5b7fec5242a3b5a44730b789ea3c52f0edb113"),
+    ("lie(abelian2)", "a55639b70810f072c221f4c0454e00cbbbbb9edcf37f8ee726e18813aa69b382"),
+    ("semidirect(sl2,std)", "2cdcf2fa3f93a791f1aaf3ae8fcf395440452d33650115902523a32e09ebbe39"),
+    ("arrangement(x,y,y-x,y+x)",
+     "171daaa0c982442e41dc21930fbe334e6aa6b27ee188fda13d5717f38324afd9"),
+    ("arrangement(x,y-x,y+x)",
+     "90fcc106c03790e7137fdfe3c3a8aa3a9ed5f0f80f706a0684bb30278bf51efb"),
+])
+def test_check_output_is_pinned(name, digest):
+    # the axioms and the square of the structure operator on its
+    # generator-degree <= 1 part, byte for byte as first recorded
+    code, out = run_cli(["--algebra", name, "check"])
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

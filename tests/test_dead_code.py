@@ -70,7 +70,6 @@ TEST_ONLY = {
     "lie_rinehart.py:Connection.plain_curvature_l",
     "lie_rinehart.py:Connection.plain_curvature_der",
     "linalg.py:SparseMatrixQ.apply",
-    "linalg.py:solve",
     "linalg.py:ComplexSlice.dimensions",
     "pbwext.py:verify_morphism_chain",
     "pbwext.py:morphism_membership_defect",
@@ -81,10 +80,8 @@ TEST_ONLY = {
     "quasimod.py:nl_to_multivector",
     "quasimod.py:linear_to_nonlinear",
     "quasimod.py:nonlinear_to_linear",
-    "quasimod.py:linear_structure_operator",
     "quasimod.py:ce_cohomology_matrix_module",
     "uea.py:UEAElement.gr_symbol",
-    "uea.py:PBWMap",
     "uea.py:DerivationExtension",
 }
 

@@ -12,7 +12,6 @@ from rinehart.linalg import (
     cohomology_dims,
     kernel_and_rank,
     rank,
-    solve,
 )
 
 
@@ -71,22 +70,11 @@ def test_integral_entries_are_ints_and_results_are_fractions():
         assert all(type(c) is int for c in m.entries.values())
         basis, rk = kernel_and_rank(m)
         assert all(type(c) is Fraction for v in basis for c in v)
-        rhs = m.apply([Fraction(rng.randint(-2, 2)) for _ in range(nc)])
-        x = solve(m, rhs)
-        assert all(type(c) is Fraction for c in x) and m.apply(x) == rhs
         # half the entries made Fractions, some of them integral again
         for (i, j), c in list(m.entries.items()):
             if rng.random() < 0.5:
                 m.set(i, j, Fraction(c * rng.choice([1, 2, 3]), rng.choice([1, 2, 3])))
         assert rank(m) == kernel_and_rank(m)[1]
-
-
-def test_solve_consistent_and_inconsistent():
-    m = mat([[1, 2], [3, 4]])
-    x = solve(m, [Fraction(5), Fraction(11)])
-    assert m.apply(x) == [Fraction(5), Fraction(11)]
-    m2 = mat([[1, 2], [2, 4]])
-    assert solve(m2, [Fraction(1), Fraction(3)]) is None
 
 
 def test_cohomology_single_spot():

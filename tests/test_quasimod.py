@@ -303,11 +303,15 @@ def test_linear_to_nonlinear_intertwines_default_connection(name, maker):
         assert nl_equal_on_basis(lhs, rhs, alg)
 
 
-def test_linear_structure_operator_squares_to_zero():
-    alg = presets.semidirect_sl2()
+@pytest.mark.parametrize("random_conn", [False, True])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_linear_structure_operator_squares_to_zero(name, random_conn):
+    # the curvature correction of an output column with m arguments carries
+    # (-1)^(j+l+m); with (-1)^(j+l) the semidirect random case fails
+    alg = presets.builtin(name)
     inst = adjoint_instance(alg)
-    conn = Connection(alg)
     rng = random.Random(41)
+    conn = random_connection(rng, alg) if random_conn else Connection(alg)
     for k in range(0, 3):
         c = rand_linear(rng, inst, alg, k)
         dd = linear_structure_operator(linear_structure_operator(c, conn), conn)
