@@ -82,14 +82,14 @@ def monomial_tuples(nvars: int, arity: int, total_degree: int):
     return out
 
 
-def cochain_equal(a: TableCochain, b: TableCochain, probe_degree: int = 3) -> bool:
-    """Pointwise equality on every monomial tuple within the probe degree."""
+def cochain_equal(a: TableCochain, b: TableCochain) -> bool:
+    """Pointwise equality on every monomial tuple of degree <= 2."""
     if a.arity != b.arity:
         return False
     if a.arity < 0:
         return True
     n = len(a.U.alg.vars)
-    for exps in monomial_tuples(n, a.arity, probe_degree):
+    for exps in monomial_tuples(n, a.arity, 2):
         if a.eval_monos(exps) != b.eval_monos(exps):
             return False
     return True

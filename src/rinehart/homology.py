@@ -12,7 +12,6 @@ from .poisson import (
     LegTensor,
     Multivector,
     SymAlgebra,
-    _label,
     poisson_differential,
 )
 from .poly import Polynomial, _integral_to_int, exponents, insert_leg, leg_basis
@@ -111,7 +110,7 @@ def homology_slice(P: SymAlgebra, lam: int) -> ComplexSlice:
             KahlerForm.basis_element(P, *key)).entries(), bases[p + 1])[0]
         for p in range(P.N)
     ]
-    return ComplexSlice(bases, diffs, name=f"poisson-chain L={lam}")
+    return ComplexSlice([len(b) for b in bases], diffs)
 
 
 def poisson_homology(alg: LieRinehartAlgebra, max_weight: int) -> dict[tuple[int, int], int]:
@@ -199,8 +198,6 @@ def cyclic_slice(blocks: _MixedBlocks, lam: int, u_cap: int, t_max: int) -> Comp
         return out, size
 
     layout = [columns(t_max - p) for p in range(t_max + 1)]
-    labels = [[(j, *form) for j, mu, k, _ in cols for form in blocks.basis(mu, k)[0]]
-              for cols, _ in layout]
     # the columns j < u_cap come first: their size is the offset of column u_cap
     leading = [next((at for j, _, _, at in cols if j == u_cap), size) for cols, size in layout]
     diffs = []
@@ -217,7 +214,7 @@ def cyclic_slice(blocks: _MixedBlocks, lam: int, u_cap: int, t_max: int) -> Comp
                     for i, c in image:  # block entries are nonzero, ints when integral
                         m.entries[row + i, s] = c
         diffs.append(m)
-    return ComplexSlice(labels, diffs, name=f"cyclic L={lam} cap={u_cap}", leading=leading)
+    return ComplexSlice([size for _, size in layout], diffs, leading=leading)
 
 
 def cyclic_homology(
@@ -287,11 +284,6 @@ def duality_cap_rank_check(alg: LieRinehartAlgebra, weight: int, degree: int) ->
 # -- Euler contraction ----------------------------------------------------------
 
 
-def euler_insertion(D: Multivector, euler: Polynomial) -> Multivector:
-    """Insert the Euler element into the first slot of a multivector."""
-    return D.interior(euler)
-
-
 def _euler_eigenweights(P: SymAlgebra, euler: Polynomial):
     """Eigenvalues of {euler, -} on the coordinates; the element must act
     diagonally for the contraction identity to make sense."""
@@ -309,6 +301,14 @@ def _euler_eigenweights(P: SymAlgebra, euler: Polynomial):
             )
         out.append(b.terms[exp])
     return out
+
+
+def _label(P: SymAlgebra, legs: Legs, exp: tuple[int, ...]) -> str:
+    mono = "*".join(
+        f"{v}^{e}" if e > 1 else v for v, e in zip(P.vars, exp) if e
+    ) or "1"
+    legstr = "^".join(f"d{P.vars[a]}" for a in legs) or "1"
+    return f"{mono}|{legstr}"
 
 
 def euler_contraction_check(
@@ -346,13 +346,11 @@ def euler_contraction_check(
                     continue
                 eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
                 D = Multivector.basis_element(P, legs, exp)
-                lhs = poisson_differential(euler_insertion(D, euler)) + euler_insertion(
-                    poisson_differential(D), euler
-                )
+                lhs = poisson_differential(D.interior(euler)) + poisson_differential(D).interior(euler)
                 rhs = D.scale(eig)
                 if not (lhs - rhs).is_zero():
                     failures.append(
-                        f"anticommutator is not weight*id on {_label(P, legs, exp, 'd')} "
+                        f"anticommutator is not weight*id on {_label(P, legs, exp)} "
                         f"(weight {eig})"
                     )
                     if len(failures) >= 3:

@@ -10,6 +10,7 @@ R-multilinear once Leibniz holds -- see docs/basis-reduction.md).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,19 @@ class CheckReport:
 
     def __bool__(self):
         return self.ok
+
+
+def seeded_check(samples: int, seed: int, trial) -> CheckReport:
+    """Run trial(rng, t) for t < samples on one random.Random(seed) stream;
+    each trial returns one text per failed identity.  The report stops at the
+    first failing trial and prefixes its texts with `trial t, seed=S: `, so
+    that the same seed with samples = t + 1 replays the failure."""
+    rng = random.Random(seed)
+    for t in range(samples):
+        failures = tuple(f"trial {t}, seed={seed}: {text}" for text in trial(rng, t))
+        if failures:
+            return CheckReport(False, failures, t + 1)
+    return CheckReport(True, (), samples)
 
 
 class LieRinehartAlgebra:
@@ -270,7 +284,7 @@ def bracket_extend(a: LElement, b: LElement) -> LElement:
     return out
 
 
-def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> CheckReport:
+def check_axioms(alg: LieRinehartAlgebra) -> CheckReport:
     """Anchor morphism, Jacobi, weight homogeneity -- on basis tuples."""
     failures: list[str] = []
 
@@ -286,7 +300,7 @@ def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> CheckReport:
                 f"anchor morphism fails on ({alg.basis[i]}, {alg.basis[j]}): "
                 f"rho([.,.]) = {lhs} but [rho, rho] = {rhs}"
             )
-            if len(failures) >= max_failures:
+            if len(failures) >= 3:
                 return CheckReport(False, tuple(failures))
 
     # Jacobi on basis triples (tensorial once anchor morphism + Leibniz hold)
@@ -302,7 +316,7 @@ def check_axioms(alg: LieRinehartAlgebra, max_failures: int = 3) -> CheckReport:
                 f"Jacobi fails on ({alg.basis[i]}, {alg.basis[j]}, {alg.basis[k]}): "
                 f"defect {jac}"
             )
-            if len(failures) >= max_failures:
+            if len(failures) >= 3:
                 return CheckReport(False, tuple(failures))
 
     if alg.weights is not None:

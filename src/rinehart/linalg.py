@@ -196,32 +196,31 @@ def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
 
 
 class ComplexSlice:
-    """A finite weight-homogeneous piece of a cochain complex: an ordered
-    basis-label list per position, d_k from position k (columns) to k+1.
+    """A finite weight-homogeneous piece of a cochain complex: the basis size
+    of every position, d_k from position k (columns) to k+1.
 
     `leading`, when given, is a basis prefix size per position whose prefixes
     span a subcomplex: every d_k maps its first leading[k] columns into its
     first leading[k + 1] rows, which is checked here in one pass over the
     entries.  Its d o d = 0 follows from that of the whole slice."""
 
-    def __init__(self, labels: list[list], diffs: list[SparseMatrixQ], name: str = "",
+    def __init__(self, sizes: list[int], diffs: list[SparseMatrixQ],
                  leading: list[int] | None = None):
-        if len(diffs) != max(len(labels) - 1, 0):
+        if len(diffs) != max(len(sizes) - 1, 0):
             raise ValueError("need one differential per adjacent pair of positions")
         for k, d in enumerate(diffs):
-            if d.ncols != len(labels[k]) or d.nrows != len(labels[k + 1]):
+            if d.ncols != sizes[k] or d.nrows != sizes[k + 1]:
                 raise ValueError(f"differential {k} has wrong shape")
         if leading is not None:
-            if len(leading) != len(labels) or not all(
-                    0 <= n <= len(lbl) for n, lbl in zip(leading, labels)):
+            if len(leading) != len(sizes) or not all(
+                    0 <= n <= size for n, size in zip(leading, sizes)):
                 raise ValueError("need one leading size per position, within its basis")
             for k, d in enumerate(diffs):
                 cols, rows = leading[k], leading[k + 1]
                 if any(j < cols and i >= rows for i, j in d.entries):
                     raise ValueError(f"the leading block of differential {k} is not a subcomplex")
-        self.labels = labels
+        self.sizes = sizes
         self.diffs = diffs
-        self.name = name
         self.leading = leading
 
     def check_complex(self) -> list[list[dict[int, int]]]:
@@ -239,7 +238,7 @@ class ComplexSlice:
         return rows
 
     def dimensions(self) -> list[int]:
-        return [len(lbl) for lbl in self.labels]
+        return list(self.sizes)
 
 
 def _dims(sizes: list[int], ranks: list[int]) -> list[int]:
@@ -256,7 +255,7 @@ def cohomology_dims(slice: ComplexSlice) -> list[int] | tuple[list[int], list[in
     the rows below the block are zero there."""
     rows = slice.check_complex()
     pivots = [_pivots(d, r) for d, r in zip(slice.diffs, rows)]
-    dims = _dims([len(lbl) for lbl in slice.labels], [len(p) for p in pivots])
+    dims = _dims(slice.sizes, [len(p) for p in pivots])
     if slice.leading is None:
         return dims
     return dims, _dims(slice.leading, [sum(c < n for c in p)

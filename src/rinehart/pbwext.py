@@ -8,10 +8,10 @@ adjoint elements and monomial argument tuples, never stored as matrices.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .cochain import TableCochain, hochschild_b, homotopy, lie_action, monomial_tuples
-from .lie_rinehart import CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend
+from .lie_rinehart import (CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend,
+                           seeded_check)
 from .poisson import Multivector, SymAlgebra
 from .poly import Polynomial, PolyDerivation, ce_terms, multilinear_terms, perm_sign
 from .quasimod import (NLCochainElement, _larg_element, _larg_terms, adj_delta, adj_lie,
@@ -202,11 +202,11 @@ def tower_map(ctx: EtaContext, Ys: tuple, v: Multivector) -> TableCochain:
 # -- verification reports ------------------------------------------------------
 
 
-def _random_adjoint_term(rng, P, p, q, coeff_deg=1):
+def _random_adjoint_term(rng, P, p, q):
     legs = tuple(sorted(rng.sample(range(P.n), p))) if p else ()
     exp = [0] * P.N
     for u in range(P.n):
-        exp[u] = rng.randint(0, coeff_deg)
+        exp[u] = rng.randint(0, 1)
     for _ in range(q):
         exp[P.n + rng.randrange(P.d)] += 1
     return Multivector(
@@ -220,10 +220,10 @@ def _random_args(rng, nvars, arity, deg):
     )
 
 
-def _rand_lelement(rng, alg, deg=1):
+def _rand_lelement(rng, alg):
     coeffs = []
     for _ in range(alg.rank):
-        exp = tuple(rng.randint(0, deg) for _ in alg.vars)
+        exp = tuple(rng.randint(0, 1) for _ in alg.vars)
         coeffs.append(Polynomial.monomial(alg.vars, exp, rng.choice([-1, 1, 2])))
     return LElement(alg, tuple(coeffs))
 
@@ -231,9 +231,8 @@ def _rand_lelement(rng, alg, deg=1):
 def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> CheckReport:
     """Multilinearity of the mixed tensor and its argument-scaling expansion."""
     alg = ctx.alg
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(samples):
+
+    def trial(rng, t):
         Y = _rand_lelement(rng, alg)
         X = _rand_lelement(rng, alg)
         Z = _rand_lelement(rng, alg)
@@ -245,9 +244,9 @@ def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> 
                                  rng.choice([-1, 1])) for _ in alg.vars],
         )
         if not (ctx.eta_mixed(Y, D.scale_by(r), X) - ctx.eta_mixed(Y, D, X).scale(r)).is_zero():
-            failures.append(f"trial {trial}: scaling in the derivation slot fails")
+            yield "scaling in the derivation slot fails"
         if not (ctx.eta_mixed(Y, D, X.scale(r)) - ctx.eta_mixed(Y, D, X).scale(r)).is_zero():
-            failures.append(f"trial {trial}: scaling in the module slot fails")
+            yield "scaling in the module slot fails"
         # five correction terms; the last two assemble the induced connection
         lhs = ctx.eta_mixed(Y.scale(r), D, X)
         correction = (
@@ -257,36 +256,34 @@ def verify_eta_properties(ctx: EtaContext, samples: int = 20, seed: int = 0) -> 
             + ctx.conn.basic_l(X, Y).scale(D(r))
         )
         if not (lhs - ctx.eta_mixed(Y, D, X).scale(r) - correction).is_zero():
-            failures.append(f"trial {trial}: argument-scaling expansion fails")
+            yield "argument-scaling expansion fails"
         # compatibility relations between the three tensors
         if not (
             ctx.eta_l(Y, X, Z).anchor_derivation()
             - ctx.eta_der(Y, X, Z.anchor_derivation())
         ).is_zero():
-            failures.append(f"trial {trial}: anchor of the module tensor mismatch")
+            yield "anchor of the module tensor mismatch"
         if not (
             ctx.eta_mixed(Y, Z.anchor_derivation(), X) - ctx.eta_l(Y, X, Z)
         ).is_zero():
-            failures.append(f"trial {trial}: mixed tensor on an anchor image mismatch")
+            yield "mixed tensor on an anchor image mismatch"
         if not (
             ctx.eta_mixed(Y, D, X).anchor_derivation() - ctx.eta_der(Y, X, D)
         ).is_zero():
-            failures.append(f"trial {trial}: anchor of the mixed tensor mismatch")
-        if failures:
-            return CheckReport(False, tuple(failures), trial + 1)
-    return CheckReport(True, (), samples)
+            yield "anchor of the mixed tensor mismatch"
+
+    return seeded_check(samples, seed, trial)
 
 
-def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
-                        p_max: int = 2, q_max: int = 2) -> CheckReport:
+def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0) -> CheckReport:
     """The anticommutator with the Koszul differential and the bracket
-    compatibility of the leg-lowering maps."""
+    compatibility of the leg-lowering maps, on p <= 2 legs and q <= 2
+    symbol factors."""
     P, alg = ctx.P, ctx.alg
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(samples):
-        p = rng.randint(0, min(p_max, P.n))
-        q = rng.randint(0, q_max)
+
+    def trial(rng, t):
+        p = rng.randint(0, min(2, P.n))
+        q = rng.randint(0, 2)
         v = _random_adjoint_term(rng, P, p, q)
         Y1 = _rand_lelement(rng, alg)
         Y2 = _rand_lelement(rng, alg)
@@ -300,8 +297,7 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
             lambda a: ctx.eta_l(Y1, Y2, alg.basis_element(a)),
         )
         if not (lhs - rhs).is_zero():
-            failures.append(f"trial {trial}: connection commutator identity fails at "
-                            f"(p,q)=({p},{q})")
+            yield f"connection commutator identity fails at (p,q)=({p},{q})"
         # anticommutator of the leg-lowering map with the Koszul differential
         lhs2 = f_map(ctx, Y1, adj_delta(P, v)) + adj_delta(P, f_map(ctx, Y1, v))
         # the eta tensors on each symbol factor in place of a leg or a factor
@@ -315,8 +311,7 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
                 lambda b: ctx.eta_l(Y1, alg.basis_element(a), alg.basis_element(b)),
             )
         if not (lhs2 - rhs2).is_zero():
-            failures.append(f"trial {trial}: leg-lowering anticommutator fails at "
-                            f"(p,q)=({p},{q})")
+            yield f"leg-lowering anticommutator fails at (p,q)=({p},{q})"
         # bracket compatibility
         lhs3 = (
             adj_lie(P, Y1, f_map(ctx, Y2, v))
@@ -326,77 +321,65 @@ def verify_f_identities(ctx: EtaContext, samples: int = 15, seed: int = 0,
         )
         rhs3 = f_map(ctx, bracket_extend(Y1, Y2), v)
         if not (lhs3 - rhs3).is_zero():
-            failures.append(f"trial {trial}: bracket compatibility fails at (p,q)=({p},{q})")
-        if failures:
-            return CheckReport(False, tuple(failures), trial + 1)
-    return CheckReport(True, (), samples)
+            yield f"bracket compatibility fails at (p,q)=({p},{q})"
+
+    return seeded_check(samples, seed, trial)
 
 
-def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0,
-                     p_max: int = 2, q_max: int = 2, arg_deg: int = 2) -> CheckReport:
-    """The lift exchanges the Koszul differential with minus the cochain one."""
+def verify_pbw_chain(ctx: EtaContext, samples: int = 50, seed: int = 0) -> CheckReport:
+    """The lift exchanges the Koszul differential with minus the cochain one,
+    on p <= 2 legs, q <= 2 symbol factors and arguments of degree <= 2."""
     P = ctx.P
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for trial in range(samples):
-        p = rng.randint(0, min(p_max, P.n - 1) if P.n else 0)
-        q = rng.randint(0, q_max)
+
+    def trial(rng, t):
+        p = rng.randint(0, min(2, P.n - 1) if P.n else 0)
+        q = rng.randint(0, 2)
         v = _random_adjoint_term(rng, P, p, q)
-        args = _random_args(rng, P.n, p + 1, arg_deg)
+        args = _random_args(rng, P.n, p + 1, 2)
         lhs = tower_eval(ctx, (), adj_delta(P, v), args)
         rhs = hochschild_b(tower_map(ctx, (), v)).eval_monos(args)
         if not (lhs + rhs).is_zero():
-            failures.append(
-                f"trial {trial}: chain relation fails at (p,q)=({p},{q}), args {args}")
-            return CheckReport(False, tuple(failures), checked)
-        checked += 1
-    return CheckReport(True, (), checked)
+            yield f"chain relation fails at (p,q)=({p},{q}), args {args}"
+
+    return seeded_check(samples, seed, trial)
 
 
-def verify_identity_tower(ctx: EtaContext, n_max: int = 1, p_max: int = 2,
-                          q_max: int = 2, samples: int = 50, seed: int = 0,
-                          arg_deg: int = 1) -> CheckReport:
+def verify_identity_tower(ctx: EtaContext, samples: int = 50, seed: int = 0) -> CheckReport:
     """The commutator tower: module actions of the tower maps against the
-    next level composed with the two differentials."""
+    next level composed with the two differentials, at levels n <= 1, on
+    p <= 2 legs, q <= 2 symbol factors and arguments of degree <= 1."""
     P, alg = ctx.P, ctx.alg
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for trial in range(samples):
-        n = rng.randint(0, n_max)
+
+    def trial(rng, t):
+        n = rng.randint(0, 1)
         Ys = tuple(_rand_lelement(rng, alg) for _ in range(n + 1))
-        p_hi = min(p_max, P.n)
-        if p_hi < n:
+        if min(2, P.n) < n:
             # every map in the identity lands in negative arity and vanishes
-            checked += 1
-            continue
-        p = rng.randint(n, p_hi)
-        q = rng.randint(0, q_max)
+            return
+        p = rng.randint(n, min(2, P.n))
+        q = rng.randint(0, 2)
         v = _random_adjoint_term(rng, P, p, q)
-        for args in [_random_args(rng, P.n, p - n, arg_deg)]:
-            lhs = ctx.U.zero()
-            for i in range(n + 1):
-                rest = Ys[:i] + Ys[i + 1:]
-                sign = 1 if i % 2 == 0 else -1
-                term = lie_action(Ys[i], tower_map(ctx, rest, v)).eval_monos(args)
-                term = term - tower_eval(ctx, rest, adj_lie(P, Ys[i], v), args)
-                lhs = lhs + term.scale(sign)
-            for i, j in itertools.combinations(range(n + 1), 2):
-                rest = tuple(Ys[t] for t in range(n + 1) if t not in (i, j))
-                # one-based sign (-1)^{i+j}
-                sign = 1 if (i + j) % 2 == 0 else -1
-                sub = (bracket_extend(Ys[i], Ys[j]),) + rest
-                lhs = lhs + tower_eval(ctx, sub, v, args).scale(sign)
-            rhs = hochschild_b(tower_map(ctx, Ys, v)).eval_monos(args)
-            delta_term = tower_eval(ctx, Ys, adj_delta(P, v), args)
-            rhs = rhs + delta_term.scale(1 if (n + 1) % 2 == 0 else -1)
-            if not (lhs - rhs).is_zero():
-                failures.append(f"trial {trial}: tower identity fails at n={n}, "
-                                f"(p,q)=({p},{q}), args {args}")
-                return CheckReport(False, tuple(failures), checked)
-            checked += 1
-    return CheckReport(True, (), checked)
+        args = _random_args(rng, P.n, p - n, 1)
+        lhs = ctx.U.zero()
+        for i in range(n + 1):
+            rest = Ys[:i] + Ys[i + 1:]
+            sign = 1 if i % 2 == 0 else -1
+            term = lie_action(Ys[i], tower_map(ctx, rest, v)).eval_monos(args)
+            term = term - tower_eval(ctx, rest, adj_lie(P, Ys[i], v), args)
+            lhs = lhs + term.scale(sign)
+        for i, j in itertools.combinations(range(n + 1), 2):
+            rest = tuple(Ys[t] for t in range(n + 1) if t not in (i, j))
+            # one-based sign (-1)^{i+j}
+            sign = 1 if (i + j) % 2 == 0 else -1
+            sub = (bracket_extend(Ys[i], Ys[j]),) + rest
+            lhs = lhs + tower_eval(ctx, sub, v, args).scale(sign)
+        rhs = hochschild_b(tower_map(ctx, Ys, v)).eval_monos(args)
+        delta_term = tower_eval(ctx, Ys, adj_delta(P, v), args)
+        rhs = rhs + delta_term.scale(1 if (n + 1) % 2 == 0 else -1)
+        if not (lhs - rhs).is_zero():
+            yield f"tower identity fails at n={n}, (p,q)=({p},{q}), args {args}"
+
+    return seeded_check(samples, seed, trial)
 
 
 # -- the antisymmetrized morphism ------------------------------------------------

@@ -43,10 +43,8 @@ class SymAlgebra:
 
     def lift(self, f: Polynomial) -> Polynomial:
         """Include a ring element into the symbol algebra."""
-        out = Polynomial.zero(self.vars)
-        for exp, c in f.terms.items():
-            out = out + Polynomial.monomial(self.vars, exp + (0,) * self.d, c)
-        return out
+        pad = (0,) * self.d
+        return Polynomial._of(self.vars, {exp + pad: c for exp, c in f.terms.items()})
 
     def generator_symbol(self, k: int) -> Polynomial:
         return Polynomial.variable(self.vars, self.alg.basis[k])
@@ -60,10 +58,10 @@ class SymAlgebra:
         return parse_poly(self.vars, text)
 
     def element_symbol(self, x) -> Polynomial:
-        out = Polynomial.zero(self.vars)
-        for k, f in enumerate(x.coeffs):
-            out = out + self.lift(f) * self.generator_symbol(k)
-        return out
+        """sum_k lift(f_k) g_k; distinct generators give distinct monomials."""
+        units = [(0,) * k + (1,) + (0,) * (self.d - k - 1) for k in range(self.d)]
+        return Polynomial._of(self.vars, {exp + units[k]: c for k, f in enumerate(x.coeffs)
+                                          for exp, c in f.terms.items()})
 
     def _generator_bracket(self, a: int, b: int) -> Polynomial:
         n = self.n
@@ -315,25 +313,16 @@ def poisson_differential(D: Multivector) -> Multivector:
 # -- weight-sliced cohomology -------------------------------------------------
 
 
-def _label(P: SymAlgebra, legs: Legs, exp: tuple[int, ...], leg_prefix: str = "d/d") -> str:
-    mono = "*".join(
-        f"{v}^{e}" if e > 1 else v for v, e in zip(P.vars, exp) if e
-    ) or "1"
-    legstr = "^".join(f"{leg_prefix}{P.vars[a]}" for a in legs) or "1"
-    return f"{mono}|{legstr}"
-
-
-def cochain_slice(P: SymAlgebra, W: int, max_position: int, name: str = "") -> ComplexSlice:
+def cochain_slice(P: SymAlgebra, W: int, max_position: int) -> ComplexSlice:
     """The weight-W multivector complex through cochain degree max_position."""
     vw, wbr = P.weight_vector(), P.bracket_weight()
     bases = [leg_basis(vw, vw, k, W + k * wbr) for k in range(max_position + 1)]
-    labels = [[_label(P, legs, exp) for legs, exp in b] for b in bases]
     diffs = [
         assemble(bases[k], lambda key: poisson_differential(
             Multivector.basis_element(P, *key)).entries(), bases[k + 1])[0]
         for k in range(max_position)
     ]
-    return ComplexSlice(labels, diffs, name=name or f"poisson-cochain W={W}")
+    return ComplexSlice([len(b) for b in bases], diffs)
 
 
 def cochain_table(leg_weights, wbr: int, max_weight: int, max_degree: int,

@@ -106,13 +106,10 @@ def arrangement(forms: list[str]) -> LieRinehartAlgebra:
         F = F * p
     euler = PolyDerivation(vars, [parse_poly(vars, "x"), parse_poly(vars, "y")])
     dfield = PolyDerivation(vars, [parse_poly(vars, "0"), F])
-    alg = from_vector_fields(vars, (euler, dfield), ("E", "D"),
-                             name=f"arrangement({len(parsed)} lines)")
     # canonical weights: the Euler generator is weight 0, D follows deg F - 1
-    r = F.total_degree() - 1
-    weights = {"x": 1, "y": 1, "E": 0, "D": r}
-    return LieRinehartAlgebra(alg.vars, alg.basis, alg.anchor, alg.structure,
-                              weights, name=alg.name)
+    weights = {"x": 1, "y": 1, "E": 0, "D": F.total_degree() - 1}
+    return from_vector_fields(vars, (euler, dfield), ("E", "D"), weights,
+                              name=f"arrangement({len(parsed)} lines)")
 
 
 def _proportional(p: Polynomial, q: Polynomial) -> bool:

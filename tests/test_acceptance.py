@@ -154,9 +154,8 @@ def test_criterion_6_mutation_witness():
 def test_criterion_7_extended_pbw_suites(name, maker):
     alg = maker()
     ctx = EtaContext(alg)
-    ok = verify_pbw_chain(ctx, samples=50, seed=7, p_max=2, q_max=2).ok
-    ok = ok and verify_identity_tower(ctx, n_max=1, p_max=2, q_max=2,
-                                      samples=50, seed=7).ok
+    ok = verify_pbw_chain(ctx, samples=50, seed=7).ok
+    ok = ok and verify_identity_tower(ctx, samples=50, seed=7).ok
     ok = ok and verify_eta_properties(ctx, samples=15, seed=7).ok
     ok = ok and verify_f_identities(ctx, samples=10, seed=7).ok
     report(7, f"extended lift identities on {name}", ok)

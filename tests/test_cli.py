@@ -14,9 +14,9 @@ from rinehart.cli import (
     presentation_from_dict,
     serialize,
 )
-from rinehart.lie_rinehart import CheckReport, check_axioms
+from rinehart.lie_rinehart import CheckReport, Connection, check_axioms
 from rinehart.linalg import NotAComplexError
-from rinehart.quasimod import NonlinearRejection
+from rinehart.quasimod import NonlinearRejection, ruth_check
 from rinehart.uea import CocycleError
 
 
@@ -274,8 +274,11 @@ def test_check_reports_the_square_witness_on_broken_specs(tmp_path, spec):
                  if c["name"] == "adjoint-complex-square-zero"]
     assert not square["ok"]
     assert square["detail"].startswith(
-        "square of the structure operator is nonzero at total degree 0, trial 0, "
+        "trial 0, seed=0: square of the structure operator is nonzero at total degree 0, "
         "basis tuple (0, 1): ")
+    # seed 0 and one trial per degree replay the first witness
+    replay = ruth_check(Connection(presentation_from_dict(spec)), seed=0, samples=1)
+    assert replay.failures[0] == square["detail"].split("; ")[0]
 
 
 @pytest.mark.parametrize("argv, message", [

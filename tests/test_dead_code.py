@@ -109,3 +109,18 @@ def test_every_module_level_import_is_used():
                     if bound not in names:
                         unused.append(f"{path.name}:{bound}")
     assert unused == []
+
+
+def _random_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random"]
+
+
+def test_every_law_check_draws_from_the_one_seeded_loop():
+    # random.Random is called once in src/, in seeded_check, so that a new
+    # law check runs through it instead of growing its own loop
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sum(len(_random_calls(tree)) for tree in trees.values()) == 1
+    (driver,) = [node for node in trees["lie_rinehart.py"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "seeded_check"]
+    assert len(_random_calls(driver)) == 1

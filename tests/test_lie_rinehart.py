@@ -5,6 +5,7 @@ import pytest
 
 from rinehart import presets
 from rinehart.lie_rinehart import (
+    CheckReport,
     Connection,
     LieRinehartAlgebra,
     PresentationError,
@@ -14,6 +15,7 @@ from rinehart.lie_rinehart import (
     from_action,
     from_vector_fields,
     poly_divide_exact,
+    seeded_check,
 )
 from rinehart.poly import Polynomial, PolyDerivation, parse_poly
 from rinehart.quasimod import ruth_check
@@ -197,6 +199,24 @@ def test_curvature_relations_random_connection():
         assert (lhs + conn.plain_curvature_l(X, Y, Z)).is_zero()
         lhs2 = conn.basic_curvature(X, Y, D).anchor_derivation()
         assert (lhs2 + conn.plain_curvature_der(X, Y, D)).is_zero()
+
+
+# -- the seeded trial loop ------------------------------------------------------
+
+
+def test_seeded_check_stops_at_the_first_failing_trial_and_names_its_seed():
+    draws = []
+
+    def trial(rng, t):
+        draws.append(rng.randrange(1000))
+        return [f"x={draws[-1]}", "y"] if t == 3 else []
+
+    rep = seeded_check(10, 42, trial)
+    assert rep == CheckReport(False, (f"trial 3, seed=42: x={draws[3]}", "trial 3, seed=42: y"), 4)
+    assert len(draws) == 4
+    # the same seed and samples = t + 1 replay the same draws
+    assert seeded_check(4, 42, trial) == rep and draws[4:] == draws[:4]
+    assert seeded_check(7, 42, lambda rng, t: ()) == CheckReport(True, (), 7)
 
 
 # -- the two-term adjoint complex: the structure operator in generator degree <= 1

@@ -78,12 +78,12 @@ def test_integral_entries_are_ints_and_results_are_fractions():
 
 
 def test_cohomology_single_spot():
-    s = ComplexSlice([["a"]], [], name="point")
+    s = ComplexSlice([1], [])
     assert cohomology_dims(s) == [1]
 
 
 def test_cohomology_acyclic_identity():
-    s = ComplexSlice([["a"], ["b"]], [mat([[1]])])
+    s = ComplexSlice([1, 1], [mat([[1]])])
     assert cohomology_dims(s) == [0, 0]
 
 
@@ -92,24 +92,21 @@ def test_cohomology_koszul_two_variables_weight_one():
     # 1 |-> (x, xi)-coordinates, then (a, b) |-> x*b - xi*a style pairing
     d0 = mat([[1], [1]])
     d1 = mat([[1, -1]])
-    s = ComplexSlice([["1"], ["ex", "exi"], ["ex^exi"]], [d0, d1])
+    s = ComplexSlice([1, 2, 1], [d0, d1])
     assert cohomology_dims(s) == [0, 0, 0]
 
 
 def test_cohomology_rejects_non_complex():
     d0 = mat([[1], [0]])
     d1 = mat([[1, 0]])
-    s = ComplexSlice([["a"], ["b", "c"], ["d"]], [d0, d1])
+    s = ComplexSlice([1, 2, 1], [d0, d1])
     with pytest.raises(NotAComplexError) as exc:
         cohomology_dims(s)
     assert exc.value.position == 0
 
 
 def test_cohomology_zero_differentials_gives_dimensions():
-    s = ComplexSlice(
-        [["a", "b"], ["c"], ["d", "e", "f"]],
-        [SparseMatrixQ(1, 2), SparseMatrixQ(3, 1)],
-    )
+    s = ComplexSlice([2, 1, 3], [SparseMatrixQ(1, 2), SparseMatrixQ(3, 1)])
     assert cohomology_dims(s) == [2, 1, 3]
 
 
@@ -156,9 +153,9 @@ def test_leading_rank_is_the_rank_of_the_leading_columns():
         entries = [0, 0, 1, -1, 2, -3] if trial % 2 else [0, 0, 1, Fraction(1, 2), Fraction(-2, 3)]
         m = mat([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
         for n in sorted({0, nc // 2, nc}):
-            s = ComplexSlice([list(range(nc)), list(range(nr))], [m], leading=[n, nr])
+            s = ComplexSlice([nc, nr], [m], leading=[n, nr])
             dims, leading = cohomology_dims(s)
-            assert dims == cohomology_dims(ComplexSlice(s.labels, s.diffs))
+            assert dims == cohomology_dims(ComplexSlice(s.sizes, s.diffs))
             assert leading[0] == n - kernel_and_rank(columns(m, n))[1]
 
 
@@ -182,18 +179,18 @@ def test_leading_rank_matches_the_fraction_path_on_every_cyclic_slice(monkeypatc
             checked += bool(block.entries)
         ranks = [0] + ranks + [0]
         expected = [n - ranks[k + 1] - ranks[k] for k, n in enumerate(s.leading)]
-        assert linalg.cohomology_dims(s)[1] == expected, s.name
+        assert linalg.cohomology_dims(s)[1] == expected, s.sizes
     assert checked > 30
 
 
 def test_a_leading_block_that_is_not_a_subcomplex_raises():
     d0 = mat([[1, 0], [0, 1]])
-    ComplexSlice([["a", "b"], ["c", "d"]], [d0], leading=[1, 1])
+    ComplexSlice([2, 2], [d0], leading=[1, 1])
     # column 1 leads but maps to row 1, which does not
     with pytest.raises(ValueError, match="not a subcomplex"):
-        ComplexSlice([["a", "b"], ["c", "d"]], [d0], leading=[2, 1])
+        ComplexSlice([2, 2], [d0], leading=[2, 1])
     with pytest.raises(ValueError, match="one leading size per position"):
-        ComplexSlice([["a", "b"], ["c", "d"]], [d0], leading=[3, 1])
+        ComplexSlice([2, 2], [d0], leading=[3, 1])
 
 
 def product_is_zero_by_apply(upper, lower):
@@ -211,7 +208,7 @@ def test_complex_check_cancels_denominators_across_rows():
     d0 = mat([[Fraction(1, 2), 1], [Fraction(1, 3), 0], [0, Fraction(1, 5)]])
     d1 = mat([[2, -3, -10], [Fraction(1, 7), Fraction(-3, 14), Fraction(-5, 7)]])
     assert product_is_zero_by_apply(d1, d0)
-    s = ComplexSlice([["a", "b"], ["c", "d", "e"], ["f", "g"]], [d0, d1])
+    s = ComplexSlice([2, 3, 2], [d0, d1])
     s.check_complex()
     assert cohomology_dims(s) == [0, 0, 1]
 
@@ -220,7 +217,7 @@ def test_complex_check_rejects_near_cancellation():
     d0 = mat([[Fraction(1, 2), 1], [Fraction(1, 3), 0], [0, Fraction(1, 5)]])
     d1 = mat([[2, -3, -10], [Fraction(1, 7), Fraction(-3, 14), Fraction(-5, 8)]])
     assert not product_is_zero_by_apply(d1, d0)
-    s = ComplexSlice([["a", "b"], ["c", "d", "e"], ["f", "g"]], [d0, d1])
+    s = ComplexSlice([2, 3, 2], [d0, d1])
     with pytest.raises(NotAComplexError) as exc:
         s.check_complex()
     assert exc.value.position == 0

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from rinehart import cli, presets
+from rinehart import cli, pbwext, presets
 from rinehart.cochain import TableCochain, cup_derivation, hochschild_b, cochain_equal
 from rinehart.lie_rinehart import Connection
 from rinehart.pbwext import (
@@ -115,7 +115,7 @@ def test_eta_context_computes_each_distinct_triple_once():
     triples = []
     eta_mixed = ctx.eta_mixed
     ctx.eta_mixed = lambda *args: triples.append(args) or eta_mixed(*args)
-    assert verify_identity_tower(ctx, n_max=1, p_max=2, q_max=2, samples=20, seed=7).ok
+    assert verify_identity_tower(ctx, samples=20, seed=7).ok
     assert len(triples) > len(set(triples)) > 0
     # eta_mixed calls nabla three times, and nothing else in the tower does
     assert sum(n for key, n in calls.items() if key[0] == "nabla") == 3 * len(set(triples))
@@ -129,7 +129,24 @@ def test_a_wrong_eta_tensor_fails_with_a_replayable_witness(monkeypatch, capsys)
     detail = next(c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]
                   if c["name"] == "eta-tensor-properties")
     assert code == 1
-    assert detail.startswith("trial 0: ")
+    assert detail.startswith("trial 0, seed=3: ")
+    replay = verify_eta_properties(EtaContext(presets.weyl(1)), samples=1, seed=3)
+    assert replay.failures[0] == detail.split("; ")[0]
+
+
+@pytest.mark.parametrize("check, name, witness", [
+    (verify_f_identities, "weyl(2)", "trial 5, seed=5: leg-lowering anticommutator fails"),
+    (verify_pbw_chain, "semidirect(sl2,std)", "trial 1, seed=5: chain relation fails"),
+    (verify_identity_tower, "weyl(2)", "trial 16, seed=5: tower identity fails"),
+])
+def test_a_negated_koszul_differential_fails_with_a_replayable_witness(monkeypatch, check,
+                                                                        name, witness):
+    monkeypatch.setattr(pbwext, "adj_delta", lambda P, v: -adj_delta(P, v))
+    rep = check(EtaContext(presets.builtin(name)), samples=50, seed=5)
+    trial = int(witness.split()[1].rstrip(","))
+    assert rep.failures[0].startswith(witness) and rep.trials == trial + 1
+    replay = check(EtaContext(presets.builtin(name)), samples=trial + 1, seed=5)
+    assert replay.failures == rep.failures
 
 
 def test_eta_hand_value_weyl():
@@ -329,7 +346,7 @@ def test_cup_differential_identity():
 def test_chain_relation_all_builtins():
     for name, maker in ALGEBRAS:
         ctx = EtaContext(maker())
-        rep = verify_pbw_chain(ctx, samples=25, seed=7, p_max=2, q_max=2, arg_deg=2)
+        rep = verify_pbw_chain(ctx, samples=25, seed=7)
         assert rep.ok, (name, rep.failures)
 
 
@@ -384,7 +401,7 @@ def test_tower_values_respect_filtration():
 def test_identity_tower_all_builtins():
     for name, maker in ALGEBRAS:
         ctx = EtaContext(maker())
-        rep = verify_identity_tower(ctx, n_max=1, p_max=2, q_max=2, samples=25, seed=7)
+        rep = verify_identity_tower(ctx, samples=25, seed=7)
         assert rep.ok, (name, rep.failures)
 
 

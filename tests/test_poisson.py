@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from rinehart import presets
-from rinehart.homology import euler_insertion
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
 from rinehart.poly import Polynomial, perm_sign
 from rinehart.quasimod import (
@@ -250,7 +249,6 @@ def test_laplace_expansion_matches_the_reference_paths(name):
             f = rand_sym(rng, P)
             assert D.evaluate(args) == reference_evaluate(D, args)
             assert D.interior(f) == reference_interior(D, f)
-            assert euler_insertion(D, f) == reference_interior(D, f)
             assert poisson_differential(D) == reference_differential(D)
     for a in range(P.N):
         for _ in range(3):

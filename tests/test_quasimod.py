@@ -127,6 +127,9 @@ def test_zeroed_homotopy_fails_with_witness():
     rep = quasi_axiom_check(inst, alg, trials=60, seed=7)
     assert not rep.ok
     assert any("scaled action homotopy" in f for f in rep.failures)
+    # the first failing trial names itself and its seed, and replays from them
+    assert rep.failures[0].startswith("trial 4, seed=7: ") and rep.trials == 5
+    assert quasi_axiom_check(inst, alg, trials=5, seed=7).failures[0] == rep.failures[0]
 
 
 def test_adjoint_homotopy_example():
@@ -521,8 +524,7 @@ def reference_matrix_module(alg, actions):
 
     bases = [basis_at(m) for m in range(d + 1)]
     diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(d)]
-    labels = [[f"{T}.{t}" for T, t in b] for b in bases]
-    return cohomology_dims(ComplexSlice(labels, diffs, name="ce matrix module"))
+    return cohomology_dims(ComplexSlice([len(b) for b in bases], diffs))
 
 
 def _adjoint_matrices(alg):
