@@ -61,12 +61,29 @@ def parse_spec(path: str) -> LieRinehartAlgebra:
 
 
 def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlgebra:
-    try:
-        vars = tuple(data["vars"])
-        rank = int(data["rank"])
-        basis = tuple(data["basis"])
-    except (KeyError, TypeError) as exc:
-        raise SpecFileError(f"{origin}: missing or malformed field: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecFileError(f"{origin}: a presentation must be a JSON object")
+
+    def checked(name, kind, item, what, optional=False):
+        """data[name] if it is a `kind` whose elements (values, for an
+        object) are all `item`s, a bool being no int; None for a missing or
+        null optional field."""
+        value = data.get(name)
+        if value is None and optional:
+            return None
+        members = value.values() if isinstance(value, dict) else value
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                or item and any(not isinstance(v, item) or isinstance(v, bool) for v in members)):
+            raise SpecFileError(f"{origin}: missing or malformed field {name!r}: need {what}")
+        return value
+
+    vars = tuple(checked("vars", list, str, "a list of names"))
+    rank = checked("rank", int, None, "an integer")
+    basis = tuple(checked("basis", list, str, "a list of names"))
+    anchor_rows = checked("anchor", list, list, "a list of rows", True) or []
+    brackets = checked("bracket", dict, list, "an object of rows", True) or {}
+    weights = checked("weights", dict, int, "an object of name: integer weight", True)
+    name = checked("name", str, None, "a string", True)
     if len(basis) != rank:
         raise SpecFileError(f"{origin}: rank {rank} but {len(basis)} basis names")
 
@@ -76,7 +93,6 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
         except PolyParseError as exc:
             raise SpecFileError(f"{origin}: {field}: {exc}") from exc
 
-    anchor_rows = data.get("anchor", [])
     if len(anchor_rows) != rank:
         raise SpecFileError(f"{origin}: anchor needs one row per basis element")
     anchor = []
@@ -86,7 +102,7 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
         anchor.append(PolyDerivation(vars, [poly(s, f"anchor[{k}]") for s in row]))
 
     structure = {}
-    for key, row in (data.get("bracket") or {}).items():
+    for key, row in brackets.items():
         try:
             i, j = (int(t) for t in key.split(","))
         except ValueError as exc:
@@ -105,14 +121,9 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
                 raise SpecFileError(f"{origin}: bracket[{key}] conflicts with its mirror")
             structure[(i, j)] = cs
 
-    weights = data.get("weights")
-    if weights is not None:
-        if not isinstance(weights, dict):
-            raise SpecFileError(f"{origin}: weights must be an object of name: weight")
-        weights = {str(k): int(v) for k, v in weights.items()}
     try:
         alg = LieRinehartAlgebra(vars, basis, tuple(anchor), structure, weights,
-                                 name=data.get("name", origin))
+                                 name=origin if name is None else name)
     except PresentationError as exc:
         raise SpecFileError(f"{origin}: {exc}") from exc
     return alg

@@ -6,7 +6,8 @@ import itertools
 from operator import add
 
 from .lie_rinehart import CheckReport, LieRinehartAlgebra
-from .linalg import ComplexSlice, SparseMatrixQ, assemble, cohomology_dims, kernel_and_rank, rank
+from .linalg import (ComplexSlice, SparseMatrixQ, assemble, assemble_slice, cohomology_dims,
+                     kernel_and_rank, rank)
 from .poisson import (
     Legs,
     LegTensor,
@@ -105,12 +106,8 @@ def homology_slice(P: SymAlgebra, lam: int) -> ComplexSlice:
     """The boundary complex of slice lam as a cochain slice (positions are
     N - homological degree); each position is labelled by its basis keys."""
     bases = [_form_basis(P, lam, P.N - p) for p in range(P.N + 1)]
-    diffs = [
-        assemble(bases[p], lambda key: poisson_boundary(
-            KahlerForm.basis_element(P, *key)).entries(), bases[p + 1])[0]
-        for p in range(P.N)
-    ]
-    return ComplexSlice([len(b) for b in bases], diffs)
+    return assemble_slice(bases, lambda key: poisson_boundary(
+        KahlerForm.basis_element(P, *key)).entries())
 
 
 def poisson_homology(alg: LieRinehartAlgebra, max_weight: int) -> dict[tuple[int, int], int]:

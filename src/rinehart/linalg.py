@@ -1,13 +1,15 @@
 """Exact sparse linear algebra over Q and finite graded complex slices.
 
-`assemble` turns a linear map on a basis into a matrix; every kernel search
-and every slice differential but the cyclic ones, which are placed from
-shared blocks, is built with it.
+`assemble` turns a linear map on a basis into a matrix, and `assemble_slice`
+a map on graded bases into a slice; every kernel search and every slice
+differential but the cyclic ones, which are placed from shared blocks, is
+built with them.
 
-Matrix entries are ints when integral and Fractions otherwise.  Ranks and
-the d o d check run on integer rows, built once per differential, with row
-steps invertible over Q, so they are exact; kernel bases use the Fraction
-RREF `_rref` and return Fractions.
+Matrix entries are ints when integral and Fractions otherwise.  One integer
+echelon, `_echelon`, built with row steps invertible over Q, serves every
+rank, every leading rank and every kernel, so all are exact; kernel vectors
+come from it by back substitution and have Fraction entries.  The d o d
+check multiplies the same integer rows, built once per differential.
 """
 from __future__ import annotations
 
@@ -45,15 +47,6 @@ class SparseMatrixQ:
             self.entries[(i, j)] = c
         else:
             self.entries.pop((i, j), None)
-
-    def get(self, i: int, j: int) -> int | Fraction:
-        return self.entries.get((i, j), 0)
-
-    def rows(self) -> list[dict[int, int | Fraction]]:
-        out: list[dict[int, int | Fraction]] = [dict() for _ in range(self.nrows)]
-        for (i, j), c in self.entries.items():
-            out[i][j] = c
-        return out
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.ncols:
@@ -96,64 +89,6 @@ def assemble(src: Sequence, image: Callable[[object], Iterable[tuple[object, Fra
     return m, targets
 
 
-def _rref(m: SparseMatrixQ) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
-
-    Pivot choice per column: smallest |numerator|, then smallest denominator,
-    then lowest row index; keeps entries small and the output deterministic.
-    """
-    rows = [r for r in m.rows() if r]
-    pivots: list[int] = []
-    reduced: list[dict[int, Fraction]] = []
-    for col in range(m.ncols):
-        candidates = [(abs(r[col].numerator), r[col].denominator, idx)
-                      for idx, r in enumerate(rows) if col in r]
-        if not candidates:
-            continue
-        _, _, best = min(candidates)
-        pivot_row = rows.pop(best)
-        inv = Fraction(1, pivot_row[col])
-        pivot_row = {j: c * inv for j, c in pivot_row.items()}
-        for target in (rows, reduced):
-            for idx, r in enumerate(target):
-                if col in r:
-                    f = r[col]
-                    newr = dict(r)
-                    for j, c in pivot_row.items():
-                        s = newr.get(j, Fraction(0)) - f * c
-                        if s:
-                            newr[j] = s
-                        else:
-                            newr.pop(j, None)
-                    target[idx] = newr
-        rows = [r for r in rows if r]
-        reduced.append(pivot_row)
-        pivots.append(col)
-        if not rows:
-            break
-    return reduced, pivots
-
-
-def kernel_and_rank(m: SparseMatrixQ) -> tuple[list[list[Fraction]], int]:
-    """Exact kernel basis (one vector per free column) and the rank."""
-    reduced, pivots = _rref(m)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    pivot_of_row = {col: row for row, col in enumerate(pivots)}
-    basis: list[list[Fraction]] = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.ncols
-        vec[free] = Fraction(1)
-        for col in pivots:
-            r = reduced[pivot_of_row[col]]
-            if free in r:
-                vec[col] = -r[free]
-        basis.append(vec)
-    return basis, rank
-
-
 def _integer_rows(m: SparseMatrixQ) -> list[dict[int, int]]:
     """Rows of L*m, L the lcm of all denominators: one scalar for the whole
     matrix keeps its rank and whether a product with it vanishes."""
@@ -164,12 +99,11 @@ def _integer_rows(m: SparseMatrixQ) -> list[dict[int, int]]:
     return out
 
 
-def _pivots(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> list[int]:
-    """Leading columns of an exact integer echelon of m's rows {leading column:
-    pivot}.  A row meeting pivot p at column c becomes b*row - a*p (a/b =
-    row[c]/p[c] in lowest terms), a step invertible over Q; pivots are divided
-    by their content.  `rows`, when given, are `_integer_rows(m)`, and are
-    used up.
+def _echelon(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
+    """An exact integer echelon of m's rows, {leading column: pivot row}.  A
+    row meeting pivot p at column c becomes b*row - a*p (a/b = row[c]/p[c] in
+    lowest terms), a step invertible over Q; pivots are divided by their
+    content.  `rows`, when given, are `_integer_rows(m)`, and are used up.
 
     Rows are reduced at their lowest column, so the pivots below any n are as
     many as the rank of m's first n columns."""
@@ -187,12 +121,34 @@ def _pivots(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> list[
         if row:  # c = min(row); a positive lead keeps b == 1 on unit pivots
             g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
             echelon[c] = {j: v // g for j, v in row.items()}
-    return list(echelon)
+    return echelon
 
 
-def rank(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> int:
-    """Exact rank, by the integer echelon of `_pivots`."""
-    return len(_pivots(m, rows))
+def rank(m: SparseMatrixQ) -> int:
+    """Exact rank, by the integer echelon of `_echelon`."""
+    return len(_echelon(m))
+
+
+def kernel_and_rank(m: SparseMatrixQ) -> tuple[list[list[Fraction]], int]:
+    """Exact kernel basis and the rank, from the echelon of `_echelon`.
+
+    There is one vector per free column f, 1 at f and 0 at every other free
+    column; its pivot entries follow by back substitution, highest leading
+    column first, x_c = -sum(row[j] x_j for j > c) / row[c].  It is the one
+    kernel vector with those free values, the RREF's, with Fraction entries."""
+    echelon = _echelon(m)
+    leads = sorted(echelon, reverse=True)
+    basis: list[list[Fraction]] = []
+    for free in range(m.ncols):
+        if free in echelon:
+            continue
+        vec = [Fraction(0)] * m.ncols
+        vec[free] = Fraction(1)
+        for c in leads:
+            row = echelon[c]
+            vec[c] = Fraction(-sum(v * vec[j] for j, v in row.items() if j > c), row[c])
+        basis.append(vec)
+    return basis, len(echelon)
 
 
 class ComplexSlice:
@@ -241,6 +197,14 @@ class ComplexSlice:
         return list(self.sizes)
 
 
+def assemble_slice(bases: Sequence[Sequence],
+                   image: Callable[[object], Iterable[tuple[object, Fraction]]]) -> ComplexSlice:
+    """The slice whose position k has the basis bases[k] and whose d_k is the
+    `assemble` matrix of image from bases[k] to bases[k + 1]."""
+    return ComplexSlice([len(b) for b in bases],
+                        [assemble(src, image, tgt)[0] for src, tgt in zip(bases, bases[1:])])
+
+
 def _dims(sizes: list[int], ranks: list[int]) -> list[int]:
     """dim H^k = sizes[k] - rank(d_k) - rank(d_{k-1})."""
     ranks = [0] + ranks + [0]
@@ -254,7 +218,7 @@ def cohomology_dims(slice: ComplexSlice) -> list[int] | tuple[list[int], list[in
     the leading block is the number of pivots in its leading columns, since
     the rows below the block are zero there."""
     rows = slice.check_complex()
-    pivots = [_pivots(d, r) for d, r in zip(slice.diffs, rows)]
+    pivots = [_echelon(d, r) for d, r in zip(slice.diffs, rows)]
     dims = _dims(slice.sizes, [len(p) for p in pivots])
     if slice.leading is None:
         return dims

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LieRinehartAlgebra
-from .linalg import ComplexSlice, assemble, cohomology_dims
+from .linalg import ComplexSlice, assemble_slice, cohomology_dims
 from .poly import Polynomial, insert_leg, leg_basis
 
 Legs = tuple[int, ...]
@@ -317,12 +317,8 @@ def cochain_slice(P: SymAlgebra, W: int, max_position: int) -> ComplexSlice:
     """The weight-W multivector complex through cochain degree max_position."""
     vw, wbr = P.weight_vector(), P.bracket_weight()
     bases = [leg_basis(vw, vw, k, W + k * wbr) for k in range(max_position + 1)]
-    diffs = [
-        assemble(bases[k], lambda key: poisson_differential(
-            Multivector.basis_element(P, *key)).entries(), bases[k + 1])[0]
-        for k in range(max_position)
-    ]
-    return ComplexSlice([len(b) for b in bases], diffs)
+    return assemble_slice(bases, lambda key: poisson_differential(
+        Multivector.basis_element(P, *key)).entries())
 
 
 def cochain_table(leg_weights, wbr: int, max_weight: int, max_degree: int,

@@ -29,7 +29,7 @@ from .cochain import (
 )
 from .lie_rinehart import (CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend,
                            seeded_check)
-from .linalg import ComplexSlice, assemble, cohomology_dims
+from .linalg import ComplexSlice, assemble_slice, cohomology_dims
 from .poisson import Multivector, SymAlgebra, cochain_table
 from .poly import (Polynomial, PolyDerivation, alternating_value, ce_terms, exponents, insert_leg,
                    leg_basis, multilinear_terms, sort_with_sign)
@@ -47,19 +47,17 @@ class NonlinearRejection(Exception):
 
 def adj_delta(P: SymAlgebra, v: Multivector) -> Multivector:
     """Koszul differential: wedge an anchor leg for each symbol factor."""
-    out = Multivector(P, v.degree + 1)
-    for legs, c in v.terms.items():
-        for a in range(P.d):
-            dc = c.partial(P.n + a)
-            if dc.is_zero():
-                continue
-            rho = P.alg.anchor[a]
-            for u, im in enumerate(rho.images):
-                new, sign = insert_leg(legs, u)
-                if im.is_zero() or not sign:
+    def pieces():
+        for legs, c in v.terms.items():
+            for a in range(P.d):
+                if not (dc := c.partial(P.n + a)):
                     continue
-                out = out + Multivector(P, v.degree + 1, {new: (P.lift(im) * dc).scale(sign)})
-    return out
+                for u, im in enumerate(P.alg.anchor[a].images):
+                    new, sign = insert_leg(legs, u)
+                    if im and sign:
+                        yield new, (P.lift(im) * dc).scale(sign)
+
+    return Multivector.summed(P, v.degree + 1, pieces())
 
 
 def adj_lie(P: SymAlgebra, X: LElement, v: Multivector) -> Multivector:
@@ -491,8 +489,7 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
             for texp, coeff in total.terms.items():
                 yield (S, texp), coeff
 
-    diffs = [assemble(bases[m], image, bases[m + 1])[0] for m in range(max_position)]
-    return ComplexSlice([len(b) for b in bases], diffs)
+    return assemble_slice(bases, image)
 
 
 def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
@@ -676,8 +673,8 @@ def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
     """Exact check that the structure operator squares to zero on its
     generator-degree <= 1 part, the two-term adjoint complex L -> Der(R).
 
-    Trial t draws a random pair (omega_L, omega_D) of total degree
-    m = t // samples <= 2, with polynomial coefficients of degree <=
+    Trial t of 3 * samples draws a random pair (omega_L, omega_D) of total
+    degree m = t % 3, whatever `samples` is, with coefficients of degree <=
     degree_cap: the linear cochain whose column 0 is the symbol of omega_L
     and whose column 1 is the one-leg multivector sum_u omega_D(x_u) d/dx_u.
     It is pushed through the operator twice, and every basis evaluation of
@@ -697,7 +694,7 @@ def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,
                 p = p + Polynomial.monomial(alg.vars, exp, rng.choice([-2, -1, 1, 2]))
             return p
 
-        m = t // samples
+        m = t % 3
         tables: list[dict] = [{
             idx: Multivector(P, 0, {(): P.element_symbol(
                 LElement(alg, tuple(rand_poly() for _ in range(alg.rank))))})

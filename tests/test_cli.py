@@ -229,16 +229,33 @@ def test_broken_complex_exits_one(tmp_path, capsys, monkeypatch, command, detail
     assert payload["summary"] == {}
 
 
-def test_weights_given_as_list_exits_two(tmp_path, capsys):
-    path = tmp_path / "list_weights.json"
-    path.write_text(json.dumps({"vars": ["x"], "rank": 1, "basis": ["e"],
-                                "anchor": [["1"]], "weights": [1, 1]}))
-    with pytest.raises(SpecFileError, match="weights"):
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=case) for case, field, value in [
+        ("weights-list", "weights", [1, 1]),
+        ("weights-null", "weights", {"x": None, "e": 1}),
+        ("weights-float", "weights", {"x": 1.5, "e": 1}),
+        ("weights-bool", "weights", {"x": True, "e": 1}),
+        ("anchor-int", "anchor", 5),
+        ("anchor-row-int", "anchor", [5]),
+        ("bracket-list", "bracket", [1]),
+        ("bracket-row-int", "bracket", {"0,0": 5}),
+        ("vars-nested", "vars", [["x"]]),
+        ("basis-string", "basis", "e"),
+        ("rank-string", "rank", "1"),
+        ("name-int", "name", 5),
+    ]
+])
+def test_malformed_spec_field_exits_two(tmp_path, capsys, field, value):
+    spec = {"vars": ["x"], "rank": 1, "basis": ["e"], "anchor": [["1"]], field: value}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SpecFileError, match=field):
         parse_spec(str(path))
     code, out = run_cli(["--spec-file", str(path), "check"])
     assert code == 2
     assert out == ""
-    assert "weights" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
 
 
 FAILS_ANCHOR_MORPHISM = {

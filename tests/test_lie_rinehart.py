@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rinehart import presets
+from rinehart import presets, quasimod
 from rinehart.lie_rinehart import (
     CheckReport,
     Connection,
@@ -249,6 +249,24 @@ def test_ruth_check_random_connection():
         if not ruth_check(Connection(alg, table), degree_cap=2, samples=2).ok:
             failing.append(name)
     assert failing == []
+
+
+def test_ruth_check_witness_replays_with_samples_one_past_its_trial(monkeypatch):
+    # a CE sum whose sign flips on three or more arguments first fails at
+    # total degree 1, so not at trial 0
+    terms = quasimod.ce_terms
+    monkeypatch.setattr(quasimod, "ce_terms", lambda args, act, bracketed: (
+        (-sign if len(args) >= 3 else sign, term) for sign, term in terms(args, act, bracketed)))
+    rng = random.Random(43)
+    alg = presets.builtin("semidirect(sl2,std)")
+    conn = Connection(alg, [[rand_element(rng, alg) for _ in range(alg.rank)]
+                            for _ in range(len(alg.vars))])
+    first = ruth_check(conn, degree_cap=2, seed=0, samples=4)
+    n = first.trials - 1
+    assert not first.ok and n >= 1
+    assert first.failures[0].startswith(f"trial {n}, seed=0: ")
+    replay = ruth_check(conn, degree_cap=2, seed=0, samples=n + 1)
+    assert replay.failures[0] == first.failures[0]
 
 
 # -- constructors ------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from rinehart import homology, linalg, poisson, presets, quasimod
+from rinehart import cli, homology, linalg, poisson, presets, quasimod, uea
 from rinehart.linalg import (
     ComplexSlice,
     NotAComplexError,
@@ -13,6 +13,68 @@ from rinehart.linalg import (
     kernel_and_rank,
     rank,
 )
+
+
+def _rref(m: SparseMatrixQ) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Pivot choice per column: smallest |numerator|, then smallest denominator,
+    then lowest row index; keeps entries small and the output deterministic.
+    """
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.nrows)]
+    for (i, j), c in m.entries.items():
+        rows[i][j] = c
+    rows = [r for r in rows if r]
+    pivots: list[int] = []
+    reduced: list[dict[int, Fraction]] = []
+    for col in range(m.ncols):
+        candidates = [(abs(r[col].numerator), r[col].denominator, idx)
+                      for idx, r in enumerate(rows) if col in r]
+        if not candidates:
+            continue
+        _, _, best = min(candidates)
+        pivot_row = rows.pop(best)
+        inv = Fraction(1, pivot_row[col])
+        pivot_row = {j: c * inv for j, c in pivot_row.items()}
+        for target in (rows, reduced):
+            for idx, r in enumerate(target):
+                if col in r:
+                    f = r[col]
+                    newr = dict(r)
+                    for j, c in pivot_row.items():
+                        s = newr.get(j, Fraction(0)) - f * c
+                        if s:
+                            newr[j] = s
+                        else:
+                            newr.pop(j, None)
+                    target[idx] = newr
+        rows = [r for r in rows if r]
+        reduced.append(pivot_row)
+        pivots.append(col)
+        if not rows:
+            break
+    return reduced, pivots
+
+
+def reference_kernel_and_rank(m: SparseMatrixQ) -> tuple[list[list[Fraction]], int]:
+    """Reference for `kernel_and_rank`: the kernel basis read off the Fraction
+    RREF (one vector per free column) and the rank."""
+    reduced, pivots = _rref(m)
+    rank = len(pivots)
+    pivot_set = set(pivots)
+    pivot_of_row = {col: row for row, col in enumerate(pivots)}
+    basis: list[list[Fraction]] = []
+    for free in range(m.ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * m.ncols
+        vec[free] = Fraction(1)
+        for col in pivots:
+            r = reduced[pivot_of_row[col]]
+            if free in r:
+                vec[col] = -r[free]
+        basis.append(vec)
+    return basis, rank
 
 
 def mat(rows):
@@ -53,7 +115,7 @@ def test_kernel_vectors_are_exact():
                     m.set(i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         basis, rk = kernel_and_rank(m)
         assert rk + len(basis) == nc
-        assert rank(m) == rk
+        assert rank(m) == rk == reference_kernel_and_rank(m)[1]
         for v in basis:
             assert all(c == 0 for c in m.apply(v))
 
@@ -74,7 +136,7 @@ def test_integral_entries_are_ints_and_results_are_fractions():
         for (i, j), c in list(m.entries.items()):
             if rng.random() < 0.5:
                 m.set(i, j, Fraction(c * rng.choice([1, 2, 3]), rng.choice([1, 2, 3])))
-        assert rank(m) == kernel_and_rank(m)[1]
+        assert rank(m) == reference_kernel_and_rank(m)[1]
 
 
 def test_cohomology_single_spot():
@@ -133,7 +195,31 @@ def test_rank_matches_fraction_path_on_every_builtin_slice(monkeypatch):
     diffs = [d for s in slices for d in s.diffs if d.entries]
     assert len(diffs) > 100
     for d in diffs:
-        assert rank(d) == kernel_and_rank(d)[1], d
+        assert rank(d) == reference_kernel_and_rank(d)[1], d
+
+
+def test_kernel_matches_the_reference_on_every_kernel_search(monkeypatch, capsys):
+    matrices = []
+
+    def record(m):
+        matrices.append(m)
+        return linalg.kernel_and_rank(m)
+
+    monkeypatch.setattr(uea, "kernel_and_rank", record)  # center_search
+    monkeypatch.setattr(homology, "kernel_and_rank", record)  # capped_casimir_search
+    for spec in ("weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)", "lie(abelian2)"):
+        assert cli.main(["--algebra", spec, "center"]) == 0
+    for spec in ("arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"):
+        assert cli.main(["--algebra", spec, "verify", "euler"]) == 0
+    capsys.readouterr()
+    assert len(matrices) == 7 and sum(len(m.entries) for m in matrices) > 1000
+    rng = random.Random(29)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        entries = [0, 0, 0, 1, -2, Fraction(rng.randint(-5, 5), rng.randint(1, 4))]
+        matrices.append(mat([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]))
+    for m in matrices:
+        assert kernel_and_rank(m) == reference_kernel_and_rank(m), m
 
 
 def columns(m, n, nrows=None):
@@ -156,7 +242,7 @@ def test_leading_rank_is_the_rank_of_the_leading_columns():
             s = ComplexSlice([nc, nr], [m], leading=[n, nr])
             dims, leading = cohomology_dims(s)
             assert dims == cohomology_dims(ComplexSlice(s.sizes, s.diffs))
-            assert leading[0] == n - kernel_and_rank(columns(m, n))[1]
+            assert leading[0] == n - reference_kernel_and_rank(columns(m, n))[1]
 
 
 def test_leading_rank_matches_the_fraction_path_on_every_cyclic_slice(monkeypatch):
@@ -175,7 +261,7 @@ def test_leading_rank_matches_the_fraction_path_on_every_cyclic_slice(monkeypatc
         ranks = []
         for k, d in enumerate(s.diffs):
             block = columns(d, s.leading[k], s.leading[k + 1])
-            ranks.append(kernel_and_rank(block)[1])
+            ranks.append(reference_kernel_and_rank(block)[1])
             checked += bool(block.entries)
         ranks = [0] + ranks + [0]
         expected = [n - ranks[k + 1] - ranks[k] for k, n in enumerate(s.leading)]
@@ -196,7 +282,7 @@ def test_a_leading_block_that_is_not_a_subcomplex_raises():
 def product_is_zero_by_apply(upper, lower):
     """Reference d o d test: apply `upper` to every column of `lower`."""
     for j in range(lower.ncols):
-        col = [lower.get(i, j) for i in range(lower.nrows)]
+        col = [lower.entries.get((i, j), 0) for i in range(lower.nrows)]
         if any(upper.apply(col)):
             return False
     return True
