@@ -110,16 +110,10 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
         if len(row) != rank:
             raise SpecFileError(f"{origin}: bracket[{key}] needs {rank} entries")
         cs = tuple(poly(s, f"bracket[{key}]") for s in row)
-        if i == j and any(c for c in cs):
-            raise SpecFileError(
-                f"{origin}: bracket[{key}] violates antisymmetry (diagonal must vanish)"
-            )
-        if i > j:
-            i, j, cs = j, i, tuple(-c for c in cs)
-        if any(c for c in cs):
-            if (i, j) in structure and structure[(i, j)] != cs:
-                raise SpecFileError(f"{origin}: bracket[{key}] conflicts with its mirror")
-            structure[(i, j)] = cs
+        # two key strings for one pair, such as "0,1" and "0, 1"; the
+        # presentation checks the diagonal and the mirrors
+        if structure.setdefault((i, j), cs) != cs:
+            raise SpecFileError(f"{origin}: bracket[{key}] conflicts with another key for {i},{j}")
 
     try:
         alg = LieRinehartAlgebra(vars, basis, tuple(anchor), structure, weights,

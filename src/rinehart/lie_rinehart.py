@@ -71,7 +71,9 @@ class LieRinehartAlgebra:
             if d.vars != self.vars:
                 raise PresentationError("anchor derivation over wrong variables")
         self.anchor = tuple(anchor)
-        self.structure: dict[tuple[int, int], tuple[Polynomial, ...]] = {}
+        # the full antisymmetric table: a key (i, j) with i > j is the
+        # bracket [e_i, e_j], mirrored to (j, i) with negated coefficients
+        self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] = {}
         zero = Polynomial.zero(self.vars)
         for (i, j), cs in structure.items():
             if i == j and any(c for c in cs):
@@ -80,8 +82,12 @@ class LieRinehartAlgebra:
                 raise PresentationError(f"bracket key {(i, j)} out of range")
             if len(cs) != self.rank:
                 raise PresentationError("structure vector has wrong length")
-            if i < j and any(c for c in cs):
-                self.structure[(i, j)] = tuple(cs)
+            for key, value in (((i, j), tuple(cs)), ((j, i), tuple(-c for c in cs))):
+                if self._brackets.setdefault(key, value) != value:
+                    raise PresentationError(f"bracket [{i},{j}] conflicts with its mirror [{j},{i}]")
+        # the nonzero brackets with i < j, in the order first given
+        self.structure = {key: cs for key, cs in self._brackets.items()
+                          if key[0] < key[1] and any(c for c in cs)}
         self.weights = dict(weights) if weights else None
         if self.weights is not None:
             missing = [n for n in self.vars + self.basis if n not in self.weights]
@@ -89,6 +95,7 @@ class LieRinehartAlgebra:
                 raise PresentationError(f"weights missing for {missing}")
         self.name = name
         self._zero = zero
+        self._zeros = (zero,) * self.rank
 
     # -- ring helpers ----------------------------------------------------
 
@@ -128,17 +135,10 @@ class LieRinehartAlgebra:
         )
 
     def zero_element(self) -> "LElement":
-        return LElement(self, tuple(self._zero for _ in range(self.rank)))
+        return LElement(self, self._zeros)
 
     def structure_vector(self, i: int, j: int) -> tuple[Polynomial, ...]:
-        if i == j:
-            return tuple(self._zero for _ in range(self.rank))
-        if i < j:
-            return self.structure.get((i, j), tuple(self._zero for _ in range(self.rank)))
-        cs = self.structure.get((j, i))
-        if cs is None:
-            return tuple(self._zero for _ in range(self.rank))
-        return tuple(-c for c in cs)
+        return self._brackets.get((i, j), self._zeros)
 
     def basis_bracket(self, i: int, j: int) -> "LElement":
         return LElement(self, self.structure_vector(i, j))
@@ -542,29 +542,15 @@ def from_action(
 
     The action must realize the given structure constants exactly.
     """
-    d = len(basis_names)
-    consts = Polynomial.const(vars, 0)
-
-    def cvec(i, j):
-        if i == j:
-            return tuple(consts for _ in range(d))
-        if i < j:
-            raw = lie_constants.get((i, j), (0,) * d)
-            return tuple(Polynomial.const(vars, c) for c in raw)
-        raw = lie_constants.get((j, i), (0,) * d)
-        return tuple(Polynomial.const(vars, -c) for c in raw)
-
-    for i, j in itertools.combinations(range(d), 2):
+    structure = {key: tuple(Polynomial.const(vars, c) for c in cs)
+                 for key, cs in lie_constants.items()}
+    alg = LieRinehartAlgebra(vars, basis_names, action, structure, weights, name)
+    for i, j in itertools.combinations(range(alg.rank), 2):
         comm = action[i].commutator(action[j])
-        want = PolyDerivation.zero(vars)
-        for k, c in enumerate(cvec(i, j)):
-            want = want + action[k].scale_by(c)
+        want = alg.basis_bracket(i, j).anchor_derivation()
         if comm != want:
             raise PresentationError(
                 f"action matrices are not a Lie algebra morphism on "
                 f"({basis_names[i]}, {basis_names[j]}): [..] = {comm}, expected {want}"
             )
-    structure = {
-        (i, j): cvec(i, j) for i, j in itertools.combinations(range(d), 2)
-    }
-    return LieRinehartAlgebra(vars, basis_names, action, structure, weights, name)
+    return alg

@@ -329,42 +329,51 @@ def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
     return [(m, a) for a in range(alg.rank) for m in monos]
 
 
+def total_at(el: NLCochainElement, i: int, elems: list[LElement]):
+    """Column i of the total differential at one argument tuple: the
+    alternating action/bracket sum on the arguments plus (-1)^{argument count}
+    times the module differential of the previous column."""
+    inst = el.inst
+    total = inst.zero(i)
+    for sign, term in ce_terms(
+        elems,
+        lambda x, rest: inst.lie(x, el.evaluate(i, rest)),
+        lambda x, y, rest: el.evaluate(i, [bracket_extend(x, y)] + rest),
+    ):
+        total = _add_elements(total, _scale_element(term, sign))
+    if i >= 1:
+        term = inst.d(el.evaluate(i - 1, elems))
+        total = _add_elements(total, _scale_element(term, 1 if len(elems) % 2 == 0 else -1))
+    return total
+
+
 def nl_ce_apply(el: NLCochainElement, out_cap: int | None = None) -> NLCochainElement:
-    """Total differential: alternating action/bracket sum on the arguments
-    plus (-1)^{argument count} times the module differential of the previous
-    column."""
-    inst, alg = el.inst, el.alg
+    """The total differential, tabulated on the generator tuples within the
+    output cap."""
+    alg = el.alg
     k = el.degree
     cap = el.cap if out_cap is None else out_cap
     universe = _largs_universe(alg, cap)
-    tables: list[dict] = []
-    for i in range(k + 2):
-        table = {}
-        m = k + 1 - i
-        for largs in itertools.combinations(universe, m):
-            elems = [_larg_element(alg, a) for a in largs]
-            total = inst.zero(i)
-            if i <= k:
-                for sign, term in ce_terms(
-                    elems,
-                    lambda x, rest: inst.lie(x, el.evaluate(i, rest)),
-                    lambda x, y, rest: el.evaluate(i, [bracket_extend(x, y)] + rest),
-                ):
-                    total = _add_elements(total, _scale_element(term, sign))
-            if i >= 1:
-                term = inst.d(el.evaluate(i - 1, elems))
-                total = _add_elements(total, _scale_element(term, 1 if m % 2 == 0 else -1))
-            table[largs] = total
-        tables.append(table)
-    return NLCochainElement(inst, alg, k + 1, cap, tables)
+    tables = [{largs: total_at(el, i, [_larg_element(alg, a) for a in largs])
+               for largs in itertools.combinations(universe, k + 1 - i)}
+              for i in range(k + 2)]
+    return NLCochainElement(el.inst, alg, k + 1, cap, tables)
 
 
-def nl_membership(el: NLCochainElement, report: list | None = None) -> bool:
+def peeled_value(el: NLCochainElement, i: int, elems: list[LElement], r: Polynomial):
+    """r*phi_i(elems) + h_{r,Y}(phi_{i+1}(elems without Y)), Y the last
+    argument: the nonlinearity constraint says this is phi_i at elems with Y
+    replaced by r*Y."""
+    inst = el.inst
+    return _add_elements(inst.r_act(r, el.evaluate(i, elems)),
+                         inst.h(r, elems[-1], el.evaluate(i + 1, elems[:-1])))
+
+
+def nl_membership(el: NLCochainElement) -> bool:
     """The nonlinearity constraint tying consecutive tables through the
     homotopy, checked on generator tuples within the cap."""
-    inst, alg = el.inst, el.alg
+    alg = el.alg
     k = el.degree
-    ok = True
     variables = [
         Polynomial.variable(alg.vars, v) for v in alg.vars
     ]
@@ -373,23 +382,14 @@ def nl_membership(el: NLCochainElement, report: list | None = None) -> bool:
         m = k - i
         for largs in itertools.combinations(universe, m):
             elems = [_larg_element(alg, a) for a in largs]
-            last = elems[-1]
             for r in variables:
                 mono_deg = sum(largs[-1][0]) + 1
                 if mono_deg > el.cap:
                     continue
-                lhs = _add_elements(
-                    el.evaluate(i, elems[:-1] + [last.scale(r)]),
-                    _scale_element(inst.r_act(r, el.evaluate(i, elems)), -1),
-                )
-                rhs = inst.h(r, last, el.evaluate(i + 1, elems[:-1]))
-                if not inst.equal(lhs, rhs):
-                    ok = False
-                    if report is not None:
-                        report.append((i, largs, r))
-                    else:
-                        return False
-    return ok
+                if not el.inst.equal(el.evaluate(i, elems[:-1] + [elems[-1].scale(r)]),
+                                     peeled_value(el, i, elems, r)):
+                    return False
+    return True
 
 
 # -- transport between multivectors and adjoint nonlinear cochains -----------------
@@ -559,7 +559,6 @@ def linear_to_nonlinear(c: LinearCECochain, cap: int = 2) -> NLCochainElement:
     is independent of any connection.
     """
     inst, alg = c.inst, c.alg
-    P = inst.sym
     k = c.degree
     universe = _largs_universe(alg, cap)
     tables: list[dict] = [dict() for _ in range(k + 1)]
@@ -582,20 +581,11 @@ def linear_to_nonlinear(c: LinearCECochain, cap: int = 2) -> NLCochainElement:
             u = next(idx for idx, e in enumerate(exp) if e > 0)
             smaller = list(exp)
             smaller[u] -= 1
-            inner_arg = (tuple(smaller), a)
-            reordered = [largs[t] for t in range(len(largs)) if t != peel]
-            sign = 1 if (len(largs) - 1 - peel) % 2 == 0 else -1
-            xvar = Polynomial.variable(alg.vars, alg.vars[u])
-            inner_elems = [_larg_element(alg, arg) for arg in reordered]
-            head = out.evaluate(i, [
-                _larg_element(alg, arg) for arg in reordered
-            ] + [_larg_element(alg, inner_arg)])
-            value = inst.r_act(xvar, head)
-            if i + 1 <= k:
-                tail = inst.h(xvar, _larg_element(alg, inner_arg),
-                              out.evaluate(i + 1, inner_elems))
-                value = value + tail
-            value = value.scale(sign)
+            # the peeled argument moves last, past len(largs) - 1 - peel others
+            reordered = [elems[t] for t in range(len(largs)) if t != peel]
+            value = peeled_value(out, i, reordered + [_larg_element(alg, (tuple(smaller), a))],
+                                 Polynomial.variable(alg.vars, alg.vars[u]))
+            value = value.scale(1 if (len(largs) - 1 - peel) % 2 == 0 else -1)
         tables[i][largs] = value
         return value
 

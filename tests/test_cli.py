@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rinehart import cli, presets
+from rinehart import cli, homology, presets
 from rinehart.cli import (
     ReportTable,
     SpecFileError,
@@ -83,6 +83,19 @@ def test_malformed_diagonal_bracket_rejected():
             "anchor": [["0"], ["0"]],
             "bracket": {"1,1": ["1", "0"]},
         })
+
+
+def test_bracket_conflicting_with_its_mirror_exits_two(tmp_path, capsys):
+    spec = {
+        "vars": [], "rank": 3, "basis": ["e", "f", "h"], "anchor": [[], [], []],
+        "bracket": {"0,1": ["0", "0", "1"], "1,0": ["0", "0", "1"]},
+    }
+    path = tmp_path / "mirror.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(["--spec-file", str(path), "check"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "conflicts with its mirror" in err
 
 
 def test_exit_code_two_on_bad_input(tmp_path):
@@ -337,6 +350,29 @@ def test_euler_element_acting_off_diagonal_fails_the_check(capsys):
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "euler-contraction-splits-weights" and not check["ok"]
     assert check["detail"] == "checked 0; {euler, f} = h is not a multiple of f"
+
+
+def test_a_wrong_euler_weight_fails_with_labelled_witnesses(monkeypatch, capsys):
+    # one coordinate's weight off by one: the check stops at the third basis
+    # multivector where the anticommutator is not weight*id, naming each
+    eigenweights = homology._euler_eigenweights
+
+    def shifted(P, euler):
+        weights = eigenweights(P, euler)
+        weights[0] += 1
+        return weights
+
+    monkeypatch.setattr(homology, "_euler_eigenweights", shifted)
+    code, out = run_cli(["--algebra", "arrangement(x,y,y-x,y+x)", "verify", "euler",
+                         "--max-weight", "1", "--euler-cap", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "euler-contraction-splits-weights" and not check["ok"]
+    assert check["detail"] == (
+        "checked 6; anticommutator is not weight*id on x|1 (weight 2); "
+        "anticommutator is not weight*id on x*E|1 (weight 2); "
+        "anticommutator is not weight*id on 1|dx (weight -2)")
 
 
 def test_mathematical_errors_are_not_usage_errors():

@@ -124,3 +124,18 @@ def test_every_law_check_draws_from_the_one_seeded_loop():
     (driver,) = [node for node in trees["lie_rinehart.py"].body
                  if isinstance(node, ast.FunctionDef) and node.name == "seeded_check"]
     assert len(_random_calls(driver)) == 1
+
+
+def test_the_ce_sum_is_called_from_its_three_homes():
+    # the total differential of the nonlinear cochains (both quasi-modules),
+    # the honest-module slices and the linear structure operator each run
+    # the one CE sum; a second copy of the total differential would add a caller
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "attr", getattr(node.func, "id", None)) == "ce_terms":
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"quasimod.total_at", "quasimod._ce_slice",
+                       "quasimod.linear_structure_operator"}

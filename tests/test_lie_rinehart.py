@@ -312,6 +312,30 @@ def test_poly_divide_exact():
     assert poly_divide_exact(parse_poly(vars, "x^2 + 1"), g) is None
 
 
+def _sl2_presentation(table):
+    zero = PolyDerivation.zero(())
+    return LieRinehartAlgebra((), ("e", "f", "h"), (zero, zero, zero), {
+        key: tuple(Polynomial.const((), c) for c in cs) for key, cs in table.items()})
+
+
+def test_bracket_key_below_the_diagonal_is_mirrored():
+    # [f, e] = -h is [e, f] = h: a (1, 0) key is not dropped
+    mirrored = _sl2_presentation({(1, 0): (0, 0, -1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+    sl2 = presets.lie("sl2")
+    assert mirrored.structure == sl2.structure
+    assert all(mirrored.structure_vector(i, j) == sl2.structure_vector(i, j)
+               for i in range(3) for j in range(3))
+    assert check_axioms(mirrored).ok
+
+
+def test_bracket_conflicting_with_its_mirror_is_rejected():
+    with pytest.raises(PresentationError, match="conflicts with its mirror"):
+        _sl2_presentation({(0, 1): (0, 0, 1), (1, 0): (0, 0, 1)})
+    # the same bracket given both ways is accepted
+    both = _sl2_presentation({(0, 1): (0, 0, 1), (1, 0): (0, 0, -1)})
+    assert both.structure == {(0, 1): both.structure_vector(0, 1)}
+
+
 def test_from_action_abelian_scaling():
     vars = ("x",)
     act = (PolyDerivation(vars, [parse_poly(vars, "x")]),)

@@ -5,9 +5,8 @@ from collections import Counter
 
 import pytest
 
-from rinehart import cli, pbwext, presets
+from rinehart import cli, pbwext, presets, quasimod
 from rinehart.cochain import TableCochain, cup_derivation, hochschild_b, cochain_equal
-from rinehart.lie_rinehart import Connection
 from rinehart.pbwext import (
     EtaContext,
     f_map,
@@ -24,6 +23,7 @@ from rinehart.poisson import Multivector
 from rinehart.poly import Polynomial, PolyDerivation, insert_leg, parse_poly
 from rinehart.quasimod import (adj_delta, adj_h, adjoint_instance, multivector_to_nl,
                                replace_legs_and_factors)
+from test_quasimod import BUILTINS, random_connection
 
 ALGEBRAS = [
     ("weyl1", lambda: presets.weyl(1)),
@@ -59,19 +59,6 @@ def rand_adjoint_mv(rng, P, k):
                               for legs in itertools.combinations(range(P.n), k)})
 
 
-def random_connection(rng, alg):
-    def rl():
-        return alg.element([
-            Polynomial.monomial(alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
-                                rng.choice([-1, 1]))
-            for _ in range(alg.rank)
-        ])
-
-    return Connection(alg, [[rl() for _ in range(alg.rank)] for _ in range(len(alg.vars))])
-
-
-BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
-            "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
 CONNECTION_CASES = [(name, False) for name in BUILTINS] + [("weyl(2)", True)]
 
 
@@ -427,7 +414,7 @@ def test_morphism_chain_property_weyl(degree):
     rng = random.Random(17)
     D = rand_mv(rng, ctx.P, degree)
     el = multivector_to_nl(inst, D, cap=3)
-    rep = verify_morphism_chain(ctx, el, arg_deg=1, max_args=2)
+    rep = verify_morphism_chain(ctx, el, max_args=2)
     assert rep.ok, rep.failures
 
 
@@ -437,7 +424,7 @@ def test_morphism_chain_property_semidirect_degree1():
     rng = random.Random(19)
     D = rand_mv(rng, ctx.P, 1, coeff=0)
     el = multivector_to_nl(inst, D, cap=4)
-    rep = verify_morphism_chain(ctx, el, arg_deg=1, max_args=1, out_cap=1)
+    rep = verify_morphism_chain(ctx, el, max_args=1, out_cap=1)
     assert rep.ok, rep.failures
 
 
@@ -445,8 +432,6 @@ def test_morphism_chain_property_semidirect_degree1():
 def test_morphism_chain_property_reaches_nonzero_bracket_terms(degree, monkeypatch):
     # lie(sl2) has no base variables, so every leg is a generator direction
     # and the bracket terms of the target differential are nonzero
-    from rinehart import pbwext
-
     ctx = EtaContext(presets.lie("sl2"))
     P = ctx.P
     rng = random.Random(17)
@@ -455,18 +440,23 @@ def test_morphism_chain_property_reaches_nonzero_bracket_terms(degree, monkeypat
                                   rng.choice([-1, 1, 2]))
         for legs in itertools.combinations(range(P.N), degree)})
     el = multivector_to_nl(adjoint_instance(ctx.alg), D, cap=3)
+    # the bracketed terms of the total differential on the Hochschild side,
+    # the ones valued in ring cochains
     bracket_terms = []
-    original = pbwext._morphism_multilinear
+    original = quasimod.ce_terms
 
-    def recording(*args):
-        value = original(*args)
-        bracket_terms.append(value)
-        return value
+    def recording(args, act, bracketed):
+        def record(*parts):
+            value = bracketed(*parts)
+            if isinstance(value, TableCochain):
+                bracket_terms.append(value)
+            return value
+        return original(args, act, record)
 
-    monkeypatch.setattr(pbwext, "_morphism_multilinear", recording)
-    rep = verify_morphism_chain(ctx, el, arg_deg=1, max_args=1)
+    monkeypatch.setattr(quasimod, "ce_terms", recording)
+    rep = verify_morphism_chain(ctx, el, max_args=1)
     assert rep.ok, rep.failures
-    assert any(not v.is_zero() for v in bracket_terms)
+    assert any(not v.eval_monos(((),) * v.arity).is_zero() for v in bracket_terms)
 
 
 def test_homotopy_exchange_corrected_sign_holds():
