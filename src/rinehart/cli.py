@@ -123,25 +123,6 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
     return alg
 
 
-def serialize(alg: LieRinehartAlgebra) -> dict:
-    data = alg.to_dict()
-    for row in data["anchor"]:
-        for s in row:
-            _assert_integral(s)
-    for row in data["bracket"].values():
-        for s in row:
-            _assert_integral(s)
-    return data
-
-
-def _assert_integral(text: str):
-    if "/" in text:
-        raise SpecFileError(
-            "presentation has non-integer coefficients; the exchange grammar "
-            "is integral (scale the basis to clear denominators)"
-        )
-
-
 # -- reports ---------------------------------------------------------------
 
 

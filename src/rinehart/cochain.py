@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LElement
-from .poly import Polynomial, PolyDerivation, exponents, multilinear_terms
+from .poly import Polynomial, exponents, multilinear_terms
 from .uea import EnvelopingAlgebra, UEAElement
 
 Mono = tuple[int, ...]
@@ -37,10 +37,6 @@ class TableCochain:
         self.arity = arity
         self.kernel = kernel
         self._values: dict[tuple[Mono, ...], UEAElement] = {}
-
-    @classmethod
-    def constant(cls, U: EnvelopingAlgebra, value: UEAElement) -> "TableCochain":
-        return cls(U, 0, lambda exps: value)
 
     @classmethod
     def from_table(cls, U: EnvelopingAlgebra, arity: int,
@@ -180,20 +176,6 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
         return out
 
     return TableCochain(U, q - 1, kernel)
-
-
-def cup_derivation(D: PolyDerivation, phi: TableCochain) -> TableCochain:
-    """Prepend a derivation argument: (D u phi)(r0, ..) = D(r0) * phi(..)."""
-    U = phi.U
-
-    def kernel(exps):
-        mono = Polynomial.monomial(U.alg.vars, exps[0], 1)
-        head = D(mono)
-        if head.is_zero():
-            return U.zero()
-        return U.scalar(head) * phi.eval_monos(exps[1:])
-
-    return TableCochain(U, phi.arity + 1, kernel)
 
 
 def add(*cochains: TableCochain) -> TableCochain:

@@ -50,11 +50,6 @@ def _d(flat: dict) -> dict:
     return out
 
 
-def kahler_d(w: KahlerForm) -> KahlerForm:
-    """Exterior derivative."""
-    return KahlerForm.from_flat(w.parent, w.degree + 1, _d(dict(w.entries())))
-
-
 def poisson_boundary(w: KahlerForm) -> KahlerForm:
     """The degree -1 Koszul-Brylinski boundary, contract(d w) - d(contract w),
     in one pass (docs/signs.md): a term c x^e dx_L gives -(-1)^i c {x^e, x_L_i}

@@ -105,9 +105,6 @@ class LieRinehartAlgebra:
     def zero_poly(self) -> Polynomial:
         return self._zero
 
-    def one(self) -> Polynomial:
-        return Polynomial.const(self.vars, 1)
-
     def coordinate_field(self, name: str) -> PolyDerivation:
         return PolyDerivation.coordinate(self.vars, name)
 
@@ -174,23 +171,6 @@ class LieRinehartAlgebra:
                         - self.generator_weight(j)
                     )
         return 0
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        data = {
-            "vars": list(self.vars),
-            "rank": self.rank,
-            "basis": list(self.basis),
-            "anchor": [[repr(im) for im in d.images] for d in self.anchor],
-            "bracket": {
-                f"{i},{j}": [repr(c) for c in cs]
-                for (i, j), cs in sorted(self.structure.items())
-            },
-        }
-        if self.weights is not None:
-            data["weights"] = dict(sorted(self.weights.items()))
-        return data
 
     def __repr__(self):
         return f"LieRinehartAlgebra({self.name or 'anonymous'}, R=Q{list(self.vars)}, rank {self.rank})"
@@ -407,22 +387,6 @@ class Connection:
             - bracket_extend(X, self.nabla(D, Y))
             - self.nabla(self.basic_der(Y, D), X)
             + self.nabla(self.basic_der(X, D), Y)
-        )
-
-    def plain_curvature_l(self, X: LElement, Y: LElement, Z: LElement) -> LElement:
-        """Curvature of the induced connection on L."""
-        return (
-            self.basic_l(X, self.basic_l(Y, Z))
-            - self.basic_l(Y, self.basic_l(X, Z))
-            - self.basic_l(bracket_extend(X, Y), Z)
-        )
-
-    def plain_curvature_der(self, X: LElement, Y: LElement, D: PolyDerivation) -> PolyDerivation:
-        """Curvature of the induced connection on derivations."""
-        return (
-            self.basic_der(X, self.basic_der(Y, D))
-            - self.basic_der(Y, self.basic_der(X, D))
-            - self.basic_der(bracket_extend(X, Y), D)
         )
 
 

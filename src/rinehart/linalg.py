@@ -48,15 +48,6 @@ class SparseMatrixQ:
         else:
             self.entries.pop((i, j), None)
 
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = [Fraction(0)] * self.nrows
-        for (i, j), c in self.entries.items():
-            if vec[j]:
-                out[i] += c * vec[j]
-        return out
-
     def __repr__(self):
         return f"SparseMatrixQ({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 

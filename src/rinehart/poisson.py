@@ -149,10 +149,6 @@ class LegTensor:
         return t
 
     @classmethod
-    def function(cls, parent: SymAlgebra, f: Polynomial):
-        return cls(parent, 0, {(): f})
-
-    @classmethod
     def basis_element(cls, parent: SymAlgebra, legs: Legs, exp: tuple[int, ...]):
         """The monomial exp on the leg set legs, as keyed by `entries`; exp
         is an exponent tuple of an enumerated basis, taken unchecked."""

@@ -197,9 +197,6 @@ class Polynomial:
         """The coefficient of the constant monomial."""
         return self.terms.get((0,) * len(self.vars), 0)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     # -- gradings -------------------------------------------------------
 
     def weight_split(self, weights: tuple[int, ...]) -> dict[int, "Polynomial"]:
@@ -294,9 +291,6 @@ class PolyDerivation:
 
     def __sub__(self, other: "PolyDerivation") -> "PolyDerivation":
         return PolyDerivation(self.vars, [a - b for a, b in zip(self.images, other.images)])
-
-    def __neg__(self) -> "PolyDerivation":
-        return PolyDerivation(self.vars, [-a for a in self.images])
 
     def scale_by(self, f: Polynomial | int | Fraction) -> "PolyDerivation":
         if isinstance(f, Polynomial):

@@ -8,6 +8,7 @@ the enveloping algebra).  All laws are verified pointwise with seeded inputs.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from dataclasses import dataclass
@@ -128,7 +129,6 @@ def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) ->
 class QuasiModuleInstance:
     """Operator bundle: differential, two actions, and the homotopy."""
 
-    name: str
     d: Callable
     r_act: Callable
     lie: Callable
@@ -159,7 +159,6 @@ def adjoint_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
         return a.degree == b.degree and a.terms == b.terms
 
     inst = QuasiModuleInstance(
-        name=f"adjoint({alg.name})",
         d=lambda v: -adj_delta(P, v),
         r_act=lambda r, v: adj_r_action(P, r, v),
         lie=lambda X, v: adj_lie(P, X, v),
@@ -196,7 +195,6 @@ def hochschild_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
         return TableCochain.from_table(U, arity, table, cap=63)
 
     inst = QuasiModuleInstance(
-        name=f"hochschild({alg.name})",
         d=hochschild_b,
         r_act=r_action,
         lie=lie_action,
@@ -329,10 +327,11 @@ def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
     return [(m, a) for a in range(alg.rank) for m in monos]
 
 
-def total_at(el: NLCochainElement, i: int, elems: list[LElement]):
+def total_at(el: NLCochainElement | LinearCECochain, i: int, elems: list[LElement]):
     """Column i of the total differential at one argument tuple: the
     alternating action/bracket sum on the arguments plus (-1)^{argument count}
-    times the module differential of the previous column."""
+    times the module differential of the previous column.  The action is
+    `el.inst.lie`, so a linear cochain gets its covariant derivative here."""
     inst = el.inst
     total = inst.zero(i)
     for sign, term in ce_terms(
@@ -619,32 +618,24 @@ def nonlinear_to_linear(el: NLCochainElement) -> LinearCECochain:
 
 
 def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCECochain:
-    """Total differential on the linear side: covariant CE derivative, the
-    Koszul piece on values, and the curvature correction.  Signs follow the
-    total convention of the nonlinear side (docs/signs.md)."""
-    inst, alg = c.inst, c.alg
-    P = inst.sym
+    """Total differential on the linear side: `total_at` with the covariant
+    action `adj_nabla_b` of the connection in place of the instance's, plus
+    the curvature correction.  Signs follow the total convention of the
+    nonlinear side (docs/signs.md)."""
+    alg = c.alg
+    P = c.inst.sym
     k = c.degree
+    # a shallow copy keeps the instance's `sym`, which dataclasses.replace drops
+    covariant = copy.copy(c.inst)
+    covariant.lie = lambda X, v: adj_nabla_b(P, conn, X, v)
+    el = LinearCECochain(covariant, alg, k, c.tables)
     tables: list[dict] = []
     for i in range(k + 2):
         m = k + 1 - i
         table = {}
         for T in itertools.combinations(range(alg.rank), m):
             elems = [alg.basis_element(a) for a in T]
-            total = Multivector(P, i)
-            if i <= k:
-                # exterior covariant derivative of c_i
-                for sign, term in ce_terms(
-                    elems,
-                    lambda x, rest: adj_nabla_b(P, conn, x, c.evaluate(i, rest)),
-                    lambda x, y, rest: c.evaluate(i, [bracket_extend(x, y)] + rest),
-                ):
-                    total = total + term.scale(sign)
-            if i >= 1:
-                # value differential of the previous column, total-complex sign
-                prev = c.evaluate(i - 1, elems)
-                term = -adj_delta(P, prev)
-                total = total + term.scale(1 if m % 2 == 0 else -1)
+            total = total_at(el, i, elems)
             if i + 1 <= k:
                 # curvature correction from the next column
                 for j, l in itertools.combinations(range(m), 2):
@@ -655,7 +646,7 @@ def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCEC
                     total = total + term.scale(1 if (j + l + m) % 2 == 0 else -1)
             table[T] = total
         tables.append(table)
-    return LinearCECochain(inst, alg, k + 1, tables)
+    return LinearCECochain(c.inst, alg, k + 1, tables)
 
 
 def ruth_check(conn: Connection, degree_cap: int = 3, seed: int = 0,

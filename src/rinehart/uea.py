@@ -12,10 +12,9 @@ wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel & Lassner, JSC 1988).
 """
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 from .lie_rinehart import LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
@@ -233,29 +232,6 @@ class UEAElement:
     def commutator(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
 
-    def filtration_degree(self) -> int:
-        return max((sum(e) for _, e in self.flat), default=0)
-
-    def weight(self) -> int | None:
-        """Weight of a homogeneous element under the declared weights."""
-        alg = self.parent.alg
-        weights = alg.var_weights() + tuple(alg.generator_weight(k) for k in range(alg.rank))
-        seen = {sum(map(mul, m + e, weights)) for m, e in self.flat}
-        if len(seen) > 1:
-            raise ValueError("element is not weight homogeneous")
-        return seen.pop() if seen else None
-
-    def gr_symbol(self) -> Polynomial:
-        """Top filtration part, generators replaced by commuting symbols."""
-        top = self.filtration_degree()
-        return UEAElement._of(
-            self.parent, {k: c for k, c in self.flat.items() if sum(k[1]) == top}
-        ).full_symbol()
-
-    def full_symbol(self) -> Polynomial:
-        """All of the element as a polynomial in commuting symbols."""
-        return Polynomial._of(self.parent.sym_vars, {m + e: c for (m, e), c in self.flat.items()})
-
     def __repr__(self):
         if not self.flat:
             return "0"
@@ -313,114 +289,3 @@ def center_search(
     kernel, _ = kernel_and_rank(m)
     return [UEAElement._of(U, {basis_monos[j]: _coefficient(c) for j, c in enumerate(vec) if c})
             for vec in kernel]
-
-
-# -- degree-one extensions ------------------------------------------------------
-
-
-class CocycleError(Exception):
-    pass
-
-
-class DerivationExtension:
-    """Extend a compatible pair (values on ring generators, values on module
-    generators) to a derivation of the enveloping algebra.
-
-    The pair must satisfy the generator-level cocycle equations; failures
-    raise CocycleError naming the offending equation.
-    """
-
-    def __init__(self, U: EnvelopingAlgebra, phi0: dict[str, UEAElement],
-                 phi1: dict[str, UEAElement]):
-        self.U = U
-        alg = U.alg
-        self.phi0 = {v: phi0.get(v, U.zero()) for v in alg.vars}
-        self.phi1 = {b: phi1.get(b, U.zero()) for b in alg.basis}
-        self._check()
-
-    # phi0 on an arbitrary ring element, by the cocycle rule on monomials
-    def phi0_apply(self, f: Polynomial) -> UEAElement:
-        U = self.U
-        alg = U.alg
-        out = U.zero()
-        for exp, c in f.terms.items():
-            gens = [u for u in range(len(alg.vars)) for _ in range(exp[u])]
-            for t in range(len(gens)):
-                pre = Polynomial.monomial(alg.vars, _exp_of(gens[:t], len(alg.vars)), 1)
-                post = Polynomial.monomial(alg.vars, _exp_of(gens[t + 1:], len(alg.vars)), 1)
-                term = U.scalar(pre) * self.phi0[alg.vars[gens[t]]] * U.scalar(post)
-                out = out + term.scale(c)
-        return out
-
-    def phi1_apply(self, x: LElement) -> UEAElement:
-        U = self.U
-        alg = U.alg
-        out = U.zero()
-        for k, f in enumerate(x.coeffs):
-            if f.is_zero():
-                continue
-            out = out + U.scalar(f) * self.phi1[alg.basis[k]]
-            gen = U.generator(k)
-            out = out + self.phi0_apply(f) * gen
-        return out
-
-    def _check(self):
-        U = self.U
-        alg = U.alg
-        # well-definedness of phi0 on the commutative ring
-        for u, v in itertools.combinations(range(len(alg.vars)), 2):
-            xu = U.scalar(Polynomial.variable(alg.vars, alg.vars[u]))
-            xv = U.scalar(Polynomial.variable(alg.vars, alg.vars[v]))
-            lhs = xu.commutator(self.phi0[alg.vars[v]])
-            rhs = xv.commutator(self.phi0[alg.vars[u]])
-            if lhs != rhs:
-                raise CocycleError(
-                    f"ring cocycle symmetry fails on ({alg.vars[u]}, {alg.vars[v]})"
-                )
-        # mixed equation on generators
-        for k in range(alg.rank):
-            ek = U.generator(k)
-            for u, vname in enumerate(alg.vars):
-                xu = U.scalar(Polynomial.variable(alg.vars, vname))
-                lhs = ek.commutator(self.phi0[vname]) - self.phi0_apply(
-                    alg.anchor[k](Polynomial.variable(alg.vars, vname))
-                )
-                rhs = xu.commutator(self.phi1[alg.basis[k]])
-                if lhs != rhs:
-                    raise CocycleError(
-                        f"mixed cocycle equation fails on ({alg.basis[k]}, {vname})"
-                    )
-        # Lie cocycle equation on generator pairs
-        for i, j in itertools.combinations(range(alg.rank), 2):
-            ei, ej = U.generator(i), U.generator(j)
-            lhs = (
-                ei.commutator(self.phi1[alg.basis[j]])
-                - ej.commutator(self.phi1[alg.basis[i]])
-                - self.phi1_apply(alg.basis_bracket(i, j))
-            )
-            if not lhs.is_zero():
-                raise CocycleError(
-                    f"module cocycle equation fails on ({alg.basis[i]}, {alg.basis[j]})"
-                )
-
-    def __call__(self, u: UEAElement) -> UEAElement:
-        U = self.U
-        alg = U.alg
-        out = U.zero()
-        for gexp, c in u.terms.items():
-            gens = [k for k in range(alg.rank) for _ in range(gexp[k])]
-            head = self.phi0_apply(c)
-            tail = U.monomial(alg.one(), gexp)
-            out = out + head * tail
-            for t in range(len(gens)):
-                pre = U.monomial(c, _exp_of(gens[:t], alg.rank))
-                post = U.monomial(alg.one(), _exp_of(gens[t + 1:], alg.rank))
-                out = out + pre * self.phi1[alg.basis[gens[t]]] * post
-        return out
-
-
-def _exp_of(gens: list[int], size: int) -> Expo:
-    exp = [0] * size
-    for g in gens:
-        exp[g] += 1
-    return tuple(exp)

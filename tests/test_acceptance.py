@@ -16,7 +16,6 @@ from rinehart.homology import (
     capped_casimir_search,
     cyclic_homology,
     euler_contraction_check,
-    kahler_d,
     poisson_boundary,
     poisson_homology,
 )
@@ -40,6 +39,7 @@ from rinehart.quasimod import (
     quasi_axiom_check,
     ruth_check,
 )
+from test_homology import kahler_d
 
 BUILTINS = [
     ("weyl(1)", lambda: presets.weyl(1)),
@@ -125,7 +125,7 @@ def test_criterion_5_line_arrangements(forms):
     rep = euler_contraction_check(alg, "E", 4, 4, euler_degree_cap=2)
     ok = ok and rep.ok and rep.trials > 0
     basis = capped_casimir_search(alg, 4, 4)
-    ok = ok and len(basis) == 1 and basis[0].is_constant()
+    ok = ok and len(basis) == 1 and basis[0].total_degree() == 0
     report(5, f"arrangement of {len(forms)} lines", ok)
 
 

@@ -7,7 +7,6 @@ from rinehart.cochain import (
     CapExceededError,
     TableCochain,
     add,
-    cup_derivation,
     hochschild_b,
     homotopy,
     lie_action,
@@ -19,6 +18,20 @@ from rinehart.uea import EnvelopingAlgebra
 BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
             "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
 PROBE_DEGREE = 3
+
+
+def cup_derivation(D, phi):
+    """Prepend a derivation argument: (D u phi)(r0, ..) = D(r0) * phi(..)."""
+    U = phi.U
+
+    def kernel(exps):
+        mono = Polynomial.monomial(U.alg.vars, exps[0], 1)
+        head = D(mono)
+        if head.is_zero():
+            return U.zero()
+        return U.scalar(head) * phi.eval_monos(exps[1:])
+
+    return TableCochain(U, phi.arity + 1, kernel)
 
 
 def random_table(rng, U, arity, degree):
@@ -38,8 +51,9 @@ def operator_cochains(U, rng):
     alg = U.alg
     phi = TableCochain.from_table(U, 1, random_table(rng, U, 1, 4), cap=40)
     psi = TableCochain.from_table(U, 1, random_table(rng, U, 1, 4), cap=40)
-    X = alg.basis_element(0).scale(alg.poly(alg.vars[0]) if alg.vars else alg.one())
-    r = alg.poly(alg.vars[-1]) if alg.vars else alg.one()
+    one = Polynomial.const(alg.vars, 1)
+    X = alg.basis_element(0).scale(alg.poly(alg.vars[0]) if alg.vars else one)
+    r = alg.poly(alg.vars[-1]) if alg.vars else one
     return {
         "table": phi,
         "hochschild_b": hochschild_b(phi),

@@ -172,6 +172,24 @@ def test_basic_curvature_vanishes_for_lie_algebras():
         assert conn.basic_curvature(X, Y, D).is_zero()
 
 
+def plain_curvature_l(conn, X, Y, Z):
+    """Curvature of the induced connection on L."""
+    return (
+        conn.basic_l(X, conn.basic_l(Y, Z))
+        - conn.basic_l(Y, conn.basic_l(X, Z))
+        - conn.basic_l(bracket_extend(X, Y), Z)
+    )
+
+
+def plain_curvature_der(conn, X, Y, D):
+    """Curvature of the induced connection on derivations."""
+    return (
+        conn.basic_der(X, conn.basic_der(Y, D))
+        - conn.basic_der(Y, conn.basic_der(X, D))
+        - conn.basic_der(bracket_extend(X, Y), D)
+    )
+
+
 def test_basic_curvature_weyl_trivial_connection_value():
     alg = presets.weyl(1)
     conn = Connection(alg)
@@ -181,7 +199,7 @@ def test_basic_curvature_weyl_trivial_connection_value():
     k = conn.basic_curvature(e, xe, dx)
     assert k.is_zero()
     # both composite curvatures agree with the plain ones on these inputs
-    assert k.anchor_derivation() == conn.plain_curvature_der(e, xe, dx).scale_by(-1)
+    assert k.anchor_derivation() == plain_curvature_der(conn, e, xe, dx).scale_by(-1)
 
 
 def test_curvature_relations_random_connection():
@@ -196,9 +214,9 @@ def test_curvature_relations_random_connection():
         X, Y, Z = (rand_element(rng, alg) for _ in range(3))
         D = PolyDerivation(alg.vars, [rand_poly(rng, alg) for _ in alg.vars])
         lhs = conn.basic_curvature(X, Y, Z.anchor_derivation())
-        assert (lhs + conn.plain_curvature_l(X, Y, Z)).is_zero()
+        assert (lhs + plain_curvature_l(conn, X, Y, Z)).is_zero()
         lhs2 = conn.basic_curvature(X, Y, D).anchor_derivation()
-        assert (lhs2 + conn.plain_curvature_der(X, Y, D)).is_zero()
+        assert (lhs2 + plain_curvature_der(conn, X, Y, D)).is_zero()
 
 
 # -- the seeded trial loop ------------------------------------------------------

@@ -82,7 +82,7 @@ def test_bracket_laws(name, maker):
 
 def test_differential_on_coordinates_weyl():
     P = SymAlgebra(presets.weyl(1))
-    d = poisson_differential(Multivector.function(P, P.coordinate(0)))
+    d = poisson_differential(Multivector(P, 0, {(): P.coordinate(0)}))
     # single leg d/d(e) with coefficient {e, x} = 1
     assert d.terms == {(1,): Polynomial.const(P.vars, 1)}
 
@@ -90,7 +90,7 @@ def test_differential_on_coordinates_weyl():
 def test_differential_kills_constants_and_zero_bracket():
     P = SymAlgebra(presets.weyl(1))
     assert poisson_differential(
-        Multivector.function(P, Polynomial.const(P.vars, 5))
+        Multivector(P, 0, {(): Polynomial.const(P.vars, 5)})
     ).is_zero()
     A = SymAlgebra(presets.lie("abelian2"))
     rng = random.Random(7)

@@ -165,7 +165,7 @@ def test_hochschild_operator_examples():
     inst = hochschild_instance(alg)
     U = inst.uea
     u0 = U.scalar("x") * U.generator(0)
-    phi = TableCochain.constant(U, u0)
+    phi = TableCochain(U, 0, lambda exps: u0)
     b0 = hochschild_b(phi)
     r1 = alg.poly("x^2")
     assert b0(r1) == U.scalar(r1) * u0 - u0 * U.scalar(r1)
@@ -225,9 +225,8 @@ def test_membership_rejects_tampered_table():
         if any(sum(m) > 0 for m, _ in largs):
             target = largs
             break
-    el.tables[0][target] = el.tables[0][target] + Multivector.function(
-        P, Polynomial.const(P.vars, 1)
-    )
+    el.tables[0][target] = el.tables[0][target] + Multivector(
+        P, 0, {(): Polynomial.const(P.vars, 1)})
     assert not nl_membership(el)
 
 
