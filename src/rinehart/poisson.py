@@ -8,10 +8,11 @@ coordinate tuples, which determines a multiderivation completely.
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from .lie_rinehart import LieRinehartAlgebra
 from .linalg import ComplexSlice, assemble_slice, cohomology_dims
-from .poly import Polynomial, insert_leg, leg_basis
+from .poly import Polynomial, _integral_to_int, insert_leg, leg_basis
 
 Legs = tuple[int, ...]
 
@@ -27,16 +28,19 @@ class SymAlgebra:
         self.N = self.n + self.d
         self._weight_vector: tuple[int, ...] | None = None
         self._bracket_weight: int | None = None
-        self._table: dict[tuple[int, int], Polynomial] = {}
-        self._brackets = {(a, a): Polynomial.zero(self.vars) for a in range(self.N)}
-        for a in range(self.N):
-            for b in range(a + 1, self.N):
-                ab = self._table[(a, b)] = self._generator_bracket(a, b)
-                self._brackets[a, b], self._brackets[b, a] = ab, -ab
-        # for the boundary: per coordinate a, the nonzero (b, terms of {x_b, x_a});
-        # per nonzero pair a < b, the partials (m, u - e_m, u_m v) of {x_a, x_b}
-        self._acting = [[(b, list(self._brackets[b, a].terms.items())) for b in range(self.N)
-                         if self._brackets[b, a]] for a in range(self.N)]
+        units = [(0,) * a + (1,) + (0,) * (self.N - a - 1) for a in range(self.N)]
+        self._coordinates = [Polynomial._of(self.vars, {u: 1}) for u in units]
+        self._table = {(a, b): self._generator_bracket(a, b)
+                       for a, b in itertools.combinations(range(self.N), 2)}
+        # per coordinate a, the nonzero (b, terms of {x_b, x_a}), sorted by b,
+        # for the boundary and `coordinate_action`
+        self._acting: list[list] = [[] for _ in range(self.N)]
+        for (a, b), br in self._table.items():
+            if br:
+                self._acting[b].append((a, list(br.terms.items())))
+                self._acting[a].append((b, [(u, -v) for u, v in br.terms.items()]))
+        # for the boundary, per nonzero pair a < b, the partials (m, u - e_m,
+        # u_m v) of {x_a, x_b}
         self._d_table = {ab: [(m, u[:m] + (k - 1,) + u[m + 1:], k * v)
                               for u, v in br.terms.items() for m, k in enumerate(u) if k]
                          for ab, br in self._table.items() if br}
@@ -47,10 +51,10 @@ class SymAlgebra:
         return Polynomial._of(self.vars, {exp + pad: c for exp, c in f.terms.items()})
 
     def generator_symbol(self, k: int) -> Polynomial:
-        return Polynomial.variable(self.vars, self.alg.basis[k])
+        return self._coordinates[self.n + k]
 
     def coordinate(self, a: int) -> Polynomial:
-        return Polynomial.variable(self.vars, self.vars[a])
+        return self._coordinates[a]
 
     def poly(self, text: str) -> Polynomial:
         from .poly import parse_poly
@@ -77,9 +81,6 @@ class SymAlgebra:
                 out = out + self.lift(c) * self.generator_symbol(k)
         return out
 
-    def coordinate_bracket(self, a: int, b: int) -> Polynomial:
-        return self._brackets[a, b]
-
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Biderivation extension of the generator brackets."""
         out = Polynomial.zero(self.vars)
@@ -94,15 +95,17 @@ class SymAlgebra:
         return out
 
     def coordinate_action(self, a: int, g: Polynomial) -> Polynomial:
-        """{x_a, g} = sum_b {x_a, x_b} d_b g: the bracket with one coordinate."""
-        out = Polynomial.zero(self.vars)
-        for b in range(self.N):
-            coef = self.coordinate_bracket(a, b)
-            if not coef.is_zero():
-                dg = g.partial(b)
-                if not dg.is_zero():
-                    out = out + coef * dg
-        return out
+        """{x_a, g} = -sum_b {x_b, x_a} d_b g: the bracket with one coordinate,
+        in one pass over the terms of g and the rows of `_acting`."""
+        out: dict = {}
+        for b, terms in self._acting[a]:
+            for exp, c in g.terms.items():
+                if k := exp[b]:
+                    lower, f = exp[:b] + (k - 1,) + exp[b + 1:], -k * c
+                    for u, v in terms:
+                        key = tuple(map(add, lower, u))
+                        out[key] = out.get(key, 0) + f * v
+        return Polynomial._of(self.vars, _integral_to_int({e: c for e, c in out.items() if c}))
 
     # -- weights -------------------------------------------------------
 
@@ -281,10 +284,10 @@ def poisson_differential(D: Multivector) -> Multivector:
       + sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..hat i, hat j..).
     Only the leg sets that a term of D reaches are visited: a term on L
     feeds the first sum at L plus one leg, and the second at (L minus one
-    leg) plus a pair (a, b) with a nonzero bracket.
+    leg) plus a pair (a, b) with a nonzero bracket.  The second sum takes
+    D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior per pair.
     """
     P = D.parent
-    pairs = [(a, b, br) for (a, b), br in P._table.items() if br]
 
     def pieces():
         rests = set()
@@ -294,14 +297,20 @@ def poisson_differential(D: Multivector) -> Multivector:
                 if sign and (v := P.coordinate_action(a, c)):
                     yield new, v if sign == 1 else -v
             rests.update(legs[:p] + legs[p + 1:] for p in range(len(legs)))
-        for rest in sorted(rests):
-            coords = [P.coordinate(r) for r in rest]
-            for a, b, br in pairs:
+        rest_coords = [(rest, [P.coordinate(r) for r in rest]) for rest in sorted(rests)]
+        for (a, b), br in P._table.items():
+            if not br:
+                continue
+            inner = None  # D with br in its first slot, once some rest admits (a, b)
+            for rest, coords in rest_coords:
                 with_b, s1 = insert_leg(rest, b)
                 new, s2 = insert_leg(with_b, a)
                 # a and b sit at positions i < j of new: (-1)^{i+j} = -s1*s2
-                if s1 * s2 and (v := D.evaluate([br] + coords)):
-                    yield new, v if s1 * s2 == -1 else -v
+                if s1 * s2:
+                    if inner is None:
+                        inner = D.interior(br)
+                    if v := inner.evaluate(coords):
+                        yield new, v if s1 * s2 == -1 else -v
 
     return Multivector.summed(P, D.degree + 1, pieces())
 

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable
 
 from .cochain import (
@@ -459,34 +460,37 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
     """
     d = alg.rank
     bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
-    # every nonzero structure coefficient c^k_ab, a < b, lifted to the values once
+    # per generator k, the pairs a < b whose bracket has a component c^k_ab
+    # along e_k, with the terms of c^k_ab lifted to the values once
     pad = (0,) * (len(value_vars) - len(alg.vars))
-    structure = {(a, b): [(k, Polynomial._of(value_vars, {e + pad: v for e, v in c.terms.items()}))
-                          for k, c in enumerate(alg.structure_vector(a, b)) if c]
-                 for a, b in itertools.combinations(range(d), 2)}
+    along: dict[int, list] = {}
+    for a, b in itertools.combinations(range(d), 2):
+        for k, c in enumerate(alg.structure_vector(a, b)):
+            if c:
+                along.setdefault(k, []).append((a, b, [(e + pad, v) for e, v in c.terms.items()]))
 
     def image(key):
+        # the cochain is x^exp on T and zero elsewhere, so only the sets S
+        # that T reaches carry a term (docs/signs.md, "Chevalley-Eilenberg
+        # shape"): T plus the acting leg k, and T minus T[q] plus a pair a < b
+        # with a component along T[q]
         T, exp = key
-        table = {T: Polynomial.monomial(value_vars, exp, 1)}
-
-        def act(k, rest):
-            v = alternating_value(table, rest)
-            return None if v is None else lie_images[k](v)
-
-        def bracketed(a, b, rest):
-            total = None
-            for kk, c in structure[a, b]:
-                if (v := alternating_value(table, (kk,) + rest)) is not None:
-                    term = c * v
-                    total = term if total is None else total + term
-            return total
-
-        for S in itertools.combinations(range(d), len(T) + 1):
-            total = Polynomial.zero(value_vars)
-            for sign, term in ce_terms(S, act, bracketed):
-                total = total + (term if sign == 1 else -term)
-            for texp, coeff in total.terms.items():
-                yield (S, texp), coeff
+        value = Polynomial._of(value_vars, {exp: 1})
+        for k in range(d):
+            S, sign = insert_leg(T, k)
+            if sign:
+                for texp, coeff in lie_images[k](value).terms.items():
+                    yield (S, texp), sign * coeff
+        for q, kk in enumerate(T):
+            rest = T[:q] + T[q + 1:]
+            for a, b, terms in along.get(kk, ()):
+                with_b, s1 = insert_leg(rest, b)
+                S, s2 = insert_leg(with_b, a)
+                # -s1*s2 = (-1)^{i+j} for a, b at positions i < j of S, and
+                # (-1)^q moves kk from the front of (kk,) + rest to T[q]
+                if sign := -s1 * s2 * (-1 if q % 2 else 1):
+                    for e, c in terms:
+                        yield (S, tuple(map(add, e, exp))), sign * c
 
     return assemble_slice(bases, image)
 

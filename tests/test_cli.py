@@ -421,6 +421,17 @@ def test_euler_check_output_is_pinned():
         "45e81492b5492a85d9a5594bec6ed606a2f2f7ad92c068f6b59af5760a4a61b5")
 
 
+def test_sym_adjoint_ce_output_is_pinned():
+    # the coordinate action and the CE slices that visit only the sets a
+    # basis cochain reaches, on sl2's symmetric algebra, byte for byte as
+    # first recorded
+    code, out = run_cli(["--algebra", "lie(sl2)", "ce", "--module", "sym-adjoint",
+                         "--max-weight", "16"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5743f62749368a158117d23a6664ed50a877e4ede33afd2d5d0c9fbe0cb741c9")
+
+
 @pytest.mark.parametrize("argv, exit_code, digest", [
     # the u-truncated mixed complex: b and d blocks, with the u_cap - 1 table
     # read from the leading columns of the same elimination

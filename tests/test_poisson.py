@@ -220,7 +220,7 @@ def reference_differential(D):
             total = total + (term if i % 2 == 0 else -term)
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = [P.coordinate(legs[t]) for t in range(k + 1) if t not in (i, j)]
-            br = P.coordinate_bracket(legs[i], legs[j])
+            br = P.coordinate_action(legs[i], P.coordinate(legs[j]))
             term = reference_evaluate(D, [br] + rest)
             total = total + (term if (i + j) % 2 == 0 else -term)
         terms[legs] = total
@@ -315,7 +315,8 @@ def test_leg_tensor_difference_is_the_sum_with_the_negative(name):
 def test_coordinate_bracket_is_antisymmetric(name):
     P = SymAlgebra(presets.builtin(name))
     for a in range(P.N):
-        assert P.coordinate_bracket(a, a).is_zero()
+        assert P.coordinate_action(a, P.coordinate(a)).is_zero()
         for b in range(P.N):
-            assert P.coordinate_bracket(a, b) == -P.coordinate_bracket(b, a)
-            assert P.coordinate_bracket(a, b) == P.bracket(P.coordinate(a), P.coordinate(b))
+            ab = P.coordinate_action(a, P.coordinate(b))
+            assert ab == -P.coordinate_action(b, P.coordinate(a))
+            assert ab == P.bracket(P.coordinate(a), P.coordinate(b))

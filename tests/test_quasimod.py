@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from rinehart import presets
+from rinehart import presets, quasimod
 from rinehart.cochain import CapExceededError, cochain_equal, zero_cochain
 from rinehart.lie_rinehart import Connection
-from rinehart.linalg import ComplexSlice, assemble, cohomology_dims
+from rinehart.linalg import ComplexSlice, assemble, assemble_slice, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
-from rinehart.poly import Polynomial, ce_terms, insert_leg, sort_with_sign
+from rinehart.poly import (Polynomial, alternating_value, ce_terms, insert_leg, leg_basis,
+                           sort_with_sign)
 from rinehart.quasimod import (
     LinearCECochain,
     NLCochainElement,
@@ -547,6 +548,82 @@ def test_ce_matrix_module_matches_the_reference(spec, actions, dims):
         actions = _adjoint_matrices(alg)
     assert reference_matrix_module(alg, actions) == dims
     assert ce_cohomology_matrix_module(alg, actions) == dims
+
+
+def reference_ce_image(alg, value_vars, lie_images):
+    """The CE slice image before it enumerated only the sets a basis cochain
+    reaches: the CE sum over every (|T|+1)-subset S of the generators, with
+    each value looked up by `alternating_value`."""
+    d = alg.rank
+    # every nonzero structure coefficient c^k_ab, a < b, lifted to the values once
+    pad = (0,) * (len(value_vars) - len(alg.vars))
+    structure = {(a, b): [(k, Polynomial._of(value_vars, {e + pad: v for e, v in c.terms.items()}))
+                          for k, c in enumerate(alg.structure_vector(a, b)) if c]
+                 for a, b in itertools.combinations(range(d), 2)}
+
+    def image(key):
+        T, exp = key
+        table = {T: Polynomial.monomial(value_vars, exp, 1)}
+
+        def act(k, rest):
+            v = alternating_value(table, rest)
+            return None if v is None else lie_images[k](v)
+
+        def bracketed(a, b, rest):
+            total = None
+            for kk, c in structure[a, b]:
+                if (v := alternating_value(table, (kk,) + rest)) is not None:
+                    term = c * v
+                    total = term if total is None else total + term
+            return total
+
+        for S in itertools.combinations(range(d), len(T) + 1):
+            total = Polynomial.zero(value_vars)
+            for sign, term in ce_terms(S, act, bracketed):
+                total = total + (term if sign == 1 else -term)
+            for texp, coeff in total.terms.items():
+                yield (S, texp), coeff
+
+    return image
+
+
+def _checked_ce_slices(monkeypatch):
+    """Compare every slice `_ce_slice` builds, entry by entry, with the slice
+    assembled from `reference_ce_image` on the same basis; the list of the
+    compared slices fills up as they are built."""
+    fast, seen = quasimod._ce_slice, []
+
+    def checked(alg, value_vars, lie_images, W, max_position, value_weights, gen_w, wbr):
+        got = fast(alg, value_vars, lie_images, W, max_position, value_weights, gen_w, wbr)
+        bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
+        want = assemble_slice(bases, reference_ce_image(alg, value_vars, lie_images))
+        assert got.sizes == want.sizes
+        assert [m.entries for m in got.diffs] == [m.entries for m in want.diffs], (W, value_vars)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(quasimod, "_ce_slice", checked)
+    return seen
+
+
+@pytest.mark.parametrize("spec, module, max_weight", [
+    (spec, "trivial", 4) for spec in ["weyl(1)", "weyl(2)", "lie(sl2)", "lie(abelian2)",
+                                      "semidirect(sl2,std)", "arrangement(x,y,y-x,y+x)",
+                                      "arrangement(x,y-x,y+x)"]
+] + [("lie(sl2)", "sym_adjoint_lie", 8), ("lie(abelian2)", "sym_adjoint_lie", 4)])
+def test_ce_slice_matches_the_reference_image(monkeypatch, spec, module, max_weight):
+    alg = presets.builtin(spec)
+    seen = _checked_ce_slices(monkeypatch)
+    ce_cohomology(alg, module, max_weight, alg.rank)
+    # an abelian Lie algebra acts by zero on both modules
+    assert seen and any(m.entries for piece in seen for m in piece.diffs) == (spec != "lie(abelian2)")
+
+
+def test_matrix_module_ce_slice_matches_the_reference_image(monkeypatch):
+    seen = _checked_ce_slices(monkeypatch)
+    standard = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]]
+    assert ce_cohomology_matrix_module(presets.lie("sl2"), standard) == [0, 0, 0, 0]
+    assert len(seen) == 1 and all(m.entries for m in seen[0].diffs)
 
 
 @pytest.mark.parametrize("actions", [
