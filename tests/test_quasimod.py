@@ -551,9 +551,10 @@ def test_ce_matrix_module_matches_the_reference(spec, actions, dims):
 
 
 def reference_ce_image(alg, value_vars, lie_images):
-    """The CE slice image before it enumerated only the sets a basis cochain
-    reaches: the CE sum over every (|T|+1)-subset S of the generators, with
-    each value looked up by `alternating_value`."""
+    """The CE slice image by the full CE sum: `ce_terms` over every
+    (|T|+1)-subset S of the generators, each value looked up by
+    `alternating_value`; the reference for `_ce_slice`, which visits only
+    the sets a basis cochain reaches."""
     d = alg.rank
     # every nonzero structure coefficient c^k_ab, a < b, lifted to the values once
     pad = (0,) * (len(value_vars) - len(alg.vars))
