@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, PolyDerivation, parse_poly, perm_sign
+from .poly import Polynomial, PolyDerivation, perm_sign
 
 
 class PresentationError(ValueError):
@@ -99,9 +99,6 @@ class LieRinehartAlgebra:
 
     # -- ring helpers ----------------------------------------------------
 
-    def poly(self, text: str) -> Polynomial:
-        return parse_poly(self.vars, text)
-
     def zero_poly(self) -> Polynomial:
         return self._zero
 
@@ -111,16 +108,10 @@ class LieRinehartAlgebra:
     # -- module elements ---------------------------------------------------
 
     def element(self, coeffs) -> "LElement":
-        cs = []
-        for c in coeffs:
-            if isinstance(c, str):
-                c = self.poly(c)
-            elif isinstance(c, (int, Fraction)):
-                c = Polynomial.const(self.vars, c)
-            cs.append(c)
+        cs = tuple(coeffs)
         if len(cs) != self.rank:
             raise PresentationError("coefficient vector has wrong length")
-        return LElement(self, tuple(cs))
+        return LElement(self, cs)
 
     def basis_element(self, k: int) -> "LElement":
         return LElement(
@@ -171,9 +162,6 @@ class LieRinehartAlgebra:
                         - self.generator_weight(j)
                     )
         return 0
-
-    def __repr__(self):
-        return f"LieRinehartAlgebra({self.name or 'anonymous'}, R=Q{list(self.vars)}, rank {self.rank})"
 
 
 class LElement:

@@ -48,9 +48,6 @@ class SparseMatrixQ:
         else:
             self.entries.pop((i, j), None)
 
-    def __repr__(self):
-        return f"SparseMatrixQ({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
-
 
 def assemble(src: Sequence, image: Callable[[object], Iterable[tuple[object, Fraction]]],
              tgt: Sequence | None = None) -> tuple[SparseMatrixQ, list]:

@@ -8,10 +8,9 @@ the enveloping algebra).  All laws are verified pointwise with seeded inputs.
 """
 from __future__ import annotations
 
-import copy
+import dataclasses
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Callable
@@ -126,7 +125,7 @@ def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) ->
 # -- instances ------------------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class QuasiModuleInstance:
     """Operator bundle: differential, two actions, and the homotopy."""
 
@@ -138,6 +137,8 @@ class QuasiModuleInstance:
     random_element: Callable
     degrees: tuple[int, ...]
     zero: Callable
+    sym: SymAlgebra | None = None
+    uea: EnvelopingAlgebra | None = None
 
 
 def adjoint_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
@@ -154,23 +155,17 @@ def adjoint_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
                 terms[legs] = Polynomial.monomial(P.vars, exp, rng.choice([-2, -1, 1, 2]))
         return Multivector(P, degree, terms)
 
-    def mv_equal(a: Multivector, b: Multivector) -> bool:
-        if a.is_zero() or b.is_zero():
-            return a.terms == b.terms
-        return a.degree == b.degree and a.terms == b.terms
-
-    inst = QuasiModuleInstance(
+    return QuasiModuleInstance(
         d=lambda v: -adj_delta(P, v),
         r_act=lambda r, v: adj_r_action(P, r, v),
         lie=lambda X, v: adj_lie(P, X, v),
         h=lambda r, X, v: adj_h(P, r, X, v),
-        equal=mv_equal,
+        equal=lambda a, b: a.terms == b.terms,
         random_element=rand,
         degrees=tuple(range(0, P.n + 1)),
         zero=lambda degree: Multivector(P, max(degree, 0)),
+        sym=P,
     )
-    inst.sym = P
-    return inst
 
 
 def hochschild_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
@@ -195,7 +190,7 @@ def hochschild_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
         # generous backing cap: the laws compose several operators
         return TableCochain.from_table(U, arity, table, cap=63)
 
-    inst = QuasiModuleInstance(
+    return QuasiModuleInstance(
         d=hochschild_b,
         r_act=r_action,
         lie=lie_action,
@@ -204,9 +199,8 @@ def hochschild_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
         random_element=rand,
         degrees=(0, 1, 2),
         zero=lambda degree: zero_cochain(U, degree),
+        uea=U,
     )
-    inst.uea = U
-    return inst
 
 
 # -- the law harness --------------------------------------------------------------
@@ -629,9 +623,7 @@ def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCEC
     alg = c.alg
     P = c.inst.sym
     k = c.degree
-    # a shallow copy keeps the instance's `sym`, which dataclasses.replace drops
-    covariant = copy.copy(c.inst)
-    covariant.lie = lambda X, v: adj_nabla_b(P, conn, X, v)
+    covariant = dataclasses.replace(c.inst, lie=lambda X, v: adj_nabla_b(P, conn, X, v))
     el = LinearCECochain(covariant, alg, k, c.tables)
     tables: list[dict] = []
     for i in range(k + 2):

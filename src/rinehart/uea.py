@@ -56,11 +56,7 @@ class EnvelopingAlgebra:
     def zero(self) -> "UEAElement":
         return UEAElement._of(self, {})
 
-    def scalar(self, f) -> "UEAElement":
-        if isinstance(f, str):
-            f = self.alg.poly(f)
-        if not isinstance(f, Polynomial):
-            return UEAElement._of(self, {(self._xzero, self._gzero): _coefficient(f)} if f else {})
+    def scalar(self, f: Polynomial) -> "UEAElement":
         return UEAElement._of(self, {(m, self._gzero): c for m, c in f.terms.items()})
 
     def x_power(self, e: Expo) -> "UEAElement":
@@ -178,14 +174,8 @@ class UEAElement:
             and self.flat == other.flat
         )
 
-    def __hash__(self):
-        return hash(frozenset(self.flat.items()))
-
     def __add__(self, other: "UEAElement") -> "UEAElement":
         return UEAElement._of(self.parent, _merged(self.flat, other.flat, add))
-
-    def __neg__(self) -> "UEAElement":
-        return UEAElement._of(self.parent, {k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
         return UEAElement._of(self.parent, _merged(self.flat, other.flat, sub))

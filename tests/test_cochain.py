@@ -52,8 +52,8 @@ def operator_cochains(U, rng):
     phi = TableCochain.from_table(U, 1, random_table(rng, U, 1, 4), cap=40)
     psi = TableCochain.from_table(U, 1, random_table(rng, U, 1, 4), cap=40)
     one = Polynomial.const(alg.vars, 1)
-    X = alg.basis_element(0).scale(alg.poly(alg.vars[0]) if alg.vars else one)
-    r = alg.poly(alg.vars[-1]) if alg.vars else one
+    X = alg.basis_element(0).scale(Polynomial.variable(alg.vars, alg.vars[0]) if alg.vars else one)
+    r = Polynomial.variable(alg.vars, alg.vars[-1]) if alg.vars else one
     return {
         "table": phi,
         "hochschild_b": hochschild_b(phi),

@@ -11,7 +11,7 @@ from rinehart.lie_rinehart import Connection
 from rinehart.linalg import ComplexSlice, assemble, assemble_slice, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
 from rinehart.poly import (Polynomial, alternating_value, ce_terms, insert_leg, leg_basis,
-                           sort_with_sign)
+                           parse_poly, sort_with_sign)
 from rinehart.quasimod import (
     LinearCECochain,
     NLCochainElement,
@@ -140,7 +140,7 @@ def test_adjoint_homotopy_example():
     inst = adjoint_instance(alg)
     P = inst.sym
     v = Multivector(P, 1, {(0,): Polynomial.const(P.vars, 1)})
-    out = inst.h(alg.poly("x"), alg.basis_element(0), v)
+    out = inst.h(parse_poly(alg.vars, "x"), alg.basis_element(0), v)
     assert out.terms == {(): P.poly("e")}
 
 
@@ -150,12 +150,12 @@ def test_adjoint_def_htp_hand_value():
     P = inst.sym
     v = Multivector(P, 1, {(0,): Polynomial.const(P.vars, 1)})  # d/dx
     X = alg.basis_element(0)
-    rX = X.scale(alg.poly("x"))
+    rX = X.scale(parse_poly(alg.vars, "x"))
     lhs = inst.lie(rX, v)
     assert lhs.terms == {(0,): Polynomial.const(P.vars, -1)}
-    rhs = inst.r_act(alg.poly("x"), inst.lie(X, v)) + inst.h(
-        alg.poly("x"), X, inst.d(v)
-    ) + inst.d(inst.h(alg.poly("x"), X, v))
+    rhs = inst.r_act(parse_poly(alg.vars, "x"), inst.lie(X, v)) + inst.h(
+        parse_poly(alg.vars, "x"), X, inst.d(v)
+    ) + inst.d(inst.h(parse_poly(alg.vars, "x"), X, v))
     assert inst.equal(lhs, rhs)
 
 
@@ -165,20 +165,21 @@ def test_hochschild_operator_examples():
     alg = presets.weyl(1)
     inst = hochschild_instance(alg)
     U = inst.uea
-    u0 = U.scalar("x") * U.generator(0)
+    u0 = U.scalar(parse_poly(U.alg.vars, "x")) * U.generator(0)
     phi = TableCochain(U, 0, lambda exps: u0)
     b0 = hochschild_b(phi)
-    r1 = alg.poly("x^2")
+    r1 = parse_poly(alg.vars, "x^2")
     assert b0(r1) == U.scalar(r1) * u0 - u0 * U.scalar(r1)
     # arity-one homotopy: insert and right-multiply
     psi = TableCochain(U, 1, lambda exps: U.generator(0))
     e = alg.basis_element(0)
-    h = homotopy(alg.poly("x"), e, psi)
+    h = homotopy(parse_poly(alg.vars, "x"), e, psi)
     assert h.arity == 0
     assert h() == U.generator(0) * U.generator(0)
     # corrected module action: commutator minus the anchor on arguments
     act = lie_action(e, psi)
-    assert act(alg.poly("x")) == U.generator(0).commutator(U.generator(0)) - psi(alg.poly("1"))
+    assert act(parse_poly(alg.vars, "x")) == \
+        U.generator(0).commutator(U.generator(0)) - psi(parse_poly(alg.vars, "1"))
 
 
 # -- nonlinear cochains over the adjoint instance ------------------------------

