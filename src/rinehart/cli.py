@@ -327,8 +327,6 @@ def cmd_verify(args) -> ReportTable:
         basis = capped_casimir_search(alg, args.max_weight, args.euler_cap)
         report.add_row("casimirs", args.max_weight, 0, len(basis))
         report.summary = {"casimir_basis": sorted(repr(p) for p in basis)}
-    else:
-        raise SpecFileError(f"unknown verify suite {args.suite!r}")
     return report
 
 

@@ -15,7 +15,7 @@ from .poisson import (
     SymAlgebra,
     poisson_differential,
 )
-from .poly import Polynomial, _integral_to_int, exponents, insert_leg, leg_basis
+from .poly import Polynomial, exponents, insert_leg, leg_basis
 
 
 class KahlerForm(LegTensor):
@@ -23,18 +23,6 @@ class KahlerForm(LegTensor):
 
     __slots__ = ()
     leg_prefix = "d"
-
-    @classmethod
-    def from_flat(cls, parent: SymAlgebra, degree: int, flat: dict) -> "KahlerForm":
-        """The form of a flat form {(legs, exp): coefficient} (the shape of
-        `entries`; zeros are dropped).  The operators below are integer kernels
-        on flat forms; a KahlerForm is built only for their callers."""
-        by_legs: dict[Legs, dict] = {}
-        for (legs, exp), c in flat.items():
-            if c:
-                by_legs.setdefault(legs, {})[exp] = c
-        return cls._of(parent, degree, {legs: Polynomial._of(parent.vars, _integral_to_int(t))
-                                        for legs, t in by_legs.items()})
 
 
 def _d(flat: dict) -> dict:
@@ -56,7 +44,7 @@ def poisson_boundary(w: KahlerForm) -> KahlerForm:
     on L without L_i and -(-1)^(i+j) c x^e d{x_L_i, x_L_j} wedged onto L
     without L_i, L_j, for 0-based positions i < j; zero on functions."""
     P, out = w.parent, {}
-    for (legs, exp), c in w.entries():
+    for (legs, exp), c in w.flat.items():
         for i, a in enumerate(legs):
             rest, c_i = legs[:i] + legs[i + 1:], c if i % 2 else -c
             # {x^e, x_a} = sum_b e_b x^(e - e_b) {x_b, x_a}
@@ -253,15 +241,14 @@ def duality_cap(D: Multivector) -> KahlerForm:
     with the sign (-1)^t of its leg's position t; the image of the leg set S
     is +/- the complementary form, so no two terms meet.
     """
-    P = D.parent
-    out = KahlerForm(P, P.N - D.degree)
-    for legs, c in D.terms.items():
+    P, flat = D.parent, {}
+    for (legs, exp), c in D.flat.items():
         rest, sign = tuple(range(P.N)), 1
         for a in reversed(legs):
             t = rest.index(a)
             rest, sign = rest[:t] + rest[t + 1:], -sign if t % 2 else sign
-        out.terms[rest] = c if sign == 1 else -c
-    return out
+        flat[rest, exp] = c if sign == 1 else -c
+    return KahlerForm._of(P, P.N - D.degree, flat)
 
 
 def duality_cap_rank_check(alg: LieRinehartAlgebra, weight: int, degree: int) -> tuple[int, int]:

@@ -89,23 +89,22 @@ def _decompose(ctx: EtaContext, v: Multivector):
     """Coordinate terms as (scalar, Der factors, module factors) triples."""
     P, alg = ctx.P, ctx.alg
     out = []
-    for legs, c in v.terms.items():
-        for exp, coeff in c.terms.items():
-            xpart = exp[: P.n]
-            gens = [a for a in range(P.d) for _ in range(exp[P.n + a])]
-            mono = Polynomial.monomial(alg.vars, xpart, 1)
-            Ds = [alg.coordinate_field(alg.vars[u]) for u in legs]
-            if gens:
-                Xs = [alg.basis_element(gens[0]).scale(mono)] + [
-                    alg.basis_element(a) for a in gens[1:]
-                ]
-            elif Ds:
-                Ds = [Ds[0].scale_by(mono)] + Ds[1:]
-                Xs = []
-            else:
-                out.append((coeff, (), (), mono))
-                continue
-            out.append((coeff, tuple(Ds), tuple(Xs), None))
+    for (legs, exp), coeff in v.flat.items():
+        xpart = exp[: P.n]
+        gens = [a for a in range(P.d) for _ in range(exp[P.n + a])]
+        mono = Polynomial.monomial(alg.vars, xpart, 1)
+        Ds = [alg.coordinate_field(alg.vars[u]) for u in legs]
+        if gens:
+            Xs = [alg.basis_element(gens[0]).scale(mono)] + [
+                alg.basis_element(a) for a in gens[1:]
+            ]
+        elif Ds:
+            Ds = [Ds[0].scale_by(mono)] + Ds[1:]
+            Xs = []
+        else:
+            out.append((coeff, (), (), mono))
+            continue
+        out.append((coeff, tuple(Ds), tuple(Xs), None))
     return out
 
 

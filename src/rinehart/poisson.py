@@ -8,11 +8,12 @@ coordinate tuples, which determines a multiderivation completely.
 from __future__ import annotations
 
 import itertools
-from operator import add
+from operator import add, sub
+from types import MappingProxyType
 
 from .lie_rinehart import LieRinehartAlgebra
 from .linalg import ComplexSlice, assemble_slice, cohomology_dims
-from .poly import Polynomial, _integral_to_int, insert_leg, leg_basis
+from .poly import Polynomial, _cleaned, _merged, insert_leg, leg_basis
 
 Legs = tuple[int, ...]
 
@@ -33,7 +34,7 @@ class SymAlgebra:
         self._table = {(a, b): self._generator_bracket(a, b)
                        for a, b in itertools.combinations(range(self.N), 2)}
         # per coordinate a, the nonzero (b, terms of {x_b, x_a}), sorted by b,
-        # for the boundary and `coordinate_action`
+        # for the boundary, the differential and `coordinate_action`
         self._acting: list[list] = [[] for _ in range(self.N)]
         for (a, b), br in self._table.items():
             if br:
@@ -105,7 +106,7 @@ class SymAlgebra:
                     for u, v in terms:
                         key = tuple(map(add, lower, u))
                         out[key] = out.get(key, 0) + f * v
-        return Polynomial._of(self.vars, _integral_to_int({e: c for e, c in out.items() if c}))
+        return Polynomial._of(self.vars, _cleaned(out))
 
     # -- weights -------------------------------------------------------
 
@@ -126,109 +127,115 @@ class SymAlgebra:
 
 
 class LegTensor:
-    """Finite map (sorted leg set) -> symbol coefficient, all of one degree:
-    the leg-indexed data shared by multivectors and Kahler forms."""
+    """Flat terms {(sorted leg set, exponent): c}, c a nonzero int or (when not
+    integral) Fraction, all of one degree: the leg-indexed data shared by
+    multivectors and Kahler forms.  `terms` is a read-only view of them as
+    {legs: Polynomial}."""
 
-    __slots__ = ("parent", "degree", "terms")
+    __slots__ = ("parent", "degree", "flat")
     leg_prefix = ""
 
     def __init__(self, parent: SymAlgebra, degree: int, terms: dict[Legs, Polynomial] | None = None):
+        """The tensor of {legs: coefficient}; zero coefficients are dropped."""
         self.parent = parent
         self.degree = degree
-        self.terms: dict[Legs, Polynomial] = {}
-        if terms:
-            for legs, c in terms.items():
-                if c.is_zero():
-                    continue
-                if len(legs) != degree or list(legs) != sorted(set(legs)):
-                    raise ValueError(f"bad leg set {legs} for degree {degree}")
-                self.terms[tuple(legs)] = c
+        self.flat: dict = {}
+        for legs, c in (terms or {}).items():
+            if c.is_zero():
+                continue
+            if len(legs) != degree or list(legs) != sorted(set(legs)):
+                raise ValueError(f"bad leg set {legs} for degree {degree}")
+            self.flat.update(((tuple(legs), exp), v) for exp, v in c.terms.items())
 
     @classmethod
-    def _of(cls, parent: SymAlgebra, degree: int, terms: dict[Legs, Polynomial]):
-        """A tensor on sorted leg sets with no zero coefficient, taken as is."""
+    def _of(cls, parent: SymAlgebra, degree: int, flat: dict):
+        """A tensor on canonical flat terms (sorted legs, no zero, integral
+        coefficients as int), taken as is."""
         t = object.__new__(cls)
-        t.parent, t.degree, t.terms = parent, degree, terms
+        t.parent, t.degree, t.flat = parent, degree, flat
         return t
+
+    @classmethod
+    def from_flat(cls, parent: SymAlgebra, degree: int, flat: dict):
+        """The tensor of flat terms on sorted legs: zero sums are dropped and
+        integral Fractions made ints."""
+        return cls._of(parent, degree, _cleaned(flat))
 
     @classmethod
     def basis_element(cls, parent: SymAlgebra, legs: Legs, exp: tuple[int, ...]):
         """The monomial exp on the leg set legs, as keyed by `entries`; exp
         is an exponent tuple of an enumerated basis, taken unchecked."""
-        return cls._of(parent, len(legs), {legs: Polynomial._of(parent.vars, {exp: 1})})
+        return cls._of(parent, len(legs), {(legs, exp): 1})
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """A read-only {legs: Polynomial} view, built on each access."""
+        rows: dict[Legs, dict] = {}
+        for (legs, exp), c in self.flat.items():
+            rows.setdefault(legs, {})[exp] = c
+        vars = self.parent.vars
+        return MappingProxyType({legs: Polynomial._of(vars, row) for legs, row in rows.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.flat
 
     @classmethod
     def summed(cls, parent: SymAlgebra, degree: int, pieces):
-        """The sum of (legs, coefficient) pieces with sorted legs."""
-        acc: dict[Legs, Polynomial] = {}
+        """The sum of (legs, Polynomial) pieces with sorted legs."""
+        acc: dict = {}
         for legs, c in pieces:
-            s = acc.get(legs)
-            acc[legs] = c if s is None else s + c
-        return cls._of(parent, degree, {legs: c for legs, c in acc.items() if c})
+            for exp, v in c.terms.items():
+                key = legs, exp
+                acc[key] = acc.get(key, 0) + v
+        return cls.from_flat(parent, degree, acc)
 
     def partial(self, i: int):
         """Every coefficient differentiated by the i-th symbol variable."""
-        return self.summed(self.parent, self.degree,
-                           ((legs, c.partial(i)) for legs, c in self.terms.items()))
+        return self.from_flat(self.parent, self.degree, {
+            (legs, exp[:i] + (k - 1,) + exp[i + 1:]): k * c
+            for (legs, exp), c in self.flat.items() if (k := exp[i])})
 
     def __add__(self, other):
-        return self._combined(other, False)
+        return self._combined(other, add)
 
     def __neg__(self):
-        return self._of(self.parent, self.degree, {l: -c for l, c in self.terms.items()})
+        return self._of(self.parent, self.degree, {k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other):
-        return self._combined(other, True)
+        return self._combined(other, sub)
 
-    def _combined(self, other, minus: bool):
-        """self - other when minus, else self + other, in one pass over the
-        terms of other."""
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return -other if minus else other
-        assert self.degree == other.degree
-        out = dict(self.terms)
-        for legs, c in other.terms.items():
-            s = out.get(legs)
-            if s is None:
-                s = -c if minus else c
-            else:
-                s = s - c if minus else s + c
-            if s:
-                out[legs] = s
-            else:
-                del out[legs]
-        return self._of(self.parent, self.degree, out)
+    def _combined(self, other, op):
+        """self op other for op add or sub, of the degree of its nonzero side."""
+        degree = other.degree if other.flat and not self.flat else self.degree
+        return self._of(self.parent, degree, _merged(self.flat, other.flat, op))
 
     def scale(self, c):
         """Multiply every coefficient by a polynomial or a scalar."""
-        t = type(self)(self.parent, self.degree)
-        for l, v in self.terms.items():
-            s = c * v if isinstance(c, Polynomial) else v.scale(c)
-            if not s.is_zero():
-                t.terms[l] = s
-        return t
+        if not isinstance(c, Polynomial):
+            c = Polynomial.const(self.parent.vars, c)
+        acc: dict = {}
+        for (legs, exp), v in self.flat.items():
+            for e, a in c.terms.items():
+                key = legs, tuple(map(add, exp, e))
+                acc[key] = acc.get(key, 0) + a * v
+        return self.from_flat(self.parent, self.degree, acc)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.parent is other.parent
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.flat == other.flat
         )
 
     def coefficient(self, legs: Legs) -> Polynomial:
-        return self.terms.get(tuple(legs), Polynomial.zero(self.parent.vars))
+        legs = tuple(legs)
+        return Polynomial._of(self.parent.vars,
+                              {exp: c for (on, exp), c in self.flat.items() if on == legs})
 
     def entries(self):
         """((legs, exponent), coefficient) for every monomial term."""
-        for legs, c in self.terms.items():
-            for exp, coeff in c.terms.items():
-                yield (legs, exp), coeff
+        return self.flat.items()
 
     def __repr__(self):
         P = self.parent
@@ -250,16 +257,16 @@ class Multivector(LegTensor):
         asked once for each coordinate a that is a leg: each term c on legs
         L gives (-1)^t c form(L[t]) on L without L[t], t the 0-based
         position.  A function has no leg, and gives zero."""
-        values = {a: form(a) for a in {a for legs in self.terms for a in legs}}
-
-        def pieces():
-            for legs, c in self.terms.items():
-                for t, a in enumerate(legs):
-                    if f := values[a]:
-                        term = c * f
-                        yield legs[:t] + legs[t + 1:], term if t % 2 == 0 else -term
-
-        return Multivector.summed(self.parent, max(self.degree - 1, 0), pieces())
+        values = {a: form(a).terms for a in {a for legs, _ in self.flat for a in legs}}
+        acc: dict = {}
+        for (legs, exp), c in self.flat.items():
+            for t, a in enumerate(legs):
+                if f := values[a]:
+                    rest, c_t = legs[:t] + legs[t + 1:], -c if t % 2 else c
+                    for e, v in f.items():
+                        key = rest, tuple(map(add, exp, e))
+                        acc[key] = acc.get(key, 0) + c_t * v
+        return Multivector.from_flat(self.parent, max(self.degree - 1, 0), acc)
 
     def interior(self, f: Polynomial) -> "Multivector":
         """Insert f into the first slot: the contraction with df, the Laplace
@@ -284,35 +291,41 @@ def poisson_differential(D: Multivector) -> Multivector:
       + sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..hat i, hat j..).
     Only the leg sets that a term of D reaches are visited: a term on L
     feeds the first sum at L plus one leg, and the second at (L minus one
-    leg) plus a pair (a, b) with a nonzero bracket.  The second sum takes
-    D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior per pair.
+    leg) plus a pair (a, b) with a nonzero bracket.  The first sum reads
+    {x_a, x^e} off the rows of `_acting`, as `poisson_boundary` does; the
+    second takes D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior
+    per pair.
     """
-    P = D.parent
-
-    def pieces():
-        rests = set()
-        for legs, c in D.terms.items():
-            for a in range(P.N):
-                new, sign = insert_leg(legs, a)
-                if sign and (v := P.coordinate_action(a, c)):
-                    yield new, v if sign == 1 else -v
-            rests.update(legs[:p] + legs[p + 1:] for p in range(len(legs)))
-        rest_coords = [(rest, [P.coordinate(r) for r in rest]) for rest in sorted(rests)]
-        for (a, b), br in P._table.items():
-            if not br:
+    P, acc = D.parent, {}
+    for (legs, exp), c in D.flat.items():
+        for a in range(P.N):
+            new, sign = insert_leg(legs, a)
+            if not sign:
                 continue
-            inner = None  # D with br in its first slot, once some rest admits (a, b)
-            for rest, coords in rest_coords:
-                with_b, s1 = insert_leg(rest, b)
-                new, s2 = insert_leg(with_b, a)
-                # a and b sit at positions i < j of new: (-1)^{i+j} = -s1*s2
-                if s1 * s2:
-                    if inner is None:
-                        inner = D.interior(br)
-                    if v := inner.evaluate(coords):
-                        yield new, v if s1 * s2 == -1 else -v
-
-    return Multivector.summed(P, D.degree + 1, pieces())
+            # {x_a, x^e} = -sum_b e_b x^(e - e_b) {x_b, x_a}
+            for b, terms in P._acting[a]:
+                if k := exp[b]:
+                    lower, f = exp[:b] + (k - 1,) + exp[b + 1:], -sign * k * c
+                    for u, v in terms:
+                        key = new, tuple(map(add, lower, u))
+                        acc[key] = acc.get(key, 0) + f * v
+    rests = {legs[:p] + legs[p + 1:] for legs, _ in D.flat for p in range(len(legs))}
+    rest_coords = [(rest, [P.coordinate(r) for r in rest]) for rest in sorted(rests)]
+    for (a, b), br in P._table.items():
+        if not br:
+            continue
+        inner = None  # D with br in its first slot, once some rest admits (a, b)
+        for rest, coords in rest_coords:
+            with_b, s1 = insert_leg(rest, b)
+            new, s2 = insert_leg(with_b, a)
+            # a and b sit at positions i < j of new: (-1)^{i+j} = -s1*s2
+            if s1 * s2:
+                if inner is None:
+                    inner = D.interior(br)
+                for exp, v in inner.evaluate(coords).terms.items():
+                    key = new, exp
+                    acc[key] = acc.get(key, 0) - s1 * s2 * v
+    return Multivector.from_flat(P, D.degree + 1, acc)
 
 
 # -- weight-sliced cohomology -------------------------------------------------

@@ -44,6 +44,11 @@ def _integral_to_int(terms: dict) -> dict:
     return terms
 
 
+def _cleaned(acc: dict) -> dict:
+    """acc without its zero values, each integral Fraction made an int."""
+    return {k: c if c.__class__ is int else _coefficient(c) for k, c in acc.items() if c}
+
+
 def _merged(a: dict, b: dict, op) -> dict:
     """The coefficient map a op b for op add or sub, in one pass over b:
     no zero coefficient kept, integral ones made ints."""

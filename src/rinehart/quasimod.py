@@ -85,9 +85,9 @@ def replace_legs_and_factors(P: SymAlgebra, v: Multivector, leg_map, factor_map)
     leg_map(u), or one symbol factor a by the symbol of the module element
     factor_map(a), one at a time, coefficients untouched; a factor_map of
     None has no factor part."""
-    if not v.terms:
+    if v.is_zero():
         return v
-    leg_images = {u: leg_map(u) for u in {u for legs in v.terms for u in legs}}
+    leg_images = {u: leg_map(u) for u in {u for legs, _ in v.flat for u in legs}}
     factor_symbols = [P.element_symbol(factor_map(a)) for a in range(P.d)] if factor_map else []
 
     def pieces():
@@ -160,7 +160,7 @@ def adjoint_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
         r_act=lambda r, v: adj_r_action(P, r, v),
         lie=lambda X, v: adj_lie(P, X, v),
         h=lambda r, X, v: adj_h(P, r, X, v),
-        equal=lambda a, b: a.terms == b.terms,
+        equal=lambda a, b: a.flat == b.flat,
         random_element=rand,
         degrees=tuple(range(0, P.n + 1)),
         zero=lambda degree: Multivector(P, max(degree, 0)),
@@ -432,7 +432,7 @@ def nl_to_multivector(el: NLCochainElement) -> Multivector:
     D = Multivector(P, p, terms)
     for i, table in enumerate(el.tables):
         for largs, v in table.items():
-            if v.terms != _split_entry(D, largs, i).terms:
+            if v.flat != _split_entry(D, largs, i).flat:
                 raise NonlinearRejection(
                     f"table entry phi_{i}{largs} is incompatible with the "
                     "multiderivation expansion of its neighbours"

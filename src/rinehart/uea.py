@@ -18,7 +18,7 @@ from operator import add, sub
 
 from .lie_rinehart import LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
-from .poly import Polynomial, _coefficient, _merged, exponents
+from .poly import Polynomial, _cleaned, _coefficient, _merged, exponents
 
 Expo = tuple[int, ...]
 Flat = dict[tuple[Expo, Expo], "int | Fraction"]
@@ -32,11 +32,6 @@ def _pop_first(e: Expo) -> tuple[int, Expo]:
     """The first k with e[k] > 0 and e - eps_k; (len(e), e) for a zero e."""
     k = next((k for k, a in enumerate(e) if a), len(e))
     return k, (e[:k] + (e[k] - 1,) + e[k + 1:] if k < len(e) else e)
-
-
-def _cleaned(acc: dict) -> dict:
-    """acc without its zero values, each integral Fraction made an int."""
-    return {k: c if c.__class__ is int else _coefficient(c) for k, c in acc.items() if c}
 
 
 class EnvelopingAlgebra:

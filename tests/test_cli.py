@@ -366,6 +366,15 @@ def test_negative_caps_exit_two(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+def test_unknown_verify_suite_exits_two(capsys):
+    # argparse refuses the suite before cmd_verify runs
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--algebra", "weyl(1)", "verify", "bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+
+
 def test_euler_element_acting_off_diagonal_fails_the_check(capsys):
     code, out = run_cli(["--algebra", "lie(sl2)", "verify", "euler", "--euler", "e"])
     assert code == 1
@@ -447,6 +456,9 @@ def test_sym_adjoint_ce_output_is_pinned():
     # four variables and three d columns; not stabilized, hence exit 1
     (["--algebra", "weyl(2)", "cyclic", "--max-weight", "1", "--u-cap", "3"], 1,
      "06c01a6203dc7cfc4a09743371d78375f4ab133d19103a1fc145efff93a29190"),
+    # the multivector complex: the flat differential and its interiors
+    (["--algebra", "semidirect(sl2,std)", "poisson-cohomology", "--max-weight", "4"], 0,
+     "e242df209d54c7dcf33a66dfc3e72396855121acaaa2e1e84097e918a478d8b5"),
 ])
 def test_homology_tables_are_pinned(argv, exit_code, digest):
     code, out = run_cli(argv)

@@ -244,12 +244,12 @@ def reference_d(w):
 
 def reference_interior(a, w):
     """Interior product with the coordinate vector field of index a."""
-    out = KahlerForm(w.parent, max(w.degree - 1, 0))
+    terms = {}
     for legs, c in w.terms.items():
         if a in legs:
             t = legs.index(a)
-            out.terms[legs[:t] + legs[t + 1:]] = c if t % 2 == 0 else -c
-    return out
+            terms[legs[:t] + legs[t + 1:]] = c if t % 2 == 0 else -c
+    return KahlerForm(w.parent, max(w.degree - 1, 0), terms)
 
 
 def reference_contract(w):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rinehart import presets
+from rinehart.homology import KahlerForm
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
 from rinehart.poly import Polynomial, perm_sign
 from rinehart.quasimod import (
@@ -293,6 +294,46 @@ def test_basis_element_is_the_checked_monomial_and_the_constructor_still_checks(
     for degree, legs in [(2, (1, 0)), (2, (1, 1)), (1, (0, 1)), (2, (0,))]:
         with pytest.raises(ValueError, match="bad leg set"):
             Multivector(P, degree, {legs: one})
+    # a zero coefficient is dropped before its leg set is looked at
+    zero = Polynomial.zero(P.vars)
+    assert Multivector(P, 1, {(0,): one, (1, 0): zero}).flat == {((0,), (0,) * P.N): 1}
+
+
+def test_flat_constructor_makes_integral_fractions_ints_and_drops_zero_sums():
+    P = SymAlgebra(presets.weyl(1))
+    e, f = (1, 0), (0, 2)
+    got = Multivector.from_flat(P, 1, {((0,), e): Fraction(4, 2), ((1,), e): 0,
+                                       ((1,), f): Fraction(1, 2)})
+    assert got.flat == {((0,), e): 2, ((1,), f): Fraction(1, 2)}
+    assert type(got.flat[(0,), e]) is int
+    # the pieces of `summed` cancel on (1,) and add up to an integral 1 on (0,)
+    half = Polynomial.monomial(P.vars, e, Fraction(1, 2))
+    summed = Multivector.summed(P, 1, [((0,), half), ((1,), half), ((0,), half), ((1,), -half)])
+    assert summed.flat == {((0,), e): 1} and type(summed.flat[(0,), e]) is int
+
+
+def test_terms_is_a_read_only_view():
+    P = SymAlgebra(presets.weyl(1))
+    D = Multivector(P, 1, {(0,): P.poly("x*e + 2")})
+    assert D.terms == {(0,): P.poly("x*e + 2")}
+    with pytest.raises(TypeError):
+        D.terms[(1,)] = P.poly("x")
+    assert D.flat == {((0,), (1, 1)): 1, ((0,), (0, 0)): 2}
+
+
+def test_repr_is_unchanged():
+    # recorded before the storage became flat: legs sorted, each coefficient
+    # printed as a Polynomial
+    P = SymAlgebra(presets.semidirect_sl2())
+    D = Multivector(P, 2, {(1, 3): P.poly("x*e - 2*y^2"),
+                           (0, 2): P.poly("3*f*h + 1").scale(Fraction(1, 2)),
+                           (0, 4): P.poly("y")})
+    assert repr(D) == ("(1/2 + 3/2*f*h)*d/dx^d/de + (y)*d/dx^d/dh"
+                       " + (x*e - 2*y^2)*d/dy^d/df")
+    w = KahlerForm(P, 1, {(4,): P.poly("x*y - e"), (0,): P.poly("h^2").scale(Fraction(-3, 4))})
+    assert repr(w) == "(-3/4*h^2)*dx + (-e + x*y)*dh"
+    assert repr(KahlerForm(P, 0)) == "0"
+    assert repr(Multivector(P, 0, {(): P.poly("2")})) == "(2)*1"
 
 
 @pytest.mark.parametrize("name", BUILTINS + ["lie(abelian2)"])
