@@ -6,15 +6,19 @@ sum c x^m e_1^a1 ... e_d^ad; `terms` is a read-only view of it as
 {generator exponent: Polynomial}.  Sums, differences, scalar factors and
 products all work on the flat terms; products by the rewrite rules
 e_i * r -> r * e_i + rho(e_i)(r) and
-e_i * e_j -> e_j * e_i + [e_i, e_j] for i > j.  The normal forms of
-rho_i(x^p), e^alpha * x^n and e^gamma * e^beta are memoized on the algebra
-wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel & Lassner, JSC 1988).
+e_i * e_j -> e_j * e_i + [e_i, e_j] for i > j.  A product is one pass
+over pairs of terms x^m e^alpha, x^n e^beta that reads the normal form of
+the triple e^alpha * x^n * e^beta.  That normal form, and those of
+rho_i(x^p) and e^gamma * e^beta that its recursion reads, are memoized on
+the algebra wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel & Lassner,
+JSC 1988).
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
 from operator import add, sub
+from types import MappingProxyType
 
 from .lie_rinehart import LElement, LieRinehartAlgebra
 from .linalg import assemble, kernel_and_rank
@@ -43,7 +47,7 @@ class EnvelopingAlgebra:
         self._units = [tuple(int(k == i) for k in range(alg.rank)) for i in range(alg.rank)]
         self._xzero, self._gzero = (0,) * len(alg.vars), (0,) * alg.rank
         self._rho_cache: dict[tuple[int, Expo], dict[Expo, int | Fraction]] = {}
-        self._ex_cache: dict[tuple[Expo, Expo], Flat] = {}
+        self._ex_cache: dict[tuple[Expo, Expo, Expo], Flat] = {}
         self._ee_cache: dict[tuple[Expo, Expo], Flat] = {}
 
     # -- constructors ---------------------------------------------------
@@ -92,14 +96,15 @@ class EnvelopingAlgebra:
                 acc[r, gamma] += c * d
         return _cleaned(acc)
 
-    def _ex(self, alpha: Expo, n: Expo) -> Flat:
-        """e^alpha * x^n in normal form: e_k (e^(alpha - eps_k) x^n), k the
-        first generator of alpha."""
-        cached = self._ex_cache.get((alpha, n))
+    def _ex(self, alpha: Expo, n: Expo, beta: Expo) -> Flat:
+        """e^alpha * x^n * e^beta in normal form: e_k (e^(alpha - eps_k) x^n e^beta),
+        k the first generator of alpha."""
+        cached = self._ex_cache.get((alpha, n, beta))
         if cached is None:
             k, rest = _pop_first(alpha)
-            cached = self._gen_times(k, self._ex(rest, n)) if any(alpha) else {(n, alpha): 1}
-            self._ex_cache[alpha, n] = cached
+            cached = (self._gen_times(k, self._ex(rest, n, beta)) if any(alpha)
+                      else {(n, beta): 1})
+            self._ex_cache[alpha, n, beta] = cached
         return cached
 
     def _ee(self, gamma: Expo, beta: Expo) -> Flat:
@@ -151,13 +156,13 @@ class UEAElement:
         return u
 
     @property
-    def terms(self) -> dict[Expo, Polynomial]:
-        """A fresh {generator exponent: Polynomial coefficient} view."""
+    def terms(self) -> MappingProxyType:
+        """A read-only {generator exponent: Polynomial} view, built on each access."""
         rows: dict[Expo, dict] = {}
         for (m, e), c in self.flat.items():
             rows.setdefault(e, {})[m] = c
         vars = self.parent.alg.vars
-        return {e: Polynomial._of(vars, row) for e, row in rows.items()}
+        return MappingProxyType({e: Polynomial._of(vars, row) for e, row in rows.items()})
 
     def is_zero(self) -> bool:
         return not self.flat
@@ -190,29 +195,19 @@ class UEAElement:
         return UEAElement._of(self.parent, _cleaned(acc))
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
-        """The sum of a*b*c*d x^(m+p+q) e^delta over x^m e^alpha (a) in self,
-        x^n e^beta (b) in other, x^p e^gamma (c) in e^alpha x^n and
-        x^q e^delta (d) in e^gamma e^beta; per alpha, the b*c*d are summed
-        by (p+q, delta) before the terms of self on e^alpha multiply them."""
+        """The sum of a*b*c x^(m+p) e^delta over x^m e^alpha (a) in self,
+        x^n e^beta (b) in other and x^p e^delta (c) in e^alpha x^n e^beta."""
         if not isinstance(other, UEAElement):
             return NotImplemented
-        U = self.parent
-        by_alpha: dict[Expo, list] = {}
-        for (m, alpha), a in self.flat.items():
-            by_alpha.setdefault(alpha, []).append((m, a))
+        ex = self.parent._ex
         acc: Flat = {}
-        for alpha, row in by_alpha.items():
-            shifts: Flat = {}
+        for (m, alpha), a in self.flat.items():
             for (n, beta), b in other.flat.items():
-                for (p, gamma), c in U._ex(alpha, n).items():
-                    for (q, delta), d in U._ee(gamma, beta).items():
-                        key = _plus(p, q), delta
-                        shifts[key] = shifts.get(key, 0) + b * c * d
-            for (pq, delta), w in shifts.items():
-                for m, a in row:
-                    key = _plus(m, pq), delta
-                    acc[key] = acc.get(key, 0) + a * w
-        return UEAElement._of(U, _cleaned(acc))
+                ab = a * b
+                for (p, delta), c in ex(alpha, n, beta).items():
+                    key = _plus(m, p), delta
+                    acc[key] = acc.get(key, 0) + ab * c
+        return UEAElement._of(self.parent, _cleaned(acc))
 
     def commutator(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self

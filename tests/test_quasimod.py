@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from rinehart import presets, quasimod
 from rinehart.cochain import CapExceededError, cochain_equal, zero_cochain
-from rinehart.lie_rinehart import Connection
+from rinehart.lie_rinehart import Connection, bracket_extend, seeded_check
 from rinehart.linalg import ComplexSlice, assemble, assemble_slice, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
 from rinehart.poly import (Polynomial, alternating_value, ce_terms, insert_leg, leg_basis,
@@ -15,6 +16,10 @@ from rinehart.poly import (Polynomial, alternating_value, ce_terms, insert_leg, 
 from rinehart.quasimod import (
     LinearCECochain,
     NLCochainElement,
+    _add_elements,
+    _rand_lelement,
+    _rand_poly,
+    _scale_element,
     adj_lie,
     adjoint_instance,
     ce_cohomology,
@@ -131,6 +136,65 @@ def test_zeroed_homotopy_fails_with_witness():
     # the first failing trial names itself and its seed, and replays from them
     assert rep.failures[0].startswith("trial 4, seed=7: ") and rep.trials == 5
     assert quasi_axiom_check(inst, alg, trials=5, seed=7).failures[0] == rep.failures[0]
+
+
+def reference_quasi_axiom_check(inst, alg, trials=100, seed=0):
+    """The six laws with every operand built afresh inside its own law, as
+    `quasi_axiom_check` ran them before it shared a trial's sub-results."""
+    def trial(rng, t):
+        degree = rng.choice(inst.degrees)
+        m = inst.random_element(rng, degree)
+        r = _rand_poly(rng, alg)
+        X = _rand_lelement(rng, alg)
+        Y = _rand_lelement(rng, alg)
+
+        def law(label, a, b):
+            return None if inst.equal(a, b) else f"{label} fails (degree {degree}, r={r}, X={X})"
+
+        return [w for w in (
+            law("d o d = 0", inst.d(inst.d(m)), inst.zero(degree + 2)),
+            law("d o r = r o d", inst.d(inst.r_act(r, m)), inst.r_act(r, inst.d(m))),
+            law("d o lie = lie o d", inst.d(inst.lie(X, m)), inst.lie(X, inst.d(m))),
+            law("Leibniz", inst.lie(X, inst.r_act(r, m)),
+                _add_elements(inst.r_act(r, inst.lie(X, m)),
+                              inst.r_act(X.anchor_derivation()(r), m))),
+            law("scaled action homotopy", inst.lie(X.scale(r), m), _add_elements(
+                inst.r_act(r, inst.lie(X, m)),
+                inst.h(r, X, inst.d(m)),
+                inst.d(inst.h(r, X, m)),
+            )),
+            law("homotopy equivariance", inst.lie(Y, inst.h(r, X, m)), _add_elements(
+                inst.h(r, X, inst.lie(Y, m)),
+                inst.h(Y.anchor_derivation()(r), X, m),
+                inst.h(r, bracket_extend(Y, X), m),
+            )),
+        ) if w]
+
+    return seeded_check(trials, seed, trial)
+
+
+def mutated(inst, kind):
+    """inst with its homotopy zeroed, its lie sign-flipped or its r_act doubled."""
+    if kind == "zeroed h":
+        return dataclasses.replace(inst, h=lambda r, X, m: _scale_element(inst.h(r, X, m), 0))
+    if kind == "flipped lie":
+        return dataclasses.replace(inst, lie=lambda X, m: _scale_element(inst.lie(X, m), -1))
+    if kind == "doubled r_act":
+        return dataclasses.replace(inst, r_act=lambda r, m: _scale_element(inst.r_act(r, m), 2))
+    return inst
+
+
+@pytest.mark.parametrize("kind", ["correct", "zeroed h", "flipped lie", "doubled r_act"])
+@pytest.mark.parametrize("make_inst", [adjoint_instance, hochschild_instance])
+@pytest.mark.parametrize("spec,trials", [("weyl(1)", 10), ("semidirect(sl2,std)", 4)])
+def test_shared_sub_results_match_the_reference_harness(spec, trials, make_inst, kind):
+    alg = presets.builtin(spec)
+    inst = mutated(make_inst(alg), kind)
+    for seed in (3, 4):
+        got = quasi_axiom_check(inst, alg, trials=trials, seed=seed)
+        want = reference_quasi_axiom_check(inst, alg, trials=trials, seed=seed)
+        assert (got.ok, got.failures, got.trials) == (want.ok, want.failures, want.trials)
+        assert got.ok == (kind == "correct")
 
 
 def test_adjoint_homotopy_example():

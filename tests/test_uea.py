@@ -7,9 +7,10 @@ import pytest
 
 from rinehart import presets
 from rinehart.lie_rinehart import Connection, LElement, from_vector_fields
+from rinehart.linalg import assemble, kernel_and_rank
 from rinehart.pbwext import EtaContext, tower_eval
-from rinehart.poisson import Multivector
-from rinehart.poly import Polynomial, PolyDerivation, parse_poly
+from rinehart.poisson import Multivector, SymAlgebra
+from rinehart.poly import Polynomial, PolyDerivation, exponents, parse_poly
 from rinehart.uea import EnvelopingAlgebra, UEAElement, center_search
 
 BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
@@ -372,7 +373,6 @@ def test_extend_derivation_rejects_bad_pair():
 
 def test_commutator_symbol_is_the_poisson_bracket():
     # the top part of a commutator of lifts recovers the symbol bracket
-    from rinehart.poisson import SymAlgebra
 
     rng = random.Random(29)
     for maker in (presets.weyl(1), presets.lie("sl2"), presets.semidirect_sl2()):
@@ -610,3 +610,70 @@ def test_flat_storage_matches_the_terms_view(spec):
         for u in (a, b, a + b, a - a):
             assert repr(u) == reference_repr(u)
     assert cancelled and integral
+
+
+def test_terms_view_is_read_only():
+    u = EnvelopingAlgebra(presets.weyl(1)).generator(0)
+    t = u.terms
+    (e, c), = t.items()
+    with pytest.raises(TypeError):
+        t[e] = c + c
+    assert repr(u) == "(1)*e"
+
+
+# -- the triple memo against references that do not use it ----------------------
+
+
+def rand_word_uea(rng, U):
+    """Terms c x^m e^alpha, each with at least one generator letter."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        gexp = [0] * U.alg.rank
+        for _ in range(rng.randint(1, 3)):
+            gexp[rng.randrange(U.alg.rank)] += 1
+        terms[tuple(gexp)] = rand_fraction_poly(rng, U)
+    return terms
+
+
+@pytest.mark.parametrize("spec", BUILTINS + ["lie(abelian2)"])
+def test_products_do_not_depend_on_the_memo_state(spec):
+    alg = presets.builtin(spec)
+    rng = random.Random(47)
+    U = EnvelopingAlgebra(alg)
+    pairs = [(rand_word_uea(rng, U), rand_word_uea(rng, U)) for _ in range(6)]
+    others = [(rand_word_uea(rng, U), rand_word_uea(rng, U)) for _ in range(6)]
+    fresh = [UEAElement(U, a) * UEAElement(U, b) for a, b in pairs]
+    # a second algebra whose triple memo other products, the swapped ones
+    # among them, fill first; then the same products in reverse order
+    V = EnvelopingAlgebra(alg)
+    for a, b in others + [(b, a) for a, b in pairs]:
+        UEAElement(V, a) * UEAElement(V, b)
+    assert V._ex_cache
+    filled = [UEAElement(V, a) * UEAElement(V, b) for a, b in reversed(pairs)][::-1]
+    for (a, b), x, y in zip(pairs, fresh, filled):
+        assert x == reference_mul(UEAElement(U, a), UEAElement(U, b))
+        assert y == reference_mul(UEAElement(V, a), UEAElement(V, b))
+
+
+@pytest.mark.parametrize("spec", ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
+                                  "lie(abelian2)"])
+@pytest.mark.parametrize("fil,weight", [(2, 4), (3, 6)])
+def test_center_dimension_matches_the_poisson_center_of_symbols(spec, fil, weight):
+    """The center found by products in U(L) against the degree-zero Poisson
+    cohomology of the symbols, the kernel of f -> ({x_a, f})_a, on the symbol
+    monomials of generator degree <= fil and weight <= weight."""
+    alg = presets.builtin(spec)
+    P = SymAlgebra(alg)
+    gen_w = [alg.generator_weight(k) for k in range(alg.rank)]
+    monos = [x + g for g in exponents(gen_w, weight) if sum(g) <= fil
+             for x in exponents(alg.var_weights(),
+                                weight - sum(a * w for a, w in zip(g, gen_w)))]
+
+    def image(e):
+        f = Polynomial.monomial(P.vars, e, 1)
+        for a in range(P.N):
+            for exp, c in P.coordinate_action(a, f).terms.items():
+                yield (a, exp), c
+
+    kernel, _ = kernel_and_rank(assemble(monos, image)[0])
+    assert len(center_search(EnvelopingAlgebra(alg), fil, weight)) == len(kernel)
