@@ -315,7 +315,7 @@ def cmd_verify(args) -> ReportTable:
         ctx = EtaContext(alg)
         rep = verify_eta_properties(ctx, samples=args.samples, seed=args.seed)
         report.add_check("eta-tensor-properties", rep.ok, "; ".join(rep.failures[:3]))
-        rep = verify_f_identities(ctx, samples=max(args.samples // 3, 5), seed=args.seed)
+        rep = verify_f_identities(ctx, samples=args.samples, seed=args.seed)
         report.add_check("leg-lowering-identities", rep.ok, "; ".join(rep.failures[:3]))
     elif args.suite == "euler":
         rep = euler_contraction_check(alg, args.euler, args.max_weight,

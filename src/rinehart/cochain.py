@@ -58,6 +58,17 @@ class TableCochain:
             value = self._values[exps] = self.kernel(exps)
         return value
 
+    def __add__(self, other: "TableCochain") -> "TableCochain":
+        """The pointwise sum, evaluated lazily."""
+        if other.arity != self.arity:
+            raise ValueError(f"cannot add cochains of arities {self.arity} and {other.arity}")
+        return TableCochain(self.U, self.arity,
+                            lambda exps: self.eval_monos(exps) + other.eval_monos(exps))
+
+    def scale(self, c) -> "TableCochain":
+        """c * self for a scalar c, evaluated lazily."""
+        return TableCochain(self.U, self.arity, lambda exps: self.eval_monos(exps).scale(c))
+
     def __call__(self, *args: Polynomial) -> UEAElement:
         """Multilinear evaluation on polynomial arguments."""
         if len(args) != self.arity:
@@ -176,24 +187,6 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
         return out
 
     return TableCochain(U, q - 1, kernel)
-
-
-def add(*cochains: TableCochain) -> TableCochain:
-    U = cochains[0].U
-    arity = cochains[0].arity
-    assert all(c.arity == arity for c in cochains)
-
-    def kernel(exps):
-        out = U.zero()
-        for c in cochains:
-            out = out + c.eval_monos(exps)
-        return out
-
-    return TableCochain(U, arity, kernel)
-
-
-def scale(c, phi: TableCochain) -> TableCochain:
-    return TableCochain(phi.U, phi.arity, lambda exps: phi.eval_monos(exps).scale(c))
 
 
 def zero_cochain(U: EnvelopingAlgebra, arity: int) -> TableCochain:

@@ -59,15 +59,8 @@ def semidirect_sl2() -> LieRinehartAlgebra:
     f = PolyDerivation(vars, [parse_poly(vars, "y"), parse_poly(vars, "0")])
     h = PolyDerivation(vars, [parse_poly(vars, "x"), parse_poly(vars, "-y")])
     weights = {"x": 1, "y": 1, "e": 1, "f": 1, "h": 1}
-    alg = from_action(
-        vars,
-        ("e", "f", "h"),
-        {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)},
-        (e, f, h),
-        weights,
-        name="semidirect(sl2,std)",
-    )
-    return alg
+    basis, table = _LIE_TABLES["sl2"]
+    return from_action(vars, basis, table, (e, f, h), weights, name="semidirect(sl2,std)")
 
 
 def semidirect(g: str, action: str = "std") -> LieRinehartAlgebra:

@@ -18,14 +18,12 @@ from typing import Callable
 from .cochain import (
     CapExceededError,
     TableCochain,
-    add as cochain_add,
     cochain_equal,
     hochschild_b,
     homotopy,
     lie_action,
     monomial_tuples,
     r_action,
-    scale as cochain_scale,
     zero_cochain,
 )
 from .lie_rinehart import (CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend,
@@ -238,15 +236,12 @@ def quasi_axiom_check(inst: QuasiModuleInstance, alg: LieRinehartAlgebra,
             law("d o d = 0", inst.d(dm), inst.zero(degree + 2)),
             law("d o r = r o d", inst.d(rm), inst.r_act(r, dm)),
             law("d o lie = lie o d", inst.d(lx), inst.lie(X, dm)),
-            law("Leibniz", inst.lie(X, rm),
-                _add_elements(rlx, inst.r_act(X.anchor_derivation()(r), m))),
+            law("Leibniz", inst.lie(X, rm), rlx + inst.r_act(X.anchor_derivation()(r), m)),
             law("scaled action homotopy", inst.lie(X.scale(r), m),
-                _add_elements(rlx, inst.h(r, X, dm), inst.d(hx))),
-            law("homotopy equivariance", inst.lie(Y, hx), _add_elements(
-                inst.h(r, X, inst.lie(Y, m)),
-                inst.h(Y.anchor_derivation()(r), X, m),
-                inst.h(r, bracket_extend(Y, X), m),
-            )),
+                rlx + inst.h(r, X, dm) + inst.d(hx)),
+            law("homotopy equivariance", inst.lie(Y, hx),
+                inst.h(r, X, inst.lie(Y, m)) + inst.h(Y.anchor_derivation()(r), X, m)
+                + inst.h(r, bracket_extend(Y, X), m)),
         ) if w]
 
     return seeded_check(trials, seed, trial)
@@ -289,32 +284,15 @@ class NLCochainElement:
 
     def evaluate(self, i: int, args: list[LElement]):
         """Multilinear (over the constants) evaluation of phi_i."""
-        out = None
+        out = self.inst.zero(i)
         for largs, coeff in multilinear_terms([_larg_terms(arg) for arg in args]):
             sorted_largs, sign = sort_with_sign(largs, key=lambda a: (a[1], a[0]))
             if not sign:
                 continue
             v = self.phi(i, sorted_largs)
-            if v is None:
-                continue
-            piece = _scale_element(v, coeff * sign)
-            out = piece if out is None else _add_elements(out, piece)
-        if out is None:
-            return self.inst.zero(i)
+            if v is not None:
+                out = out + v.scale(coeff * sign)
         return out
-
-
-def _scale_element(v, c):
-    if isinstance(v, TableCochain):
-        return cochain_scale(c, v)
-    return v.scale(c)
-
-
-def _add_elements(*parts):
-    """The sum of module elements; lazy cochains in one sum node."""
-    if isinstance(parts[0], TableCochain):
-        return cochain_add(*parts)
-    return sum(parts[1:], parts[0])
 
 
 def _largs_universe(alg: LieRinehartAlgebra, cap: int) -> list[LArg]:
@@ -334,10 +312,9 @@ def total_at(el: NLCochainElement | LinearCECochain, i: int, elems: list[LElemen
         lambda x, rest: inst.lie(x, el.evaluate(i, rest)),
         lambda x, y, rest: el.evaluate(i, [bracket_extend(x, y)] + rest),
     ):
-        total = _add_elements(total, _scale_element(term, sign))
+        total = total + term.scale(sign)
     if i >= 1:
-        term = inst.d(el.evaluate(i - 1, elems))
-        total = _add_elements(total, _scale_element(term, 1 if len(elems) % 2 == 0 else -1))
+        total = total + inst.d(el.evaluate(i - 1, elems)).scale(1 if len(elems) % 2 == 0 else -1)
     return total
 
 
@@ -359,8 +336,8 @@ def peeled_value(el: NLCochainElement, i: int, elems: list[LElement], r: Polynom
     argument: the nonlinearity constraint says this is phi_i at elems with Y
     replaced by r*Y."""
     inst = el.inst
-    return _add_elements(inst.r_act(r, el.evaluate(i, elems)),
-                         inst.h(r, elems[-1], el.evaluate(i + 1, elems[:-1])))
+    return (inst.r_act(r, el.evaluate(i, elems))
+            + inst.h(r, elems[-1], el.evaluate(i + 1, elems[:-1])))
 
 
 def nl_membership(el: NLCochainElement) -> bool:

@@ -8,10 +8,10 @@ products all work on the flat terms; products by the rewrite rules
 e_i * r -> r * e_i + rho(e_i)(r) and
 e_i * e_j -> e_j * e_i + [e_i, e_j] for i > j.  A product is one pass
 over pairs of terms x^m e^alpha, x^n e^beta that reads the normal form of
-the triple e^alpha * x^n * e^beta.  That normal form, and those of
-rho_i(x^p) and e^gamma * e^beta that its recursion reads, are memoized on
-the algebra wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel & Lassner,
-JSC 1988).
+the triple e^alpha * x^n * e^beta.  One recursion gives that normal form,
+e^gamma * e^beta being the triple with n = 0; it and the rho_i(x^p) it
+reads are memoized on the algebra wrapper (Kandri-Rody & Weispfenning,
+JSC 1990; Apel & Lassner, JSC 1988).
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ class EnvelopingAlgebra:
         self._xzero, self._gzero = (0,) * len(alg.vars), (0,) * alg.rank
         self._rho_cache: dict[tuple[int, Expo], dict[Expo, int | Fraction]] = {}
         self._ex_cache: dict[tuple[Expo, Expo, Expo], Flat] = {}
-        self._ee_cache: dict[tuple[Expo, Expo], Flat] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -90,49 +89,37 @@ class EnvelopingAlgebra:
         acc = defaultdict(int)
         unit = self._units[i]
         for (p, gamma), c in flat.items():
-            for (q, delta), d in self._ee(unit, gamma).items():
+            for (q, delta), d in self._ex(unit, self._xzero, gamma).items():
                 acc[_plus(p, q), delta] += c * d
             for r, d in self._rho(i, p).items():
                 acc[r, gamma] += c * d
         return _cleaned(acc)
 
     def _ex(self, alpha: Expo, n: Expo, beta: Expo) -> Flat:
-        """e^alpha * x^n * e^beta in normal form: e_k (e^(alpha - eps_k) x^n e^beta),
-        k the first generator of alpha."""
+        """e^alpha * x^n * e^beta in normal form.  Already ordered when alpha
+        is zero, or n is zero and no generator of alpha comes after the
+        first generator j of beta; otherwise, for n zero and alpha = eps_k,
+        e_j (e_k e^(beta - eps_j)) + [e_k, e_j] e^(beta - eps_j), and else
+        e_k (e^(alpha - eps_k) x^n e^beta), k the first generator of alpha."""
         cached = self._ex_cache.get((alpha, n, beta))
-        if cached is None:
-            k, rest = _pop_first(alpha)
-            cached = (self._gen_times(k, self._ex(rest, n, beta)) if any(alpha)
-                      else {(n, beta): 1})
-            self._ex_cache[alpha, n, beta] = cached
-        return cached
-
-    def _ee(self, gamma: Expo, beta: Expo) -> Flat:
-        """e^gamma * e^beta in normal form.  Already ordered when no
-        generator of gamma comes after the first of beta; otherwise
-        e_k (e^(gamma - eps_k) e^beta) for the first generator k of a gamma
-        of degree above one, and for gamma = eps_i
-        e_j (e_i e^(beta - eps_j)) + [e_i, e_j] e^(beta - eps_j), j the
-        first generator of beta."""
-        cached = self._ee_cache.get((gamma, beta))
         if cached is not None:
             return cached
+        k, rest = _pop_first(alpha)
         j, beta_rest = _pop_first(beta)
-        k, gamma_rest = _pop_first(gamma)
-        last = max((t for t, a in enumerate(gamma) if a), default=0)
-        if last <= j:
-            cached = {(self._xzero, _plus(gamma, beta)): 1}
-        elif any(gamma_rest):
-            cached = self._gen_times(k, self._ee(gamma_rest, beta))
-        else:
-            acc = defaultdict(int, self._gen_times(j, self._ee(gamma, beta_rest)))
+        plain = n == self._xzero
+        if not any(alpha) or plain and max(t for t, a in enumerate(alpha) if a) <= j:
+            cached = {(n, _plus(alpha, beta)): 1}
+        elif plain and not any(rest):
+            acc = defaultdict(int, self._gen_times(j, self._ex(alpha, n, beta_rest)))
             for l, f in enumerate(self.alg.structure_vector(k, j)):
                 if f:
-                    for (q, delta), d in self._ee(self._units[l], beta_rest).items():
+                    for (q, delta), d in self._ex(self._units[l], n, beta_rest).items():
                         for m, a in f.terms.items():
                             acc[_plus(m, q), delta] += a * d
             cached = _cleaned(acc)
-        self._ee_cache[gamma, beta] = cached
+        else:
+            cached = self._gen_times(k, self._ex(rest, n, beta))
+        self._ex_cache[alpha, n, beta] = cached
         return cached
 
 
@@ -180,19 +167,12 @@ class UEAElement:
     def __sub__(self, other: "UEAElement") -> "UEAElement":
         return UEAElement._of(self.parent, _merged(self.flat, other.flat, sub))
 
-    def scale(self, f) -> "UEAElement":
-        """f * self for a polynomial or a scalar f; R is an integral domain,
-        so no coefficient of a nonzero scalar f times self is zero."""
-        if not f:
+    def scale(self, c) -> "UEAElement":
+        """c * self for a scalar c; R is an integral domain, so a nonzero c
+        leaves no zero coefficient."""
+        if not c:
             return self.parent.zero()
-        if not isinstance(f, Polynomial):
-            return UEAElement._of(self.parent, {k: _coefficient(f * c) for k, c in self.flat.items()})
-        acc: dict = {}
-        for (m, e), c in self.flat.items():
-            for n, a in f.terms.items():
-                key = _plus(n, m), e
-                acc[key] = acc.get(key, 0) + a * c
-        return UEAElement._of(self.parent, _cleaned(acc))
+        return UEAElement._of(self.parent, {k: _coefficient(c * v) for k, v in self.flat.items()})
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
         """The sum of a*b*c x^(m+p) e^delta over x^m e^alpha (a) in self,

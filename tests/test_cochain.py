@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,6 @@ from rinehart import presets
 from rinehart.cochain import (
     CapExceededError,
     TableCochain,
-    add,
     hochschild_b,
     homotopy,
     lie_action,
@@ -61,7 +61,8 @@ def operator_cochains(U, rng):
         "homotopy": homotopy(r, X, hochschild_b(phi)),
         "cup_derivation": cup_derivation(alg.basis_element(alg.rank - 1).anchor_derivation(),
                                          phi),
-        "add": add(phi, psi),
+        "add": phi + psi,
+        "scale": phi.scale(Fraction(-3, 2)),
     }
 
 
@@ -106,3 +107,23 @@ def test_cap_exceeded_is_raised_on_every_call():
             b.eval_monos(((1,), (1,)))
     with pytest.raises(ValueError, match="arity"):
         phi.eval_monos(((0,), (0,)))
+
+
+@pytest.mark.parametrize("spec", ["weyl(2)", "semidirect(sl2,std)"])
+def test_sum_and_scale_are_pointwise(spec):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    rng = random.Random(5)
+    phi, psi = (TableCochain.from_table(U, 2, random_table(rng, U, 2, 3), cap=40)
+                for _ in range(2))
+    total, scaled, zeroed = phi + psi, phi.scale(Fraction(-3, 2)), psi.scale(0)
+    for exps in monomial_tuples(len(U.alg.vars), 2, PROBE_DEGREE):
+        assert total.eval_monos(exps) == phi.eval_monos(exps) + psi.eval_monos(exps)
+        assert scaled.eval_monos(exps) == phi.eval_monos(exps).scale(Fraction(-3, 2))
+        assert zeroed.eval_monos(exps).is_zero()
+
+
+def test_adding_cochains_of_different_arities_raises():
+    U = EnvelopingAlgebra(presets.weyl(1))
+    phi = TableCochain.from_table(U, 1, {}, cap=1)
+    with pytest.raises(ValueError, match="arities 1 and 2"):
+        phi + hochschild_b(phi)

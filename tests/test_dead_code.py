@@ -118,7 +118,7 @@ PINNED = {
     "quasimod.py:nl_to_multivector": ITEM_5,
     "quasimod.py:linear_to_nonlinear": ITEM_5,
     "quasimod.py:nonlinear_to_linear": ITEM_5,
-    "cochain.py:scale": ITEM_5_CALLEE,
+    "cochain.py:TableCochain.scale": ITEM_5_CALLEE,
     "pbwext.py:MorphismImage": ITEM_5_CALLEE,
     "pbwext.py:MorphismImage.__init__": ITEM_5_CALLEE,
     "pbwext.py:MorphismImage.phi": ITEM_5_CALLEE,

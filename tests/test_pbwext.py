@@ -138,6 +138,21 @@ def test_a_negated_koszul_differential_fails_with_a_replayable_witness(monkeypat
     assert replay.failures == rep.failures
 
 
+def test_verify_eta_replays_a_leg_lowering_witness_with_samples_n_plus_one(monkeypatch, capsys):
+    # every seeded check of `verify eta` runs --samples trials, so a witness
+    # at trial N replays with --samples N+1
+    monkeypatch.setattr(pbwext, "adj_delta", lambda P, v: -adj_delta(P, v))
+    details = []
+    for samples in ("50", "6"):
+        code = cli.main(["--algebra", "weyl(2)", "--seed", "5", "verify", "eta",
+                         "--samples", samples])
+        assert code == 1
+        details.append(next(c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]
+                            if c["name"] == "leg-lowering-identities"))
+    assert details[0].startswith("trial 5, seed=5: leg-lowering anticommutator fails")
+    assert details[1] == details[0]
+
+
 def test_eta_hand_value_weyl():
     # (r, X, Y, D) = (x, e, e, d/dx) with the trivial connection: every term
     # of the scaling expansion vanishes individually, and so does the tensor

@@ -16,10 +16,8 @@ from rinehart.poly import (Polynomial, alternating_value, ce_terms, insert_leg, 
 from rinehart.quasimod import (
     LinearCECochain,
     NLCochainElement,
-    _add_elements,
     _rand_lelement,
     _rand_poly,
-    _scale_element,
     adj_lie,
     adjoint_instance,
     ce_cohomology,
@@ -156,18 +154,13 @@ def reference_quasi_axiom_check(inst, alg, trials=100, seed=0):
             law("d o r = r o d", inst.d(inst.r_act(r, m)), inst.r_act(r, inst.d(m))),
             law("d o lie = lie o d", inst.d(inst.lie(X, m)), inst.lie(X, inst.d(m))),
             law("Leibniz", inst.lie(X, inst.r_act(r, m)),
-                _add_elements(inst.r_act(r, inst.lie(X, m)),
-                              inst.r_act(X.anchor_derivation()(r), m))),
-            law("scaled action homotopy", inst.lie(X.scale(r), m), _add_elements(
-                inst.r_act(r, inst.lie(X, m)),
-                inst.h(r, X, inst.d(m)),
-                inst.d(inst.h(r, X, m)),
-            )),
-            law("homotopy equivariance", inst.lie(Y, inst.h(r, X, m)), _add_elements(
-                inst.h(r, X, inst.lie(Y, m)),
-                inst.h(Y.anchor_derivation()(r), X, m),
-                inst.h(r, bracket_extend(Y, X), m),
-            )),
+                inst.r_act(r, inst.lie(X, m)) + inst.r_act(X.anchor_derivation()(r), m)),
+            law("scaled action homotopy", inst.lie(X.scale(r), m),
+                inst.r_act(r, inst.lie(X, m)) + inst.h(r, X, inst.d(m))
+                + inst.d(inst.h(r, X, m))),
+            law("homotopy equivariance", inst.lie(Y, inst.h(r, X, m)),
+                inst.h(r, X, inst.lie(Y, m)) + inst.h(Y.anchor_derivation()(r), X, m)
+                + inst.h(r, bracket_extend(Y, X), m)),
         ) if w]
 
     return seeded_check(trials, seed, trial)
@@ -176,11 +169,11 @@ def reference_quasi_axiom_check(inst, alg, trials=100, seed=0):
 def mutated(inst, kind):
     """inst with its homotopy zeroed, its lie sign-flipped or its r_act doubled."""
     if kind == "zeroed h":
-        return dataclasses.replace(inst, h=lambda r, X, m: _scale_element(inst.h(r, X, m), 0))
+        return dataclasses.replace(inst, h=lambda r, X, m: inst.h(r, X, m).scale(0))
     if kind == "flipped lie":
-        return dataclasses.replace(inst, lie=lambda X, m: _scale_element(inst.lie(X, m), -1))
+        return dataclasses.replace(inst, lie=lambda X, m: inst.lie(X, m).scale(-1))
     if kind == "doubled r_act":
-        return dataclasses.replace(inst, r_act=lambda r, m: _scale_element(inst.r_act(r, m), 2))
+        return dataclasses.replace(inst, r_act=lambda r, m: inst.r_act(r, m).scale(2))
     return inst
 
 
