@@ -11,7 +11,6 @@ from .lie_rinehart import (
     LElement,
     LieRinehartAlgebra,
     PresentationError,
-    anchor_apply,
     bracket_extend,
     check_axioms,
     from_action,
@@ -28,7 +27,6 @@ __all__ = [
     "Polynomial",
     "PolyDerivation",
     "PresentationError",
-    "anchor_apply",
     "arrangement",
     "bracket_extend",
     "builtin",

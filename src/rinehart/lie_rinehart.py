@@ -201,15 +201,14 @@ class LElement:
         return hash(self.coeffs)
 
     def anchor_derivation(self) -> PolyDerivation:
-        """rho(self) as a derivation of R."""
+        """rho(self) as a derivation of R: x_u goes to sum_k f_k rho_k(x_u)."""
         alg = self.algebra
-        images = []
-        for u in range(len(alg.vars)):
-            im = alg.zero_poly()
-            for k, f in enumerate(self.coeffs):
-                if f:
-                    im = im + f * alg.anchor[k].images[u]
-            images.append(im)
+        images = [alg.zero_poly()] * len(alg.vars)
+        for f, rho in zip(self.coeffs, alg.anchor):
+            if f:
+                for u, im in enumerate(rho.images):
+                    if im:
+                        images[u] = images[u] + f * im
         return PolyDerivation(alg.vars, images)
 
     def __repr__(self):
@@ -221,35 +220,23 @@ class LElement:
         return " + ".join(parts) if parts else "0"
 
 
-def anchor_apply(a: LElement, f: Polynomial) -> Polynomial:
-    """The action of a on f through the anchor."""
-    out = a.algebra.zero_poly()
-    for k, c in enumerate(a.coeffs):
-        if c:
-            out = out + c * a.algebra.anchor[k](f)
-    return out
-
-
 def bracket_extend(a: LElement, b: LElement) -> LElement:
-    """[a, b] by bilinear extension with the Leibniz anchor corrections."""
+    """[a, b] by bilinear extension with the Leibniz anchor corrections, slot
+    by slot: coefficient k is rho(a)(g_k) - rho(b)(f_k) + sum_ij f_i g_j c_ij^k
+    for a = sum f_i e_i and b = sum g_j e_j."""
     alg = a.algebra
     if alg is not b.algebra:
         raise PresentationError("elements of different presentations")
-    out = alg.zero_element()
-    for i, f in enumerate(a.coeffs):
-        if f.is_zero():
-            continue
-        for j, g in enumerate(b.coeffs):
-            if g.is_zero():
-                continue
-            out = out + alg.basis_bracket(i, j).scale(f * g)
-    for j, g in enumerate(b.coeffs):
-        if not g.is_zero():
-            out = out + alg.basis_element(j).scale(anchor_apply(a, g))
-    for i, f in enumerate(a.coeffs):
-        if not f.is_zero():
-            out = out - alg.basis_element(i).scale(anchor_apply(b, f))
-    return out
+    rho_a, rho_b = a.anchor_derivation(), b.anchor_derivation()
+    out = [rho_a(g) - rho_b(f) for f, g in zip(a.coeffs, b.coeffs)]
+    for (i, j), cs in alg._brackets.items():
+        f, g = a.coeffs[i], b.coeffs[j]
+        if f and g:
+            fg = f * g
+            for k, c in enumerate(cs):
+                if c:
+                    out[k] = out[k] + fg * c
+    return LElement(alg, tuple(out))
 
 
 def check_axioms(alg: LieRinehartAlgebra) -> CheckReport:
@@ -336,22 +323,23 @@ class Connection:
             table = [[alg.zero_element() for _ in range(d)] for _ in range(n)]
         if len(table) != n or any(len(row) != d for row in table):
             raise PresentationError("connection table must be n x d")
+        if any(Y.algebra is not alg for row in table for Y in row):
+            raise PresentationError("connection table entry of another presentation")
         self.table = table
 
     def nabla(self, D: PolyDerivation, Y: LElement) -> LElement:
-        """nabla_D(Y): R-linear in D, Leibniz in Y."""
-        alg = self.alg
-        out = alg.zero_element()
-        for j, g in enumerate(Y.coeffs):
-            if g.is_zero():
-                continue
-            out = out + alg.basis_element(j).scale(D(g))
-            for u in range(len(alg.vars)):
-                du = D.images[u]
-                if du.is_zero():
-                    continue
-                out = out + self.table[u][j].scale(g * du)
-        return out
+        """nabla_D(Y): R-linear in D, Leibniz in Y, slot by slot: coefficient k
+        is D(g_k) + sum_{u,j} g_j D(x_u) Gamma[u][j]_k for Y = sum g_j e_j and
+        Gamma[u][j] = nabla_{d/dx_u}(e_j)."""
+        out = [D(g) for g in Y.coeffs]
+        for du, row in zip(D.images, self.table):
+            for g, gamma in zip(Y.coeffs, row):
+                if du and g and not gamma.is_zero():
+                    h = g * du
+                    for k, c in enumerate(gamma.coeffs):
+                        if c:
+                            out[k] = out[k] + h * c
+        return LElement(self.alg, tuple(out))
 
     def basic_l(self, X: LElement, Y: LElement) -> LElement:
         """The induced connection on L along X, applied to Y."""

@@ -282,14 +282,20 @@ class PolyDerivation:
         return cls(vars, images)
 
     def __call__(self, p: Polynomial) -> Polynomial:
+        """D(p) term by term, with no Polynomial built on the way: c x^e goes
+        to the sum over i of c e_i x^(e - 1_i) D(x_i), each term of D(x_i) a
+        shift of e."""
         if p.vars != self.vars:
             raise VariableMismatch(f"{p.vars} vs {self.vars}")
-        out = Polynomial.zero(self.vars)
+        acc: dict[Exponent, int | Fraction] = {}
         for i, im in enumerate(self.images):
-            if im.is_zero():
-                continue
-            out = out + p.partial(i) * im
-        return out
+            for e, ci in im.terms.items():
+                shift = e[:i] + (e[i] - 1,) + e[i + 1:]
+                for exp, c in p.terms.items():
+                    if exp[i]:
+                        key = tuple(map(operator.add, exp, shift))
+                        acc[key] = acc.get(key, 0) + exp[i] * c * ci
+        return Polynomial._of(self.vars, _cleaned(acc))
 
     def __add__(self, other: "PolyDerivation") -> "PolyDerivation":
         return PolyDerivation(self.vars, [a + b for a, b in zip(self.images, other.images)])

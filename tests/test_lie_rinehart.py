@@ -9,7 +9,6 @@ from rinehart.lie_rinehart import (
     Connection,
     LieRinehartAlgebra,
     PresentationError,
-    anchor_apply,
     bracket_extend,
     check_axioms,
     from_action,
@@ -19,6 +18,7 @@ from rinehart.lie_rinehart import (
 )
 from rinehart.poly import Polynomial, PolyDerivation, parse_poly
 from rinehart.quasimod import ruth_check
+from test_quasimod import BUILTINS, random_connection
 
 
 def rand_poly(rng, alg, max_deg=2):
@@ -97,15 +97,15 @@ def test_arrangement_bracket():
 def test_anchor_apply():
     alg = presets.weyl(1)
     e = alg.basis_element(0)
-    assert anchor_apply(e, parse_poly(alg.vars, "x^2")) == parse_poly(alg.vars, "2*x")
+    assert e.anchor_derivation()(parse_poly(alg.vars, "x^2")) == parse_poly(alg.vars, "2*x")
     ab = presets.lie("abelian2")
-    assert anchor_apply(ab.basis_element(0), parse_poly(ab.vars, "3")).is_zero()
+    assert ab.basis_element(0).anchor_derivation()(parse_poly(ab.vars, "3")).is_zero()
 
 
 def test_arrangement_euler_weight():
     alg = presets.arrangement(["x", "y-x", "y+x"])
     E = alg.basis_element(0)
-    assert anchor_apply(E, parse_poly(alg.vars, "x^2*y")) == parse_poly(alg.vars, "3*x^2*y")
+    assert E.anchor_derivation()(parse_poly(alg.vars, "x^2*y")) == parse_poly(alg.vars, "3*x^2*y")
 
 
 def test_leibniz_random():
@@ -115,7 +115,7 @@ def test_leibniz_random():
             X, Y = rand_element(rng, alg), rand_element(rng, alg)
             f = rand_poly(rng, alg)
             lhs = bracket_extend(X, Y.scale(f))
-            rhs = Y.scale(anchor_apply(X, f)) + bracket_extend(X, Y).scale(f)
+            rhs = Y.scale(X.anchor_derivation()(f)) + bracket_extend(X, Y).scale(f)
             assert (lhs - rhs).is_zero()
 
 
@@ -217,6 +217,117 @@ def test_curvature_relations_random_connection():
         assert (lhs + plain_curvature_l(conn, X, Y, Z)).is_zero()
         lhs2 = conn.basic_curvature(X, Y, D).anchor_derivation()
         assert (lhs2 + plain_curvature_der(conn, X, Y, D)).is_zero()
+
+
+# -- the compositional references ---------------------------------------------
+#
+# Brackets, anchors, connections and derivations built from whole module
+# elements and polynomials: each basis element scaled and added, each
+# derivation summed over the partials.  The slot-by-slot library code must
+# agree with them.
+
+
+def reference_apply(D, p):
+    """D(p) as the sum over i of (d p / d x_i) D(x_i)."""
+    out = Polynomial.zero(D.vars)
+    for i, im in enumerate(D.images):
+        if not im.is_zero():
+            out = out + p.partial(i) * im
+    return out
+
+
+def reference_anchor_derivation(X):
+    alg = X.algebra
+    images = []
+    for u in range(len(alg.vars)):
+        im = alg.zero_poly()
+        for k, f in enumerate(X.coeffs):
+            if f:
+                im = im + f * alg.anchor[k].images[u]
+        images.append(im)
+    return PolyDerivation(alg.vars, images)
+
+
+def reference_anchor_apply(a, f):
+    out = a.algebra.zero_poly()
+    for k, c in enumerate(a.coeffs):
+        if c:
+            out = out + c * reference_apply(a.algebra.anchor[k], f)
+    return out
+
+
+def reference_bracket_extend(a, b):
+    alg = a.algebra
+    out = alg.zero_element()
+    for i, f in enumerate(a.coeffs):
+        if f.is_zero():
+            continue
+        for j, g in enumerate(b.coeffs):
+            if g.is_zero():
+                continue
+            out = out + alg.basis_bracket(i, j).scale(f * g)
+    for j, g in enumerate(b.coeffs):
+        if not g.is_zero():
+            out = out + alg.basis_element(j).scale(reference_anchor_apply(a, g))
+    for i, f in enumerate(a.coeffs):
+        if not f.is_zero():
+            out = out - alg.basis_element(i).scale(reference_anchor_apply(b, f))
+    return out
+
+
+def reference_nabla(conn, D, Y):
+    alg = conn.alg
+    out = alg.zero_element()
+    for j, g in enumerate(Y.coeffs):
+        if g.is_zero():
+            continue
+        out = out + alg.basis_element(j).scale(reference_apply(D, g))
+        for u in range(len(alg.vars)):
+            du = D.images[u]
+            if du.is_zero():
+                continue
+            out = out + conn.table[u][j].scale(g * du)
+    return out
+
+
+def rand_fraction_poly(rng, vars):
+    """Zero about a third of the time, else up to three terms of degree <= 2
+    per variable with Fraction and int coefficients."""
+    p = Polynomial.zero(vars)
+    for _ in range(rng.choice([0, 1, 2, 3])):
+        exp = tuple(rng.randint(0, 2) for _ in vars)
+        p = p + Polynomial.monomial(vars, exp, rng.choice([Fraction(-3, 2), -1, Fraction(1, 3), 2]))
+    return p
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["lie(abelian2)"])
+def test_slot_by_slot_arithmetic_equals_the_compositional_reference(name):
+    rng = random.Random(47)
+    alg = presets.builtin(name)
+    conns = (Connection(alg), random_connection(rng, alg))
+    for _ in range(8):
+        X, Y = (alg.element([rand_fraction_poly(rng, alg.vars) for _ in range(alg.rank)])
+                for _ in range(2))
+        p = rand_fraction_poly(rng, alg.vars)
+        D = PolyDerivation(alg.vars, [rand_fraction_poly(rng, alg.vars) for _ in alg.vars])
+        assert D(p) == reference_apply(D, p)
+        assert X.anchor_derivation() == reference_anchor_derivation(X)
+        assert X.anchor_derivation()(p) == reference_anchor_apply(X, p)
+        assert bracket_extend(X, Y) == reference_bracket_extend(X, Y)
+        for conn in conns:
+            assert conn.nabla(D, Y) == reference_nabla(conn, D, Y)
+            assert conn.nabla(X.anchor_derivation(), Y) == reference_nabla(
+                conn, reference_anchor_derivation(X), Y)
+
+
+def test_connection_refuses_a_table_entry_of_another_presentation():
+    # nabla adds an entry's coefficients slot by slot, so an entry of another
+    # rank would be cut to length or overrun the slots
+    arr = presets.builtin("arrangement(x,y-x,y+x)")
+    table = [[arr.zero_element() for _ in range(arr.rank)] for _ in arr.vars]
+    table[0][0] = presets.builtin("semidirect(sl2,std)").basis_element(2)
+    with pytest.raises(PresentationError, match="another presentation"):
+        Connection(arr, table)
 
 
 # -- the seeded trial loop ------------------------------------------------------
