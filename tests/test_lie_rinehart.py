@@ -291,7 +291,7 @@ def reference_nabla(conn, D, Y):
 
 
 def rand_fraction_poly(rng, vars):
-    """Zero about a third of the time, else up to three terms of degree <= 2
+    """Zero about a quarter of the time, else up to three terms of degree <= 2
     per variable with Fraction and int coefficients."""
     p = Polynomial.zero(vars)
     for _ in range(rng.choice([0, 1, 2, 3])):
