@@ -13,7 +13,9 @@ memoize its values.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .lie_rinehart import LElement
 from .poly import Polynomial, exponents, multilinear_terms
@@ -32,10 +34,11 @@ class TableCochain:
     Kernel values are memoized per argument tuple for the life of the cochain;
     an error, such as CapExceededError, is raised again on every call."""
 
-    def __init__(self, U: EnvelopingAlgebra, arity: int, kernel):
+    def __init__(self, U: EnvelopingAlgebra, arity: int, kernel, summands=()):
         self.U = U
         self.arity = arity
         self.kernel = kernel
+        self.summands: tuple[TableCochain, ...] = summands  # the terms of a sum node
         self._values: dict[tuple[Mono, ...], UEAElement] = {}
 
     @classmethod
@@ -59,11 +62,13 @@ class TableCochain:
         return value
 
     def __add__(self, other: "TableCochain") -> "TableCochain":
-        """The pointwise sum, evaluated lazily."""
+        """The pointwise sum, evaluated lazily.  A chain a + b + c is one node
+        over its summands, so no partial sum is stored."""
         if other.arity != self.arity:
             raise ValueError(f"cannot add cochains of arities {self.arity} and {other.arity}")
-        return TableCochain(self.U, self.arity,
-                            lambda exps: self.eval_monos(exps) + other.eval_monos(exps))
+        summands = (self.summands or (self,)) + (other.summands or (other,))
+        return TableCochain(self.U, self.arity, lambda exps: functools.reduce(
+            operator.add, (term.eval_monos(exps) for term in summands)), summands)
 
     def scale(self, c) -> "TableCochain":
         """c * self for a scalar c, evaluated lazily."""
@@ -79,14 +84,17 @@ class TableCochain:
         return out
 
 
-def monomial_tuples(nvars: int, arity: int, total_degree: int):
+_TUPLES: dict[tuple[int, int, int], tuple] = {}  # monomial_tuples per argument triple
+
+
+def monomial_tuples(nvars: int, arity: int, total_degree: int) -> tuple[tuple[Mono, ...], ...]:
     """All arity-tuples of monomial exponents with total degree <= bound."""
-    monos = exponents((1,) * nvars, total_degree)
-    out = []
-    for combo in itertools.product(monos, repeat=arity):
-        if sum(sum(e) for e in combo) <= total_degree:
-            out.append(combo)
-    return out
+    key = (nvars, arity, total_degree)
+    if key not in _TUPLES:
+        monos = exponents((1,) * nvars, total_degree)
+        _TUPLES[key] = tuple(combo for combo in itertools.product(monos, repeat=arity)
+                             if sum(sum(e) for e in combo) <= total_degree)
+    return _TUPLES[key]
 
 
 def cochain_equal(a: TableCochain, b: TableCochain) -> bool:

@@ -167,11 +167,12 @@ class LieRinehartAlgebra:
 class LElement:
     """Element sum_k f_k e_k of the free module, coefficients in R."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "coeffs", "_rho")
 
     def __init__(self, algebra: LieRinehartAlgebra, coeffs: tuple[Polynomial, ...]):
         self.algebra = algebra
         self.coeffs = coeffs
+        self._rho: PolyDerivation | None = None
 
     def __add__(self, other: "LElement") -> "LElement":
         return LElement(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -184,7 +185,8 @@ class LElement:
 
     def scale(self, f) -> "LElement":
         if isinstance(f, Polynomial):
-            return LElement(self.algebra, tuple(f * a for a in self.coeffs))
+            zero = self.algebra.zero_poly()
+            return LElement(self.algebra, tuple(f * a if f and a else zero for a in self.coeffs))
         return LElement(self.algebra, tuple(a.scale(f) for a in self.coeffs))
 
     def is_zero(self) -> bool:
@@ -201,15 +203,17 @@ class LElement:
         return hash(self.coeffs)
 
     def anchor_derivation(self) -> PolyDerivation:
-        """rho(self) as a derivation of R: x_u goes to sum_k f_k rho_k(x_u)."""
-        alg = self.algebra
-        images = [alg.zero_poly()] * len(alg.vars)
-        for f, rho in zip(self.coeffs, alg.anchor):
-            if f:
-                for u, im in enumerate(rho.images):
-                    if im:
-                        images[u] = images[u] + f * im
-        return PolyDerivation(alg.vars, images)
+        """rho(self) as a derivation of R, built once: x_u goes to sum_k f_k rho_k(x_u)."""
+        if self._rho is None:
+            alg = self.algebra
+            images = [alg.zero_poly()] * len(alg.vars)
+            for f, rho in zip(self.coeffs, alg.anchor):
+                if f:
+                    for u, im in enumerate(rho.images):
+                        if im:
+                            images[u] = images[u] + f * im
+            self._rho = PolyDerivation(alg.vars, images)
+        return self._rho
 
     def __repr__(self):
         parts = [

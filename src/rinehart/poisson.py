@@ -83,16 +83,16 @@ class SymAlgebra:
         return out
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Biderivation extension of the generator brackets."""
-        out = Polynomial.zero(self.vars)
+        """Biderivation extension of the generator brackets; no product by a zero partial."""
+        out = zero = Polynomial.zero(self.vars)
         fps = [f.partial(a) for a in range(self.N)]
         gps = [g.partial(b) for b in range(self.N)]
         for (a, b), coef in self._table.items():
-            if coef.is_zero():
-                continue
-            term = fps[a] * gps[b] - fps[b] * gps[a]
-            if not term.is_zero():
-                out = out + coef * term
+            if coef:
+                term = ((fps[a] * gps[b] if fps[a] and gps[b] else zero)
+                        - (fps[b] * gps[a] if fps[b] and gps[a] else zero))
+                if term:
+                    out = out + coef * term
         return out
 
     def coordinate_action(self, a: int, g: Polynomial) -> Polynomial:

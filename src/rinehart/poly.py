@@ -305,7 +305,8 @@ class PolyDerivation:
 
     def scale_by(self, f: Polynomial | int | Fraction) -> "PolyDerivation":
         if isinstance(f, Polynomial):
-            return PolyDerivation(self.vars, [f * a for a in self.images])
+            zero = Polynomial.zero(self.vars)
+            return PolyDerivation(self.vars, [f * a if f and a else zero for a in self.images])
         return PolyDerivation(self.vars, [a.scale(f) for a in self.images])
 
     def commutator(self, other: "PolyDerivation") -> "PolyDerivation":

@@ -127,3 +127,32 @@ def test_adding_cochains_of_different_arities_raises():
     phi = TableCochain.from_table(U, 1, {}, cap=1)
     with pytest.raises(ValueError, match="arities 1 and 2"):
         phi + hochschild_b(phi)
+
+
+@pytest.mark.parametrize("spec", ["weyl(2)", "semidirect(sl2,std)"])
+def test_a_chain_of_sums_is_one_node_over_its_summands(spec):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    rng = random.Random(11)
+    a, b, c, d = (TableCochain.from_table(U, 2, random_table(rng, U, 2, 3), cap=40)
+                  for _ in range(4))
+    total = (a + b) + (c + d)
+    assert total.summands == (a, b, c, d) and a.summands == ()
+    assert (a + b + c).summands == (a, b, c)
+    # a scaled sum is a new term, not flattened into the next sum
+    assert len(((a + b).scale(2) + c).summands) == 2
+    for exps in monomial_tuples(len(U.alg.vars), 2, PROBE_DEGREE):
+        left, right = (x.eval_monos(exps) + y.eval_monos(exps) for x, y in ((a, b), (c, d)))
+        assert total.eval_monos(exps) == left + right
+    with pytest.raises(ValueError, match="arities 2 and 3"):
+        total + hochschild_b(a)
+    with pytest.raises(ValueError, match="arities 3 and 2"):
+        hochschild_b(a) + total
+
+
+def test_monomial_tuples_are_built_once_as_a_tuple():
+    first = monomial_tuples(2, 3, 2)
+    assert isinstance(first, tuple) and monomial_tuples(2, 3, 2) is first
+    monos = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
+    brute = {(p, q, r) for p in monos for q in monos for r in monos
+             if sum(map(sum, (p, q, r))) <= 2}
+    assert len(first) == len(set(first)) and set(first) == brute

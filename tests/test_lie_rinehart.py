@@ -16,6 +16,7 @@ from rinehart.lie_rinehart import (
     poly_divide_exact,
     seeded_check,
 )
+from rinehart.poisson import SymAlgebra
 from rinehart.poly import Polynomial, PolyDerivation, parse_poly
 from rinehart.quasimod import ruth_check
 from test_quasimod import BUILTINS, random_connection
@@ -310,6 +311,16 @@ def test_slot_by_slot_arithmetic_equals_the_compositional_reference(name):
                 for _ in range(2))
         p = rand_fraction_poly(rng, alg.vars)
         D = PolyDerivation(alg.vars, [rand_fraction_poly(rng, alg.vars) for _ in alg.vars])
+        # the paths that reuse X's anchor derivation run first and fill its memo
+        bracket_extend(X, Y)
+        reused = [(conn.basic_l(X, Y), conn.basic_der(X, D)) for conn in conns]
+        rho = X.anchor_derivation()
+        assert rho == reference_anchor_derivation(X)
+        assert X.anchor_derivation() is rho
+        # the memo is not part of the value: EtaContext caches key on elements
+        fresh = alg.element(X.coeffs)
+        assert fresh == X and hash(fresh) == hash(X)
+        assert reused == [(conn.basic_l(fresh, Y), conn.basic_der(fresh, D)) for conn in conns]
         assert D(p) == reference_apply(D, p)
         assert X.anchor_derivation() == reference_anchor_derivation(X)
         assert X.anchor_derivation()(p) == reference_anchor_apply(X, p)
@@ -318,6 +329,52 @@ def test_slot_by_slot_arithmetic_equals_the_compositional_reference(name):
             assert conn.nabla(D, Y) == reference_nabla(conn, D, Y)
             assert conn.nabla(X.anchor_derivation(), Y) == reference_nabla(
                 conn, reference_anchor_derivation(X), Y)
+
+
+def reference_symbol_bracket(P, f, g):
+    """SymAlgebra.bracket as the sum over a < b of {x_a, x_b} (f_a g_b - f_b g_a)."""
+    out = Polynomial.zero(P.vars)
+    for (a, b), coef in P._table.items():
+        out = out + coef * (f.partial(a) * g.partial(b) - f.partial(b) * g.partial(a))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["lie(abelian2)"])
+def test_scalings_and_the_symbol_bracket_multiply_no_zero_operand(name, monkeypatch):
+    rng = random.Random(53)
+    alg = presets.builtin(name)
+    P = SymAlgebra(alg)
+    zero = alg.zero_poly()
+    products = []
+    mul = Polynomial.__mul__
+
+    def recording(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording)
+    zero_products = 0
+    for t in range(8):
+        # every other slot and image zero; f zero about a quarter of the time
+        X = alg.element([rand_fraction_poly(rng, alg.vars) if (k + t) % 2 else zero
+                         for k in range(alg.rank)])
+        D = PolyDerivation(alg.vars, [rand_fraction_poly(rng, alg.vars) if (u + t) % 2 else zero
+                                      for u in range(len(alg.vars))])
+        f = rand_fraction_poly(rng, alg.vars)
+        # a ring element has zero partials along the generators, a symbol
+        # with zero slots along those generators
+        s, g = P.lift(rand_fraction_poly(rng, alg.vars)), P.element_symbol(X)
+        products.clear()
+        want = (alg.element([f * a for a in X.coeffs]),
+                PolyDerivation(alg.vars, [f * a for a in D.images]),
+                reference_symbol_bracket(P, s, g), reference_symbol_bracket(P, g, s))
+        zero_products += sum(1 for a, b in products if not (a and b))
+        products.clear()
+        got = (X.scale(f), D.scale_by(f), P.bracket(s, g), P.bracket(g, s))
+        assert all(a and b for a, b in products), name
+        assert got == want
+    # the references multiply by zero, so the inputs reach every skip
+    assert zero_products
 
 
 def test_connection_refuses_a_table_entry_of_another_presentation():
