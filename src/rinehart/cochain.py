@@ -9,13 +9,12 @@ truncating.
 Operators compose cochains lazily, so one inner value is asked for many times
 (once per term of b, L_X, h and the cup products that reach it).  Kernels are
 pure and no code mutates a returned value, which is what lets each cochain
-memoize its values.
+memoize its values.  Each kernel call adds its products and signed terms into
+one coefficient map of its own (`EnvelopingAlgebra.add_product`) and cleans it once.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 
 from .lie_rinehart import LElement
 from .poly import Polynomial, exponents, multilinear_terms
@@ -67,8 +66,14 @@ class TableCochain:
         if other.arity != self.arity:
             raise ValueError(f"cannot add cochains of arities {self.arity} and {other.arity}")
         summands = (self.summands or (self,)) + (other.summands or (other,))
-        return TableCochain(self.U, self.arity, lambda exps: functools.reduce(
-            operator.add, (term.eval_monos(exps) for term in summands)), summands)
+
+        def kernel(exps):
+            acc = {}
+            for term in summands:
+                self.U.add_sum(acc, term.eval_monos(exps).flat)
+            return self.U.collect(acc)
+
+        return TableCochain(self.U, self.arity, kernel, summands)
 
     def scale(self, c) -> "TableCochain":
         """c * self for a scalar c, evaluated lazily."""
@@ -78,10 +83,10 @@ class TableCochain:
         """Multilinear evaluation on polynomial arguments."""
         if len(args) != self.arity:
             raise ValueError(f"arity {self.arity} cochain got {len(args)} arguments")
-        out = self.U.zero()
+        U, acc = self.U, {}
         for exps, coeff in multilinear_terms([a.terms.items() for a in args]):
-            out = out + self.eval_monos(exps).scale(coeff)
-        return out
+            U.add_sum(acc, self.eval_monos(exps).flat, coeff)
+        return U.collect(acc)
 
 
 _TUPLES: dict[tuple[int, int, int], tuple] = {}  # monomial_tuples per argument triple
@@ -121,20 +126,21 @@ def hochschild_b(phi: TableCochain) -> TableCochain:
         return zero_cochain(U, q + 1)
 
     def kernel(exps):
-        out = U.x_power(exps[0]) * phi.eval_monos(exps[1:])
+        acc = U.add_product({}, U.x_power(exps[0]).flat, phi.eval_monos(exps[1:]).flat)
         for i in range(q):
             merged = exps[:i] + (tuple(x + y for x, y in zip(exps[i], exps[i + 1])),) + exps[i + 2:]
-            term = phi.eval_monos(merged)
-            out = out + term if i % 2 == 1 else out - term
-        last = phi.eval_monos(exps[:-1]) * U.x_power(exps[-1])
-        return out + last if q % 2 == 1 else out - last
+            U.add_sum(acc, phi.eval_monos(merged).flat, 1 if i % 2 == 1 else -1)
+        U.add_product(acc, phi.eval_monos(exps[:-1]).flat, U.x_power(exps[-1]).flat,
+                      1 if q % 2 == 1 else -1)
+        return U.collect(acc)
 
     return TableCochain(U, q + 1, kernel)
 
 
 def r_action(f: Polynomial, phi: TableCochain) -> TableCochain:
-    fU = phi.U.scalar(f)
-    return TableCochain(phi.U, phi.arity, lambda exps: fU * phi.eval_monos(exps))
+    U, fU = phi.U, phi.U.scalar(f).flat
+    kernel = lambda exps: U.collect(U.add_product({}, fU, phi.eval_monos(exps).flat))
+    return TableCochain(U, phi.arity, kernel)
 
 
 def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
@@ -142,12 +148,12 @@ def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
     U = phi.U
     q = phi.arity
     rho = X.anchor_derivation()
-    iX = U.include(X)
+    iX = U.include(X).flat
     moved: dict[Mono, Polynomial] = {}  # rho(x^e) per exponent e
 
     def kernel(exps):
-        val = phi.eval_monos(exps)
-        out = iX * val - val * iX
+        val = phi.eval_monos(exps).flat
+        acc = U.add_product(U.add_product({}, iX, val), val, iX, -1)
         # the exponents are keys of the value memo: tuples, taken unchecked
         args = [Polynomial._of(U.alg.vars, {e: 1}) for e in exps]
         for i, e in enumerate(exps):
@@ -155,8 +161,8 @@ def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
                 moved[e] = rho(args[i])
             if moved[e].is_zero():
                 continue
-            out = out - phi(*args[:i], moved[e], *args[i + 1:])
-        return out
+            U.add_sum(acc, phi(*args[:i], moved[e], *args[i + 1:]).flat, -1)
+        return U.collect(acc)
 
     return TableCochain(U, q, kernel)
 
@@ -175,24 +181,22 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
         # b(h(phi)) lands in arity 0 again
         return zero_cochain(U, -1)
     rho = X.anchor_derivation()
-    iX = U.include(X)
+    iX = U.include(X).flat
 
     def kernel(exps):
         mono = lambda e: Polynomial.monomial(U.alg.vars, e, 1)
         args = [mono(e) for e in exps]
-        out = U.zero()
+        acc = {}
         for i in range(1, q + 1):
             inserted = args[: i - 1] + [r] + args[i - 1:]
-            term = phi(*inserted) * iX
-            out = out + term if i % 2 == 1 else out - term
+            U.add_product(acc, phi(*inserted).flat, iX, 1 if i % 2 == 1 else -1)
         for i in range(1, q):
             for j in range(i, q):
                 # act on original argument j, which sits one slot right of r
                 acted = args[: i - 1] + [r] + args[i - 1:]
                 acted[j] = rho(args[j - 1])
-                term = phi(*acted)
-                out = out + term if i % 2 == 1 else out - term
-        return out
+                U.add_sum(acc, phi(*acted).flat, 1 if i % 2 == 1 else -1)
+        return U.collect(acc)
 
     return TableCochain(U, q - 1, kernel)
 

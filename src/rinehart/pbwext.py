@@ -125,16 +125,16 @@ def _nabla_b_decomposed(ctx: EtaContext, X: LElement, Ds: tuple, Xs: tuple):
 def tower_eval(ctx: EtaContext, Ys: tuple, v: Multivector, args: tuple) -> UEAElement:
     """Evaluate the tower map for the ordered module tuple Ys; with Ys = ()
     this is the extended lift."""
-    total = ctx.U.zero()
+    U, acc = ctx.U, {}
     for coeff, Ds, Xs, scalar in _decompose(ctx, v):
         if scalar is not None:
             if not Ys:
                 if args:
                     raise ValueError("scalar part takes no arguments")
-                total = total + ctx.U.scalar(scalar).scale(coeff)
+                U.add_sum(acc, U.scalar(scalar).flat, coeff)
             continue
-        total = total + _tower_term(ctx, Ys, Ds, Xs, args).scale(coeff)
-    return total
+        U.add_sum(acc, _tower_term(ctx, Ys, Ds, Xs, args).flat, coeff)
+    return U.collect(acc)
 
 
 def _tower_term(ctx: EtaContext, Ys: tuple, Ds: tuple, Xs: tuple, args: tuple) -> UEAElement:
@@ -151,7 +151,7 @@ def _tower_term(ctx: EtaContext, Ys: tuple, Ds: tuple, Xs: tuple, args: tuple) -
     cached = ctx._tower_cache.get(key)
     if cached is not None:
         return cached
-    result = U.zero()
+    acc = {}
     mono = Polynomial.monomial(alg.vars, args[0], 1) if args else None
     for i, D in enumerate(Ds):
         if mono is None:
@@ -162,23 +162,21 @@ def _tower_term(ctx: EtaContext, Ys: tuple, Ds: tuple, Xs: tuple, args: tuple) -
         # one-based sign (-1)^{i+1+n}
         sign = 1 if (i + n) % 2 == 0 else -1
         rest = Ds[:i] + Ds[i + 1:]
-        result = result + (
-            U.scalar(head) * _tower_term(ctx, Ys, rest, Xs, args[1:])
-        ).scale(sign)
+        U.add_product(acc, U.scalar(head).flat,
+                      _tower_term(ctx, Ys, rest, Xs, args[1:]).flat, sign)
     for j, X in enumerate(Xs):
         rest = Xs[:j] + Xs[j + 1:]
-        result = result + U.include(X) * _tower_term(ctx, Ys, Ds, rest, args)
+        U.add_product(acc, U.include(X).flat, _tower_term(ctx, Ys, Ds, rest, args).flat)
         for piece_Ds, piece_Xs, piece_coeff in _nabla_b_decomposed(ctx, X, Ds, rest):
-            result = result - _tower_term(ctx, Ys, piece_Ds, piece_Xs, args).scale(piece_coeff)
+            U.add_sum(acc, _tower_term(ctx, Ys, piece_Ds, piece_Xs, args).flat, -piece_coeff)
     for i, Y in enumerate(Ys):
         rest_Y = Ys[:i] + Ys[i + 1:]
         # one-based sign (-1)^{i+n}
         sign = 1 if (i + 1 + n) % 2 == 0 else -1
         for piece_Ds, piece_Xs, piece_coeff in _f_decomposed(ctx, Y, Ds, Xs):
-            result = result + _tower_term(ctx, rest_Y, piece_Ds, piece_Xs, args).scale(
-                piece_coeff if sign == 1 else -piece_coeff
-            )
-    ctx._tower_cache[key] = result
+            U.add_sum(acc, _tower_term(ctx, rest_Y, piece_Ds, piece_Xs, args).flat,
+                      sign * piece_coeff)
+    result = ctx._tower_cache[key] = U.collect(acc)
     return result
 
 

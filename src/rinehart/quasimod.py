@@ -110,8 +110,8 @@ def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) ->
     alg = P.alg
     lifted = [P.lift(im) for im in X.anchor_derivation().images]
     anchored = Multivector.summed(P, v.degree, (
-        (legs, c.partial(u) * im)
-        for legs, c in v.terms.items() for u, im in enumerate(lifted) if im
+        (legs, dc * im) for legs, c in v.terms.items()
+        for u, im in enumerate(lifted) if im and (dc := c.partial(u))
     ))
     return anchored + replace_legs_and_factors(
         P, v,

@@ -11,7 +11,10 @@ over pairs of terms x^m e^alpha, x^n e^beta that reads the normal form of
 the triple e^alpha * x^n * e^beta.  One recursion gives that normal form,
 e^gamma * e^beta being the triple with n = 0; it and the rho_i(x^p) it
 reads are memoized on the algebra wrapper (Kandri-Rody & Weispfenning,
-JSC 1990; Apel & Lassner, JSC 1988).
+JSC 1990; Apel & Lassner, JSC 1988).  That pass, `add_product`, adds
+s * a * b into a caller's map, `add_sum` adds s * a and `collect` cleans the
+map once: a kernel builds its value in one map of its own, not one element
+per product or partial sum.
 """
 from __future__ import annotations
 
@@ -73,6 +76,29 @@ class EnvelopingAlgebra:
 
     def monomial(self, coeff: Polynomial, exp: Expo) -> "UEAElement":
         return UEAElement(self, {exp: coeff})
+
+    def add_product(self, acc: dict, a: Flat, b: Flat, s=1) -> dict:
+        """acc plus s*x*y*c x^(m+p) e^delta over x x^m e^alpha in a, y x^n e^beta
+        in b and c x^p e^delta in e^alpha x^n e^beta, in place; acc may hold
+        zeros and integral Fractions until `collect`."""
+        ex = self._ex
+        for (m, alpha), x in a.items():
+            for (n, beta), y in b.items():
+                xy = s * x * y
+                for (p, delta), c in ex(alpha, n, beta).items():
+                    key = _plus(m, p), delta
+                    acc[key] = acc.get(key, 0) + xy * c
+        return acc
+
+    def add_sum(self, acc: dict, a: Flat, s=1) -> dict:
+        """acc plus s * a, in place."""
+        for key, c in a.items():
+            acc[key] = acc.get(key, 0) + s * c
+        return acc
+
+    def collect(self, acc: dict) -> "UEAElement":
+        """The element of an accumulated map, zeros dropped."""
+        return UEAElement._of(self, _cleaned(acc))
 
     # -- normal ordering core on flat terms --------------------------------
 
@@ -175,19 +201,10 @@ class UEAElement:
         return UEAElement._of(self.parent, {k: _coefficient(c * v) for k, v in self.flat.items()})
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
-        """The sum of a*b*c x^(m+p) e^delta over x^m e^alpha (a) in self,
-        x^n e^beta (b) in other and x^p e^delta (c) in e^alpha x^n e^beta."""
+        """self * other, one `EnvelopingAlgebra.add_product` into an empty map."""
         if not isinstance(other, UEAElement):
             return NotImplemented
-        ex = self.parent._ex
-        acc: Flat = {}
-        for (m, alpha), a in self.flat.items():
-            for (n, beta), b in other.flat.items():
-                ab = a * b
-                for (p, delta), c in ex(alpha, n, beta).items():
-                    key = _plus(m, p), delta
-                    acc[key] = acc.get(key, 0) + ab * c
-        return UEAElement._of(self.parent, _cleaned(acc))
+        return self.parent.collect(self.parent.add_product({}, self.flat, other.flat))
 
     def commutator(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self

@@ -485,6 +485,33 @@ def test_check_output_is_pinned(name, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, suite, digest", [
+    ("weyl(1)", "quasi", "9ebe2c86be49bf93283942f7077c5fa1d88a4bacc11d62cfd39d388db0c7b214"),
+    ("weyl(1)", "tower", "2a80e06efb0b5478f053015fe2128307faa6985d0740b80a97654c1bf856a77b"),
+    ("weyl(1)", "pbw", "37d01bca24c2016143881e761cedfa0ae97bdd3af24a5253479792acf572f320"),
+    ("weyl(1)", "eta", "21123d0723517bb1b9ff1bd8723588058edd3c78e7d31bc3d921781b3ac712e6"),
+    ("weyl(2)", "quasi", "61c9f2d283335f53be51ebff4667bdeb9d9a200b5854b0bc23d9ae7f98e6f345"),
+    ("weyl(2)", "tower", "d04d02c0fd93e27944c109be5bc07e32d84e67acfd50cab884bbe5e2e58410c7"),
+    ("weyl(2)", "pbw", "a277bcf6266e1034b99bed5227c7b1b911205b06f36f7e2da26bb3811ed2ac46"),
+    ("weyl(2)", "eta", "89c8478d8a19a5f0f93a3993a3862071e6b813df42839ef8408e59d4b7d1ecb1"),
+    ("semidirect(sl2,std)", "quasi",
+     "c8cc95fa93707999b13976fe64a7417dd38d8194dc6cd6c9f105ad5deac7dc85"),
+    ("semidirect(sl2,std)", "tower",
+     "179b3e98efb1b851a53bd904039648ee9e8cae7eb6f3f7169184f1508a83869b"),
+    ("semidirect(sl2,std)", "pbw",
+     "2582187cb1be2d5d86cb430dc0e2820601caa32379129fbbaab5b2e73f6c6738"),
+    ("semidirect(sl2,std)", "eta",
+     "797a74d6ca54f559bc5849ee00de5873b2e06d57e3ff07ce3161a98c90a3e2a8"),
+])
+def test_law_check_output_is_pinned(name, suite, digest):
+    # the Hochschild and adjoint quasi-module laws, the PBW chain relation,
+    # the tower identity and the eta tensors at seed 5, byte for byte as
+    # first recorded
+    code, out = run_cli(["--algebra", name, "--seed", "5", "verify", suite, "--samples", "6"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ce_without_weights_exits_two(tmp_path, capsys):
     path = tmp_path / "no_weights.json"
     path.write_text(json.dumps({"vars": ["x"], "rank": 1, "basis": ["e"],

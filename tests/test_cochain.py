@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -11,9 +13,11 @@ from rinehart.cochain import (
     homotopy,
     lie_action,
     monomial_tuples,
+    r_action,
 )
-from rinehart.poly import Polynomial
+from rinehart.poly import Polynomial, multilinear_terms
 from rinehart.uea import EnvelopingAlgebra
+from test_uea import rand_fraction_poly
 
 BUILTINS = ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
             "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"]
@@ -156,3 +160,122 @@ def test_monomial_tuples_are_built_once_as_a_tuple():
     brute = {(p, q, r) for p in monos for q in monos for r in monos
              if sum(map(sum, (p, q, r))) <= 2}
     assert len(first) == len(set(first)) and set(first) == brute
+
+
+# -- the accumulating kernels against pairwise references -------------------------
+#
+# Each reference builds one element per product and per partial sum and adds
+# them two at a time, as the kernels did before they accumulated into one map.
+
+
+def reference_sum(summands):
+    """The pointwise sum of the cochains in summands."""
+    return TableCochain(summands[0].U, summands[0].arity, lambda exps: functools.reduce(
+        operator.add, (term.eval_monos(exps) for term in summands)))
+
+
+def reference_call(phi, *args):
+    """phi on polynomial arguments, by multilinear expansion."""
+    out = phi.U.zero()
+    for exps, coeff in multilinear_terms([a.terms.items() for a in args]):
+        out = out + phi.eval_monos(exps).scale(coeff)
+    return out
+
+
+def reference_hochschild_b(phi):
+    U, q = phi.U, phi.arity
+
+    def kernel(exps):
+        out = U.x_power(exps[0]) * phi.eval_monos(exps[1:])
+        for i in range(q):
+            merged = exps[:i] + (tuple(x + y for x, y in zip(exps[i], exps[i + 1])),) + exps[i + 2:]
+            term = phi.eval_monos(merged)
+            out = out + term if i % 2 == 1 else out - term
+        last = phi.eval_monos(exps[:-1]) * U.x_power(exps[-1])
+        return out + last if q % 2 == 1 else out - last
+
+    return TableCochain(U, q + 1, kernel)
+
+
+def reference_r_action(f, phi):
+    fU = phi.U.scalar(f)
+    return TableCochain(phi.U, phi.arity, lambda exps: fU * phi.eval_monos(exps))
+
+
+def reference_lie_action(X, phi):
+    U = phi.U
+    rho, iX = X.anchor_derivation(), U.include(X)
+
+    def kernel(exps):
+        val = phi.eval_monos(exps)
+        out = iX * val - val * iX
+        args = [Polynomial.monomial(U.alg.vars, e, 1) for e in exps]
+        for i in range(len(exps)):
+            moved = rho(args[i])
+            if not moved.is_zero():
+                out = out - reference_call(phi, *args[:i], moved, *args[i + 1:])
+        return out
+
+    return TableCochain(U, phi.arity, kernel)
+
+
+def reference_homotopy(r, X, phi):
+    U, q = phi.U, phi.arity
+    rho, iX = X.anchor_derivation(), U.include(X)
+
+    def kernel(exps):
+        args = [Polynomial.monomial(U.alg.vars, e, 1) for e in exps]
+        out = U.zero()
+        for i in range(1, q + 1):
+            term = reference_call(phi, *args[: i - 1], r, *args[i - 1:]) * iX
+            out = out + term if i % 2 == 1 else out - term
+        for i in range(1, q):
+            for j in range(i, q):
+                acted = args[: i - 1] + [r] + args[i - 1:]
+                acted[j] = rho(args[j - 1])
+                term = reference_call(phi, *acted)
+                out = out + term if i % 2 == 1 else out - term
+        return out
+
+    return TableCochain(U, q - 1, kernel)
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_accumulating_kernels_equal_the_pairwise_references(spec):
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    alg, n = U.alg, len(U.alg.vars)
+    rng = random.Random(17)
+    nonzero = 0
+    for q in (0, 1, 2):
+        phi, psi, chi = (TableCochain.from_table(U, q, random_table(rng, U, q, 4), cap=40)
+                         for _ in range(3))
+        X = alg.element([rand_fraction_poly(rng, U) for _ in range(alg.rank)])
+        f, r = rand_fraction_poly(rng, U), rand_fraction_poly(rng, U)
+        pairs = [
+            (hochschild_b(phi), reference_hochschild_b(phi)),
+            (r_action(f, phi), reference_r_action(f, phi)),
+            (lie_action(X, phi), reference_lie_action(X, phi)),
+            (phi + psi + chi.scale(-1), reference_sum([phi, psi, chi.scale(-1)])),
+            (phi + phi.scale(-1), reference_sum([phi, phi.scale(-1)])),
+        ]
+        if q:
+            pairs.append((homotopy(r, X, phi), reference_homotopy(r, X, phi)))
+        for got, want in pairs:
+            assert got.arity == want.arity
+            for exps in monomial_tuples(n, got.arity, PROBE_DEGREE):
+                value = got.eval_monos(exps)
+                assert value == want.eval_monos(exps), (spec, q, exps)
+                assert all(c and (c.__class__ is int or c.denominator != 1)
+                           for c in value.flat.values())
+                nonzero += not value.is_zero()
+        for _ in range(4):
+            args = [rand_fraction_poly(rng, U) for _ in range(q)]
+            assert phi(*args) == reference_call(phi, *args)
+    assert nonzero
+    if n:
+        # values of opposite sign on x^0 and x^(1,0..): the call's terms cancel
+        parity = TableCochain(U, 1, lambda exps: U.one().scale((-1) ** sum(exps[0])))
+        x = Polynomial.monomial(alg.vars, (1,) + (0,) * (n - 1), Fraction(1, 2))
+        arg = x + Polynomial.const(alg.vars, Fraction(1, 2))
+        assert parity(arg).flat == {} and reference_call(parity, arg).is_zero()
+        assert parity(x.scale(-2)) == U.one()

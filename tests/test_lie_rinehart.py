@@ -16,10 +16,10 @@ from rinehart.lie_rinehart import (
     poly_divide_exact,
     seeded_check,
 )
-from rinehart.poisson import SymAlgebra
+from rinehart.poisson import Multivector, SymAlgebra
 from rinehart.poly import Polynomial, PolyDerivation, parse_poly
 from rinehart.quasimod import ruth_check
-from test_quasimod import BUILTINS, random_connection
+from test_quasimod import BUILTINS, rand_adjoint_mv, random_connection
 
 
 def rand_poly(rng, alg, max_deg=2):
@@ -339,11 +339,28 @@ def reference_symbol_bracket(P, f, g):
     return out
 
 
+def reference_adj_nabla_b(P, conn, X, v):
+    """adj_nabla_b with the anchor term multiplied out on every partial,
+    zero or not."""
+    alg = P.alg
+    lifted = [P.lift(im) for im in X.anchor_derivation().images]
+    anchored = Multivector.summed(P, v.degree, (
+        (legs, c.partial(u) * im)
+        for legs, c in v.terms.items() for u, im in enumerate(lifted) if im
+    ))
+    return anchored + quasimod.replace_legs_and_factors(
+        P, v,
+        lambda u: conn.basic_der(X, alg.coordinate_field(alg.vars[u])),
+        lambda a: conn.basic_l(X, alg.basis_element(a)),
+    )
+
+
 @pytest.mark.parametrize("name", BUILTINS + ["lie(abelian2)"])
 def test_scalings_and_the_symbol_bracket_multiply_no_zero_operand(name, monkeypatch):
     rng = random.Random(53)
     alg = presets.builtin(name)
     P = SymAlgebra(alg)
+    conn = random_connection(rng, alg)
     zero = alg.zero_poly()
     products = []
     mul = Polynomial.__mul__
@@ -364,13 +381,19 @@ def test_scalings_and_the_symbol_bracket_multiply_no_zero_operand(name, monkeypa
         # a ring element has zero partials along the generators, a symbol
         # with zero slots along those generators
         s, g = P.lift(rand_fraction_poly(rng, alg.vars)), P.element_symbol(X)
+        # base-variable coefficients that miss some variable, so that some
+        # partials along the anchor images vanish
+        v = rand_adjoint_mv(rng, P, rng.randint(0, min(2, P.n)))
+        X.anchor_derivation()
         products.clear()
         want = (alg.element([f * a for a in X.coeffs]),
                 PolyDerivation(alg.vars, [f * a for a in D.images]),
-                reference_symbol_bracket(P, s, g), reference_symbol_bracket(P, g, s))
+                reference_symbol_bracket(P, s, g), reference_symbol_bracket(P, g, s),
+                reference_adj_nabla_b(P, conn, X, v))
         zero_products += sum(1 for a, b in products if not (a and b))
         products.clear()
-        got = (X.scale(f), D.scale_by(f), P.bracket(s, g), P.bracket(g, s))
+        got = (X.scale(f), D.scale_by(f), P.bracket(s, g), P.bracket(g, s),
+               quasimod.adj_nabla_b(P, conn, X, v))
         assert all(a and b for a, b in products), name
         assert got == want
     # the references multiply by zero, so the inputs reach every skip

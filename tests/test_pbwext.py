@@ -410,6 +410,73 @@ def test_identity_tower_all_builtins():
         assert rep.ok, (name, rep.failures)
 
 
+def reference_tower_eval(ctx, Ys, v, args, memo):
+    """tower_eval with one element per product and per partial sum, added two
+    at a time; memo in place of the context's tower cache."""
+    total = ctx.U.zero()
+    for coeff, Ds, Xs, scalar in pbwext._decompose(ctx, v):
+        if scalar is not None:
+            if not Ys:
+                total = total + ctx.U.scalar(scalar).scale(coeff)
+            continue
+        total = total + reference_tower_term(ctx, Ys, Ds, Xs, args, memo).scale(coeff)
+    return total
+
+
+def reference_tower_term(ctx, Ys, Ds, Xs, args, memo):
+    n, U = len(Ys), ctx.U
+    if len(Ds) < n:
+        return U.zero()
+    if not (Ys or Ds or Xs):
+        return U.one()
+    key = (Ys, Ds, Xs, args)
+    if key in memo:
+        return memo[key]
+    term = lambda Ys, Ds, Xs, args: reference_tower_term(ctx, Ys, Ds, Xs, args, memo)
+    result = U.zero()
+    mono = Polynomial.monomial(ctx.alg.vars, args[0], 1) if args else None
+    for i, D in enumerate(Ds if mono is not None else ()):
+        head = D(mono)
+        if not head.is_zero():
+            rest = Ds[:i] + Ds[i + 1:]
+            value = U.scalar(head) * term(Ys, rest, Xs, args[1:])
+            result = result + (value if (i + n) % 2 == 0 else value.scale(-1))
+    for j, X in enumerate(Xs):
+        rest = Xs[:j] + Xs[j + 1:]
+        result = result + U.include(X) * term(Ys, Ds, rest, args)
+        for piece_Ds, piece_Xs, c in pbwext._nabla_b_decomposed(ctx, X, Ds, rest):
+            result = result - term(Ys, piece_Ds, piece_Xs, args).scale(c)
+    for i, Y in enumerate(Ys):
+        sign = 1 if (i + 1 + n) % 2 == 0 else -1
+        for piece_Ds, piece_Xs, c in pbwext._f_decomposed(ctx, Y, Ds, Xs):
+            result = result + term(Ys[:i] + Ys[i + 1:], piece_Ds, piece_Xs, args).scale(sign * c)
+    memo[key] = result
+    return result
+
+
+@pytest.mark.parametrize("name", ["weyl(2)", "semidirect(sl2,std)"])
+@pytest.mark.parametrize("random_conn", [False, True])
+def test_tower_accumulation_equals_the_pairwise_reference(name, random_conn):
+    alg = presets.builtin(name)
+    rng = random.Random(59)
+    ctx = EtaContext(alg, random_connection(rng, alg) if random_conn else None)
+    P, memo = ctx.P, {}
+    levels = Counter()
+    for _ in range(24):
+        # the identity tower's draws, one level higher: n <= 2 module
+        # arguments, p <= 2 legs, q <= 2 symbol factors, arguments of degree <= 2
+        n = rng.randint(0, 2)
+        Ys = tuple(pbwext._rand_lelement(rng, alg) for _ in range(n))
+        p = rng.randint(n, 2)
+        v = pbwext._random_adjoint_term(rng, P, p, rng.randint(0, 2))
+        args = pbwext._random_args(rng, P.n, p - n, 2)
+        value = tower_eval(ctx, Ys, v, args)
+        assert value == reference_tower_eval(ctx, Ys, v, args, memo), (n, p, args)
+        assert all(c and (c.__class__ is int or c.denominator != 1) for c in value.flat.values())
+        levels[n] += not value.is_zero()
+    assert levels[0] and levels[1]
+
+
 # -- the assembled morphism -----------------------------------------------------
 
 

@@ -676,6 +676,9 @@ def test_products_do_not_depend_on_the_memo_state(spec):
     for (a, b), x, y in zip(pairs, fresh, filled):
         assert x == reference_mul(UEAElement(U, a), UEAElement(U, b))
         assert y == reference_mul(UEAElement(V, a), UEAElement(V, b))
+        # a signed accumulation on the filled memo
+        assert V.collect(V.add_product({}, UEAElement(V, a).flat, UEAElement(V, b).flat,
+                                       -1)) == y.scale(-1)
 
 
 @pytest.mark.parametrize("spec", ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
@@ -700,3 +703,38 @@ def test_center_dimension_matches_the_poisson_center_of_symbols(spec, fil, weigh
 
     kernel, _ = kernel_and_rank(assemble(monos, image)[0])
     assert len(center_search(EnvelopingAlgebra(alg), fil, weight)) == len(kernel)
+
+
+# -- the accumulator -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["weyl(2)", "semidirect(sl2,std)", "lie(sl2)"])
+def test_accumulated_products_and_sums_are_canonical(spec):
+    alg = presets.builtin(spec)
+    U = EnvelopingAlgebra(alg)
+    rng = random.Random(61)
+    half = Fraction(1, 2)
+    for _ in range(6):
+        a, b, c = (rand_fraction_uea(rng, U) for _ in range(3))
+        ab = reference_mul(a, b)
+        # terms that cancel leave no key, even on a map that held others
+        acc = U.add_product(U.add_sum({}, c.flat), a.flat, b.flat)
+        U.add_product(acc, a.flat, b.flat, -1)
+        assert U.collect(U.add_sum(acc, c.flat, -1)).flat == {}
+        # signs and Fraction factors, on products and on sums
+        for s in (-1, Fraction(2, 3), half):
+            got = U.collect(U.add_product({}, a.flat, b.flat, s))
+            assert_canonical(got)
+            assert got == ab.scale(s)
+            got = U.collect(U.add_sum(U.add_product({}, a.flat, b.flat), c.flat, s))
+            assert_canonical(got)
+            assert got == ab + c.scale(s)
+        # halves that sum to integers are stored as ints
+        whole = U.collect(U.add_sum(U.add_sum({}, a.flat, half), a.flat, half))
+        assert whole.flat == a.flat
+        assert all(v.__class__ is int for k, v in whole.flat.items() if a.flat[k].__class__ is int)
+        doubled = U.collect(U.add_product({}, a.scale(half).flat, b.scale(2).flat))
+        assert doubled.flat == ab.flat
+        assert all(v.__class__ is int for k, v in doubled.flat.items()
+                   if ab.flat[k].__class__ is int)
+
