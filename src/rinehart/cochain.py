@@ -190,11 +190,14 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
         for i in range(1, q + 1):
             inserted = args[: i - 1] + [r] + args[i - 1:]
             U.add_product(acc, phi(*inserted).flat, iX, 1 if i % 2 == 1 else -1)
+        moved = [rho(arg) for arg in args]
         for i in range(1, q):
             for j in range(i, q):
                 # act on original argument j, which sits one slot right of r
+                if moved[j - 1].is_zero():
+                    continue
                 acted = args[: i - 1] + [r] + args[i - 1:]
-                acted[j] = rho(args[j - 1])
+                acted[j] = moved[j - 1]
                 U.add_sum(acc, phi(*acted).flat, 1 if i % 2 == 1 else -1)
         return U.collect(acc)
 

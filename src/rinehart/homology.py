@@ -304,6 +304,10 @@ def euler_contraction_check(
     element itself; for the arrangement presets that is the declared one.
     An element that does not act diagonally on the coordinates fails the
     check, with the coordinate it moves as the witness.
+
+    delta runs once per unit term (legs, exp) that the call meets, and
+    delta(s0 D) is the combination of the images of the terms of s0 D; the
+    memo holds the images of two leg counts at a time and dies with the call.
     """
     P = SymAlgebra(alg)
     vw = P.weight_vector()
@@ -315,8 +319,16 @@ def euler_contraction_check(
         return CheckReport(False, (str(exc),), 0)
     failures = []
     checked = 0
+    images: dict = {}  # delta of each unit term (legs, exp) met in this call
+
+    def delta(key):
+        if key not in images:
+            images[key] = poisson_differential(Multivector.basis_element(P, *key))
+        return images[key]
 
     for k in range(0, min(max_degree, P.N) + 1):
+        # the terms of i_E D have k - 1 legs: no lower image is asked for again
+        images = {key: im for key, im in images.items() if len(key[0]) >= k - 1}
         for legs in itertools.combinations(range(P.N), k):
             legw = sum(vw[a] for a in legs)
             for exp in exponents(vw, max_weight + legw, cap=euler_degree_cap):
@@ -325,7 +337,11 @@ def euler_contraction_check(
                     continue
                 eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
                 D = Multivector.basis_element(P, legs, exp)
-                lhs = poisson_differential(D.interior(euler)) + poisson_differential(D).interior(euler)
+                acc: dict = {}
+                for key, c in D.interior(euler).entries():
+                    for term, v in delta(key).entries():
+                        acc[term] = acc.get(term, 0) + c * v
+                lhs = Multivector.from_flat(P, k, acc) + delta((legs, exp)).interior(euler)
                 rhs = D.scale(eig)
                 if not (lhs - rhs).is_zero():
                     failures.append(

@@ -40,8 +40,8 @@ class SymAlgebra:
             if br:
                 self._acting[b].append((a, list(br.terms.items())))
                 self._acting[a].append((b, [(u, -v) for u, v in br.terms.items()]))
-        # for the boundary, per nonzero pair a < b, the partials (m, u - e_m,
-        # u_m v) of {x_a, x_b}
+        # for the boundary and the differential, per nonzero pair a < b, the
+        # partials (m, u - e_m, u_m v) of {x_a, x_b}
         self._d_table = {ab: [(m, u[:m] + (k - 1,) + u[m + 1:], k * v)
                               for u, v in br.terms.items() for m, k in enumerate(u) if k]
                          for ab, br in self._table.items() if br}
@@ -294,7 +294,7 @@ def poisson_differential(D: Multivector) -> Multivector:
     leg) plus a pair (a, b) with a nonzero bracket.  The first sum reads
     {x_a, x^e} off the rows of `_acting`, as `poisson_boundary` does; the
     second takes D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior
-    per pair.
+    per pair, contracted from the partials of {x_a, x_b} in `_d_table`.
     """
     P, acc = D.parent, {}
     for (legs, exp), c in D.flat.items():
@@ -321,7 +321,16 @@ def poisson_differential(D: Multivector) -> Multivector:
             # a and b sit at positions i < j of new: (-1)^{i+j} = -s1*s2
             if s1 * s2:
                 if inner is None:
-                    inner = D.interior(br)
+                    # i_br D: a term c on legs L gives (-1)^t c d_m br on L
+                    # without m = L[t], the partials read from `_d_table`
+                    flat: dict = {}
+                    for (legs, exp), c in D.flat.items():
+                        for m, u, v in P._d_table[a, b]:
+                            if m in legs:
+                                t = legs.index(m)
+                                key = legs[:t] + legs[t + 1:], tuple(map(add, exp, u))
+                                flat[key] = flat.get(key, 0) + (-c if t % 2 else c) * v
+                    inner = Multivector.from_flat(P, D.degree - 1, flat)
                 for exp, v in inner.evaluate(coords).terms.items():
                     key = new, exp
                     acc[key] = acc.get(key, 0) - s1 * s2 * v

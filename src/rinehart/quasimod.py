@@ -425,9 +425,10 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
     """CE complex slice for an honest module of polynomial type.
 
     lie_images[k] is a derivation-style callable value -> value for the
-    action of basis element k; values are polynomials over value_vars of
-    weights value_weights.  A cochain on the generators T has weight W when
-    its value has weight W + |T|*wbr + the weights gen_w of T.
+    action of basis element k, applied once per (k, value monomial) in the
+    slice; values are polynomials over value_vars of weights value_weights.
+    A cochain on the generators T has weight W when its value has weight
+    W + |T|*wbr + the weights gen_w of T.
     """
     d = alg.rank
     bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
@@ -439,6 +440,7 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
         for k, c in enumerate(alg.structure_vector(a, b)):
             if c:
                 along.setdefault(k, []).append((a, b, [(e + pad, v) for e, v in c.terms.items()]))
+    acted: dict = {}  # the terms of lie_images[k](x^exp) per (k, exp), for this slice
 
     def image(key):
         # the cochain is x^exp on T and zero elsewhere, so only the sets S
@@ -446,11 +448,13 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
         # shape"): T plus the acting leg k, and T minus T[q] plus a pair a < b
         # with a component along T[q]
         T, exp = key
-        value = Polynomial._of(value_vars, {exp: 1})
         for k in range(d):
             S, sign = insert_leg(T, k)
             if sign:
-                for texp, coeff in lie_images[k](value).terms.items():
+                if (k, exp) not in acted:
+                    value = Polynomial._of(value_vars, {exp: 1})
+                    acted[k, exp] = lie_images[k](value).terms.items()
+                for texp, coeff in acted[k, exp]:
                     yield (S, texp), sign * coeff
         for q, kk in enumerate(T):
             rest = T[:q] + T[q + 1:]

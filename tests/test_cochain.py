@@ -240,6 +240,34 @@ def reference_homotopy(r, X, phi):
     return TableCochain(U, q - 1, kernel)
 
 
+@pytest.mark.parametrize("spec", ["weyl(2)", "semidirect(sl2,std)", "arrangement(x,y-x,y+x)"])
+def test_homotopy_moves_each_argument_once(monkeypatch, spec):
+    # from arity 3 the insert-and-act sum acts on the second argument at two
+    # insertion points; each kernel call applies the anchor once per argument
+    U = EnvelopingAlgebra(presets.builtin(spec))
+    alg, n = U.alg, len(U.alg.vars)
+    rng = random.Random(29)
+    phi = TableCochain.from_table(U, 3, random_table(rng, U, 3, 4), cap=40)
+    X = alg.element([rand_fraction_poly(rng, U) for _ in range(alg.rank)])
+    r = rand_fraction_poly(rng, U)
+    got, want = homotopy(r, X, phi), reference_homotopy(r, X, phi)
+    rho, rho_calls = X.anchor_derivation(), []
+    derivation = type(rho)
+    call = derivation.__call__
+    # U(L) products apply the generators' anchors too: count X's alone
+    counted = lambda self, f: (self is rho and rho_calls.append(f)) or call(self, f)
+    nonzero = 0
+    for exps in monomial_tuples(n, 2, PROBE_DEGREE):
+        rho_calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(derivation, "__call__", counted)
+            value = got.eval_monos(exps)
+        assert len(rho_calls) == 2
+        assert value == want.eval_monos(exps), (spec, exps)
+        nonzero += not value.is_zero()
+    assert nonzero
+
+
 @pytest.mark.parametrize("spec", BUILTINS)
 def test_accumulating_kernels_equal_the_pairwise_references(spec):
     U = EnvelopingAlgebra(presets.builtin(spec))

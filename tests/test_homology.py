@@ -204,6 +204,72 @@ def test_euler_contraction_rejects_non_diagonal():
     assert len(rep.failures) == 1 and "not a multiple" in rep.failures[0]
 
 
+def reference_euler_contraction_check(alg, euler, max_weight, max_degree, euler_degree_cap):
+    """The Euler check with two direct differentials per basis multivector,
+    delta(i_E D) and delta(D), and no memo; the reference for the memoized
+    `euler_contraction_check`."""
+    P = SymAlgebra(alg)
+    vw = P.weight_vector()
+    euler = P.poly(euler)
+    try:
+        eigws = homology._euler_eigenweights(P, euler)
+    except ValueError as exc:
+        return homology.CheckReport(False, (str(exc),), 0)
+    failures, checked = [], 0
+    for k in range(0, min(max_degree, P.N) + 1):
+        for legs in itertools.combinations(range(P.N), k):
+            legw = sum(vw[a] for a in legs)
+            for exp in exponents(vw, max_weight + legw, cap=euler_degree_cap):
+                wt = sum(e * w for e, w in zip(exp, vw)) - legw
+                if wt > max_weight or wt < -max_weight:
+                    continue
+                eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
+                D = Multivector.basis_element(P, legs, exp)
+                lhs = poisson_differential(D.interior(euler)) + poisson_differential(D).interior(euler)
+                if not (lhs - D.scale(eig)).is_zero():
+                    failures.append(f"anticommutator is not weight*id on "
+                                    f"{homology._label(P, legs, exp)} (weight {eig})")
+                    if len(failures) >= 3:
+                        return homology.CheckReport(False, tuple(failures), checked)
+                checked += 1
+    return homology.CheckReport(not failures, tuple(failures), checked)
+
+
+def test_euler_check_takes_each_differential_once(monkeypatch):
+    # on an arrangement each i_E D is one basis term that the loop met one
+    # degree lower, so every delta input is new and most basis elements
+    # need one differential, not two
+    seen = []
+
+    def record(D):
+        seen.append(tuple(D.entries()))
+        return poisson_differential(D)
+
+    monkeypatch.setattr(homology, "poisson_differential", record)
+    alg = presets.arrangement(["x", "y", "y-x", "y+x"])
+    rep = euler_contraction_check(alg, "E", 2, 3, euler_degree_cap=2)
+    assert rep.ok and rep.trials > 100
+    assert len(seen) == len(set(seen)) == rep.trials
+    monkeypatch.undo()
+    assert rep == reference_euler_contraction_check(alg, "E", 2, 3, 2)
+
+
+@pytest.mark.parametrize("spec, euler, max_weight, max_degree, cap", [
+    ("weyl(1)", "x*e", 4, 2, 2),
+    ("weyl(1)", "x*e", 3, 2, 4),
+    ("weyl(2)", "x1*e1 + 2*x2*e2", 2, 3, 2),
+    ("weyl(1)", "x^2*e", 2, 1, 2),
+    ("arrangement(x,y-x,y+x)", "E", 3, 3, 3),
+])
+def test_euler_check_matches_the_two_differential_reference(spec, euler, max_weight,
+                                                            max_degree, cap):
+    # with x*e the terms of i_E D carry a coordinate factor and leave the
+    # enumerated basis, so the memo computes them on a miss
+    alg = presets.builtin(spec)
+    got = euler_contraction_check(alg, euler, max_weight, max_degree, euler_degree_cap=cap)
+    assert got == reference_euler_contraction_check(alg, euler, max_weight, max_degree, cap)
+
+
 def test_euler_insertion_is_interior_product():
     P = SymAlgebra(presets.arrangement(["x", "y-x", "y+x"]))
     E = P.poly("E")

@@ -251,6 +251,13 @@ def test_laplace_expansion_matches_the_reference_paths(name):
             assert D.evaluate(args) == reference_evaluate(D, args)
             assert D.interior(f) == reference_interior(D, f)
             assert poisson_differential(D) == reference_differential(D)
+            # halves, alone and in sums that come to integers: the
+            # differential's `_d_table` contraction keeps them exact
+            # and stores an integral sum as an int
+            H = D.scale(Fraction(1, 2)) + rand_multiterm_mv(rng, P, k).scale(Fraction(3, 2))
+            got = poisson_differential(H)
+            assert got == reference_differential(H)
+            assert all(type(c) is int for c in got.flat.values() if c.denominator == 1)
     for a in range(P.N):
         for _ in range(3):
             g = rand_sym(rng, P)

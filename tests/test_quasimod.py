@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -663,6 +664,37 @@ def _checked_ce_slices(monkeypatch):
 
     monkeypatch.setattr(quasimod, "_ce_slice", checked)
     return seen
+
+
+@pytest.mark.parametrize("spec, module, max_weight", [
+    ("lie(sl2)", "sym_adjoint_lie", 10), ("semidirect(sl2,std)", "trivial", 6)])
+def test_ce_slice_applies_each_action_once(monkeypatch, spec, module, max_weight):
+    # per slice, lie_images[k] runs once per value monomial x^exp, although
+    # every basis cochain x^exp on a T without k asks for it
+    fast, slices = quasimod._ce_slice, []
+
+    def counted(alg, value_vars, lie_images, W, max_position, value_weights, gen_w, wbr):
+        calls = Counter()
+
+        def action(k):
+            def act(value):
+                (exp,) = value.terms
+                calls[k, exp] += 1
+                return lie_images[k](value)
+            return act
+
+        bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
+        asked = sum(bool(insert_leg(T, k)[1]) for basis in bases[:-1] for T, _ in basis
+                    for k in range(alg.rank))
+        slices.append((calls, asked))
+        return fast(alg, value_vars, [action(k) for k in range(alg.rank)], W, max_position,
+                    value_weights, gen_w, wbr)
+
+    monkeypatch.setattr(quasimod, "_ce_slice", counted)
+    ce_cohomology(presets.builtin(spec), module, max_weight, 3)
+    assert all(set(calls.values()) <= {1} for calls, _ in slices)
+    assert all(len(calls) <= asked for calls, asked in slices)
+    assert 0 < sum(len(calls) for calls, _ in slices) < sum(asked for _, asked in slices)
 
 
 @pytest.mark.parametrize("spec, module, max_weight", [
