@@ -353,11 +353,6 @@ class Connection:
         """The induced connection on derivations along X, applied to D."""
         return self.nabla(D, X).anchor_derivation() + X.anchor_derivation().commutator(D)
 
-    def basic_apply(self, X: LElement, target):
-        if isinstance(target, LElement):
-            return self.basic_l(X, target)
-        return self.basic_der(X, target)
-
     def basic_curvature(self, X: LElement, Y: LElement, D: PolyDerivation) -> LElement:
         """The five-term curvature tensor of the pair of induced connections."""
         br = bracket_extend(X, Y)

@@ -35,11 +35,12 @@ class EtaContext:
         self._eta_mixed_cache: dict = {}
         self._basic_cache: dict = {}
 
-    def basic(self, X: LElement, target):
-        """The induced connection along X on a derivation or a module element."""
+    def basic(self, induced, X: LElement, target):
+        """induced(X, target), for induced the connection's `basic_der` on a
+        derivation or `basic_l` on a module element, computed once."""
         image = self._basic_cache.get((X, target))
         if image is None:
-            image = self._basic_cache[X, target] = self.conn.basic_apply(X, target)
+            image = self._basic_cache[X, target] = induced(X, target)
         return image
 
     # -- the three eta tensors ------------------------------------------
@@ -112,11 +113,11 @@ def _nabla_b_decomposed(ctx: EtaContext, X: LElement, Ds: tuple, Xs: tuple):
     """The induced connection along X of a decomposable, again decomposed."""
     out = []
     for i, D in enumerate(Ds):
-        image = ctx.basic(X, D)
+        image = ctx.basic(ctx.conn.basic_der, X, D)
         if not image.is_zero():
             out.append((Ds[:i] + (image,) + Ds[i + 1:], Xs, 1))
     for j, Z in enumerate(Xs):
-        image = ctx.basic(X, Z)
+        image = ctx.basic(ctx.conn.basic_l, X, Z)
         if not image.is_zero():
             out.append((Ds, Xs[:j] + (image,) + Xs[j + 1:], 1))
     return out

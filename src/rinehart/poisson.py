@@ -82,19 +82,6 @@ class SymAlgebra:
                 out = out + self.lift(c) * self.generator_symbol(k)
         return out
 
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Biderivation extension of the generator brackets; no product by a zero partial."""
-        out = zero = Polynomial.zero(self.vars)
-        fps = [f.partial(a) for a in range(self.N)]
-        gps = [g.partial(b) for b in range(self.N)]
-        for (a, b), coef in self._table.items():
-            if coef:
-                term = ((fps[a] * gps[b] if fps[a] and gps[b] else zero)
-                        - (fps[b] * gps[a] if fps[b] and gps[a] else zero))
-                if term:
-                    out = out + coef * term
-        return out
-
     def coordinate_action(self, a: int, g: Polynomial) -> Polynomial:
         """{x_a, g} = -sum_b {x_b, x_a} d_b g: the bracket with one coordinate,
         in one pass over the terms of g and the rows of `_acting`."""
@@ -179,16 +166,6 @@ class LegTensor:
     def is_zero(self) -> bool:
         return not self.flat
 
-    @classmethod
-    def summed(cls, parent: SymAlgebra, degree: int, pieces):
-        """The sum of (legs, Polynomial) pieces with sorted legs."""
-        acc: dict = {}
-        for legs, c in pieces:
-            for exp, v in c.terms.items():
-                key = legs, exp
-                acc[key] = acc.get(key, 0) + v
-        return cls.from_flat(parent, degree, acc)
-
     def partial(self, i: int):
         """Every coefficient differentiated by the i-th symbol variable."""
         return self.from_flat(self.parent, self.degree, {
@@ -267,6 +244,45 @@ class Multivector(LegTensor):
                         key = rest, tuple(map(add, exp, e))
                         acc[key] = acc.get(key, 0) + c_t * v
         return Multivector.from_flat(self.parent, max(self.degree - 1, 0), acc)
+
+    def derive(self, degree: int, coordinate_image, leg_image) -> "Multivector":
+        """The image of this multivector, as one of the given degree, under
+        the derivation of symbols tensor legs fixed by its generator images
+        (docs/signs.md, "Wedging one leg").  coordinate_image(a) is the image
+        of the symbol coordinate x_a, a multivector of degree 0 or 1 or None:
+        each partial d_a c is multiplied by it, its leg wedged in front by
+        `insert_leg`.  leg_image(u) is a derivation of the base ring or None,
+        lifted: it replaces the leg d/dx_u at 0-based position t with the
+        sign (-1)^t, then each of its legs is wedged in by `insert_leg`.
+        Each image is asked once, and only for the coordinates and legs that
+        occur in the terms."""
+        P = self.parent
+        used = sorted({a for _, exp in self.flat for a, k in enumerate(exp) if k})
+        coordinates = {a: im.flat.items() for a in used
+                       if (im := coordinate_image(a)) is not None}
+        pad = (0,) * P.d
+        leg_terms = {u: [(w, e + pad, c) for w, im in enumerate(D.images)
+                         for e, c in im.terms.items()]
+                     for u in sorted({u for legs, _ in self.flat for u in legs})
+                     if (D := leg_image(u)) is not None}
+        acc: dict = {}
+        for (legs, exp), c in self.flat.items():
+            for a, image in coordinates.items():
+                if k := exp[a]:
+                    lower = exp[:a] + (k - 1,) + exp[a + 1:]
+                    for (w, e), v in image:
+                        new, sign = insert_leg(legs, w[0]) if w else (legs, 1)
+                        if sign:
+                            key = new, tuple(map(add, lower, e))
+                            acc[key] = acc.get(key, 0) + sign * k * c * v
+            for t, u in enumerate(legs):
+                rest, c_t = legs[:t] + legs[t + 1:], -c if t % 2 else c
+                for w, e, v in leg_terms.get(u, ()):
+                    new, sign = insert_leg(rest, w)
+                    if sign:
+                        key = new, tuple(map(add, exp, e))
+                        acc[key] = acc.get(key, 0) + sign * c_t * v
+        return Multivector.from_flat(P, degree, acc)
 
     def interior(self, f: Polynomial) -> "Multivector":
         """Insert f into the first slot: the contraction with df, the Laplace

@@ -45,28 +45,18 @@ class NonlinearRejection(Exception):
 
 
 def adj_delta(P: SymAlgebra, v: Multivector) -> Multivector:
-    """Koszul differential: wedge an anchor leg for each symbol factor."""
-    def pieces():
-        for legs, c in v.terms.items():
-            for a in range(P.d):
-                if not (dc := c.partial(P.n + a)):
-                    continue
-                for u, im in enumerate(P.alg.anchor[a].images):
-                    new, sign = insert_leg(legs, u)
-                    if im and sign:
-                        yield new, (P.lift(im) * dc).scale(sign)
-
-    return Multivector.summed(P, v.degree + 1, pieces())
+    """Koszul differential: the derivation g_a -> sum_u rho_a(x_u) d/dx_u."""
+    return v.derive(v.degree + 1, lambda a: None if a < P.n else Multivector(
+        P, 1, {(u,): P.lift(im) for u, im in enumerate(P.alg.anchor[a - P.n].images)}),
+        lambda u: None)
 
 
 def adj_lie(P: SymAlgebra, X: LElement, v: Multivector) -> Multivector:
-    """The bracket with the symbol of X on coefficients, plus the commutator
-    [rho(X), d/dx_u] in place of each leg u."""
+    """The bracket with the symbol of X: the derivation x_a -> {X, x_a} on
+    coefficients, with the commutator [rho(X), d/dx_u] in place of each leg u."""
     xsym, rho = P.element_symbol(X), X.anchor_derivation()
-    bracketed = Multivector.summed(P, v.degree, ((legs, P.bracket(xsym, c))
-                                                 for legs, c in v.terms.items()))
-    return bracketed + replace_legs_and_factors(
-        P, v, lambda u: rho.commutator(P.alg.coordinate_field(P.alg.vars[u])), None)
+    return v.derive(v.degree, lambda a: Multivector(P, 0, {(): -P.coordinate_action(a, xsym)}),
+                    lambda u: rho.commutator(P.alg.coordinate_field(P.alg.vars[u])))
 
 
 def adj_h(P: SymAlgebra, r: Polynomial, X: LElement, v: Multivector) -> Multivector:
@@ -80,44 +70,25 @@ def adj_r_action(P: SymAlgebra, r: Polynomial, v: Multivector) -> Multivector:
 
 def replace_legs_and_factors(P: SymAlgebra, v: Multivector, leg_map, factor_map) -> Multivector:
     """Derivation-style operator: replace one leg u by the derivation
-    leg_map(u), or one symbol factor a by the symbol of the module element
-    factor_map(a), one at a time, coefficients untouched; a factor_map of
-    None has no factor part."""
-    if v.is_zero():
-        return v
-    leg_images = {u: leg_map(u) for u in {u for legs, _ in v.flat for u in legs}}
-    factor_symbols = [P.element_symbol(factor_map(a)) for a in range(P.d)] if factor_map else []
-
-    def pieces():
-        for legs, c in v.terms.items():
-            for t, u in enumerate(legs):
-                rest = legs[:t] + legs[t + 1:]
-                for w, im in enumerate(leg_images[u].images):
-                    new, sign = insert_leg(rest, w)
-                    if im and sign:
-                        term = P.lift(im) * c
-                        yield new, term if sign * (-1) ** t == 1 else -term
-            for a, sym in enumerate(factor_symbols):
-                if sym and (dc := c.partial(P.n + a)):
-                    yield legs, dc * sym
-
-    return Multivector.summed(P, v.degree, pieces())
+    leg_map(u), or one symbol factor g_a by the symbol of the module element
+    factor_map(a), one at a time, coefficients untouched."""
+    return v.derive(v.degree, lambda a: None if a < P.n else Multivector(
+        P, 0, {(): P.element_symbol(factor_map(a - P.n))}), leg_map)
 
 
 def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) -> Multivector:
-    """The induced connection along X: the anchor on the base variables of
-    each coefficient, the connection on its legs and symbol factors."""
-    alg = P.alg
-    lifted = [P.lift(im) for im in X.anchor_derivation().images]
-    anchored = Multivector.summed(P, v.degree, (
-        (legs, dc * im) for legs, c in v.terms.items()
-        for u, im in enumerate(lifted) if im and (dc := c.partial(u))
-    ))
-    return anchored + replace_legs_and_factors(
-        P, v,
-        lambda u: conn.basic_der(X, alg.coordinate_field(alg.vars[u])),
-        lambda a: conn.basic_l(X, alg.basis_element(a)),
-    )
+    """The induced connection along X: the derivation x_u -> rho(X)(x_u),
+    g_a -> the symbol of the connection along X on e_a, and the connection
+    along X in place of each leg."""
+    alg, rho = P.alg, X.anchor_derivation()
+
+    def coordinate_image(a):
+        f = P.lift(rho.images[a]) if a < P.n else P.element_symbol(
+            conn.basic_l(X, alg.basis_element(a - P.n)))
+        return Multivector(P, 0, {(): f})
+
+    return v.derive(v.degree, coordinate_image,
+                    lambda u: conn.basic_der(X, alg.coordinate_field(alg.vars[u])))
 
 
 # -- instances ------------------------------------------------------------------

@@ -502,11 +502,19 @@ def test_check_output_is_pinned(name, digest):
      "2582187cb1be2d5d86cb430dc0e2820601caa32379129fbbaab5b2e73f6c6738"),
     ("semidirect(sl2,std)", "eta",
      "797a74d6ca54f559bc5849ee00de5873b2e06d57e3ff07ce3161a98c90a3e2a8"),
+    ("lie(sl2)", "quasi", "de9b4b0004919404de7e8638a5d6ff31b82dd083b17206d249dc34c2874b95b4"),
+    ("lie(sl2)", "eta", "2089006690e088cfa0c819a75248d90f38a9d8174afdcbfa9e19bf4c974b25d4"),
+    ("arrangement(x,y-x,y+x)", "quasi",
+     "4717b9924962e9294ade29631adc2273224e5f793e9333a5c165bc06cea86586"),
+    ("arrangement(x,y-x,y+x)", "eta",
+     "974a21aae72ccaeb55d057578e1e106aaaa0b6c049d0d2afb18328779a81c4f9"),
 ])
 def test_law_check_output_is_pinned(name, suite, digest):
     # the Hochschild and adjoint quasi-module laws, the PBW chain relation,
     # the tower identity and the eta tensors at seed 5, byte for byte as
-    # first recorded
+    # first recorded; lie(sl2) and arrangement(x,y-x,y+x), whose generator E
+    # has weight 0, cover the adjoint side on a Lie algebra and on a
+    # presentation with a weight-zero direction
     code, out = run_cli(["--algebra", name, "--seed", "5", "verify", suite, "--samples", "6"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

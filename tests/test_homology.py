@@ -19,6 +19,7 @@ from rinehart.homology import (
 from rinehart.linalg import ComplexSlice, assemble, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, poisson_differential
 from rinehart.poly import Polynomial, exponents, insert_leg
+from test_poisson import reference_summed
 
 
 def kahler_d(w):
@@ -305,7 +306,7 @@ def reference_d(w):
                 if sign and (dc := c.partial(a)):
                     yield new, dc if sign == 1 else -dc
 
-    return KahlerForm.summed(P, w.degree + 1, pieces())
+    return reference_summed(KahlerForm, P, w.degree + 1, pieces())
 
 
 def reference_interior(a, w):

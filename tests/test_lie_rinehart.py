@@ -19,7 +19,9 @@ from rinehart.lie_rinehart import (
 from rinehart.poisson import Multivector, SymAlgebra
 from rinehart.poly import Polynomial, PolyDerivation, parse_poly
 from rinehart.quasimod import ruth_check
-from test_quasimod import BUILTINS, rand_adjoint_mv, random_connection
+from test_poisson import reference_summed
+from test_quasimod import (BUILTINS, rand_adjoint_mv, random_connection,
+                           reference_replace_legs_and_factors)
 
 
 def rand_poly(rng, alg, max_deg=2):
@@ -331,24 +333,16 @@ def test_slot_by_slot_arithmetic_equals_the_compositional_reference(name):
                 conn, reference_anchor_derivation(X), Y)
 
 
-def reference_symbol_bracket(P, f, g):
-    """SymAlgebra.bracket as the sum over a < b of {x_a, x_b} (f_a g_b - f_b g_a)."""
-    out = Polynomial.zero(P.vars)
-    for (a, b), coef in P._table.items():
-        out = out + coef * (f.partial(a) * g.partial(b) - f.partial(b) * g.partial(a))
-    return out
-
-
 def reference_adj_nabla_b(P, conn, X, v):
-    """adj_nabla_b with the anchor term multiplied out on every partial,
-    zero or not."""
+    """adj_nabla_b as the anchor term multiplied out on every partial, zero
+    or not, plus the reference leg-and-factor replacement."""
     alg = P.alg
     lifted = [P.lift(im) for im in X.anchor_derivation().images]
-    anchored = Multivector.summed(P, v.degree, (
+    anchored = reference_summed(Multivector, P, v.degree, (
         (legs, c.partial(u) * im)
         for legs, c in v.terms.items() for u, im in enumerate(lifted) if im
     ))
-    return anchored + quasimod.replace_legs_and_factors(
+    return anchored + reference_replace_legs_and_factors(
         P, v,
         lambda u: conn.basic_der(X, alg.coordinate_field(alg.vars[u])),
         lambda a: conn.basic_l(X, alg.basis_element(a)),
@@ -378,9 +372,6 @@ def test_scalings_and_the_symbol_bracket_multiply_no_zero_operand(name, monkeypa
         D = PolyDerivation(alg.vars, [rand_fraction_poly(rng, alg.vars) if (u + t) % 2 else zero
                                       for u in range(len(alg.vars))])
         f = rand_fraction_poly(rng, alg.vars)
-        # a ring element has zero partials along the generators, a symbol
-        # with zero slots along those generators
-        s, g = P.lift(rand_fraction_poly(rng, alg.vars)), P.element_symbol(X)
         # base-variable coefficients that miss some variable, so that some
         # partials along the anchor images vanish
         v = rand_adjoint_mv(rng, P, rng.randint(0, min(2, P.n)))
@@ -388,12 +379,10 @@ def test_scalings_and_the_symbol_bracket_multiply_no_zero_operand(name, monkeypa
         products.clear()
         want = (alg.element([f * a for a in X.coeffs]),
                 PolyDerivation(alg.vars, [f * a for a in D.images]),
-                reference_symbol_bracket(P, s, g), reference_symbol_bracket(P, g, s),
                 reference_adj_nabla_b(P, conn, X, v))
         zero_products += sum(1 for a, b in products if not (a and b))
         products.clear()
-        got = (X.scale(f), D.scale_by(f), P.bracket(s, g), P.bracket(g, s),
-               quasimod.adj_nabla_b(P, conn, X, v))
+        got = (X.scale(f), D.scale_by(f), quasimod.adj_nabla_b(P, conn, X, v))
         assert all(a and b for a, b in products), name
         assert got == want
     # the references multiply by zero, so the inputs reach every skip

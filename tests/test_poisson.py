@@ -33,6 +33,24 @@ def rand_sym(rng, P, max_deg=2):
     return p
 
 
+def reference_symbol_bracket(P, f, g):
+    """The symbol bracket as the sum over a < b of {x_a, x_b} (f_a g_b - f_b g_a)."""
+    out = Polynomial.zero(P.vars)
+    for (a, b), coef in P._table.items():
+        out = out + coef * (f.partial(a) * g.partial(b) - f.partial(b) * g.partial(a))
+    return out
+
+
+def reference_summed(cls, P, degree, pieces):
+    """The leg tensor of type cls summing (legs, Polynomial) pieces on sorted
+    legs, through `from_flat`: the piece loops the flat kernels replaced."""
+    acc = {}
+    for legs, c in pieces:
+        for exp, v in c.terms.items():
+            acc[legs, exp] = acc.get((legs, exp), 0) + v
+    return cls.from_flat(P, degree, acc)
+
+
 ALGEBRAS = [
     ("weyl1", lambda: presets.weyl(1)),
     ("sl2", lambda: presets.lie("sl2")),
@@ -45,16 +63,16 @@ ALGEBRAS = [
 def test_bracket_generators_weyl():
     P = SymAlgebra(presets.weyl(1))
     x, xi = P.coordinate(0), P.coordinate(1)
-    assert P.bracket(xi, x) == Polynomial.const(P.vars, 1)
-    assert P.bracket(xi * xi, x) == xi.scale(2)
-    assert P.bracket(x, x).is_zero()
+    assert reference_symbol_bracket(P, xi, x) == Polynomial.const(P.vars, 1)
+    assert reference_symbol_bracket(P, xi * xi, x) == xi.scale(2)
+    assert reference_symbol_bracket(P, x, x).is_zero()
 
 
 def test_bracket_structure_constants_sl2():
     P = SymAlgebra(presets.lie("sl2"))
     e, f, h = (P.coordinate(i) for i in range(3))
-    assert P.bracket(e, f) == h
-    assert P.bracket(h, e) == e.scale(2)
+    assert reference_symbol_bracket(P, e, f) == h
+    assert reference_symbol_bracket(P, h, e) == e.scale(2)
 
 
 def test_bracket_arrangement_generators():
@@ -62,22 +80,22 @@ def test_bracket_arrangement_generators():
     alg = presets.arrangement(["x", "y-x", "y+x"])  # r = 1
     P = SymAlgebra(alg)
     E, D = P.poly("E"), P.poly("D")
-    assert P.bracket(D, E) == -D
+    assert reference_symbol_bracket(P, D, E) == -D
 
 
 @pytest.mark.parametrize("name,maker", ALGEBRAS)
 def test_bracket_laws(name, maker):
     P = SymAlgebra(maker())
     rng = random.Random(5)
+
+    def br(f, g):
+        return reference_symbol_bracket(P, f, g)
+
     for _ in range(6):
         f, g, h = (rand_sym(rng, P) for _ in range(3))
-        assert (P.bracket(f, g) + P.bracket(g, f)).is_zero()
-        assert P.bracket(f, g * h) == P.bracket(f, g) * h + g * P.bracket(f, h)
-        jac = (
-            P.bracket(f, P.bracket(g, h))
-            + P.bracket(g, P.bracket(h, f))
-            + P.bracket(h, P.bracket(f, g))
-        )
+        assert (br(f, g) + br(g, f)).is_zero()
+        assert br(f, g * h) == br(f, g) * h + g * br(f, h)
+        jac = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
         assert jac.is_zero()
 
 
@@ -217,7 +235,8 @@ def reference_differential(D):
     for legs in itertools.combinations(range(P.N), k + 1):
         total = Polynomial.zero(P.vars)
         for i in range(k + 1):
-            term = P.bracket(P.coordinate(legs[i]), D.coefficient(legs[:i] + legs[i + 1:]))
+            term = reference_symbol_bracket(P, P.coordinate(legs[i]),
+                                            D.coefficient(legs[:i] + legs[i + 1:]))
             total = total + (term if i % 2 == 0 else -term)
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = [P.coordinate(legs[t]) for t in range(k + 1) if t not in (i, j)]
@@ -261,7 +280,7 @@ def test_laplace_expansion_matches_the_reference_paths(name):
     for a in range(P.N):
         for _ in range(3):
             g = rand_sym(rng, P)
-            assert P.coordinate_action(a, g) == P.bracket(P.coordinate(a), g)
+            assert P.coordinate_action(a, g) == reference_symbol_bracket(P, P.coordinate(a), g)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -313,10 +332,6 @@ def test_flat_constructor_makes_integral_fractions_ints_and_drops_zero_sums():
                                        ((1,), f): Fraction(1, 2)})
     assert got.flat == {((0,), e): 2, ((1,), f): Fraction(1, 2)}
     assert type(got.flat[(0,), e]) is int
-    # the pieces of `summed` cancel on (1,) and add up to an integral 1 on (0,)
-    half = Polynomial.monomial(P.vars, e, Fraction(1, 2))
-    summed = Multivector.summed(P, 1, [((0,), half), ((1,), half), ((0,), half), ((1,), -half)])
-    assert summed.flat == {((0,), e): 1} and type(summed.flat[(0,), e]) is int
 
 
 def test_terms_is_a_read_only_view():
@@ -367,4 +382,4 @@ def test_coordinate_bracket_is_antisymmetric(name):
         for b in range(P.N):
             ab = P.coordinate_action(a, P.coordinate(b))
             assert ab == -P.coordinate_action(b, P.coordinate(a))
-            assert ab == P.bracket(P.coordinate(a), P.coordinate(b))
+            assert ab == reference_symbol_bracket(P, P.coordinate(a), P.coordinate(b))

@@ -19,6 +19,7 @@ from rinehart.quasimod import (
     NLCochainElement,
     _rand_lelement,
     _rand_poly,
+    adj_delta,
     adj_lie,
     adjoint_instance,
     ce_cohomology,
@@ -33,6 +34,7 @@ from rinehart.quasimod import (
     nonlinear_to_linear,
     quasi_axiom_check,
 )
+from test_poisson import reference_summed, reference_symbol_bracket
 
 ALGEBRAS = [
     ("weyl1", lambda: presets.weyl(1)),
@@ -382,7 +384,7 @@ def test_linear_structure_operator_squares_to_zero(name, random_conn):
                 assert v.is_zero()
 
 
-# -- reference paths: the leg loops the two primitives replaced -------------------
+# -- reference paths: the leg loops the two flat kernels replaced -----------------
 
 
 def reference_adj_lie(P, X, v):
@@ -392,7 +394,7 @@ def reference_adj_lie(P, X, v):
     rho = X.anchor_derivation()
     out = Multivector(P, v.degree)
     for legs, c in v.terms.items():
-        br = P.bracket(xsym, c)
+        br = reference_symbol_bracket(P, xsym, c)
         if not br.is_zero():
             out = out + Multivector(P, v.degree, {legs: br})
         for t, u in enumerate(legs):
@@ -459,6 +461,122 @@ def test_curvature_correction_matches_the_reference_leg_loop(name, random_conn):
             assert out.tables[k - 1][(a, b)] == want
             nonzero += not want.is_zero()
     assert nonzero or not random_conn
+
+
+def reference_adj_delta(P, v):
+    """The Koszul differential as (legs, Polynomial) pieces: each symbol
+    partial times each anchor image, its leg wedged in front."""
+    def pieces():
+        for legs, c in v.terms.items():
+            for a in range(P.d):
+                if not (dc := c.partial(P.n + a)):
+                    continue
+                for u, im in enumerate(P.alg.anchor[a].images):
+                    new, sign = insert_leg(legs, u)
+                    if im and sign:
+                        yield new, (P.lift(im) * dc).scale(sign)
+
+    return reference_summed(Multivector, P, v.degree + 1, pieces())
+
+
+def reference_replace_legs_and_factors(P, v, leg_map, factor_map):
+    """Leg-and-factor replacement as (legs, Polynomial) pieces: the leg u at
+    position t replaced by leg_map(u) with the sign (-1)^t, and a symbol
+    factor g_a by the symbol of factor_map(a)."""
+    def pieces():
+        for legs, c in v.terms.items():
+            for t, u in enumerate(legs):
+                rest = legs[:t] + legs[t + 1:]
+                for w, im in enumerate(leg_map(u).images):
+                    new, sign = insert_leg(rest, w)
+                    if im and sign:
+                        yield new, (P.lift(im) * c).scale(sign * (-1) ** t)
+            for a in range(P.d):
+                sym = P.element_symbol(factor_map(a))
+                if sym and (dc := c.partial(P.n + a)):
+                    yield legs, dc * sym
+
+    return reference_summed(Multivector, P, v.degree, pieces())
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_adj_delta_matches_the_reference_piece_loop(name):
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(59)
+    integral = 0
+    for k in range(P.n + 1):
+        for _ in range(3):
+            v = rand_adjoint_mv(rng, P, k)
+            assert adj_delta(P, v) == reference_adj_delta(P, v)
+            # halves, alone and in sums that come to integers, times a
+            # squared symbol factor, whose partial 2 g makes a half integral:
+            # the kernel keeps them exact and stores an integral value as an int
+            g = P.generator_symbol(rng.randrange(P.d))
+            H = (v.scale(Fraction(1, 2))
+                 + rand_adjoint_mv(rng, P, k).scale(Fraction(3, 2))).scale(g * g)
+            got = adj_delta(P, H)
+            assert got == reference_adj_delta(P, H)
+            assert all(type(c) is int for c in got.flat.values() if c.denominator == 1)
+            integral += sum(type(c) is int for c in got.flat.values())
+    # a Lie algebra has no base legs, so its Koszul differential is zero
+    assert integral or not P.n
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_replace_legs_and_factors_matches_the_reference_piece_loop(name):
+    alg = presets.builtin(name)
+    P = SymAlgebra(alg)
+    rng = random.Random(67)
+    conn = random_connection(rng, alg)
+    for k in range(P.n + 1):
+        v = rand_adjoint_mv(rng, P, k)
+        X = alg.element([rand_poly(rng, alg.vars) for _ in range(alg.rank)])
+        maps = (lambda u: conn.basic_der(X, alg.coordinate_field(alg.vars[u])),
+                lambda a: conn.basic_l(X, alg.basis_element(a)))
+        assert (quasimod.replace_legs_and_factors(P, v, *maps)
+                == reference_replace_legs_and_factors(P, v, *maps))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_each_generator_image_is_asked_once_and_only_where_v_has_it(name, monkeypatch):
+    alg = presets.builtin(name)
+    P = SymAlgebra(alg)
+    rng = random.Random(71)
+    conn = random_connection(rng, alg)
+    derive, missing, calls = Multivector.derive, Counter(), []
+
+    def counted(v, degree, coordinate_image, leg_image):
+        asked = Counter()
+
+        def coordinate(a):
+            asked["x", a] += 1
+            return coordinate_image(a)
+
+        def leg(u):
+            asked["leg", u] += 1
+            return leg_image(u)
+
+        out = derive(v, degree, coordinate, leg)
+        coordinates = {a for _, exp in v.flat for a, e in enumerate(exp) if e}
+        legs = {u for legs, _ in v.flat for u in legs}
+        assert set(asked.values()) <= {1}
+        assert {a for kind, a in asked if kind == "x"} == coordinates
+        assert {u for kind, u in asked if kind == "leg"} == legs
+        missing.update(x=P.N - len(coordinates), leg=P.n - len(legs))
+        calls.append(degree)
+        return out
+
+    monkeypatch.setattr(Multivector, "derive", counted)
+    for k in range(P.n + 1):
+        for _ in range(2):
+            v = rand_adjoint_mv(rng, P, k)
+            X = alg.element([rand_poly(rng, alg.vars) for _ in range(alg.rank)])
+            adj_delta(P, v)
+            adj_lie(P, X, v)
+            quasimod.adj_nabla_b(P, conn, X, v)
+    assert len(calls) == 6 * (P.n + 1)
+    # some draws lack a coordinate and, with base legs, some lack a leg
+    assert missing["x"] and (missing["leg"] or not P.n)
 
 
 # -- honest CE cohomology ---------------------------------------------------------
