@@ -14,7 +14,6 @@ from .lie_rinehart import (
     bracket_extend,
     check_axioms,
     from_action,
-    from_vector_fields,
 )
 from .poly import Polynomial, PolyDerivation, parse_poly
 from .presets import arrangement, builtin, lie, semidirect, weyl
@@ -32,7 +31,6 @@ __all__ = [
     "builtin",
     "check_axioms",
     "from_action",
-    "from_vector_fields",
     "lie",
     "parse_poly",
     "ruth_check",

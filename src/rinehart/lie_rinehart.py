@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, PolyDerivation, perm_sign
+from .poly import Polynomial, PolyDerivation
 
 
 class PresentationError(ValueError):
@@ -366,107 +366,6 @@ class Connection:
 
 
 # -- constructors ----------------------------------------------------------
-
-
-def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """f / g when g divides f exactly (graded-lex long division), else None."""
-    if g.is_zero():
-        return None
-    vars = f.vars
-    quot = Polynomial.zero(vars)
-    rem = f
-
-    def leading(p):
-        return max(p.terms, key=lambda e: (sum(e), e))
-
-    lg = leading(g)
-    cg = g.terms[lg]
-    while not rem.is_zero():
-        lr = leading(rem)
-        if any(a < b for a, b in zip(lr, lg)):
-            return None
-        exp = tuple(a - b for a, b in zip(lr, lg))
-        c = Fraction(rem.terms[lr], cg)
-        t = Polynomial.monomial(vars, exp, c)
-        quot = quot + t
-        rem = rem - t * g
-    return quot
-
-
-def from_vector_fields(
-    vars: tuple[str, ...],
-    fields: tuple[PolyDerivation, ...],
-    basis_names: tuple[str, ...] | None = None,
-    weights: dict[str, int] | None = None,
-    name: str = "",
-) -> LieRinehartAlgebra:
-    """Presentation from R-independent vector fields closed under commutators.
-
-    Structure functions are solved exactly (Cramer plus exact division over R);
-    a commutator outside the R-span is rejected with a witness.
-    """
-    d = len(fields)
-    n = len(vars)
-    if basis_names is None:
-        basis_names = tuple(f"v{k+1}" for k in range(d))
-    # choose d rows of the n x d coefficient matrix with invertible determinant
-    matrix = [[fields[k].images[u] for k in range(d)] for u in range(n)]
-    best = None
-    for rows in itertools.combinations(range(n), d):
-        det = _poly_det([[matrix[u][k] for k in range(d)] for u in rows])
-        if not det.is_zero():
-            best = (rows, det)
-            break
-    if best is None:
-        raise PresentationError("vector fields are not R-independent")
-    rows, det = best
-
-    def solve_in_span(target: PolyDerivation) -> tuple[Polynomial, ...] | None:
-        sub = [[matrix[u][k] for k in range(d)] for u in rows]
-        rhs = [target.images[u] for u in rows]
-        coeffs = []
-        for k in range(d):
-            mk = [row[:k] + [rhs[t]] + row[k + 1:] for t, row in enumerate(sub)]
-            q = poly_divide_exact(_poly_det(mk), det)
-            if q is None:
-                return None
-            coeffs.append(q)
-        # verify on every row, not only the chosen submatrix
-        for u in range(n):
-            acc = Polynomial.zero(vars)
-            for k in range(d):
-                acc = acc + coeffs[k] * matrix[u][k]
-            if acc != target.images[u]:
-                return None
-        return tuple(coeffs)
-
-    structure: dict[tuple[int, int], tuple[Polynomial, ...]] = {}
-    for i, j in itertools.combinations(range(d), 2):
-        comm = fields[i].commutator(fields[j])
-        sol = solve_in_span(comm)
-        if sol is None:
-            raise PresentationError(
-                f"commutator [{basis_names[i]}, {basis_names[j]}] = {comm} "
-                "is not in the R-span of the fields"
-            )
-        structure[(i, j)] = sol
-    return LieRinehartAlgebra(vars, basis_names, fields, structure, weights, name)
-
-
-def _poly_det(m: list[list[Polynomial]]) -> Polynomial:
-    d = len(m)
-    if d == 0:
-        raise ValueError("empty matrix")
-    vars = m[0][0].vars
-    out = Polynomial.zero(vars)
-    for perm in itertools.permutations(range(d)):
-        term = Polynomial.const(vars, perm_sign(perm))
-        for i in range(d):
-            term = term * m[i][perm[i]]
-            if term.is_zero():
-                break
-        out = out + term
-    return out
 
 
 def from_action(

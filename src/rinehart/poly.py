@@ -108,10 +108,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, vars: tuple[str, ...], name: str) -> "Polynomial":
-        i = list(vars).index(name)
-        exp = [0] * len(vars)
-        exp[i] = 1
-        return cls(vars, {tuple(exp): 1})
+        if name not in vars:
+            raise VariableMismatch(f"no variable {name!r} in {vars}")
+        return cls(vars, {tuple(int(v == name) for v in vars): 1})
 
     @classmethod
     def monomial(cls, vars: tuple[str, ...], exp: Exponent, c=1) -> "Polynomial":
@@ -276,10 +275,9 @@ class PolyDerivation:
     @classmethod
     def coordinate(cls, vars: tuple[str, ...], name: str) -> "PolyDerivation":
         """The coordinate vector field d/d(name)."""
-        images = [
-            Polynomial.const(vars, 1 if v == name else 0) for v in vars
-        ]
-        return cls(vars, images)
+        if name not in vars:
+            raise VariableMismatch(f"no variable {name!r} in {vars}")
+        return cls(vars, [Polynomial.const(vars, int(v == name)) for v in vars])
 
     def __call__(self, p: Polynomial) -> Polynomial:
         """D(p) term by term, with no Polynomial built on the way: c x^e goes

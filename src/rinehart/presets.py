@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lie_rinehart import (
-    LieRinehartAlgebra,
-    PresentationError,
-    from_action,
-    from_vector_fields,
-)
+from .lie_rinehart import LieRinehartAlgebra, PresentationError, from_action
 from .poly import Polynomial, PolyDerivation, parse_poly
 
 
@@ -25,7 +20,7 @@ def weyl(n: int) -> LieRinehartAlgebra:
         basis = tuple(f"e{i+1}" for i in range(n))
     anchor = tuple(PolyDerivation.coordinate(vars, v) for v in vars)
     weights = {name: 1 for name in vars + basis}
-    return LieRinehartAlgebra(vars, basis, anchor, {}, weights, name=f"weyl({n})")
+    return from_action(vars, basis, {}, anchor, weights, name=f"weyl({n})")
 
 
 _LIE_TABLES = {
@@ -42,14 +37,9 @@ def lie(g: str) -> LieRinehartAlgebra:
     if g not in _LIE_TABLES:
         raise PresentationError(f"unknown Lie algebra {g!r}; have {sorted(_LIE_TABLES)}")
     basis, table = _LIE_TABLES[g]
-    vars: tuple[str, ...] = ()
-    anchor = tuple(PolyDerivation.zero(vars) for _ in basis)
-    structure = {
-        key: tuple(Polynomial.const(vars, c) for c in cs)
-        for key, cs in table.items()
-    }
+    anchor = (PolyDerivation.zero(()),) * len(basis)
     weights = {name: 1 for name in basis}
-    return LieRinehartAlgebra(vars, basis, anchor, structure, weights, name=f"lie({g})")
+    return from_action((), basis, table, anchor, weights, name=f"lie({g})")
 
 
 def semidirect_sl2() -> LieRinehartAlgebra:
@@ -73,9 +63,11 @@ def arrangement(forms: list[str]) -> LieRinehartAlgebra:
     """Derivations tangent to the central line arrangement prod(forms) = 0.
 
     The forms are linear in x, y, pairwise non-proportional, and must include
-    x itself.  Generators: the Euler field and F*d/dy where F is the product
-    of the non-x forms.  The bracket coefficient [E, D] = r*D is solved from
-    the exact commutator.
+    x itself.  Generators: the Euler field E and D = F*d/dy where F is the
+    product of the non-x forms (Saito's free basis).  F is homogeneous, so
+    [E, D] = (deg F - 1) D: the presentation is the action of that
+    two-dimensional Lie algebra, and `from_action` checks the commutator
+    exactly.
     """
     vars = ("x", "y")
     parsed = []
@@ -101,8 +93,8 @@ def arrangement(forms: list[str]) -> LieRinehartAlgebra:
     dfield = PolyDerivation(vars, [parse_poly(vars, "0"), F])
     # canonical weights: the Euler generator is weight 0, D follows deg F - 1
     weights = {"x": 1, "y": 1, "E": 0, "D": F.total_degree() - 1}
-    return from_vector_fields(vars, (euler, dfield), ("E", "D"), weights,
-                              name=f"arrangement({len(parsed)} lines)")
+    return from_action(vars, ("E", "D"), {(0, 1): (0, F.total_degree() - 1)},
+                       (euler, dfield), weights, name=f"arrangement({len(parsed)} lines)")
 
 
 def _proportional(p: Polynomial, q: Polynomial) -> bool:

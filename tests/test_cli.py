@@ -66,6 +66,38 @@ def test_round_trip_serialization():
         assert back.structure == alg.structure
 
 
+@pytest.mark.parametrize("spec, digest", [
+    ("weyl(1)",
+     "4836bc89f94b80a08cb40ac65a6074393b49eb928681a7fa58e2dfab5404a86b"),
+    ("weyl(2)",
+     "f7709a565c681a82741e79521fb2383aacc3fef185d39bf0d3cd5383412413c1"),
+    ("weyl(3)",
+     "fd4feec8b9cb49284b1e8e61cbb752b353627cceff12609e3015aab2b5d15efe"),
+    ("lie(sl2)",
+     "b981e29a3ab7e370fb999a5b90e4143c66afb90808137875add824aaeaada2c2"),
+    ("lie(abelian1)",
+     "9b37705d7e698c4793f5f72fe7b52506d7c572b597b68e483e85b80e1d3f4e9c"),
+    ("lie(abelian2)",
+     "793c41d945c5e5d0a3fd9db06e293980093079e1fd9229888cbbe7f792cb55d4"),
+    ("semidirect(sl2,std)",
+     "2bbf09148968f9fefc8bfac5a72ca832b93644d5001d7a0e6de65e897736dbfe"),
+    ("arrangement(x)",
+     "e7972c8c87fc6477d7199240c865672aeed9983b6e8a0b08f22b078cbd094846"),
+    ("arrangement(x,y)",
+     "da03f0f1edb9128811780bd7e99cda6315a4462b7cf4ff924446391c35c56720"),
+    ("arrangement(x,y-x,y+x)",
+     "a47d7b2b31f10d645b3d1b329db70d111c51de6608e57096382ada5d324f1942"),
+    ("arrangement(x,y,y-x,y+x)",
+     "087d53c102ef21430ff9ed39b63d3624a3d2fb630fb2b890960cb1b326772217"),
+])
+def test_builtin_presentations_are_pinned(spec, digest):
+    # every builtin's vars, basis, anchor, brackets, weights and name: the
+    # bytes each downstream answer is computed from
+    alg = presets.builtin(spec)
+    text = json.dumps({**serialize(alg), "name": alg.name}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_spec_file_parsing(tmp_path):
     spec = {
         "vars": ["x"],

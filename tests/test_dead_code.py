@@ -240,6 +240,16 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_the_package_exports_exactly_what_it_imports():
+    # __init__.py's imports are re-exports, so each belongs in __all__ and
+    # a name deleted from a module must leave both
+    import rinehart
+    tree = ast.parse((ROOT / "src" / "rinehart" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(rinehart.__all__)
+
+
 def _random_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random"]

@@ -12,8 +12,6 @@ from rinehart.lie_rinehart import (
     bracket_extend,
     check_axioms,
     from_action,
-    from_vector_fields,
-    poly_divide_exact,
     seeded_check,
 )
 from rinehart.poisson import Multivector, SymAlgebra
@@ -470,46 +468,6 @@ def test_ruth_check_witness_replays_with_samples_one_past_its_trial(monkeypatch)
 # -- constructors ------------------------------------------------------------
 
 
-def test_from_vector_fields_weyl():
-    vars = ("x",)
-    alg = from_vector_fields(vars, (PolyDerivation.coordinate(vars, "x"),), ("e",))
-    assert check_axioms(alg).ok
-    assert alg.structure == {}
-
-
-def test_from_vector_fields_two_lines():
-    vars = ("x", "y")
-    E = PolyDerivation(vars, [parse_poly(vars, "x"), parse_poly(vars, "y")])
-    D = PolyDerivation(vars, [parse_poly(vars, "0"), parse_poly(vars, "y")])
-    alg = from_vector_fields(vars, (E, D), ("E", "D"))
-    assert bracket_extend(alg.basis_element(0), alg.basis_element(1)).is_zero()
-
-
-def test_from_vector_fields_three_lines():
-    vars = ("x", "y")
-    E = PolyDerivation(vars, [parse_poly(vars, "x"), parse_poly(vars, "y")])
-    D = PolyDerivation(vars, [parse_poly(vars, "0"), parse_poly(vars, "y^2-x^2")])
-    alg = from_vector_fields(vars, (E, D), ("E", "D"))
-    assert bracket_extend(alg.basis_element(0), alg.basis_element(1)) == alg.basis_element(1)
-
-
-def test_from_vector_fields_rejects_commutator_outside_span():
-    vars = ("x", "y")
-    a = PolyDerivation(vars, [parse_poly(vars, "y"), parse_poly(vars, "0")])
-    b = PolyDerivation(vars, [parse_poly(vars, "0"), parse_poly(vars, "x")])
-    with pytest.raises(PresentationError, match="not in the R-span"):
-        from_vector_fields(vars, (a, b))
-
-
-def test_poly_divide_exact():
-    vars = ("x", "y")
-    f = parse_poly(vars, "x^2*y - y^3")
-    g = parse_poly(vars, "x - y")
-    q = poly_divide_exact(f * g, g)
-    assert q == f
-    assert poly_divide_exact(parse_poly(vars, "x^2 + 1"), g) is None
-
-
 def _sl2_presentation(table):
     zero = PolyDerivation.zero(())
     return LieRinehartAlgebra((), ("e", "f", "h"), (zero, zero, zero), {
@@ -571,27 +529,31 @@ def test_from_action_rejects_non_morphism():
         )
 
 
+@pytest.mark.parametrize("forms, r", [
+    (["x"], -1), (["x", "y"], 0), (["x", "y-x", "y+x"], 1), (["x", "y", "y-x", "y+x"], 2),
+])
+def test_arrangement_bracket_is_deg_f_minus_one(forms, r):
+    # Saito's basis E, F d/dy: F is homogeneous of degree len(forms) - 1
+    alg = presets.arrangement(forms)
+    E, D = alg.basis_element(0), alg.basis_element(1)
+    assert bracket_extend(E, D) == D.scale(r)
+    assert check_axioms(alg).ok
+
+
+def test_from_action_rejects_an_arrangement_bracket_off_by_one():
+    vars = ("x", "y")
+    E = PolyDerivation(vars, [parse_poly(vars, "x"), parse_poly(vars, "y")])
+    D = PolyDerivation(vars, [parse_poly(vars, "0"), parse_poly(vars, "y^2-x^2")])
+    assert from_action(vars, ("E", "D"), {(0, 1): (0, 1)}, (E, D)).rank == 2
+    with pytest.raises(PresentationError, match="morphism"):
+        from_action(vars, ("E", "D"), {(0, 1): (0, 2)}, (E, D))
+
+
 def test_arrangement_presets():
-    three = presets.arrangement(["x", "y-x", "y+x"])
-    four = presets.arrangement(["x", "y", "y-x", "y+x"])
-    assert check_axioms(three).ok and check_axioms(four).ok
-    # [E, D] = r D with r = deg F - 1
-    assert bracket_extend(four.basis_element(0), four.basis_element(1)) == \
-        four.basis_element(1).scale(2)
     with pytest.raises(PresentationError):
         presets.arrangement(["y", "y-x"])  # x missing
     with pytest.raises(PresentationError):
         presets.arrangement(["x", "y", "2*y"])  # proportional lines
-
-
-def test_exact_division_never_makes_a_float():
-    XY = ("x", "y")
-    q = poly_divide_exact(parse_poly(XY, "x"), parse_poly(XY, "2*x"))
-    assert q == Polynomial.const(XY, Fraction(1, 2))
-    assert type(q.constant_value()) is Fraction
-    q = poly_divide_exact(parse_poly(XY, "3*x^2 + x*y"), parse_poly(XY, "6*x + 2*y"))
-    assert q.terms == {(1, 0): Fraction(1, 2)}
-    assert poly_divide_exact(parse_poly(XY, "x + 1"), parse_poly(XY, "2*x")) is None
 
 
 def test_proportional_compares_exact_ratios():

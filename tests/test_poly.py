@@ -53,6 +53,13 @@ def test_mismatched_variables_rejected():
         P("x") + parse_poly(("x",), "x")
 
 
+def test_a_coordinate_outside_the_variables_is_rejected():
+    # d/dy over Q[x] is not the zero derivation
+    for make in (PolyDerivation.coordinate, Polynomial.variable):
+        with pytest.raises(VariableMismatch, match="'y'"):
+            make(("x",), "y")
+
+
 def test_weight_split_standard():
     pieces = P("x^2 + x*y^3").weight_split((1, 1))
     assert set(pieces) == {2, 4}

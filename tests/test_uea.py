@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from rinehart import presets
-from rinehart.lie_rinehart import Connection, LElement, from_vector_fields
+from rinehart.lie_rinehart import (Connection, LElement, LieRinehartAlgebra,
+                                   check_axioms)
 from rinehart.linalg import assemble, kernel_and_rank
 from rinehart.pbwext import EtaContext, tower_eval
 from rinehart.poisson import Multivector, SymAlgebra
@@ -497,7 +498,10 @@ def non_constant_bracket():
     vars = ("x", "y")
     fields = (PolyDerivation(vars, [parse_poly(vars, "1"), parse_poly(vars, "0")]),
               PolyDerivation(vars, [parse_poly(vars, "x^2"), parse_poly(vars, "1")]))
-    return from_vector_fields(vars, fields, ("X", "Y"))
+    alg = LieRinehartAlgebra(vars, ("X", "Y"), fields, {
+        (0, 1): (parse_poly(vars, "2*x"), Polynomial.zero(vars))})
+    assert check_axioms(alg).ok
+    return alg
 
 
 def test_product_matches_the_reference_on_a_non_constant_bracket():
