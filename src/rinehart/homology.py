@@ -317,6 +317,7 @@ def euler_contraction_check(
         eigws = _euler_eigenweights(P, euler)
     except ValueError as exc:
         return CheckReport(False, (str(exc),), 0)
+    dE = [euler.partial(a) for a in range(P.N)].__getitem__  # i_E contracts with dE
     failures = []
     checked = 0
     images: dict = {}  # delta of each unit term (legs, exp) met in this call
@@ -338,10 +339,10 @@ def euler_contraction_check(
                 eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
                 D = Multivector.basis_element(P, legs, exp)
                 acc: dict = {}
-                for key, c in D.interior(euler).entries():
+                for key, c in D.contract(dE).entries():
                     for term, v in delta(key).entries():
                         acc[term] = acc.get(term, 0) + c * v
-                lhs = Multivector.from_flat(P, k, acc) + delta((legs, exp)).interior(euler)
+                lhs = Multivector.from_flat(P, k, acc) + delta((legs, exp)).contract(dE)
                 rhs = D.scale(eig)
                 if not (lhs - rhs).is_zero():
                     failures.append(

@@ -45,6 +45,7 @@ class SymAlgebra:
         self._d_table = {ab: [(m, u[:m] + (k - 1,) + u[m + 1:], k * v)
                               for u, v in br.terms.items() for m, k in enumerate(u) if k]
                          for ab, br in self._table.items() if br}
+        self._pair_sums: dict = {}  # per leg set, filled by `poisson_differential`
 
     def lift(self, f: Polynomial) -> Polynomial:
         """Include a ring element into the symbol algebra."""
@@ -308,9 +309,10 @@ def poisson_differential(D: Multivector) -> Multivector:
     Only the leg sets that a term of D reaches are visited: a term on L
     feeds the first sum at L plus one leg, and the second at (L minus one
     leg) plus a pair (a, b) with a nonzero bracket.  The first sum reads
-    {x_a, x^e} off the rows of `_acting`, as `poisson_boundary` does; the
-    second takes D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior
-    per pair, contracted from the partials of {x_a, x_b} in `_d_table`.
+    {x_a, x^e} off the rows of `_acting`, as `poisson_boundary` does.  The
+    second is linear over symbols in D, so a term c x^e on L adds c x^e
+    times the second sum of the unit d/dx_L, taken by `_pair_sum` once per
+    leg set and kept in `P._pair_sums`.
     """
     P, acc = D.parent, {}
     for (legs, exp), c in D.flat.items():
@@ -325,6 +327,20 @@ def poisson_differential(D: Multivector) -> Multivector:
                     for u, v in terms:
                         key = new, tuple(map(add, lower, u))
                         acc[key] = acc.get(key, 0) + f * v
+        if (pair_sum := P._pair_sums.get(legs)) is None:
+            unit = Multivector.basis_element(P, legs, (0,) * P.N)
+            pair_sum = P._pair_sums[legs] = list(_cleaned(_pair_sum(unit)).items())
+        for (new, u), v in pair_sum:
+            key = new, tuple(map(add, exp, u))
+            acc[key] = acc.get(key, 0) + c * v
+    return Multivector.from_flat(P, D.degree + 1, acc)
+
+
+def _pair_sum(D: Multivector) -> dict:
+    """The flat terms of sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..) on
+    coordinates: D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior per
+    pair, contracted from the partials of {x_a, x_b} in `_d_table`."""
+    P, acc = D.parent, {}
     rests = {legs[:p] + legs[p + 1:] for legs, _ in D.flat for p in range(len(legs))}
     rest_coords = [(rest, [P.coordinate(r) for r in rest]) for rest in sorted(rests)]
     for (a, b), br in P._table.items():
@@ -350,7 +366,7 @@ def poisson_differential(D: Multivector) -> Multivector:
                 for exp, v in inner.evaluate(coords).terms.items():
                     key = new, exp
                     acc[key] = acc.get(key, 0) - s1 * s2 * v
-    return Multivector.from_flat(P, D.degree + 1, acc)
+    return acc
 
 
 # -- weight-sliced cohomology -------------------------------------------------

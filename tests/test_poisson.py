@@ -284,6 +284,45 @@ def test_laplace_expansion_matches_the_reference_paths(name):
 
 
 @pytest.mark.parametrize("name", BUILTINS)
+def test_differential_on_shared_leg_sets_matches_the_reference(name):
+    # one SymAlgebra for every multivector, so the later ones read the
+    # bracket-pair sums the earlier ones left in its memo
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(29)
+    for k in range(min(3, P.N) + 1):
+        A = rand_multiterm_mv(rng, P, k)
+        half = Polynomial.const(P.vars, Fraction(1, 2))
+        for D in [A, rand_multiterm_mv(rng, P, k), A.scale(Fraction(1, 2)),
+                  A.scale(P.coordinate(0) + half) - rand_multiterm_mv(rng, P, k)]:
+            assert poisson_differential(D) == reference_differential(D)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bracket_pair_sums_are_evaluated_once_per_leg_set(name, monkeypatch):
+    calls = []
+    evaluate = Multivector.evaluate
+    monkeypatch.setattr(Multivector, "evaluate",
+                        lambda D, args: calls.append(D) or evaluate(D, args))
+    P = SymAlgebra(presets.builtin(name))
+    assert P._pair_sums == {}
+    rng = random.Random(31)
+    for k in range(1, min(3, P.N) + 1):
+        A = rand_multiterm_mv(rng, P, k)
+        poisson_differential(A)
+        assert set(P._pair_sums) >= {legs for legs, _ in A.flat}
+        calls.clear()
+        B = Multivector(P, k, {legs: rand_sym(rng, P) for legs in A.terms})
+        assert poisson_differential(B) == reference_differential(B)
+        assert calls == []
+    # the memo lives on its SymAlgebra: a fresh one evaluates again, once
+    # per nonzero bracket pair on d/dx_0, whose one rest admits them all
+    fresh = SymAlgebra(presets.builtin(name))
+    assert fresh._pair_sums == {}
+    poisson_differential(Multivector.basis_element(fresh, (0,), (0,) * fresh.N))
+    assert len(calls) == len(fresh._d_table) > 0
+
+
+@pytest.mark.parametrize("name", BUILTINS)
 def test_contraction_matches_the_reference_interior_products(name):
     # a one-form given per coordinate is sum_a form(a) dx_a, so its
     # contraction is the form-weighted sum of the interior products with
