@@ -3,7 +3,6 @@ the duality cap, and the Euler contraction used for weight-zero directions."""
 from __future__ import annotations
 
 import itertools
-from operator import add
 
 from .lie_rinehart import CheckReport, LieRinehartAlgebra
 from .linalg import (ComplexSlice, SparseMatrixQ, assemble, assemble_slice, cohomology_dims,
@@ -13,9 +12,10 @@ from .poisson import (
     LegTensor,
     Multivector,
     SymAlgebra,
+    _apply_plan,
     poisson_differential,
 )
-from .poly import Polynomial, exponents, insert_leg, leg_basis
+from .poly import Polynomial, _cleaned, exponents, insert_leg, leg_basis
 
 
 class KahlerForm(LegTensor):
@@ -40,30 +40,29 @@ def _d(flat: dict) -> dict:
 
 def poisson_boundary(w: KahlerForm) -> KahlerForm:
     """The degree -1 Koszul-Brylinski boundary, contract(d w) - d(contract w),
-    in one pass (docs/signs.md): a term c x^e dx_L gives -(-1)^i c {x^e, x_L_i}
-    on L without L_i and -(-1)^(i+j) c x^e d{x_L_i, x_L_j} wedged onto L
-    without L_i, L_j, for 0-based positions i < j; zero on functions."""
-    P, out = w.parent, {}
-    for (legs, exp), c in w.flat.items():
-        for i, a in enumerate(legs):
-            rest, c_i = legs[:i] + legs[i + 1:], c if i % 2 else -c
-            # {x^e, x_a} = sum_b e_b x^(e - e_b) {x_b, x_a}
-            for b, terms in P._acting[a]:
-                if e_b := exp[b]:
-                    lower, f = exp[:b] + (e_b - 1,) + exp[b + 1:], e_b * c_i
-                    for u, v in terms:
-                        key = (rest, tuple(map(add, lower, u)))
-                        out[key] = out.get(key, 0) + f * v
-        for i, j in itertools.combinations(range(len(legs)), 2):
-            if partials := P._d_table.get((legs[i], legs[j])):
-                rest = legs[:i] + legs[i + 1:j] + legs[j + 1:]
-                c_ij = c if (i + j) % 2 else -c
-                for m, u, v in partials:
-                    new, sign = insert_leg(rest, m)
-                    if sign:
-                        key = (new, tuple(map(add, exp, u)))
-                        out[key] = out.get(key, 0) + sign * v * c_ij
-    return KahlerForm.from_flat(P, max(w.degree - 1, 0), out)
+    in one pass (docs/signs.md), run through `poisson._apply_plan` with the
+    plan of `_boundary_plan`; zero on functions."""
+    return KahlerForm.from_flat(w.parent, max(w.degree - 1, 0),
+                                _apply_plan(w.parent, _boundary_plan, w.flat))
+
+
+def _boundary_plan(P: SymAlgebra, legs: Legs) -> tuple[list, dict]:
+    """The rows of `poisson_boundary` on the leg set L: a term c x^e dx_L
+    gives -(-1)^i c {x^e, x_L_i} on L without L_i, with {x^e, x_a} =
+    sum_b e_b x^(e - e_b) {x_b, x_a}, and -(-1)^(i+j) c x^e d{x_L_i, x_L_j}
+    wedged onto L without L_i, L_j, for 0-based positions i < j."""
+    by_b: dict = {}
+    for i, a in enumerate(legs):
+        rest, s = legs[:i] + legs[i + 1:], 1 if i % 2 else -1
+        for b, terms in P._acting[a]:
+            by_b.setdefault(b, []).extend((rest, shift, s * v) for shift, v in terms)
+    fixed: dict = {}
+    for i, j in itertools.combinations(range(len(legs)), 2):
+        for m, u, v in P._d_table.get((legs[i], legs[j]), ()):
+            new, sign = insert_leg(legs[:i] + legs[i + 1:j] + legs[j + 1:], m)
+            if sign:
+                fixed[new, u] = fixed.get((new, u), 0) + (sign if (i + j) % 2 else -sign) * v
+    return sorted(by_b.items()), _cleaned(fixed)
 
 
 # -- weight slices -----------------------------------------------------------
@@ -337,14 +336,14 @@ def euler_contraction_check(
                 if wt > max_weight or wt < -max_weight:
                     continue
                 eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
-                D = Multivector.basis_element(P, legs, exp)
-                acc: dict = {}
-                for key, c in D.contract(dE).entries():
+                # delta(i_E D) + i_E(delta D) - eig * D, summed in one dict
+                acc: dict = {(legs, exp): -eig}
+                for key, c in Multivector.basis_element(P, legs, exp).contract(dE).entries():
                     for term, v in delta(key).entries():
                         acc[term] = acc.get(term, 0) + c * v
-                lhs = Multivector.from_flat(P, k, acc) + delta((legs, exp)).contract(dE)
-                rhs = D.scale(eig)
-                if not (lhs - rhs).is_zero():
+                for term, v in delta((legs, exp)).contract(dE).entries():
+                    acc[term] = acc.get(term, 0) + v
+                if any(acc.values()):
                     failures.append(
                         f"anticommutator is not weight*id on {_label(P, legs, exp)} "
                         f"(weight {eig})"

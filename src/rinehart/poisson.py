@@ -33,19 +33,20 @@ class SymAlgebra:
         self._coordinates = [Polynomial._of(self.vars, {u: 1}) for u in units]
         self._table = {(a, b): self._generator_bracket(a, b)
                        for a, b in itertools.combinations(range(self.N), 2)}
-        # per coordinate a, the nonzero (b, terms of {x_b, x_a}), sorted by b,
-        # for the boundary, the differential and `coordinate_action`
+        # per coordinate a, the nonzero (b, terms (u - e_b, v) of {x_b, x_a}),
+        # sorted by b, for the plans and `coordinate_action`
         self._acting: list[list] = [[] for _ in range(self.N)]
         for (a, b), br in self._table.items():
             if br:
-                self._acting[b].append((a, list(br.terms.items())))
-                self._acting[a].append((b, [(u, -v) for u, v in br.terms.items()]))
+                self._acting[b].append((a, [(_lowered(u, a), v) for u, v in br.terms.items()]))
+                self._acting[a].append((b, [(_lowered(u, b), -v) for u, v in br.terms.items()]))
         # for the boundary and the differential, per nonzero pair a < b, the
         # partials (m, u - e_m, u_m v) of {x_a, x_b}
-        self._d_table = {ab: [(m, u[:m] + (k - 1,) + u[m + 1:], k * v)
+        self._d_table = {ab: [(m, _lowered(u, m), k * v)
                               for u, v in br.terms.items() for m, k in enumerate(u) if k]
                          for ab, br in self._table.items() if br}
-        self._pair_sums: dict = {}  # per leg set, filled by `poisson_differential`
+        # per (plan builder, leg set), the rows that `_apply_plan` runs
+        self._plans: dict = {}
 
     def lift(self, f: Polynomial) -> Polynomial:
         """Include a ring element into the symbol algebra."""
@@ -90,10 +91,9 @@ class SymAlgebra:
         for b, terms in self._acting[a]:
             for exp, c in g.terms.items():
                 if k := exp[b]:
-                    lower, f = exp[:b] + (k - 1,) + exp[b + 1:], -k * c
-                    for u, v in terms:
-                        key = tuple(map(add, lower, u))
-                        out[key] = out.get(key, 0) + f * v
+                    for shift, v in terms:
+                        key = tuple(map(add, exp, shift))
+                        out[key] = out.get(key, 0) - k * c * v
         return Polynomial._of(self.vars, _cleaned(out))
 
     # -- weights -------------------------------------------------------
@@ -300,72 +300,82 @@ class Multivector(LegTensor):
         return D.coefficient(())
 
 
+def _lowered(exp: tuple[int, ...], b: int) -> tuple[int, ...]:
+    """exp - e_b, with -1 at b when exp has no x_b."""
+    return exp[:b] + (exp[b] - 1,) + exp[b + 1:]
+
+
+def _apply_plan(P: SymAlgebra, build, flat: dict) -> dict:
+    """The flat image of an operator that is a derivation in the symbol
+    factor, through its plan (by_b, fixed) = build(P, L) per leg set L, built
+    on first use and kept in `P._plans`.  A term c x^e on L adds e_b c v at
+    (new, e + shift) for each row (new, shift, v) under b in by_b, and c v at
+    (new, e + u) for each row (new, u): v of fixed."""
+    plans, acc = P._plans, {}
+    for (legs, exp), c in flat.items():
+        if (plan := plans.get((build, legs))) is None:
+            plan = plans[build, legs] = build(P, legs)
+        by_b, fixed = plan
+        for b, rows in by_b:
+            if k := exp[b]:
+                f = k * c
+                for new, shift, v in rows:
+                    key = new, tuple(map(add, exp, shift))
+                    acc[key] = acc.get(key, 0) + f * v
+        for (new, u), v in fixed.items():
+            key = new, tuple(map(add, exp, u))
+            acc[key] = acc.get(key, 0) + c * v
+    return acc
+
+
 def poisson_differential(D: Multivector) -> Multivector:
     """The degree +1 differential of the bracket, on coordinate tuples.
 
     Value on coordinates (gamma_1..gamma_{k+1}):
       sum_i (-1)^{i+1} {gamma_i, D(..hat i..)}
-      + sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..hat i, hat j..).
-    Only the leg sets that a term of D reaches are visited: a term on L
-    feeds the first sum at L plus one leg, and the second at (L minus one
-    leg) plus a pair (a, b) with a nonzero bracket.  The first sum reads
-    {x_a, x^e} off the rows of `_acting`, as `poisson_boundary` does.  The
-    second is linear over symbols in D, so a term c x^e on L adds c x^e
-    times the second sum of the unit d/dx_L, taken by `_pair_sum` once per
-    leg set and kept in `P._pair_sums`.
+      + sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..hat i, hat j..),
+    run through `_apply_plan` with the plan of `_differential_plan`.
     """
-    P, acc = D.parent, {}
-    for (legs, exp), c in D.flat.items():
-        for a in range(P.N):
-            new, sign = insert_leg(legs, a)
-            if not sign:
-                continue
-            # {x_a, x^e} = -sum_b e_b x^(e - e_b) {x_b, x_a}
+    return Multivector.from_flat(D.parent, D.degree + 1,
+                                 _apply_plan(D.parent, _differential_plan, D.flat))
+
+
+def _differential_plan(P: SymAlgebra, legs: Legs) -> tuple[list, dict]:
+    """The rows of `poisson_differential` on the leg set L.  The first sum
+    wedges x_a onto L with the sign s of `insert_leg`, and {x_a, x^e} =
+    -sum_b e_b x^(e - e_b) {x_b, x_a}: the row (L + a, u - e_b, -s v) under b
+    per term v x^u of {x_b, x_a}.  The second sum is linear over symbols, so
+    its rows are the flat terms of `_pair_sum`, on the unit d/dx_L."""
+    by_b: dict = {}
+    for a in range(P.N):
+        new, sign = insert_leg(legs, a)
+        if sign:
             for b, terms in P._acting[a]:
-                if k := exp[b]:
-                    lower, f = exp[:b] + (k - 1,) + exp[b + 1:], -sign * k * c
-                    for u, v in terms:
-                        key = new, tuple(map(add, lower, u))
-                        acc[key] = acc.get(key, 0) + f * v
-        if (pair_sum := P._pair_sums.get(legs)) is None:
-            unit = Multivector.basis_element(P, legs, (0,) * P.N)
-            pair_sum = P._pair_sums[legs] = list(_cleaned(_pair_sum(unit)).items())
-        for (new, u), v in pair_sum:
-            key = new, tuple(map(add, exp, u))
-            acc[key] = acc.get(key, 0) + c * v
-    return Multivector.from_flat(P, D.degree + 1, acc)
+                by_b.setdefault(b, []).extend((new, shift, -sign * v) for shift, v in terms)
+    return sorted(by_b.items()), _cleaned(_pair_sum(P, legs))
 
 
-def _pair_sum(D: Multivector) -> dict:
+def _pair_sum(P: SymAlgebra, legs: Legs) -> dict:
     """The flat terms of sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..) on
-    coordinates: D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior per
-    pair, contracted from the partials of {x_a, x_b} in `_d_table`."""
-    P, acc = D.parent, {}
-    rests = {legs[:p] + legs[p + 1:] for legs, _ in D.flat for p in range(len(legs))}
-    rest_coords = [(rest, [P.coordinate(r) for r in rest]) for rest in sorted(rests)]
-    for (a, b), br in P._table.items():
-        if not br:
-            continue
-        inner = None  # D with br in its first slot, once some rest admits (a, b)
-        for rest, coords in rest_coords:
+    coordinates, for the unit D = d/dx_L on the leg set L:
+    D({x_a, x_b}, x_R) = (i_{x_a, x_b} D)(x_R), one interior per pair,
+    contracted from the partials of {x_a, x_b} in `_d_table`."""
+    acc: dict = {}
+    rests = sorted({legs[:p] + legs[p + 1:] for p in range(len(legs))})
+    for (a, b), partials in P._d_table.items():
+        inner = None  # D with {x_a, x_b} in its first slot, once a rest admits (a, b)
+        for rest in rests:
             with_b, s1 = insert_leg(rest, b)
             new, s2 = insert_leg(with_b, a)
             # a and b sit at positions i < j of new: (-1)^{i+j} = -s1*s2
             if s1 * s2:
                 if inner is None:
-                    # i_br D: a term c on legs L gives (-1)^t c d_m br on L
-                    # without m = L[t], the partials read from `_d_table`
-                    flat: dict = {}
-                    for (legs, exp), c in D.flat.items():
-                        for m, u, v in P._d_table[a, b]:
-                            if m in legs:
-                                t = legs.index(m)
-                                key = legs[:t] + legs[t + 1:], tuple(map(add, exp, u))
-                                flat[key] = flat.get(key, 0) + (-c if t % 2 else c) * v
-                    inner = Multivector.from_flat(P, D.degree - 1, flat)
-                for exp, v in inner.evaluate(coords).terms.items():
-                    key = new, exp
-                    acc[key] = acc.get(key, 0) - s1 * s2 * v
+                    # (-1)^t d_m {x_a, x_b} on L without m = L[t]
+                    inner = Multivector.from_flat(P, len(legs) - 1, {
+                        (legs[:t] + legs[t + 1:], u): -v if t % 2 else v
+                        for t, m in enumerate(legs) for n, u, v in partials if n == m})
+                for exp, v in inner.evaluate([P.coordinate(r) for r in rest]).terms.items():
+                    acc[new, exp] = acc.get((new, exp), 0) - s1 * s2 * v
     return acc
 
 

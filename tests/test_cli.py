@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from rinehart.cli import (
 )
 from rinehart.lie_rinehart import CheckReport, Connection, check_axioms
 from rinehart.linalg import NotAComplexError
+from rinehart.poisson import poisson_cohomology
 from rinehart.poly import Polynomial
 from rinehart.quasimod import NonlinearRejection, ruth_check
 
@@ -54,6 +56,32 @@ def serialize(alg) -> dict:
     return data
 
 
+def product(a: dict, b: dict) -> dict:
+    """The spec of the product of two serialized presentations over the
+    union of their variables: the second factor's names get a trailing
+    underscore, each anchor row and bracket vector is padded with zeros
+    for the other factor, and the weights are merged."""
+    rename = {name: name + "_" for name in b["vars"] + b["basis"]}
+
+    def renamed(row):
+        return [re.sub(r"[A-Za-z_]\w*", lambda m: rename.get(m[0], m[0]), s) for s in row]
+
+    n1, n2, r1, r2 = len(a["vars"]), len(b["vars"]), a["rank"], b["rank"]
+    bracket = {key: row + ["0"] * r2 for key, row in a["bracket"].items()}
+    for key, row in b["bracket"].items():
+        i, j = (int(t) for t in key.split(","))
+        bracket[f"{i + r1},{j + r1}"] = ["0"] * r1 + renamed(row)
+    return {
+        "vars": a["vars"] + renamed(b["vars"]),
+        "rank": r1 + r2,
+        "basis": a["basis"] + renamed(b["basis"]),
+        "anchor": [row + ["0"] * n2 for row in a["anchor"]]
+        + [["0"] * n1 + renamed(row) for row in b["anchor"]],
+        "bracket": bracket,
+        "weights": {**a["weights"], **{rename[k]: w for k, w in b["weights"].items()}},
+    }
+
+
 def test_round_trip_serialization():
     for alg in (presets.weyl(2), presets.lie("sl2"),
                 presets.arrangement(["x", "y", "y-x", "y+x"])):
@@ -64,6 +92,60 @@ def test_round_trip_serialization():
         assert back.weights == alg.weights
         assert back.anchor == alg.anchor
         assert back.structure == alg.structure
+
+
+def n_coordinates(alg) -> int:
+    return len(alg.vars) + alg.rank
+
+
+# each table command with its chain sign s: +1 for cochains, -1 for chains
+KUNNETH_TABLES = {
+    "poisson-cohomology": (1, lambda alg, M: poisson_cohomology(alg, M, n_coordinates(alg))),
+    "poisson-homology": (-1, homology.poisson_homology),
+}
+
+
+def convolved(command, a, b, wbr, max_weight) -> dict:
+    """The convolution of the two factors' tables.  With the shifts
+    t_i = s (wbr_i - wbr), an entry (W1, k1) of a and (W2, k2) of b land at
+    (W1 + k1 t_1 + W2 + k2 t_2, k1 + k2): the product's slice weight is its
+    element weight minus s times its degree times its bracket weight wbr.
+    Each factor's table runs to max_weight minus the other factor's lowest
+    slice weight, plus the most that the shifts move an entry, so it holds
+    every entry that lands at a weight up to max_weight."""
+    s, table = KUNNETH_TABLES[command]
+    shift = {f: s * (f.bracket_weight() - wbr) for f in (a, b)}
+    reach = sum(n_coordinates(f) * abs(t) for f, t in shift.items())
+    ta, tb = (table(x, max_weight + reach - min(W for W, _ in table(y, max_weight)))
+              for x, y in ((a, b), (b, a)))
+    out: dict = {}
+    for (W1, k1), d1 in ta.items():
+        for (W2, k2), d2 in tb.items():
+            key = W1 + k1 * shift[a] + W2 + k2 * shift[b], k1 + k2
+            out[key] = out.get(key, 0) + d1 * d2
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(KUNNETH_TABLES))
+@pytest.mark.parametrize("first, second, max_weight", [
+    ("lie(sl2)", "lie(abelian1)", 3),
+    ("weyl(1)", "weyl(1)", 4),
+    ("semidirect(sl2,std)", "lie(abelian1)", 2),
+    ("lie(sl2)", "lie(sl2)", 2),
+    # 8 symbol coordinates, two more than any builtin
+    ("lie(sl2)", "semidirect(sl2,std)", 1),
+])
+def test_product_tables_are_the_convolution_of_the_factor_tables(command, first, second,
+                                                                 max_weight):
+    # Kunneth over Q: the symbol algebra of a product is the tensor product
+    # of the factors' symbol algebras, and so are its complexes, slice by slice
+    a, b = presets.builtin(first), presets.builtin(second)
+    alg = presentation_from_dict(product(serialize(a), serialize(b)))
+    table = KUNNETH_TABLES[command][1](alg, max_weight)
+    weights = {W for W, _ in table}
+    convolution = convolved(command, a, b, alg.bracket_weight(), max_weight)
+    want = {key: dim for key, dim in convolution.items() if dim and key[0] in weights}
+    assert {key: dim for key, dim in table.items() if dim} == want and want
 
 
 @pytest.mark.parametrize("spec, digest", [

@@ -413,6 +413,45 @@ def test_flat_kernels_match_the_reference_on_random_forms(name):
             assert_matches_reference(rand_multiterm_form(rng, P, k))
 
 
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + [
+    "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"])
+def test_boundary_on_shared_leg_sets_matches_the_reference(name):
+    # one SymAlgebra for every form, so the later ones run the plans the
+    # earlier ones left in its memo
+    P = SymAlgebra(presets.builtin(name))
+    rng = random.Random(37)
+    for k in range(P.N + 1):
+        A = rand_multiterm_form(rng, P, k)
+        half = Polynomial.const(P.vars, Fraction(1, 2))
+        for w in [A, rand_multiterm_form(rng, P, k), A.scale(Fraction(1, 2)),
+                  A.scale(P.coordinate(0) + half) - rand_multiterm_form(rng, P, k)]:
+            assert poisson_boundary(w) == reference_boundary(w)
+
+
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS)
+def test_boundary_plans_are_built_once_per_leg_set(name, monkeypatch):
+    built = []
+    plan = homology._boundary_plan
+    monkeypatch.setattr(homology, "_boundary_plan",
+                        lambda P, legs: built.append(legs) or plan(P, legs))
+    P = SymAlgebra(presets.builtin(name))
+    assert P._plans == {}
+    rng, met = random.Random(41), set()
+    for k in range(P.N + 1):
+        for _ in range(2):
+            w = rand_multiterm_form(rng, P, k)
+            met |= {legs for legs, _ in w.flat}
+            poisson_boundary(w)
+            assert sorted(built) == sorted(met)
+    assert {legs for _, legs in P._plans} == met
+    # the memo lives on its SymAlgebra: a fresh one builds again
+    fresh = SymAlgebra(presets.builtin(name))
+    assert fresh._plans == {}
+    poisson_boundary(KahlerForm.basis_element(fresh, (0,), (1,) * fresh.N))
+    assert built[len(met):] == [(0,)]
+    assert list(fresh._plans) == [(homology._boundary_plan, (0,))]
+
+
 @pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + ["arrangement(x,y,y-x,y+x)"])
 def test_duality_cap_matches_the_reference(name):
     P = SymAlgebra(presets.builtin(name))

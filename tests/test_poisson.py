@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rinehart import presets
+from rinehart import poisson, presets
 from rinehart.homology import KahlerForm
 from rinehart.poisson import Multivector, SymAlgebra, poisson_cohomology, poisson_differential
 from rinehart.poly import Polynomial, perm_sign
@@ -297,6 +297,11 @@ def test_differential_on_shared_leg_sets_matches_the_reference(name):
             assert poisson_differential(D) == reference_differential(D)
 
 
+def differential_plans(P):
+    """The leg sets that hold a `poisson_differential` plan in P's memo."""
+    return {legs for build, legs in P._plans if build is poisson._differential_plan}
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_bracket_pair_sums_are_evaluated_once_per_leg_set(name, monkeypatch):
     calls = []
@@ -304,12 +309,12 @@ def test_bracket_pair_sums_are_evaluated_once_per_leg_set(name, monkeypatch):
     monkeypatch.setattr(Multivector, "evaluate",
                         lambda D, args: calls.append(D) or evaluate(D, args))
     P = SymAlgebra(presets.builtin(name))
-    assert P._pair_sums == {}
+    assert P._plans == {}
     rng = random.Random(31)
     for k in range(1, min(3, P.N) + 1):
         A = rand_multiterm_mv(rng, P, k)
         poisson_differential(A)
-        assert set(P._pair_sums) >= {legs for legs, _ in A.flat}
+        assert differential_plans(P) >= {legs for legs, _ in A.flat}
         calls.clear()
         B = Multivector(P, k, {legs: rand_sym(rng, P) for legs in A.terms})
         assert poisson_differential(B) == reference_differential(B)
@@ -317,9 +322,10 @@ def test_bracket_pair_sums_are_evaluated_once_per_leg_set(name, monkeypatch):
     # the memo lives on its SymAlgebra: a fresh one evaluates again, once
     # per nonzero bracket pair on d/dx_0, whose one rest admits them all
     fresh = SymAlgebra(presets.builtin(name))
-    assert fresh._pair_sums == {}
+    assert fresh._plans == {}
     poisson_differential(Multivector.basis_element(fresh, (0,), (0,) * fresh.N))
     assert len(calls) == len(fresh._d_table) > 0
+    assert differential_plans(fresh) == {(0,)}
 
 
 @pytest.mark.parametrize("name", BUILTINS)
