@@ -13,6 +13,7 @@ from .poisson import (
     Multivector,
     SymAlgebra,
     _apply_plan,
+    _lowered,
     poisson_differential,
 )
 from .poly import Polynomial, _cleaned, exponents, insert_leg, leg_basis
@@ -25,25 +26,12 @@ class KahlerForm(LegTensor):
     leg_prefix = "d"
 
 
-def _d(flat: dict) -> dict:
-    """d on a flat form: x^exp dL goes to sum_a exp_a x^(exp - e_a) dx_a ^ dL."""
-    out: dict = {}
-    for (legs, exp), c in flat.items():
-        for a, k in enumerate(exp):
-            if k:
-                new, sign = insert_leg(legs, a)
-                if sign:
-                    key = (new, exp[:a] + (k - 1,) + exp[a + 1:])
-                    out[key] = out.get(key, 0) + sign * k * c
-    return out
-
-
 def poisson_boundary(w: KahlerForm) -> KahlerForm:
     """The degree -1 Koszul-Brylinski boundary, contract(d w) - d(contract w),
     in one pass (docs/signs.md), run through `poisson._apply_plan` with the
     plan of `_boundary_plan`; zero on functions."""
-    return KahlerForm.from_flat(w.parent, max(w.degree - 1, 0),
-                                _apply_plan(w.parent, _boundary_plan, w.flat))
+    return KahlerForm.from_flat(w.parent, max(w.degree - 1, 0), _apply_plan(
+        w.parent._plans, _boundary_plan, w.flat, w.parent))
 
 
 def _boundary_plan(P: SymAlgebra, legs: Legs) -> tuple[list, dict]:
@@ -63,6 +51,16 @@ def _boundary_plan(P: SymAlgebra, legs: Legs) -> tuple[list, dict]:
             if sign:
                 fixed[new, u] = fixed.get((new, u), 0) + (sign if (i + j) % 2 else -sign) * v
     return sorted(by_b.items()), _cleaned(fixed)
+
+
+def _d_plan(P: SymAlgebra, legs: Legs) -> tuple[list, dict]:
+    """The rows of the exterior derivative d on the leg set L, which `cyclic`
+    runs: x^e dx_L goes to sum_a e_a x^(e - e_a) dx_a ^ dx_L, so the row
+    (L + a, -e_a, s) under a for each x_a that `insert_leg` wedges onto L
+    with the sign s."""
+    zero = (0,) * P.N
+    return [(a, [(new, _lowered(zero, a), sign)]) for a in range(P.N)
+            for new, sign in [insert_leg(legs, a)] if sign], {}
 
 
 # -- weight slices -----------------------------------------------------------
@@ -147,7 +145,8 @@ class _MixedBlocks:
                     KahlerForm.basis_element(self.P, *form)).entries()
             else:
                 row_of = self.basis(mu + self.wbr, k + 1)[1]
-                image = lambda form: _d({form: 1}).items()
+                image = lambda form: _apply_plan(self.P._plans, _d_plan, {form: 1},
+                                                 self.P).items()
             self._blocks[op, mu, k] = [[(row_of[key], c) for key, c in image(form)]
                                        for form in self.basis(mu, k)[0]]
         return self._blocks[op, mu, k]

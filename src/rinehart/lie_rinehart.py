@@ -143,25 +143,29 @@ class LieRinehartAlgebra:
             raise PresentationError("no weights declared")
         return self.weights[self.basis[k]]
 
+    def weight_pieces(self) -> list[tuple[str, Polynomial, int]]:
+        """(label, p, w) per nonzero anchor image, then per nonzero structure
+        function p: p has the weight w plus the bracket weight."""
+        vw, gw = self.var_weights(), self.generator_weight
+        return [(f"anchor image rho({self.basis[k]})({self.vars[u]})", im, vw[u] + gw(k))
+                for k, d in enumerate(self.anchor) for u, im in enumerate(d.images) if im] + [
+            (f"structure function c[{self.basis[i]},{self.basis[j]}]^{self.basis[k]}", c,
+             gw(i) + gw(j) - gw(k))
+            for (i, j), cs in self.structure.items() for k, c in enumerate(cs) if c]
+
     def bracket_weight(self) -> int:
-        """The common shift of the bracket/anchor on weights (checked by axioms)."""
+        """The common shift of the bracket/anchor on weights (checked by
+        axioms), read off the first weight piece; a ValueError names that
+        piece when it is not weight homogeneous."""
         if self.weights is None:
             raise PresentationError("no weights declared")
-        vw = self.var_weights()
-        for k, d in enumerate(self.anchor):
-            for u, im in enumerate(d.images):
-                if im:
-                    return im.weight(vw) - vw[u] - self.generator_weight(k)
-        for (i, j), cs in self.structure.items():
-            for k, c in enumerate(cs):
-                if c:
-                    return (
-                        c.weight(vw)
-                        + self.generator_weight(k)
-                        - self.generator_weight(i)
-                        - self.generator_weight(j)
-                    )
-        return 0
+        pieces, vw = self.weight_pieces(), self.var_weights()
+        if not pieces:
+            return 0
+        label, p, w = pieces[0]
+        if not p.is_weight_homogeneous(vw):
+            raise ValueError(f"{label} = {p} is not weight homogeneous")
+        return p.weight(vw) - w
 
 
 class LElement:
@@ -280,32 +284,16 @@ def check_axioms(alg: LieRinehartAlgebra) -> CheckReport:
 
     if alg.weights is not None:
         vw = alg.var_weights()
-        shift = alg.bracket_weight()
-        for k, d in enumerate(alg.anchor):
-            for u, im in enumerate(d.images):
-                if im.is_zero():
-                    continue
-                want = vw[u] + alg.generator_weight(k) + shift
-                if not im.is_weight_homogeneous(vw) or im.weight(vw) != want:
-                    record(
-                        f"anchor image rho({alg.basis[k]})({alg.vars[u]}) = {im} "
-                        f"is not homogeneous of weight {want}"
-                    )
-        for (i, j), cs in alg.structure.items():
-            for k, c in enumerate(cs):
-                if c.is_zero():
-                    continue
-                want = (
-                    alg.generator_weight(i)
-                    + alg.generator_weight(j)
-                    + shift
-                    - alg.generator_weight(k)
-                )
-                if not c.is_weight_homogeneous(vw) or c.weight(vw) != want:
-                    record(
-                        f"structure function c[{alg.basis[i]},{alg.basis[j]}]^{alg.basis[k]}"
-                        f" = {c} is not homogeneous of weight {want}"
-                    )
+        try:
+            shift = alg.bracket_weight()
+        except ValueError as exc:
+            # the piece the shift is read off has no weight: nothing to
+            # check the other pieces against
+            record(str(exc))
+            return CheckReport(False, tuple(failures))
+        for label, p, w in alg.weight_pieces():
+            if not p.is_weight_homogeneous(vw) or p.weight(vw) != w + shift:
+                record(f"{label} = {p} is not homogeneous of weight {w + shift}")
 
     return CheckReport(not failures, tuple(failures))
 

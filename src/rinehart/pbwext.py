@@ -209,7 +209,7 @@ def _random_adjoint_term(rng, P, p, q):
     exp = [0] * P.N
     for u in range(P.n):
         exp[u] = rng.randint(0, 1)
-    for _ in range(q):
+    for _ in range(q if P.d else 0):  # no generator to draw on an empty basis
         exp[P.n + rng.randrange(P.d)] += 1
     return Multivector(
         P, p, {legs: Polynomial.monomial(P.vars, tuple(exp), rng.choice([-2, -1, 1, 2]))}

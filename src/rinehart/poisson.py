@@ -234,17 +234,16 @@ class Multivector(LegTensor):
         """The interior product with the one-form sum_a form(a) dx_a, form
         asked once for each coordinate a that is a leg: each term c on legs
         L gives (-1)^t c form(L[t]) on L without L[t], t the 0-based
-        position.  A function has no leg, and gives zero."""
+        position, through the fixed rows of this call's plan per leg set.
+        A function has no leg, and gives zero."""
         values = {a: form(a).terms for a in {a for legs, _ in self.flat for a in legs}}
-        acc: dict = {}
-        for (legs, exp), c in self.flat.items():
-            for t, a in enumerate(legs):
-                if f := values[a]:
-                    rest, c_t = legs[:t] + legs[t + 1:], -c if t % 2 else c
-                    for e, v in f.items():
-                        key = rest, tuple(map(add, exp, e))
-                        acc[key] = acc.get(key, 0) + c_t * v
-        return Multivector.from_flat(self.parent, max(self.degree - 1, 0), acc)
+
+        def plan(legs):
+            return (), {(legs[:t] + legs[t + 1:], e): -v if t % 2 else v
+                        for t, a in enumerate(legs) for e, v in values[a].items()}
+
+        return Multivector.from_flat(self.parent, max(self.degree - 1, 0),
+                                     _apply_plan({}, plan, self.flat))
 
     def derive(self, degree: int, coordinate_image, leg_image) -> "Multivector":
         """The image of this multivector, as one of the given degree, under
@@ -256,34 +255,31 @@ class Multivector(LegTensor):
         lifted: it replaces the leg d/dx_u at 0-based position t with the
         sign (-1)^t, then each of its legs is wedged in by `insert_leg`.
         Each image is asked once, and only for the coordinates and legs that
-        occur in the terms."""
+        occur in the terms; the rows of this call's plan per leg set are
+        built from them."""
         P = self.parent
         used = sorted({a for _, exp in self.flat for a, k in enumerate(exp) if k})
-        coordinates = {a: im.flat.items() for a in used
-                       if (im := coordinate_image(a)) is not None}
+        coordinates = [(a, im.flat.items()) for a in used
+                       if (im := coordinate_image(a)) is not None]
         pad = (0,) * P.d
         leg_terms = {u: [(w, e + pad, c) for w, im in enumerate(D.images)
                          for e, c in im.terms.items()]
                      for u in sorted({u for legs, _ in self.flat for u in legs})
                      if (D := leg_image(u)) is not None}
-        acc: dict = {}
-        for (legs, exp), c in self.flat.items():
-            for a, image in coordinates.items():
-                if k := exp[a]:
-                    lower = exp[:a] + (k - 1,) + exp[a + 1:]
-                    for (w, e), v in image:
-                        new, sign = insert_leg(legs, w[0]) if w else (legs, 1)
-                        if sign:
-                            key = new, tuple(map(add, lower, e))
-                            acc[key] = acc.get(key, 0) + sign * k * c * v
+
+        def plan(legs):
+            by_b = [(a, [(new, _lowered(e, a), sign * v) for (w, e), v in image
+                         for new, sign in [insert_leg(legs, w[0]) if w else (legs, 1)] if sign])
+                    for a, image in coordinates]
+            fixed: dict = {}
             for t, u in enumerate(legs):
-                rest, c_t = legs[:t] + legs[t + 1:], -c if t % 2 else c
                 for w, e, v in leg_terms.get(u, ()):
-                    new, sign = insert_leg(rest, w)
+                    new, sign = insert_leg(legs[:t] + legs[t + 1:], w)
                     if sign:
-                        key = new, tuple(map(add, exp, e))
-                        acc[key] = acc.get(key, 0) + sign * c_t * v
-        return Multivector.from_flat(P, degree, acc)
+                        fixed[new, e] = fixed.get((new, e), 0) + (-sign if t % 2 else sign) * v
+            return by_b, fixed
+
+        return Multivector.from_flat(P, degree, _apply_plan({}, plan, self.flat))
 
     def interior(self, f: Polynomial) -> "Multivector":
         """Insert f into the first slot: the contraction with df, the Laplace
@@ -305,16 +301,18 @@ def _lowered(exp: tuple[int, ...], b: int) -> tuple[int, ...]:
     return exp[:b] + (exp[b] - 1,) + exp[b + 1:]
 
 
-def _apply_plan(P: SymAlgebra, build, flat: dict) -> dict:
-    """The flat image of an operator that is a derivation in the symbol
-    factor, through its plan (by_b, fixed) = build(P, L) per leg set L, built
-    on first use and kept in `P._plans`.  A term c x^e on L adds e_b c v at
-    (new, e + shift) for each row (new, shift, v) under b in by_b, and c v at
-    (new, e + u) for each row (new, u): v of fixed."""
-    plans, acc = P._plans, {}
+def _apply_plan(plans: dict, build, flat: dict, *context) -> dict:
+    """The flat image of an operator that is a derivation in the coefficient
+    factor and moves the legs by fixed rows: the one loop that applies an
+    operator to flat leg-tensor terms.  Its plan (by_b, fixed) =
+    build(*context, L) per leg set L is built on first use and kept in
+    plans under (build, L).  A term c x^e on L adds e_b c v at
+    (new, e + shift) for each row (new, shift, v) under b in by_b, and c v
+    at (new, e + u) for each row (new, u): v of fixed."""
+    acc: dict = {}
     for (legs, exp), c in flat.items():
         if (plan := plans.get((build, legs))) is None:
-            plan = plans[build, legs] = build(P, legs)
+            plan = plans[build, legs] = build(*context, legs)
         by_b, fixed = plan
         for b, rows in by_b:
             if k := exp[b]:
@@ -336,8 +334,8 @@ def poisson_differential(D: Multivector) -> Multivector:
       + sum_{i<j} (-1)^{i+j} D({gamma_i, gamma_j}, ..hat i, hat j..),
     run through `_apply_plan` with the plan of `_differential_plan`.
     """
-    return Multivector.from_flat(D.parent, D.degree + 1,
-                                 _apply_plan(D.parent, _differential_plan, D.flat))
+    return Multivector.from_flat(D.parent, D.degree + 1, _apply_plan(
+        D.parent._plans, _differential_plan, D.flat, D.parent))
 
 
 def _differential_plan(P: SymAlgebra, legs: Legs) -> tuple[list, dict]:

@@ -433,11 +433,14 @@ def leg_basis(leg_weights, weights, k: int, budget: int) -> list[tuple[tuple[int
     """The pairs (legs, exp) with legs a k-subset of range(len(leg_weights))
     and exp of weight exactly budget plus the legs' weights, sorted: legs and
     exponents are both enumerated in lexicographic order.  Empty when k is not
-    a subset size."""
+    a subset size.  The exponents of each distinct budget are enumerated
+    once per call."""
     if not 0 <= k <= len(leg_weights):
         return []
-    return [(legs, exp) for legs in itertools.combinations(range(len(leg_weights)), k)
-            for exp in exponents(weights, budget + sum(leg_weights[a] for a in legs), exact=True)]
+    subsets = list(itertools.combinations(range(len(leg_weights)), k))
+    budgets = [budget + sum(leg_weights[a] for a in legs) for legs in subsets]
+    lists = {b: exponents(weights, b, exact=True) for b in set(budgets)}
+    return [(legs, exp) for legs, b in zip(subsets, budgets) for exp in lists[b]]
 
 
 # -- parsing -------------------------------------------------------------

@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from operator import add
 from typing import Callable
 
 from .cochain import (
@@ -29,7 +28,7 @@ from .cochain import (
 from .lie_rinehart import (CheckReport, Connection, LElement, LieRinehartAlgebra, bracket_extend,
                            seeded_check)
 from .linalg import ComplexSlice, assemble_slice, cohomology_dims
-from .poisson import Multivector, SymAlgebra, cochain_table
+from .poisson import Multivector, SymAlgebra, _apply_plan, _lowered, cochain_table
 from .poly import (Polynomial, PolyDerivation, alternating_value, ce_terms, exponents, insert_leg,
                    leg_basis, multilinear_terms, sort_with_sign)
 from .uea import EnvelopingAlgebra
@@ -148,7 +147,8 @@ def hochschild_instance(alg: LieRinehartAlgebra) -> QuasiModuleInstance:
             out = U.zero()
             for _ in range(2):
                 g = [0] * alg.rank
-                for _ in range(rng.randint(0, 2)):
+                # no generator to draw on an empty basis
+                for _ in range(rng.randint(0, 2) if alg.rank else 0):
                     g[rng.randrange(alg.rank)] += 1
                 c = Polynomial.monomial(
                     alg.vars, tuple(rng.randint(0, 1) for _ in alg.vars),
@@ -395,50 +395,45 @@ def _ce_slice(alg: LieRinehartAlgebra, value_vars, lie_images, W: int, max_posit
               value_weights, gen_w, wbr: int) -> ComplexSlice:
     """CE complex slice for an honest module of polynomial type.
 
-    lie_images[k] is a derivation-style callable value -> value for the
-    action of basis element k, applied once per (k, value monomial) in the
-    slice; values are polynomials over value_vars of weights value_weights.
-    A cochain on the generators T has weight W when its value has weight
-    W + |T|*wbr + the weights gen_w of T.
+    lie_images[k] is the `PolyDerivation` of the values by which basis
+    element k acts; values are polynomials over value_vars of weights
+    value_weights.  A cochain on the generators T has weight W when its
+    value has weight W + |T|*wbr + the weights gen_w of T.  The image of a
+    basis cochain on T runs through `poisson._apply_plan` on T's plan,
+    built once for the slice from the derivations' `.images`.
     """
     d = alg.rank
     bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
-    # per generator k, the pairs a < b whose bracket has a component c^k_ab
-    # along e_k, with the terms of c^k_ab lifted to the values once
-    pad = (0,) * (len(value_vars) - len(alg.vars))
-    along: dict[int, list] = {}
-    for a, b in itertools.combinations(range(d), 2):
-        for k, c in enumerate(alg.structure_vector(a, b)):
-            if c:
-                along.setdefault(k, []).append((a, b, [(e + pad, v) for e, v in c.terms.items()]))
-    acted: dict = {}  # the terms of lie_images[k](x^exp) per (k, exp), for this slice
+    pad = (0,) * (len(value_vars) - len(alg.vars))  # ring exponents lifted to the values
 
-    def image(key):
-        # the cochain is x^exp on T and zero elsewhere, so only the sets S
-        # that T reaches carry a term (docs/signs.md, "Chevalley-Eilenberg
-        # shape"): T plus the acting leg k, and T minus T[q] plus a pair a < b
-        # with a component along T[q]
-        T, exp = key
+    def plan(T):
+        # the cochain x^exp on T is zero elsewhere, so only the sets S that
+        # T reaches carry a term (docs/signs.md, "Chevalley-Eilenberg
+        # shape"): T plus the acting leg k, whose derivation gives the rows
+        # under each value coordinate b, and T minus T[q] plus a pair a < b
+        # with a component along T[q], the fixed rows
+        by_b: dict = {}
         for k in range(d):
             S, sign = insert_leg(T, k)
             if sign:
-                if (k, exp) not in acted:
-                    value = Polynomial._of(value_vars, {exp: 1})
-                    acted[k, exp] = lie_images[k](value).terms.items()
-                for texp, coeff in acted[k, exp]:
-                    yield (S, texp), sign * coeff
+                for b, im in enumerate(lie_images[k].images):
+                    by_b.setdefault(b, []).extend((S, _lowered(u, b), sign * v)
+                                                  for u, v in im.terms.items())
+        fixed: dict = {}
         for q, kk in enumerate(T):
             rest = T[:q] + T[q + 1:]
-            for a, b, terms in along.get(kk, ()):
+            for a, b in itertools.combinations(range(d), 2):
                 with_b, s1 = insert_leg(rest, b)
                 S, s2 = insert_leg(with_b, a)
                 # -s1*s2 = (-1)^{i+j} for a, b at positions i < j of S, and
                 # (-1)^q moves kk from the front of (kk,) + rest to T[q]
-                if sign := -s1 * s2 * (-1 if q % 2 else 1):
-                    for e, c in terms:
-                        yield (S, tuple(map(add, e, exp))), sign * c
+                sign = -s1 * s2 * (-1 if q % 2 else 1)
+                for e, c in alg.structure_vector(a, b)[kk].terms.items() if sign else ():
+                    fixed[S, e + pad] = fixed.get((S, e + pad), 0) + sign * c
+        return list(by_b.items()), fixed
 
-    return assemble_slice(bases, image)
+    plans: dict = {}  # the plan of each generator set T, for this slice
+    return assemble_slice(bases, lambda key: _apply_plan(plans, plan, {key: 1}).items())
 
 
 def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
@@ -452,7 +447,7 @@ def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
         raise ValueError("presentation has no declared weights")
     d = alg.rank
     if module == "trivial":
-        value_vars, lie_calls = alg.vars, alg.anchor
+        value_vars, lie_images = alg.vars, alg.anchor
         value_weights = [alg.weights[v] for v in alg.vars]
     elif module == "sym_adjoint_lie":
         if alg.vars:
@@ -460,7 +455,8 @@ def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
         P = SymAlgebra(alg)
         value_vars = P.vars
         value_weights = [alg.weights[b] for b in alg.basis]
-        lie_calls = [(lambda v, k=k: P.coordinate_action(P.n + k, v)) for k in range(d)]
+        lie_images = [PolyDerivation(value_vars, [P.coordinate_action(P.n + k, P.coordinate(a))
+                                                 for a in range(P.N)]) for k in range(d)]
     else:
         raise ValueError(f"unknown module {module!r}")
 
@@ -469,7 +465,7 @@ def ce_cohomology(alg: LieRinehartAlgebra, module: str, max_weight: int,
     gen_w = [alg.generator_weight(k) for k in range(d)]
     wbr = alg.bracket_weight()
     return cochain_table(gen_w, wbr, max_weight, max_degree, lambda W, top: _ce_slice(
-        alg, value_vars, lie_calls, W, top, value_weights, gen_w, wbr))
+        alg, value_vars, lie_images, W, top, value_weights, gen_w, wbr))
 
 
 # -- linear cochains and the comparison map -------------------------------------

@@ -641,3 +641,39 @@ def test_ce_without_weights_exits_two(tmp_path, capsys):
     code, out = run_cli(["--spec-file", str(path), "ce", "--max-weight", "2"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: presentation has no declared weights\n"
+
+
+NOT_HOMOGENEOUS = {
+    "anchor": ({"vars": ["x"], "rank": 1, "basis": ["e"], "anchor": [["x^2+x"]],
+                "weights": {"x": 1, "e": 1}},
+               "anchor image rho(e)(x) = x + x^2 is not weight homogeneous"),
+    "zero-anchor": ({"vars": ["x"], "rank": 2, "basis": ["e", "f"], "anchor": [["0"], ["0"]],
+                     "bracket": {"0,1": ["x+x^2", "0"]}, "weights": {"x": 1, "e": 1, "f": 1}},
+                    "structure function c[e,f]^e = x + x^2 is not weight homogeneous"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "poisson-cohomology"])
+@pytest.mark.parametrize("piece", sorted(NOT_HOMOGENEOUS))
+def test_a_piece_that_is_not_weight_homogeneous_fails_the_axioms(tmp_path, capsys, piece,
+                                                                  command):
+    # the piece the bracket weight is read from has no weight: a failed
+    # axiom that names it, not a usage error
+    spec, detail = NOT_HOMOGENEOUS[piece]
+    path = tmp_path / "inhomogeneous.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(["--spec-file", str(path), command])
+    assert code == 1 and capsys.readouterr().err == ""
+    payload = json.loads(out)
+    assert payload["checks"][0] == {"name": "axioms", "ok": False, "detail": detail}
+    assert payload["rows"] == []
+
+
+@pytest.mark.parametrize("suite", ["quasi", "pbw", "tower", "eta"])
+def test_law_suites_pass_on_an_empty_basis(tmp_path, capsys, suite):
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"vars": ["x"], "rank": 0, "basis": [], "anchor": [],
+                                "weights": {"x": 1}}))
+    code, out = run_cli(["--spec-file", str(path), "verify", suite, "--samples", "6"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert all(check["ok"] for check in json.loads(out)["checks"])

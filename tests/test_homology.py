@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from rinehart import homology, presets
+from rinehart import homology, pbwext, poisson, presets, quasimod
 from rinehart.homology import (
     KahlerForm,
     capped_casimir_search,
@@ -17,14 +17,17 @@ from rinehart.homology import (
     poisson_homology,
 )
 from rinehart.linalg import ComplexSlice, assemble, cohomology_dims
-from rinehart.poisson import Multivector, SymAlgebra, poisson_differential
+from rinehart.poisson import Multivector, SymAlgebra, _apply_plan, poisson_differential
 from rinehart.poly import Polynomial, exponents, insert_leg
 from test_poisson import reference_summed
 
 
 def kahler_d(w):
-    """The exterior derivative through `homology._d`, the kernel `cyclic` runs."""
-    return KahlerForm.from_flat(w.parent, w.degree + 1, homology._d(dict(w.entries())))
+    """The exterior derivative through the plan `homology._d_plan`, the one
+    `cyclic` runs."""
+    P = w.parent
+    return KahlerForm.from_flat(P, w.degree + 1,
+                                _apply_plan(P._plans, homology._d_plan, w.flat, P))
 
 
 def rand_form(rng, P, k, max_deg=2):
@@ -452,6 +455,41 @@ def test_boundary_plans_are_built_once_per_leg_set(name, monkeypatch):
     assert list(fresh._plans) == [(homology._boundary_plan, (0,))]
 
 
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + [
+    "arrangement(x,y,y-x,y+x)", "arrangement(x,y-x,y+x)"])
+def test_the_symbol_algebra_keeps_only_presentation_plans(name, monkeypatch):
+    # `derive` and `contract` build their plans from one call's images, in a
+    # memo of that call: the adjoint laws, eta and the tower leave no plan on
+    # the symbol algebra.  Its memo holds the plans that depend on the
+    # presentation alone, and d's is built once per leg set, like the
+    # boundary's.
+    built = []
+    plan = homology._d_plan
+    monkeypatch.setattr(homology, "_d_plan",
+                        lambda P, legs: built.append((P, legs)) or plan(P, legs))
+    alg = presets.builtin(name)
+    inst, ctx = quasimod.adjoint_instance(alg), pbwext.EtaContext(alg)
+    for seed in range(2):
+        assert quasimod.quasi_axiom_check(inst, alg, trials=3, seed=seed).ok
+        assert pbwext.verify_eta_properties(ctx, 3, seed).ok
+        assert pbwext.verify_f_identities(ctx, 3, seed).ok
+        assert pbwext.verify_identity_tower(ctx, 3, seed).ok
+    assert inst.sym._plans == ctx.P._plans == {}
+    rng = random.Random(43)
+    for P in (inst.sym, ctx.P):
+        for k in range(P.N + 1):
+            for _ in range(2):
+                w = rand_multiterm_form(rng, P, k)
+                assert kahler_d(kahler_d(w)).is_zero()
+                poisson_boundary(w)
+                poisson_differential(Multivector(P, k, w.terms))
+        presentation_only = {poisson._differential_plan, homology._boundary_plan,
+                             homology._d_plan}
+        assert {build for build, _ in P._plans} == presentation_only
+    assert len(built) == len(set(built)) == sum(
+        build is homology._d_plan for P in (inst.sym, ctx.P) for build, _ in P._plans)
+
+
 @pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + ["arrangement(x,y,y-x,y+x)"])
 def test_duality_cap_matches_the_reference(name):
     P = SymAlgebra(presets.builtin(name))
@@ -484,7 +522,8 @@ def reference_cyclic_slice(P, lam, u_cap, t_max, images):
             images[legs, exp] = list(poisson_boundary(w).entries())
         for (tlegs, texp), c in images[legs, exp]:
             yield (j, tlegs, texp), c
-        for (tlegs, texp), c in homology._d({(legs, exp): 1}).items() if j else ():
+        for (tlegs, texp), c in kahler_d(KahlerForm.basis_element(P, legs, exp)).entries() \
+                if j else ():
             yield (j - 1, tlegs, texp), c
 
     bases = [basis_at(t_max - p) for p in range(t_max + 1)]

@@ -4,6 +4,8 @@ import random
 import pytest
 from fractions import Fraction
 
+from rinehart import poly, presets
+from rinehart.poisson import SymAlgebra
 from rinehart.poly import (
     Polynomial,
     PolyDerivation,
@@ -12,6 +14,7 @@ from rinehart.poly import (
     ce_terms,
     exponents,
     insert_leg,
+    leg_basis,
     multilinear_terms,
     parse_poly,
     perm_sign,
@@ -364,3 +367,31 @@ def test_difference_is_the_sum_with_the_negative():
         _assert_canonical(p - p, {})
     half = Polynomial.const(XY, Fraction(1, 2))
     assert type((half - half.scale(-1)).constant_value()) is int
+
+
+def reference_leg_basis(leg_weights, weights, k, budget):
+    """The slice basis with one `exponents` call per leg set."""
+    if not 0 <= k <= len(leg_weights):
+        return []
+    return [(legs, exp) for legs in itertools.combinations(range(len(leg_weights)), k)
+            for exp in exponents(weights, budget + sum(leg_weights[a] for a in legs), exact=True)]
+
+
+@pytest.mark.parametrize("name", ["weyl(1)", "weyl(2)", "weyl(3)", "lie(sl2)", "lie(abelian2)",
+                                  "semidirect(sl2,std)"])
+def test_leg_basis_enumerates_each_budget_once_per_call(name, monkeypatch):
+    # the builtins with positive weights, the ones with weight slices; the
+    # leg weights of multivectors, of forms and of CE cochains
+    alg = presets.builtin(name)
+    vw = SymAlgebra(alg).weight_vector()
+    budgets = []
+    monkeypatch.setattr(poly, "exponents",
+                        lambda weights, budget, **kw: budgets.append(budget)
+                        or exponents(weights, budget, **kw))
+    for leg_weights in (vw, [-w for w in vw], [alg.generator_weight(k) for k in range(alg.rank)]):
+        for k in range(-1, len(leg_weights) + 2):
+            for budget in range(-4, 7):
+                budgets.clear()
+                assert leg_basis(leg_weights, vw, k, budget) == reference_leg_basis(
+                    leg_weights, vw, k, budget)
+                assert len(budgets) == len(set(budgets))

@@ -787,32 +787,46 @@ def _checked_ce_slices(monkeypatch):
 @pytest.mark.parametrize("spec, module, max_weight", [
     ("lie(sl2)", "sym_adjoint_lie", 10), ("semidirect(sl2,std)", "trivial", 6)])
 def test_ce_slice_applies_each_action_once(monkeypatch, spec, module, max_weight):
-    # per slice, lie_images[k] runs once per value monomial x^exp, although
-    # every basis cochain x^exp on a T without k asks for it
-    fast, slices = quasimod._ce_slice, []
+    # every basis cochain on T runs the plan of T, but each slice's memo
+    # builds it once, and only that build reads the derivation images of the
+    # generators k that act on T, each once
+    alg = presets.builtin(spec)
+    apply, fast = quasimod._apply_plan, quasimod._ce_slice
+    builds, runs, reading, watching = Counter(), Counter(), [], {}
 
-    def counted(alg, value_vars, lie_images, W, max_position, value_weights, gen_w, wbr):
-        calls = Counter()
+    class Watched:
+        def __init__(self, k, derivation):
+            self.k, self.derivation = k, derivation
 
-        def action(k):
-            def act(value):
-                (exp,) = value.terms
-                calls[k, exp] += 1
-                return lie_images[k](value)
-            return act
+        @property
+        def images(self):
+            assert reading, "an image is read outside a plan build"
+            reading[-1].append(self.k)
+            return self.derivation.images
 
-        bases = [leg_basis(gen_w, value_weights, m, W + m * wbr) for m in range(max_position + 1)]
-        asked = sum(bool(insert_leg(T, k)[1]) for basis in bases[:-1] for T, _ in basis
-                    for k in range(alg.rank))
-        slices.append((calls, asked))
-        return fast(alg, value_vars, [action(k) for k in range(alg.rank)], W, max_position,
-                    value_weights, gen_w, wbr)
+    def watched_slice(alg, value_vars, lie_images, *rest):
+        return fast(alg, value_vars, [Watched(k, D) for k, D in enumerate(lie_images)], *rest)
 
-    monkeypatch.setattr(quasimod, "_ce_slice", counted)
-    ce_cohomology(presets.builtin(spec), module, max_weight, 3)
-    assert all(set(calls.values()) <= {1} for calls, _ in slices)
-    assert all(len(calls) <= asked for calls, asked in slices)
-    assert 0 < sum(len(calls) for calls, _ in slices) < sum(asked for _, asked in slices)
+    def counted_apply(plans, build, flat, *context):
+        if build not in watching:
+            def watched_build(*args):
+                T = args[-1]
+                builds[build, T] += 1
+                reading.append([])
+                plan = build(*args)
+                assert reading.pop() == [k for k in range(alg.rank) if k not in T]
+                return plan
+            watching[build] = watched_build
+        runs[build] += len(flat)
+        return apply(plans, watching[build], flat, *context)
+
+    monkeypatch.setattr(quasimod, "_ce_slice", watched_slice)
+    monkeypatch.setattr(quasimod, "_apply_plan", counted_apply)
+    ce_cohomology(alg, module, max_weight, 3)
+    assert builds and set(builds.values()) == {1}
+    # one memo per slice, and many basis cochains per plan
+    assert len(runs) == len({build for build, _ in builds}) > 1
+    assert sum(runs.values()) > 2 * len(builds)
 
 
 @pytest.mark.parametrize("spec, module, max_weight", [
