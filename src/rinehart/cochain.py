@@ -1,15 +1,16 @@
 """Cochains on the base ring with enveloping-algebra values.
 
 C^q(R, U) is infinite dimensional, but every identity we verify is pointwise,
-so a cochain is just a kernel evaluable on q-tuples of ring monomials;
-polynomial arguments expand multilinearly.  Table-backed cochains have a
-degree cap and raise CapExceededError beyond it instead of silently
-truncating.
+so a cochain is just a kernel evaluable on q-tuples of ring monomials; an
+operator that meets a polynomial argument (r, or an anchor image) expands it
+term by term.  Table-backed cochains have a degree cap and raise
+CapExceededError beyond it instead of silently truncating.
 
 Operators compose cochains lazily, so one inner value is asked for many times
 (once per term of b, L_X, h and the cup products that reach it).  Kernels are
 pure and no code mutates a returned value, which is what lets each cochain
-memoize its values.  Each kernel call adds its products and signed terms into
+memoize its values, and `lie_action` and `homotopy` the anchor image of each
+argument exponent.  Each kernel call adds its products and signed terms into
 one coefficient map of its own (`EnvelopingAlgebra.add_product`) and cleans it once.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .lie_rinehart import LElement
-from .poly import Polynomial, exponents, multilinear_terms
+from .poly import Polynomial, exponents
 from .uea import EnvelopingAlgebra, UEAElement
 
 Mono = tuple[int, ...]
@@ -79,16 +80,6 @@ class TableCochain:
         """c * self for a scalar c, evaluated lazily."""
         return TableCochain(self.U, self.arity, lambda exps: self.eval_monos(exps).scale(c))
 
-    def __call__(self, *args: Polynomial) -> UEAElement:
-        """Multilinear evaluation on polynomial arguments."""
-        if len(args) != self.arity:
-            raise ValueError(f"arity {self.arity} cochain got {len(args)} arguments")
-        U, acc = self.U, {}
-        for exps, coeff in multilinear_terms([a.terms.items() for a in args]):
-            U.add_sum(acc, self.eval_monos(exps).flat, coeff)
-        return U.collect(acc)
-
-
 _TUPLES: dict[tuple[int, int, int], tuple] = {}  # monomial_tuples per argument triple
 
 
@@ -143,28 +134,34 @@ def r_action(f: Polynomial, phi: TableCochain) -> TableCochain:
     return TableCochain(U, phi.arity, kernel)
 
 
+def _anchor_images(X: LElement, vars: tuple[str, ...]):
+    """e -> rho_X(x^e) as {exponent: c}, each computed once for the cochain
+    node that owns the returned function."""
+    rho, moved = X.anchor_derivation(), {}
+
+    def image(e: Mono) -> dict:
+        terms = moved.get(e)
+        if terms is None:
+            terms = moved[e] = rho(Polynomial._of(vars, {e: 1})).terms
+        return terms
+
+    return image
+
+
 def lie_action(X: LElement, phi: TableCochain) -> TableCochain:
     """Commutator with the module element minus the anchor on the arguments."""
     U = phi.U
-    q = phi.arity
-    rho = X.anchor_derivation()
-    iX = U.include(X).flat
-    moved: dict[Mono, Polynomial] = {}  # rho(x^e) per exponent e
+    iX, image = U.include(X).flat, _anchor_images(X, U.alg.vars)
 
     def kernel(exps):
         val = phi.eval_monos(exps).flat
         acc = U.add_product(U.add_product({}, iX, val), val, iX, -1)
-        # the exponents are keys of the value memo: tuples, taken unchecked
-        args = [Polynomial._of(U.alg.vars, {e: 1}) for e in exps]
         for i, e in enumerate(exps):
-            if e not in moved:
-                moved[e] = rho(args[i])
-            if moved[e].is_zero():
-                continue
-            U.add_sum(acc, phi(*args[:i], moved[e], *args[i + 1:]).flat, -1)
+            for f, c in image(e).items():
+                U.add_sum(acc, phi.eval_monos(exps[:i] + (f,) + exps[i + 1:]).flat, -c)
         return U.collect(acc)
 
-    return TableCochain(U, q, kernel)
+    return TableCochain(U, phi.arity, kernel)
 
 
 def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
@@ -172,7 +169,7 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
 
     Insert r at position i with sign (-1)^{i+1}, right-multiplied by X; plus
     the insert-and-act sum where the anchor hits an original argument at or
-    after the insertion point, same sign.
+    after the insertion point, same sign.  Both expand the terms of r.
     """
     U = phi.U
     q = phi.arity
@@ -180,25 +177,20 @@ def homotopy(r: Polynomial, X: LElement, phi: TableCochain) -> TableCochain:
         # maps into arity -1, which is zero; kept as a formal zero so that
         # b(h(phi)) lands in arity 0 again
         return zero_cochain(U, -1)
-    rho = X.anchor_derivation()
-    iX = U.include(X).flat
+    iX, image, rterms = U.include(X).flat, _anchor_images(X, U.alg.vars), r.terms.items()
 
     def kernel(exps):
-        mono = lambda e: Polynomial.monomial(U.alg.vars, e, 1)
-        args = [mono(e) for e in exps]
         acc = {}
         for i in range(1, q + 1):
-            inserted = args[: i - 1] + [r] + args[i - 1:]
-            U.add_product(acc, phi(*inserted).flat, iX, 1 if i % 2 == 1 else -1)
-        moved = [rho(arg) for arg in args]
-        for i in range(1, q):
-            for j in range(i, q):
-                # act on original argument j, which sits one slot right of r
-                if moved[j - 1].is_zero():
-                    continue
-                acted = args[: i - 1] + [r] + args[i - 1:]
-                acted[j] = moved[j - 1]
-                U.add_sum(acc, phi(*acted).flat, 1 if i % 2 == 1 else -1)
+            sign, head, tail = 1 if i % 2 == 1 else -1, exps[: i - 1], exps[i - 1:]
+            for g, c in rterms:
+                inserted = head + (g,) + tail
+                U.add_product(acc, phi.eval_monos(inserted).flat, iX, sign * c)
+                # act on original argument j - 1 >= i - 1, one slot right of g
+                for j in range(i, q):
+                    for f, d in image(exps[j - 1]).items():
+                        acted = inserted[:j] + (f,) + inserted[j + 1:]
+                        U.add_sum(acc, phi.eval_monos(acted).flat, sign * c * d)
         return U.collect(acc)
 
     return TableCochain(U, q - 1, kernel)

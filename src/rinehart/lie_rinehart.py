@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import Polynomial, PolyDerivation
 
@@ -21,8 +21,7 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of an exact check: pass/fail, the witnesses of the failures,
     and how many trials (sampled inputs or basis points) were checked; 0 for
     the exhaustive axiom check, which does not count."""
@@ -88,7 +87,7 @@ class LieRinehartAlgebra:
         # the nonzero brackets with i < j, in the order first given
         self.structure = {key: cs for key, cs in self._brackets.items()
                           if key[0] < key[1] and any(c for c in cs)}
-        self.weights = dict(weights) if weights else None
+        self.weights = dict(weights) if weights is not None else None
         if self.weights is not None:
             missing = [n for n in self.vars + self.basis if n not in self.weights]
             if missing:

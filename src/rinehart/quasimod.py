@@ -8,11 +8,10 @@ the enveloping algebra).  All laws are verified pointwise with seeded inputs.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cochain import (
     CapExceededError,
@@ -93,8 +92,7 @@ def adj_nabla_b(P: SymAlgebra, conn: Connection, X: LElement, v: Multivector) ->
 # -- instances ------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class QuasiModuleInstance:
+class QuasiModuleInstance(NamedTuple):
     """Operator bundle: differential, two actions, and the homotopy."""
 
     d: Callable
@@ -571,7 +569,7 @@ def linear_structure_operator(c: LinearCECochain, conn: Connection) -> LinearCEC
     alg = c.alg
     P = c.inst.sym
     k = c.degree
-    covariant = dataclasses.replace(c.inst, lie=lambda X, v: adj_nabla_b(P, conn, X, v))
+    covariant = c.inst._replace(lie=lambda X, v: adj_nabla_b(P, conn, X, v))
     el = LinearCECochain(covariant, alg, k, c.tables)
     tables: list[dict] = []
     for i in range(k + 2):

@@ -8,10 +8,11 @@ products all work on the flat terms; products by the rewrite rules
 e_i * r -> r * e_i + rho(e_i)(r) and
 e_i * e_j -> e_j * e_i + [e_i, e_j] for i > j.  A product is one pass
 over pairs of terms x^m e^alpha, x^n e^beta that reads the normal form of
-the triple e^alpha * x^n * e^beta.  One recursion gives that normal form,
-e^gamma * e^beta being the triple with n = 0; it and the rho_i(x^p) it
-reads are memoized on the algebra wrapper (Kandri-Rody & Weispfenning,
-JSC 1990; Apel & Lassner, JSC 1988).  That pass, `add_product`, adds
+the triple e^alpha * x^n * e^beta, shifted by x^m.  One recursion gives that
+normal form, e^gamma * e^beta being the triple with n = 0; it, the
+rho_i(x^p) it reads and the shifted rows of each pair of terms are memoized
+on the algebra wrapper (Kandri-Rody & Weispfenning, JSC 1990; Apel &
+Lassner, JSC 1988).  That pass, `add_product`, adds
 s * a * b into a caller's map, `add_sum` adds s * a and `collect` cleans the
 map once: a kernel builds its value in one map of its own, not one element
 per product or partial sum.
@@ -51,6 +52,7 @@ class EnvelopingAlgebra:
         self._xzero, self._gzero = (0,) * len(alg.vars), (0,) * alg.rank
         self._rho_cache: dict[tuple[int, Expo], dict[Expo, int | Fraction]] = {}
         self._ex_cache: dict[tuple[Expo, Expo, Expo], Flat] = {}
+        self._pair_rows: dict[tuple[Expo, Expo], dict[tuple[Expo, Expo], list]] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -80,13 +82,21 @@ class EnvelopingAlgebra:
     def add_product(self, acc: dict, a: Flat, b: Flat, s=1) -> dict:
         """acc plus s*x*y*c x^(m+p) e^delta over x x^m e^alpha in a, y x^n e^beta
         in b and c x^p e^delta in e^alpha x^n e^beta, in place; acc may hold
-        zeros and integral Fractions until `collect`."""
-        ex = self._ex
-        for (m, alpha), x in a.items():
-            for (n, beta), y in b.items():
+        zeros and integral Fractions until `collect`.  The rows
+        [((m+p, delta), c), ...] of each pair of terms are built once."""
+        rows = self._pair_rows
+        for ka, x in a.items():
+            by_b = rows.get(ka)
+            if by_b is None:
+                by_b = rows[ka] = {}
+            for kb, y in b.items():
+                row = by_b.get(kb)
+                if row is None:
+                    (m, alpha), (n, beta) = ka, kb
+                    row = by_b[kb] = [((_plus(m, p), delta), c) for (p, delta), c
+                                      in self._ex(alpha, n, beta).items()]
                 xy = s * x * y
-                for (p, delta), c in ex(alpha, n, beta).items():
-                    key = _plus(m, p), delta
+                for key, c in row:
                     acc[key] = acc.get(key, 0) + xy * c
         return acc
 

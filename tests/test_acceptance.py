@@ -144,7 +144,7 @@ def test_criterion_6_mutation_witness():
     alg = presets.weyl(1)
     inst = adjoint_instance(alg)
     P = inst.sym
-    inst.h = lambda r, X, v: Multivector(P, max(v.degree - 1, 0))
+    inst = inst._replace(h=lambda r, X, v: Multivector(P, max(v.degree - 1, 0)))
     rep = quasi_axiom_check(inst, alg, trials=100, seed=2026)
     ok = (not rep.ok) and any("scaled action homotopy" in f for f in rep.failures)
     report(6, "zeroed homotopy is caught with a witness", ok)

@@ -382,6 +382,8 @@ def test_broken_complex_exits_one(tmp_path, capsys, monkeypatch, command, detail
 @pytest.mark.parametrize("field, value", [
     pytest.param(field, value, id=case) for case, field, value in [
         ("weights-list", "weights", [1, 1]),
+        # {} declares no weight for x or e: a partial map, not a missing one
+        ("weights-empty", "weights", {}),
         ("weights-null", "weights", {"x": None, "e": 1}),
         ("weights-float", "weights", {"x": 1.5, "e": 1}),
         ("weights-bool", "weights", {"x": True, "e": 1}),
@@ -677,3 +679,22 @@ def test_law_suites_pass_on_an_empty_basis(tmp_path, capsys, suite):
     code, out = run_cli(["--spec-file", str(path), "verify", suite, "--samples", "6"])
     assert code == 0 and capsys.readouterr().err == ""
     assert all(check["ok"] for check in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("check", "4250d94246ac1c3df66eede3d96602d94af28d037a44723cc897c47bf5020221"),
+    ("poisson-cohomology", "5dbf46ec1b66eca284e6c395117393944c582e2932077aef78a5941e54ee968a"),
+    ("poisson-homology", "2a947c2cb6b5d62d0a8a2fdbf0f4742db8222fd0212e0c6d3d2ba9155830c583"),
+    ("cyclic", "1de403072b29e141aba6fa18d0640ca4d87ed3bd893d200e984e4f2e5e4856d6"),
+    ("ce", "68ccce9a873b0bc9eabd707fc88311752cd504ec9d648bf83e50c9bf41622f78"),
+    ("center", "492def6d75b1e31e8371e3f73ca79e789e67ede1c13732d954983591ac7cd49a"),
+])
+def test_empty_weights_on_no_names_are_declared_weights(tmp_path, capsys, command, digest):
+    # with no variable and no basis element, {} declares the weight of
+    # every name: the point Q, whose tables are the ones of a point
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vars": [], "rank": 0, "basis": [], "anchor": [],
+                                "weights": {}, "name": "point"}))
+    code, out = run_cli(["--spec-file", str(path), command])
+    assert code in (0, 1) and capsys.readouterr().err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,8 +158,9 @@ def _first_line(node):
 def _trace_definitions():
     """{(file, first line): name} of every top-level function and method,
     dunders included, and {class name: names of its methods} of every class
-    that owns code: a method, or a dataclass's generated ones.  An exception
-    type with an empty body owns none, so no command can enter it."""
+    that owns code: a method, or the `__new__` that `NamedTuple` generates.
+    An exception type with an empty body owns none, so no command can enter
+    it."""
     functions, classes = {}, {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -168,7 +170,7 @@ def _trace_definitions():
                 methods = {f"{path.name}:{node.name}.{item.name}": _first_line(item)
                            for item in node.body if isinstance(item, ast.FunctionDef)}
                 functions.update({(str(path), line): name for name, line in methods.items()})
-                if methods or node.decorator_list:
+                if methods or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
                     classes[f"{path.name}:{node.name}"] = set(methods)
     return functions, classes
 
@@ -177,14 +179,15 @@ def _run_traced(commands):
     """Run each command through cli.main under sys.setprofile; the exit codes
     and stderr texts, and the names of the definitions some command entered.
     A class counts as entered through one of its methods, or through the
-    methods `dataclass` generated for it (code without a source file)."""
+    `__new__` that `NamedTuple` generated for it (code without a source file,
+    whose first argument is `_cls`)."""
     entered = {}
 
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code not in entered:
-            made = code.co_filename == "<string>" and "self" in frame.f_locals
-            entered[code] = type(frame.f_locals["self"]) if made else None
+            made = code.co_filename == "<string>" and "_cls" in frame.f_locals
+            entered[code] = frame.f_locals["_cls"] if made else None
 
     results = []
     for argv in commands:
@@ -238,6 +241,16 @@ def test_every_module_level_import_is_used():
                     if bound not in names:
                         unused.append(f"{path.name}:{bound}")
     assert unused == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # each run of the CLI pays for its imports; dataclasses pulls in inspect,
+    # and no class of the library needs either
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import rinehart.cli, rinehart.presets; "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_the_package_exports_exactly_what_it_imports():

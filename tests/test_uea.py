@@ -686,6 +686,32 @@ def test_products_do_not_depend_on_the_memo_state(spec):
                                        -1)) == y.scale(-1)
 
 
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_each_pair_of_terms_builds_its_rows_once(monkeypatch, spec):
+    alg = presets.builtin(spec)
+    rng = random.Random(53)
+    U = EnvelopingAlgebra(alg)
+    assert U._pair_rows == {}
+    pairs = [(rand_fraction_uea(rng, U), rand_fraction_uea(rng, U)) for _ in range(6)]
+    pairs += [(b, a) for a, b in pairs]
+    products = [a * b for a, b in pairs]
+    assert {(ka, kb) for ka, by_b in U._pair_rows.items() for kb in by_b} == \
+        {(ka, kb) for a, b in pairs for ka in a.flat for kb in b.flat}
+    calls = []
+    ex = EnvelopingAlgebra._ex
+    monkeypatch.setattr(EnvelopingAlgebra, "_ex", lambda self, *t: calls.append(t) or ex(self, *t))
+    for (a, b), ab in zip(pairs, products):
+        assert ab == reference_mul(a, b)
+        assert U.collect(U.add_product({}, a.flat, b.flat, Fraction(-1, 3))) == \
+            ab.scale(Fraction(-1, 3))
+    assert calls == []
+    # the rows live on the algebra: a new one starts with none and builds its own
+    V = EnvelopingAlgebra(alg)
+    assert V._pair_rows == {} and V._ex_cache == {}
+    a, b = (UEAElement._of(V, u.flat) for u in pairs[0])
+    assert (a * b).flat == products[0].flat and calls
+
+
 @pytest.mark.parametrize("spec", ["weyl(1)", "weyl(2)", "lie(sl2)", "semidirect(sl2,std)",
                                   "lie(abelian2)"])
 @pytest.mark.parametrize("fil,weight", [(2, 4), (3, 6)])
