@@ -33,7 +33,7 @@ from .pbwext import (
     verify_pbw_chain,
 )
 from .poisson import poisson_cohomology
-from .poly import PolyDerivation, PolyParseError, parse_poly
+from .poly import PolyDerivation, PolyParseError, _tokenize, parse_poly
 from .quasimod import (
     adjoint_instance,
     ce_cohomology,
@@ -86,6 +86,13 @@ def presentation_from_dict(data: dict, origin: str = "<spec>") -> LieRinehartAlg
     name = checked("name", str, None, "a string", True)
     if len(basis) != rank:
         raise SpecFileError(f"{origin}: rank {rank} but {len(basis)} basis names")
+    for field, names in (("vars", vars), ("basis", basis)):
+        for n in names:  # one `name` token each, as polynomial strings spell them
+            try:
+                if _tokenize(n) != [("v", n)]:
+                    raise PolyParseError(f"{n!r} is not one name")
+            except PolyParseError as exc:
+                raise SpecFileError(f"{origin}: field {field!r}: {exc}") from exc
 
     def poly(text, field):
         try:

@@ -13,6 +13,7 @@ from .poisson import (
     Multivector,
     SymAlgebra,
     _apply_plan,
+    _contract_plan,
     _lowered,
     poisson_differential,
 )
@@ -305,7 +306,8 @@ def euler_contraction_check(
 
     delta runs once per unit term (legs, exp) that the call meets, and
     delta(s0 D) is the combination of the images of the terms of s0 D; the
-    memo holds the images of two leg counts at a time and dies with the call.
+    memo holds the images of two leg counts at a time.  Both contractions
+    read one memo of `_contract_plan` rows; both memos die with the call.
     """
     P = SymAlgebra(alg)
     vw = P.weight_vector()
@@ -315,7 +317,8 @@ def euler_contraction_check(
         eigws = _euler_eigenweights(P, euler)
     except ValueError as exc:
         return CheckReport(False, (str(exc),), 0)
-    dE = [euler.partial(a) for a in range(P.N)].__getitem__  # i_E contracts with dE
+    dE = [euler.partial(a).terms for a in range(P.N)]  # i_E contracts with dE
+    plans: dict = {}
     failures = []
     checked = 0
     images: dict = {}  # delta of each unit term (legs, exp) met in this call
@@ -337,10 +340,11 @@ def euler_contraction_check(
                 eig = sum(e * w for e, w in zip(exp, eigws)) - sum(eigws[a] for a in legs)
                 # delta(i_E D) + i_E(delta D) - eig * D, summed in one dict
                 acc: dict = {(legs, exp): -eig}
-                for key, c in Multivector.basis_element(P, legs, exp).contract(dE).entries():
+                for key, c in _apply_plan(plans, _contract_plan, {(legs, exp): 1}, dE).items():
                     for term, v in delta(key).entries():
                         acc[term] = acc.get(term, 0) + c * v
-                for term, v in delta((legs, exp)).contract(dE).entries():
+                for term, v in _apply_plan(plans, _contract_plan, delta((legs, exp)).flat,
+                                           dE).items():
                     acc[term] = acc.get(term, 0) + v
                 if any(acc.values()):
                     failures.append(

@@ -231,19 +231,11 @@ class Multivector(LegTensor):
     leg_prefix = "d/d"
 
     def contract(self, form) -> "Multivector":
-        """The interior product with the one-form sum_a form(a) dx_a, form
-        asked once for each coordinate a that is a leg: each term c on legs
-        L gives (-1)^t c form(L[t]) on L without L[t], t the 0-based
-        position, through the fixed rows of this call's plan per leg set.
-        A function has no leg, and gives zero."""
+        """The interior product with the one-form sum_a form(a) dx_a, form asked
+        once per coordinate that is a leg; a function has no leg, and gives zero."""
         values = {a: form(a).terms for a in {a for legs, _ in self.flat for a in legs}}
-
-        def plan(legs):
-            return (), {(legs[:t] + legs[t + 1:], e): -v if t % 2 else v
-                        for t, a in enumerate(legs) for e, v in values[a].items()}
-
         return Multivector.from_flat(self.parent, max(self.degree - 1, 0),
-                                     _apply_plan({}, plan, self.flat))
+                                     _apply_plan({}, _contract_plan, self.flat, values))
 
     def derive(self, degree: int, coordinate_image, leg_image) -> "Multivector":
         """The image of this multivector, as one of the given degree, under
@@ -299,6 +291,13 @@ class Multivector(LegTensor):
 def _lowered(exp: tuple[int, ...], b: int) -> tuple[int, ...]:
     """exp - e_b, with -1 at b when exp has no x_b."""
     return exp[:b] + (exp[b] - 1,) + exp[b + 1:]
+
+
+def _contract_plan(values, legs: Legs) -> tuple[tuple, dict]:
+    """The contraction rows on the leg set L, values[a] the {exponent: c} terms of
+    the one-form along x_a: c on L gives (-1)^t c values[L[t]] on L less L[t]."""
+    return (), {(legs[:t] + legs[t + 1:], e): -v if t % 2 else v
+                for t, a in enumerate(legs) for e, v in values[a].items()}
 
 
 def _apply_plan(plans: dict, build, flat: dict, *context) -> dict:

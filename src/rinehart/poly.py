@@ -533,15 +533,15 @@ def _tokenize(text: str):
         elif ch in "+-*^()":
             out.append((ch, None))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             out.append(("n", int(text[i:j])))
             i = j
-        elif ch.isalpha() or ch == "_":
+        elif ch.isascii() and (ch.isalpha() or ch == "_"):
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             out.append(("v", text[i:j]))
             i = j

@@ -395,6 +395,14 @@ def test_broken_complex_exits_one(tmp_path, capsys, monkeypatch, command, detail
         ("basis-string", "basis", "e"),
         ("rank-string", "rank", "1"),
         ("name-int", "name", 5),
+        # names that no polynomial string can spell
+        ("vars-two-names", "vars", ["x y"]),
+        ("vars-digit-first", "vars", ["1x"]),
+        ("vars-empty-name", "vars", [""]),
+        ("vars-non-ascii", "vars", ["x\u00e9"]),
+        ("basis-two-names", "basis", ["e f"]),
+        ("basis-operator", "basis", ["e-f"]),
+        ("basis-bad-character", "basis", ["e$"]),
     ]
 ])
 def test_malformed_spec_field_exits_two(tmp_path, capsys, field, value):
@@ -408,6 +416,19 @@ def test_malformed_spec_field_exits_two(tmp_path, capsys, field, value):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+    if field in ("vars", "basis") and isinstance(value, list):
+        assert all(repr(name) in err for name in value if isinstance(name, str))
+
+
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663", "\u0663*x"])
+def test_non_ascii_digit_in_a_spec_polynomial_exits_two(tmp_path, capsys, text):
+    # a superscript two once reached int() and left without the field context
+    path = tmp_path / "digit.json"
+    path.write_text(json.dumps({"vars": ["x"], "rank": 1, "basis": ["e"], "anchor": [[text]]}))
+    code, out = run_cli(["--spec-file", str(path), "check"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: anchor[0]: bad character ")
 
 
 FAILS_ANCHOR_MORPHISM = {

@@ -211,10 +211,11 @@ def test_euler_contraction_rejects_non_diagonal():
 def reference_euler_contraction_check(alg, euler, max_weight, max_degree, euler_degree_cap):
     """The Euler check with two direct differentials per basis multivector,
     delta(i_E D) and delta(D), and no memo; the reference for the memoized
-    `euler_contraction_check`."""
+    `euler_contraction_check`.  euler is a string or a symbol polynomial."""
     P = SymAlgebra(alg)
     vw = P.weight_vector()
-    euler = P.poly(euler)
+    if isinstance(euler, str):
+        euler = P.poly(euler)
     try:
         eigws = homology._euler_eigenweights(P, euler)
     except ValueError as exc:
@@ -258,20 +259,45 @@ def test_euler_check_takes_each_differential_once(monkeypatch):
     assert rep == reference_euler_contraction_check(alg, "E", 2, 3, 2)
 
 
+def test_euler_contraction_plans_are_built_once_per_leg_set(monkeypatch):
+    # both contractions of the check read one plan memo on the partials of
+    # E: each leg set's rows are built once per call, and the memo dies
+    # with the call, so a second call builds them again
+    built = []
+    plan = homology._contract_plan
+    monkeypatch.setattr(homology, "_contract_plan",
+                        lambda values, legs: built.append(legs) or plan(values, legs))
+    alg = presets.arrangement(["x", "y", "y-x", "y+x"])
+    rep = euler_contraction_check(alg, "E", 2, 3, euler_degree_cap=2)
+    assert rep.ok and rep.trials > 100
+    first = list(built)
+    assert len(first) == len(set(first)) == 2 ** 4  # every leg set of x, y, E, D
+    assert {len(legs) for legs in first} == {0, 1, 2, 3, 4}
+    assert euler_contraction_check(alg, "E", 2, 3, euler_degree_cap=2) == rep
+    assert built[len(first):] == first
+
+
 @pytest.mark.parametrize("spec, euler, max_weight, max_degree, cap", [
     ("weyl(1)", "x*e", 4, 2, 2),
     ("weyl(1)", "x*e", 3, 2, 4),
     ("weyl(2)", "x1*e1 + 2*x2*e2", 2, 3, 2),
     ("weyl(1)", "x^2*e", 2, 1, 2),
     ("arrangement(x,y-x,y+x)", "E", 3, 3, 3),
+    # not an arrangement: eigenweights 2, -2 and 0 on e, f and h
+    ("lie(sl2)", "h", 2, 3, 2),
+    # E/2: Fraction rows in the contraction plans; the polynomial is passed
+    ("arrangement(x,y,y-x,y+x)", Fraction(1, 2), 2, 3, 2),
 ])
 def test_euler_check_matches_the_two_differential_reference(spec, euler, max_weight,
                                                             max_degree, cap):
     # with x*e the terms of i_E D carry a coordinate factor and leave the
     # enumerated basis, so the memo computes them on a miss
     alg = presets.builtin(spec)
+    if isinstance(euler, Fraction):
+        euler = SymAlgebra(alg).poly("E").scale(euler)
     got = euler_contraction_check(alg, euler, max_weight, max_degree, euler_degree_cap=cap)
     assert got == reference_euler_contraction_check(alg, euler, max_weight, max_degree, cap)
+    assert got.trials == {"lie(sl2)": 230, "arrangement(x,y,y-x,y+x)": 999}.get(spec, got.trials)
 
 
 def test_euler_insertion_is_interior_product():

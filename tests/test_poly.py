@@ -130,6 +130,11 @@ def test_parse_rejects_garbage():
         P("z")
     with pytest.raises(PolyParseError):
         P("x / y")
+    # the grammar's digits and names are ASCII: an Arabic-Indic three, a
+    # superscript two and a non-ASCII letter are bad characters, not numbers
+    for text in ("x^\u0663", "\u0663*x", "x^\u00b2", "x\u00e9"):
+        with pytest.raises(PolyParseError, match="bad character"):
+            P(text)
 
 
 def test_parse_precedence_and_unary_minus():
