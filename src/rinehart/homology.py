@@ -85,10 +85,11 @@ def _slice_weights(P: SymAlgebra, max_weight: int, cap: int = 0) -> list[int]:
 
 def homology_slice(P: SymAlgebra, lam: int) -> ComplexSlice:
     """The boundary complex of slice lam as a cochain slice (positions are
-    N - homological degree); each position is labelled by its basis keys."""
+    N - homological degree), its columns the `_boundary_plan` images of the
+    basis forms."""
     bases = [_form_basis(P, lam, P.N - p) for p in range(P.N + 1)]
-    return assemble_slice(bases, lambda key: poisson_boundary(
-        KahlerForm.basis_element(P, *key)).entries())
+    return assemble_slice(bases, lambda key: _apply_plan(P._plans, _boundary_plan, {key: 1},
+                                                         P).items())
 
 
 def poisson_homology(alg: LieRinehartAlgebra, max_weight: int) -> dict[tuple[int, int], int]:
@@ -191,7 +192,7 @@ def cyclic_slice(blocks: _MixedBlocks, lam: int, u_cap: int, t_max: int) -> Comp
                     continue
                 for s, image in enumerate(blocks.block(op, mu, k), col):
                     for i, c in image:  # block entries are nonzero, ints when integral
-                        m.entries[row + i, s] = c
+                        m.rows[row + i][s] = c
         diffs.append(m)
     return ComplexSlice([size for _, size in layout], diffs, leading=leading)
 

@@ -1,21 +1,26 @@
 """Exact sparse linear algebra over Q and finite graded complex slices.
 
-`assemble` turns a linear map on a basis into a matrix, and `assemble_slice`
-a map on graded bases into a slice; every kernel search and every slice
-differential but the cyclic ones, which are placed from shared blocks, is
-built with them.
+A `SparseMatrixQ` is one {column: entry} dict per row, entries ints when
+integral and Fractions otherwise, with `entries` a {(row, col): entry} view.
+`assemble` writes the image of a linear map on a basis into rows, and
+`assemble_slice` that of a map on graded bases; every kernel search and every
+slice differential but the cyclic ones, placed from shared blocks, is built
+with them.
 
-Matrix entries are ints when integral and Fractions otherwise.  One integer
-echelon, `_echelon`, built with row steps invertible over Q, serves every
-rank, every leading rank and every kernel, so all are exact; kernel vectors
-come from it by back substitution and have Fraction entries.  The d o d
-check multiplies the same integer rows, built once per differential.
+One integer echelon, `_echelon`, built with row steps invertible over Q,
+serves every rank, every leading rank and every kernel, so all are exact;
+kernel vectors come from it by back substitution and have Fraction entries.
+It reads an integer matrix's rows as stored, the d o d check any matrix's,
+and neither changes a matrix.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
+
+from .poly import _cleaned
 
 
 class NotAComplexError(Exception):
@@ -27,26 +32,20 @@ class NotAComplexError(Exception):
 
 
 class SparseMatrixQ:
-    """Sparse exact matrix: finite map (row, col) -> nonzero rational, an int
-    when integral and a Fraction otherwise."""
+    """Sparse exact matrix stored as rows: rows[i] maps a column to a nonzero
+    rational, an int when integral and a Fraction otherwise.  Given rows are
+    taken as they are; with none, the matrix is zero."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], int | Fraction] = {}
+    def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None):
+        self.nrows, self.ncols = nrows, ncols
+        self.rows: list[dict[int, int | Fraction]] = rows or [{} for _ in range(nrows)]
 
-    def set(self, i: int, j: int, c):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError((i, j))
-        if c.__class__ is not int:
-            c = Fraction(c)
-            c = c.numerator if c.denominator == 1 else c
-        if c:
-            self.entries[(i, j)] = c
-        else:
-            self.entries.pop((i, j), None)
+    @property
+    def entries(self) -> dict[tuple[int, int], int | Fraction]:
+        """A {(row, col): c} view of the rows, built on each access."""
+        return {(i, j): c for i, row in enumerate(self.rows) for j, c in row.items()}
 
 
 def assemble(src: Sequence, image: Callable[[object], Iterable[tuple[object, Fraction]]],
@@ -58,50 +57,48 @@ def assemble(src: Sequence, image: Callable[[object], Iterable[tuple[object, Fra
     Returns the matrix and the row keys."""
     targets = list(tgt) if tgt is not None else []
     index = {key: i for i, key in enumerate(targets)}
-    cols = []
-    for s in src:
-        col: dict[int, Fraction] = {}
+    rows: list[dict] = [{} for _ in targets]
+    for j, s in enumerate(src):
         for key, c in image(s):
-            row = index.get(key)
-            if row is None:
+            i = index.get(key)
+            if i is None:
                 if tgt is not None:
                     raise KeyError(f"the image of {s!r} leaves the target basis at {key!r}")
-                row = index[key] = len(targets)
+                i = index[key] = len(targets)
                 targets.append(key)
-            col[row] = col[row] + c if row in col else c
-        cols.append(col)
-    m = SparseMatrixQ(len(targets), len(cols))
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            m.set(i, j, c)
-    return m, targets
+                rows.append({})
+            rows[i][j] = rows[i].get(j, 0) + c
+    rows = [_cleaned(row) if 0 in row.values() or set(map(type, row.values())) - {int} else row
+            for row in rows]
+    return SparseMatrixQ(len(rows), len(src), rows), targets
 
 
 def _integer_rows(m: SparseMatrixQ) -> list[dict[int, int]]:
-    """Rows of L*m, L the lcm of all denominators: one scalar for the whole
-    matrix keeps its rank and whether a product with it vanishes."""
-    scale = lcm(*{c.denominator for c in m.entries.values()})
-    out: list[dict[int, int]] = [{} for _ in range(m.nrows)]
-    for (i, j), c in m.entries.items():
-        out[i][j] = c.numerator * (scale // c.denominator)
-    return out
+    """m's rows when every entry is an int; otherwise the rows of L*m, L the
+    lcm of all denominators, in a copy: one scalar for the whole matrix keeps
+    its rank and whether a product with it vanishes."""
+    if set(map(type, chain.from_iterable(map(dict.values, m.rows)))) <= {int}:
+        return m.rows
+    scale = lcm(*{c.denominator for row in m.rows for c in row.values()})
+    return [{j: c.numerator * (scale // c.denominator) for j, c in row.items()}
+            for row in m.rows]
 
 
-def _echelon(m: SparseMatrixQ, rows: list[dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
+def _echelon(m: SparseMatrixQ) -> dict[int, dict[int, int]]:
     """An exact integer echelon of m's rows, {leading column: pivot row}.  A
     row meeting pivot p at column c becomes b*row - a*p (a/b = row[c]/p[c] in
     lowest terms), a step invertible over Q; pivots are divided by their
-    content.  `rows`, when given, are `_integer_rows(m)`, and are used up.
+    content.  Each step builds a new row, so m is left as it is.
 
     Rows are reduced at their lowest column, so the pivots below any n are as
     many as the rank of m's first n columns."""
     echelon: dict[int, dict[int, int]] = {}
-    for row in _integer_rows(m) if rows is None else rows:
+    for row in _integer_rows(m):
         while row and (c := min(row)) in echelon:
             pivot = echelon[c]
             g = gcd(row[c], pivot[c])
             a, b = row[c] // g, pivot[c] // g
-            row = {j: b * v for j, v in row.items()} if b != 1 else row
+            row = {j: b * v for j, v in row.items()} if b != 1 else row.copy()
             for j, v in pivot.items():
                 row[j] = row.get(j, 0) - a * v
                 if not row[j]:
@@ -146,7 +143,7 @@ class ComplexSlice:
     `leading`, when given, is a basis prefix size per position whose prefixes
     span a subcomplex: every d_k maps its first leading[k] columns into its
     first leading[k + 1] rows, which is checked here in one pass over the
-    entries.  Its d o d = 0 follows from that of the whole slice."""
+    rows.  Its d o d = 0 follows from that of the whole slice."""
 
     def __init__(self, sizes: list[int], diffs: list[SparseMatrixQ],
                  leading: list[int] | None = None):
@@ -161,25 +158,22 @@ class ComplexSlice:
                 raise ValueError("need one leading size per position, within its basis")
             for k, d in enumerate(diffs):
                 cols, rows = leading[k], leading[k + 1]
-                if any(j < cols and i >= rows for i, j in d.entries):
+                if any(j < cols for row in d.rows[rows:] for j in row):
                     raise ValueError(f"the leading block of differential {k} is not a subcomplex")
         self.sizes = sizes
         self.diffs = diffs
         self.leading = leading
 
-    def check_complex(self) -> list[list[dict[int, int]]]:
-        """Raise NotAComplexError(k) at the first k with d_{k+1} d_k != 0;
-        return the `_integer_rows` of every differential it multiplied."""
-        rows = [_integer_rows(d) for d in self.diffs]
-        for k in range(len(rows) - 1):
-            for upper in rows[k + 1]:
-                acc: dict[int, int] = {}
+    def check_complex(self):
+        """Raise NotAComplexError(k) at the first k with d_{k+1} d_k != 0, in exact products."""
+        for k, (lower, higher) in enumerate(zip(self.diffs, self.diffs[1:])):
+            for upper in higher.rows:
+                acc: dict[int, int | Fraction] = {}
                 for i, c in upper.items():
-                    for j, d in rows[k][i].items():
+                    for j, d in lower.rows[i].items():
                         acc[j] = acc.get(j, 0) + c * d
                 if any(acc.values()):
                     raise NotAComplexError(k)
-        return rows
 
     def dimensions(self) -> list[int]:
         return list(self.sizes)
@@ -205,8 +199,8 @@ def cohomology_dims(slice: ComplexSlice) -> list[int] | tuple[list[int], list[in
     subcomplex's).  One elimination per differential gives both: the rank of
     the leading block is the number of pivots in its leading columns, since
     the rows below the block are zero there."""
-    rows = slice.check_complex()
-    pivots = [_echelon(d, r) for d, r in zip(slice.diffs, rows)]
+    slice.check_complex()
+    pivots = [_echelon(d) for d in slice.diffs]
     dims = _dims(slice.sizes, [len(p) for p in pivots])
     if slice.leading is None:
         return dims

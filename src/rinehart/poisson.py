@@ -303,15 +303,19 @@ def _contract_plan(values, legs: Legs) -> tuple[tuple, dict]:
 def _apply_plan(plans: dict, build, flat: dict, *context) -> dict:
     """The flat image of an operator that is a derivation in the coefficient
     factor and moves the legs by fixed rows: the one loop that applies an
-    operator to flat leg-tensor terms.  Its plan (by_b, fixed) =
-    build(*context, L) per leg set L is built on first use and kept in
-    plans under (build, L).  A term c x^e on L adds e_b c v at
-    (new, e + shift) for each row (new, shift, v) under b in by_b, and c v
-    at (new, e + u) for each row (new, u): v of fixed."""
+    operator to flat leg-tensor terms.  Its plan (by_b, fixed) = build(*context,
+    L) per leg set L is built on first use, checked to shift exponents of the
+    term's length (ValueError), and kept in plans under (build, L).  A term
+    c x^e on L adds e_b c v at (new, e + shift) for each row (new, shift, v)
+    under b in by_b, and c v at (new, e + u) for each row (new, u): v of fixed."""
     acc: dict = {}
     for (legs, exp), c in flat.items():
         if (plan := plans.get((build, legs))) is None:
-            plan = plans[build, legs] = build(*context, legs)
+            plan, n = build(*context, legs), len(exp)
+            if any(len(shift) != n for _, rows in plan[0] for _, shift, _ in rows) or any(
+                    len(u) != n for _, u in plan[1]):
+                raise ValueError(f"the plan on {legs} has a shift of another length than {n}")
+            plans[build, legs] = plan
         by_b, fixed = plan
         for b, rows in by_b:
             if k := exp[b]:
@@ -380,11 +384,12 @@ def _pair_sum(P: SymAlgebra, legs: Legs) -> dict:
 
 
 def cochain_slice(P: SymAlgebra, W: int, max_position: int) -> ComplexSlice:
-    """The weight-W multivector complex through cochain degree max_position."""
+    """The weight-W multivector complex through cochain degree max_position,
+    its columns the `_differential_plan` images of the basis multivectors."""
     vw, wbr = P.weight_vector(), P.bracket_weight()
     bases = [leg_basis(vw, vw, k, W + k * wbr) for k in range(max_position + 1)]
-    return assemble_slice(bases, lambda key: poisson_differential(
-        Multivector.basis_element(P, *key)).entries())
+    return assemble_slice(bases, lambda key: _apply_plan(P._plans, _differential_plan,
+                                                         {key: 1}, P).items())
 
 
 def cochain_table(leg_weights, wbr: int, max_weight: int, max_degree: int,

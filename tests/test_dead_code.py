@@ -106,6 +106,7 @@ ITEM_5 = "ROADMAP item 5 puts it on the CLI path of `verify nonlinear`"
 ITEM_5_CALLEE = "called only from the item 5 entries"
 PINNED = {
     "linalg.py:ComplexSlice.dimensions": "bench/spans.py reads it",
+    "linalg.py:SparseMatrixQ.entries": "bench/spans.py reads it",
     "homology.py:duality_cap_rank_check":
         "ROADMAP item 4 runs it from `verify duality` or moves it into tests/",
     "homology.py:duality_cap": "called only from duality_cap_rank_check",

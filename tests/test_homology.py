@@ -18,7 +18,7 @@ from rinehart.homology import (
 )
 from rinehart.linalg import ComplexSlice, assemble, cohomology_dims
 from rinehart.poisson import Multivector, SymAlgebra, _apply_plan, poisson_differential
-from rinehart.poly import Polynomial, exponents, insert_leg
+from rinehart.poly import Polynomial, exponents, insert_leg, leg_basis
 from test_poisson import reference_summed
 
 
@@ -133,10 +133,25 @@ def test_cyclic_homology_takes_each_boundary_once(monkeypatch):
     assert [key for key in seen if not key[0]] == []
 
 
+def recorded_plan_sources(monkeypatch, build):
+    """The key of every one-term input that `homology._apply_plan` runs
+    through the plan builder build, in call order."""
+    seen = []
+
+    def record(plans, builder, flat, *context):
+        if builder is build:
+            (key,) = flat
+            seen.append(key)
+        return _apply_plan(plans, builder, flat, *context)
+
+    monkeypatch.setattr(homology, "_apply_plan", record)
+    return seen
+
+
 def test_poisson_homology_takes_each_boundary_once(monkeypatch):
     # each slice has its own basis forms, and its chain complex stops at
     # degree 1: a 0-form is never a source
-    seen = recorded_boundary_sources(monkeypatch)
+    seen = recorded_plan_sources(monkeypatch, homology._boundary_plan)
     table = poisson_homology(presets.weyl(1), 8)
     assert homology_totals(table) == {0: 0, 1: 0, 2: 1} and len(seen) > 100
     assert len(seen) == len(set(seen))
@@ -479,6 +494,30 @@ def test_boundary_plans_are_built_once_per_leg_set(name, monkeypatch):
     poisson_boundary(KahlerForm.basis_element(fresh, (0,), (1,) * fresh.N))
     assert built[len(met):] == [(0,)]
     assert list(fresh._plans) == [(homology._boundary_plan, (0,))]
+
+
+@pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS)
+def test_slice_rows_are_the_operators_on_wrapped_basis_elements(name):
+    # the slice builders run the plans on bare basis keys; the reference runs
+    # `poisson_boundary` and `poisson_differential` on the basis elements
+    P = SymAlgebra(presets.builtin(name))
+    vw, wbr = P.weight_vector(), P.bracket_weight()
+    boundary = lambda key: poisson_boundary(KahlerForm.basis_element(P, *key)).entries()
+    differential = lambda key: poisson_differential(Multivector.basis_element(P, *key)).entries()
+    cases = []
+    for lam in homology._slice_weights(P, 2)[1:3]:
+        cases.append((homology.homology_slice(P, lam), boundary,
+                      [homology._form_basis(P, lam, P.N - p) for p in range(P.N + 1)]))
+    for W in (1, 2):
+        cases.append((poisson.cochain_slice(P, W, P.N), differential,
+                      [leg_basis(vw, vw, k, W + k * wbr) for k in range(P.N + 1)]))
+    nnz = [0, 0]
+    for s, image, bases in cases:
+        for d, src, tgt in zip(s.diffs, bases, bases[1:]):
+            assert d.rows == assemble(src, image, tgt)[0].rows
+            nnz[image is differential] += len(d.entries)
+    # both operators vanish on the abelian bracket, and on no other builtin
+    assert (min(nnz) > 0) == (name != "lie(abelian2)")
 
 
 @pytest.mark.parametrize("name", POSITIVE_WEIGHT_BUILTINS + [

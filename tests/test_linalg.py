@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -88,11 +89,25 @@ def reference_kernel_and_rank(m: SparseMatrixQ) -> tuple[list[list[Fraction]], i
     return basis, rank
 
 
+def set_entry(m: SparseMatrixQ, i: int, j: int, c):
+    """Store c at (i, j) as a canonical entry: an int when integral, and no
+    entry at all when zero."""
+    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
+        raise IndexError((i, j))
+    if c.__class__ is not int:
+        c = Fraction(c)
+        c = c.numerator if c.denominator == 1 else c
+    if c:
+        m.rows[i][j] = c
+    else:
+        m.rows[i].pop(j, None)
+
+
 def mat(rows):
     m = SparseMatrixQ(len(rows), len(rows[0]) if rows else 0)
     for i, row in enumerate(rows):
         for j, c in enumerate(row):
-            m.set(i, j, c)
+            set_entry(m, i, j, c)
     return m
 
 
@@ -123,7 +138,7 @@ def test_kernel_vectors_are_exact():
         for i in range(nr):
             for j in range(nc):
                 if rng.random() < 0.5:
-                    m.set(i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                    set_entry(m, i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         basis, rk = kernel_and_rank(m)
         assert rk + len(basis) == nc
         assert rank(m) == rk == reference_kernel_and_rank(m)[1]
@@ -132,10 +147,8 @@ def test_kernel_vectors_are_exact():
 
 
 def test_integral_entries_are_ints_and_results_are_fractions():
-    m = SparseMatrixQ(1, 2)
-    m.set(0, 0, Fraction(4, 2))
-    m.set(0, 1, Fraction(1, 2))
-    assert type(m.entries[(0, 0)]) is int and type(m.entries[(0, 1)]) is Fraction
+    m, _ = assemble(["s"], lambda s: [("u", Fraction(4, 2)), ("v", Fraction(1, 2))])
+    assert type(m.entries[(0, 0)]) is int and type(m.entries[(1, 0)]) is Fraction
     rng = random.Random(11)
     for _ in range(30):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
@@ -146,8 +159,32 @@ def test_integral_entries_are_ints_and_results_are_fractions():
         # half the entries made Fractions, some of them integral again
         for (i, j), c in list(m.entries.items()):
             if rng.random() < 0.5:
-                m.set(i, j, Fraction(c * rng.choice([1, 2, 3]), rng.choice([1, 2, 3])))
+                set_entry(m, i, j, Fraction(c * rng.choice([1, 2, 3]), rng.choice([1, 2, 3])))
         assert rank(m) == reference_kernel_and_rank(m)[1]
+
+
+def test_ranks_kernels_and_checks_leave_every_matrix_as_it_was():
+    # an integer matrix's rows reach the echelon and the d o d check as
+    # stored, and a Fraction matrix's reach the echelon in a scaled copy; the
+    # echelon builds a new row at each step
+    P = poisson.SymAlgebra(presets.weyl(1))
+    slices = [homology.homology_slice(P, lam) for lam in (3, 4)]
+    slices.append(homology.cyclic_slice(homology._MixedBlocks(P), 4, 2, P.N + 4))
+    for s in slices:
+        assert all(type(c) is int for d in s.diffs for row in d.rows for c in row.values())
+        assert all(linalg._integer_rows(d) is d.rows for d in s.diffs)
+        before = copy.deepcopy([d.rows for d in s.diffs])
+        assert sum(map(rank, s.diffs)) > 0
+        cohomology_dims(s)
+        assert [d.rows for d in s.diffs] == before
+    rng = random.Random(31)
+    for trial in range(60):
+        nr, nc = rng.randint(2, 7), rng.randint(2, 7)
+        entries = [0, 0, 1, -1, 2, 3] if trial % 2 else [0, 1, -2, Fraction(1, 2), Fraction(-3, 4)]
+        m = mat([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
+        before = copy.deepcopy(m.rows)
+        kernel_and_rank(m)
+        assert m.rows == before
 
 
 def test_cohomology_single_spot():
@@ -235,10 +272,8 @@ def test_kernel_matches_the_reference_on_every_kernel_search(monkeypatch, capsys
 
 def columns(m, n, nrows=None):
     """The first n columns of m, and only its first nrows rows when given."""
-    out = SparseMatrixQ(m.nrows if nrows is None else nrows, n)
-    out.entries = {(i, j): c for (i, j), c in m.entries.items()
-                   if j < n and (nrows is None or i < nrows)}
-    return out
+    rows = m.rows if nrows is None else m.rows[:nrows]
+    return SparseMatrixQ(len(rows), n, [{j: c for j, c in row.items() if j < n} for row in rows])
 
 
 def test_leading_rank_is_the_rank_of_the_leading_columns():

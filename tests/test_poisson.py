@@ -428,3 +428,17 @@ def test_coordinate_bracket_is_antisymmetric(name):
             ab = P.coordinate_action(a, P.coordinate(b))
             assert ab == -P.coordinate_action(b, P.coordinate(a))
             assert ab == reference_symbol_bracket(P, P.coordinate(a), P.coordinate(b))
+
+
+def test_a_plan_row_of_another_length_than_the_term_raises():
+    # the pairwise sum of exponent and shift would stop at the shorter one and
+    # key a cut exponent; the plan is refused when built, and not kept
+    term = {((0,), (1, 2)): 1}
+    for build in (lambda legs: ([(0, [((), (-1,), 1)])], {}),
+                  lambda legs: ((), {((), (0, 0, 1)): 1})):
+        plans: dict = {}
+        with pytest.raises(ValueError, match="another length than 2"):
+            poisson._apply_plan(plans, build, term)
+        assert plans == {}
+    fine = lambda legs: ([(0, [((), (-1, 0), 3)])], {((), (0, 1)): 1})
+    assert poisson._apply_plan({}, fine, term) == {((), (0, 2)): 3, ((), (1, 3)): 1}
